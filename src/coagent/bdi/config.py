@@ -43,11 +43,14 @@ class EnvironmentAdapter(Protocol):
 
 
 class InertEnvironment:
-    """Accepts every action declared in the agent's action set; no effects."""
+    """Accepts every action; no effects.
+
+    The interpreters reject actions outside the agent's action set before
+    they reach the environment.
+    """
 
     def perform(self, cfg: "AgentConfiguration", action: str, args: dict[str, Any]) -> None:
-        if action not in cfg.circumstance.actions:
-            raise ActionFault(f"unknown action {action!r}")
+        pass
 
 
 @dataclass(frozen=True)

@@ -32,12 +32,6 @@ INJECTABLE_CATEGORIES = frozenset(
     {EventCategory.GOAL_ADDED, EventCategory.BELIEF_UPDATED, EventCategory.MESSAGE_RECEIVED}
 )
 
-#: Categories recorded on the observation stream instead of the event queue.
-OBSERVATION_ONLY_CATEGORIES = frozenset(
-    {EventCategory.PLAN_STARTED, EventCategory.PLAN_FINISHED}
-)
-
-
 class _Top:
     """The empty intention: marks events not tied to any running intention."""
 

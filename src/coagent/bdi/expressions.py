@@ -121,6 +121,11 @@ class Expr:
     def __repr__(self) -> str:
         return f"Expr({self.source!r})"
 
+    @property
+    def tree(self) -> ast.Expression:
+        """The parsed tree, shared by every reader: walk or copy it, never mutate it."""
+        return self._tree
+
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Expr) and other.source == self.source
 

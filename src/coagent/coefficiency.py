@@ -19,10 +19,11 @@ through a hook on the observation stream, with the same mapping semantics.
 from __future__ import annotations
 
 import ast
+import copy
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Mapping
+from typing import Any, Iterable, Mapping
 
 from coagent.bdi.beliefs import BeliefValue
 from coagent.bdi.config import AgentConfiguration, Step
@@ -35,6 +36,7 @@ from coagent.bdi.events import (
     _Top,
 )
 from coagent.bdi.expressions import UNDEFINED, Env, Expr
+from coagent.bdi.interpreter import select_event
 from coagent.bdi.plans import Act, Believe, Plan, Send, Subgoal, Unbelieve
 
 
@@ -100,16 +102,6 @@ class CoefficientModule:
     mapping: list[EventMappingEntry] = field(default_factory=list)
     exports: frozenset[str] = frozenset()
 
-    @property
-    def observed_patterns(self) -> list[EventPattern]:
-        """The set of observed event patterns (the mapping's source side)."""
-        return [entry.observe for entry in self.mapping]
-
-    @property
-    def injected_templates(self) -> list[EventTemplate]:
-        """The set of injectable event templates (the mapping's target side)."""
-        return [entry.inject for entry in self.mapping]
-
 
 # -- namespacing -------------------------------------------------------------
 
@@ -133,8 +125,7 @@ class _Renamer(ast.NodeTransformer):
 def _rename_expr(expr: Expr, renames: dict[str, str]) -> Expr:
     if not renames:
         return expr
-    tree = ast.parse(expr.source, mode="eval")
-    tree = _Renamer(renames).visit(tree)
+    tree = _Renamer(renames).visit(copy.deepcopy(expr.tree))
     ast.fix_missing_locations(tree)
     return Expr(ast.unparse(tree))
 
@@ -179,9 +170,6 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
     """
     if mod.module_id in cfg.modules:
         raise ModuleRegistrationError(f"module {mod.module_id!r} already registered")
-    for entry in mod.mapping:
-        if entry.inject.category not in INJECTABLE_CATEGORIES:  # pragma: no cover
-            raise MappingError(f"entry injects illegal category {entry.inject.category}")
 
     prefix = _belief_prefix(mod.module_id)
     renames: dict[str, str] = {}
@@ -213,12 +201,12 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
     cfg.modules[mod.module_id] = mod
     if cfg.select_event_override is None:
         cfg.select_event_override = select_event_coefficient
-        cfg.observation_hooks.append(_observation_injection_hook)
+        cfg.observation_hooks.append(_inject)
     return cfg
 
 
 def resolve_mapping(
-    mapping: list[EventMappingEntry], te: TriggeringEvent
+    mapping: Iterable[EventMappingEntry], te: TriggeringEvent
 ) -> tuple[TriggeringEvent, Placement, Expr | None] | None:
     """First-declared matching entry, with the template instantiated; None if unobserved."""
     for entry in mapping:
@@ -237,62 +225,36 @@ def eval_guard(
     return guard.as_condition(env)
 
 
-def active_entries(cfg: AgentConfiguration) -> list[EventMappingEntry]:
-    """The host's active mapping: module entries concatenated in registration order."""
-    return [entry for _module_id, entry in cfg.mapping]
-
-
 def select_event_coefficient(cfg: AgentConfiguration) -> AgentConfiguration:
     """Event selection extended with guarded injection.
 
-    Behaves exactly like plain selection when the queue is empty or the
-    selected event is not observed.  Otherwise the selected event still goes
-    to the temporary structure for normal processing, and additionally, if
-    the guard holds, the mapped event is appended to the queue: paired with
-    the selected event's intention for current-intention placement, or with
-    the empty intention for new-intention placement.
+    Plain selection, after which an observed selected event may inject its
+    mapped event (see ``_inject``).  The selected event itself still goes to
+    the temporary structure for normal processing.
     """
-    if cfg.step is not Step.SEL_EV:
-        raise RuntimeError(f"select_event_coefficient requires SelEv, at {cfg.step.value}")
-    events = cfg.circumstance.events
-    if not events:
-        cfg.step = Step.SEL_INT
-        return cfg
-    event = events.pop(0)
-    cfg.temp.epsilon = event
-    cfg.step = Step.REL_PL
-    resolved = resolve_mapping(active_entries(cfg), event.te)
-    if resolved is None:
-        return cfg
-    te_d, placement, guard = resolved
-    if eval_guard(guard, event.te, cfg):
-        cfg.append_event(te_d, _placement_target(cfg, placement, event.intention))
+    select_event(cfg)
+    if cfg.step is Step.REL_PL:
+        epsilon = cfg.temp.epsilon
+        _inject(cfg, epsilon.te, epsilon.intention)
     return cfg
 
 
-def _placement_target(
-    cfg: AgentConfiguration, placement: Placement, intention: int | _Top
-) -> int | _Top:
-    if placement is Placement.NEW_INTENTION:
-        return TOP
-    if intention is TOP:
-        # Degenerate current-intention case: the empty intention has no
-        # stack to extend, so the injection starts a new course of action.
-        return TOP
-    return intention
+def _inject(cfg: AgentConfiguration, te: TriggeringEvent, intention: int | _Top) -> None:
+    """Apply the host's active mapping to one observed event.
 
-
-def _observation_injection_hook(
-    cfg: AgentConfiguration, te: TriggeringEvent, intention: int | _Top
-) -> None:
-    """Apply the mapping to plan lifecycle events from the observation stream."""
-    resolved = resolve_mapping(active_entries(cfg), te)
+    The first matching entry whose guard holds appends its instantiated
+    template to the queue: paired with the observed event's intention for
+    current-intention placement, or with the empty intention for
+    new-intention placement or when that intention is no longer live (the
+    empty intention has no stack to extend).  Also the observation hook for
+    plan lifecycle events.
+    """
+    resolved = resolve_mapping((entry for _module_id, entry in cfg.mapping), te)
     if resolved is None:
         return
     te_d, placement, guard = resolved
     if not eval_guard(guard, te, cfg):
         return
-    target = _placement_target(cfg, placement, intention)
-    if target is not TOP and target not in cfg.circumstance.intentions:
-        target = TOP
-    cfg.append_event(te_d, target)
+    if placement is Placement.NEW_INTENTION or intention not in cfg.circumstance.intentions:
+        intention = TOP
+    cfg.append_event(te_d, intention)

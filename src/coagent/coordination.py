@@ -17,7 +17,7 @@ from typing import Any, Mapping
 
 from coagent.bdi.config import AgentConfiguration
 from coagent.bdi.events import EventCategory, EventPattern, TOP, TriggeringEvent
-from coagent.bdi.expressions import Env, Expr
+from coagent.bdi.expressions import TRUE, Env, Expr
 from coagent.bdi.plans import Act, Plan
 from coagent.coefficiency import (
     CoefficientModule,
@@ -179,24 +179,13 @@ class CoordinationEndpoint:
     subscriptions: frozenset[str]
     publish_topics: frozenset[str]
 
-    @property
-    def bindings(self) -> frozenset[str]:
-        """All medium topics this endpoint is bound to."""
-        return self.subscriptions | self.publish_topics
-
 
 def _payload_refs(expr: Expr) -> set[str]:
-    tree = ast.parse(expr.source, mode="eval")
-    return {
-        node.attr
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute)
-    }
+    return {node.attr for node in ast.walk(expr.tree) if isinstance(node, ast.Attribute)}
 
 
 def _bare_subject_ref(expr: Expr) -> bool:
-    tree = ast.parse(expr.source, mode="eval")
-    return any(isinstance(node, ast.Name) and node.id == "subject" for node in ast.walk(tree))
+    return any(isinstance(node, ast.Name) and node.id == "subject" for node in ast.walk(expr.tree))
 
 
 def _check_publication(rule: PublicationRule, index: int) -> None:
@@ -222,40 +211,40 @@ def _check_publication(rule: PublicationRule, index: int) -> None:
             )
 
 
-def compile_endpoint(
-    decl: EndpointDeclaration, host_cfg: AgentConfiguration
-) -> CoordinationEndpoint:
-    """Compile a declaration into an endpoint and register it on the host.
-
-    Each publication rule becomes one event-mapping entry that injects an
-    internal publish goal, plus one plan that performs the publish action;
-    the rule guard is re-checked in the plan context so stale goals never
-    publish.  Reaction rules stay on the endpoint and are evaluated at
-    delivery time.
-    """
+def check_declaration(decl: EndpointDeclaration) -> None:
+    """Raise ``EndpointDeclarationError`` unless the declaration can be compiled."""
     if not decl.process_id:
         raise EndpointDeclarationError("endpoint declaration needs a process-id")
-    module_id = f"ep.{decl.process_id}"
-    subscriptions = frozenset(rule.topic for rule in decl.reactions)
-    publish_topics = frozenset(rule.topic for rule in decl.publications)
     if decl.topics:
         declared = set(decl.topics)
-        used = subscriptions | publish_topics
+        used = {rule.topic for rule in (*decl.publications, *decl.reactions)}
         if declared != used:
             raise EndpointDeclarationError(
                 f"declared topics {sorted(declared)} do not match rule topics {sorted(used)}"
             )
+    for index, rule in enumerate(decl.publications):
+        _check_publication(rule, index)
 
+
+def endpoint_module(decl: EndpointDeclaration) -> CoefficientModule:
+    """Check a declaration and build the co-efficient module of its publication side.
+
+    Each publication rule becomes one event-mapping entry that injects an
+    internal publish goal, plus one plan that performs the publish action;
+    the rule guard is re-checked in the plan context so stale goals never
+    publish.  The module depends only on the declaration, so one module
+    serves every host the declaration is attached to.
+    """
+    check_declaration(decl)
+    module_id = f"ep.{decl.process_id}"
     mapping: list[EventMappingEntry] = []
     plans: list[Plan] = []
     for index, rule in enumerate(decl.publications):
-        _check_publication(rule, index)
         goal = f"{module_id}.publish.{index}"
-        template_payload = {key: expr for key, expr in rule.extract_event.items()}
         mapping.append(
             EventMappingEntry(
                 observe=rule.observe,
-                inject=EventTemplate(EventCategory.GOAL_ADDED, goal, template_payload),
+                inject=EventTemplate(EventCategory.GOAL_ADDED, goal, dict(rule.extract_event)),
                 placement=Placement.NEW_INTENTION,
                 guard=rule.guard,
             )
@@ -272,16 +261,23 @@ def compile_endpoint(
                 trigger=EventPattern(
                     categories=(EventCategory.GOAL_ADDED,), subject=goal
                 ),
-                context=rule.guard if rule.guard is not None else Expr("true"),
+                context=rule.guard if rule.guard is not None else TRUE,
                 body=(Act(PUBLISH_ACTION, args),),
             )
         )
+    return CoefficientModule(module_id=module_id, plans=plans, mapping=mapping)
 
-    module = CoefficientModule(module_id=module_id, plans=plans, mapping=mapping)
+
+def attach_endpoint(
+    decl: EndpointDeclaration, module: CoefficientModule, host_cfg: AgentConfiguration
+) -> CoordinationEndpoint:
+    """Register a declaration's module on the host and return the host's endpoint.
+
+    Reaction rules stay on the endpoint and are evaluated at delivery time.
+    """
     register_module(host_cfg, module)
     if decl.publications:
         host_cfg.circumstance.actions.add(PUBLISH_ACTION)
-
     return CoordinationEndpoint(
         endpoint_id=f"{host_cfg.agent_id}/{decl.process_id}",
         host=host_cfg.agent_id,
@@ -289,9 +285,16 @@ def compile_endpoint(
         publication_rules=tuple(decl.publications),
         reaction_rules=tuple(decl.reactions),
         module=module,
-        subscriptions=subscriptions,
-        publish_topics=publish_topics,
+        subscriptions=frozenset(rule.topic for rule in decl.reactions),
+        publish_topics=frozenset(rule.topic for rule in decl.publications),
     )
+
+
+def compile_endpoint(
+    decl: EndpointDeclaration, host_cfg: AgentConfiguration
+) -> CoordinationEndpoint:
+    """Compile a declaration into an endpoint and register it on the host."""
+    return attach_endpoint(decl, endpoint_module(decl), host_cfg)
 
 
 def build_publication(

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-from coagent.bdi.beliefs import BeliefBase
+from coagent.bdi.beliefs import RESERVED_NAMES, BeliefBase
 from coagent.bdi.config import AgentConfiguration, EnvironmentAdapter
 from coagent.bdi.events import (
     EventCategory,
@@ -37,7 +37,13 @@ from coagent.coefficiency import (
     Placement,
     register_module,
 )
-from coagent.coordination import EndpointDeclaration, PublicationRule, ReactionRule
+from coagent.coordination import (
+    EndpointDeclaration,
+    EndpointDeclarationError,
+    PublicationRule,
+    ReactionRule,
+    check_declaration,
+)
 from coagent.scenarios import DemandDelta, ScenarioConfig, ServerSpec, ServiceSpec
 
 
@@ -49,10 +55,39 @@ def _fail(path: str, message: str) -> "ConfigError":
     return ConfigError(f"{path}: {message}")
 
 
-def _require(obj: Any, path: str, kind: type, what: str) -> Any:
-    if not isinstance(obj, kind):
-        raise _fail(path, f"{what} must be {kind.__name__}, got {type(obj).__name__}")
+def _require(obj: Any, path: str, kind: type | tuple[type, ...], what: str) -> Any:
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    # JSON true/false load as bools, which Python also counts as ints.
+    if not isinstance(obj, kinds) or (isinstance(obj, bool) and bool not in kinds):
+        names = "/".join(k.__name__ for k in kinds)
+        raise _fail(path, f"{what} must be {names}, got {type(obj).__name__}")
     return obj
+
+
+def _optional(
+    obj: Mapping[str, Any], key: str, path: str, kind: type | tuple[type, ...], default: Any
+) -> Any:
+    """The value under ``key``, type-checked; ``default`` when absent or null."""
+    value = obj.get(key)
+    if value is None:
+        return default
+    return _require(value, f"{path}.{key}", kind, key)
+
+
+def _strings(obj: Mapping[str, Any], key: str, path: str) -> tuple[str, ...]:
+    items = _optional(obj, key, path, list, [])
+    for index, item in enumerate(items):
+        _require(item, f"{path}.{key}[{index}]", str, key)
+    return tuple(items)
+
+
+def _parse_beliefs(obj: Mapping[str, Any], path: str) -> dict[str, Any]:
+    beliefs = dict(_optional(obj, "beliefs", path, dict, {}))
+    for key, value in beliefs.items():
+        if not key or key in RESERVED_NAMES:
+            raise _fail(f"{path}.beliefs", f"belief key {key!r} is empty or a reserved name")
+        _require(value, f"{path}.beliefs.{key}", (int, float, bool, str), "belief value")
+    return beliefs
 
 
 def _check_keys(obj: Mapping[str, Any], path: str, allowed: set[str], required: set[str]) -> None:
@@ -102,8 +137,7 @@ def parse_pattern(obj: Any, path: str) -> EventPattern:
     subject = obj.get("subject")
     if subject is not None:
         _require(subject, f"{path}.subject", str, "subject")
-    payload = obj.get("payload") or {}
-    _require(payload, f"{path}.payload", dict, "payload pattern")
+    payload = _optional(obj, "payload", path, dict, {})
     return EventPattern(categories=categories, subject=subject, payload=dict(payload))
 
 
@@ -114,7 +148,7 @@ def parse_template(obj: Any, path: str) -> EventTemplate:
     category = _parse_category(obj["category"], f"{path}.category")
     subject = _require(obj["subject"], f"{path}.subject", str, "subject")
     payload = {}
-    for key, source in (obj.get("payload") or {}).items():
+    for key, source in _optional(obj, "payload", path, dict, {}).items():
         payload[key] = _parse_expr(source, f"{path}.payload.{key}")
     try:
         return EventTemplate(category, subject, payload)
@@ -131,11 +165,11 @@ def _parse_placement(value: Any, path: str) -> Placement:
         ) from None
 
 
-def _parse_args(obj: Any, path: str) -> dict[str, Expr]:
-    args = {}
-    for key, source in (_require(obj, path, dict, "args") if obj else {}).items():
-        args[key] = _parse_expr(source, f"{path}.{key}")
-    return args
+def _parse_args(obj: Mapping[str, Any], key: str, path: str) -> dict[str, Expr]:
+    return {
+        name: _parse_expr(source, f"{path}.{key}.{name}")
+        for name, source in _optional(obj, key, path, dict, {}).items()
+    }
 
 
 def parse_body_step(obj: Any, path: str) -> BodyStep:
@@ -143,10 +177,10 @@ def parse_body_step(obj: Any, path: str) -> BodyStep:
     kind = obj.get("do")
     if kind == "act":
         _check_keys(obj, path, {"do", "name", "args"}, {"name"})
-        return Act(_require(obj["name"], f"{path}.name", str, "action name"), _parse_args(obj.get("args"), f"{path}.args"))
+        return Act(_require(obj["name"], f"{path}.name", str, "action name"), _parse_args(obj, "args", path))
     if kind == "subgoal":
         _check_keys(obj, path, {"do", "goal", "args"}, {"goal"})
-        return Subgoal(_require(obj["goal"], f"{path}.goal", str, "goal name"), _parse_args(obj.get("args"), f"{path}.args"))
+        return Subgoal(_require(obj["goal"], f"{path}.goal", str, "goal name"), _parse_args(obj, "args", path))
     if kind == "believe":
         _check_keys(obj, path, {"do", "key", "value"}, {"key", "value"})
         return Believe(
@@ -160,7 +194,7 @@ def parse_body_step(obj: Any, path: str) -> BodyStep:
         _check_keys(obj, path, {"do", "to", "payload"}, {"to"})
         return Send(
             _require(obj["to"], f"{path}.to", str, "receiver"),
-            _parse_args(obj.get("payload"), f"{path}.payload"),
+            _parse_args(obj, "payload", path),
         )
     raise _fail(path, f"body step 'do' must be one of act/subgoal/believe/unbelieve/send, got {kind!r}")
 
@@ -195,16 +229,16 @@ def parse_module(obj: Any, path: str) -> CoefficientModule:
     _require(obj, path, dict, "module")
     _check_keys(obj, path, {"id", "beliefs", "plans", "mapping", "exports"}, {"id"})
     module_id = _require(obj["id"], f"{path}.id", str, "module id")
-    beliefs = dict(_require(obj.get("beliefs") or {}, f"{path}.beliefs", dict, "beliefs"))
+    beliefs = _parse_beliefs(obj, path)
     plans = [
         parse_plan(plan, f"{path}.plans[{index}]")
-        for index, plan in enumerate(obj.get("plans") or [])
+        for index, plan in enumerate(_optional(obj, "plans", path, list, []))
     ]
     mapping = [
         parse_mapping_entry(entry, f"{path}.mapping[{index}]")
-        for index, entry in enumerate(obj.get("mapping") or [])
+        for index, entry in enumerate(_optional(obj, "mapping", path, list, []))
     ]
-    exports = frozenset(_require(obj.get("exports") or [], f"{path}.exports", list, "exports"))
+    exports = frozenset(_strings(obj, "exports", path))
     return CoefficientModule(
         module_id=module_id, beliefs=beliefs, plans=plans, mapping=mapping, exports=exports
     )
@@ -233,17 +267,11 @@ def parse_agent_program(doc: Any, path: str = "agent-program") -> AgentProgram:
         {"name", "beliefs", "actions", "plans", "modules", "events"},
         set(),
     )
-    beliefs = dict(_require(doc.get("beliefs") or {}, f"{path}.beliefs", dict, "beliefs"))
-    for key, value in beliefs.items():
-        if not isinstance(value, (int, float, bool, str)):
-            raise _fail(
-                f"{path}.beliefs.{key}",
-                f"belief values must be int/float/bool/str, got {type(value).__name__}",
-            )
-    actions = set(_require(doc.get("actions") or [], f"{path}.actions", list, "actions"))
+    beliefs = _parse_beliefs(doc, path)
+    actions = set(_strings(doc, "actions", path))
     plans = [
         parse_plan(plan, f"{path}.plans[{index}]")
-        for index, plan in enumerate(doc.get("plans") or [])
+        for index, plan in enumerate(_optional(doc, "plans", path, list, []))
     ]
     seen = set()
     for plan in plans:
@@ -259,10 +287,10 @@ def parse_agent_program(doc: Any, path: str = "agent-program") -> AgentProgram:
                 )
     modules = [
         parse_module(module, f"{path}.modules[{index}]")
-        for index, module in enumerate(doc.get("modules") or [])
+        for index, module in enumerate(_optional(doc, "modules", path, list, []))
     ]
     events = []
-    for index, event in enumerate(doc.get("events") or []):
+    for index, event in enumerate(_optional(doc, "events", path, list, [])):
         event_path = f"{path}.events[{index}]"
         _require(event, event_path, dict, "event")
         _check_keys(event, event_path, {"category", "subject", "payload"}, {"category", "subject"})
@@ -270,7 +298,7 @@ def parse_agent_program(doc: Any, path: str = "agent-program") -> AgentProgram:
             TriggeringEvent(
                 _parse_category(event["category"], f"{event_path}.category"),
                 _require(event["subject"], f"{event_path}.subject", str, "subject"),
-                dict(event.get("payload") or {}),
+                dict(_optional(event, "payload", event_path, dict, {})),
             )
         )
     return AgentProgram(
@@ -313,13 +341,8 @@ def parse_publication_rule(obj: Any, path: str) -> PublicationRule:
     _check_keys(
         obj, path, {"observe", "topic", "guard", "extract", "extract-event"}, {"observe", "topic"}
     )
-    extract = tuple(
-        _require(obj.get("extract") or [], f"{path}.extract", list, "extract")
-    )
-    extract_event = {
-        key: _parse_expr(source, f"{path}.extract-event.{key}")
-        for key, source in (obj.get("extract-event") or {}).items()
-    }
+    extract = _strings(obj, "extract", path)
+    extract_event = _parse_args(obj, "extract-event", path)
     return PublicationRule(
         observe=parse_pattern(obj["observe"], f"{path}.observe"),
         topic=_require(obj["topic"], f"{path}.topic", str, "topic"),
@@ -336,7 +359,7 @@ def parse_reaction_rule(obj: Any, path: str) -> ReactionRule:
     _check_keys(match, f"{path}.match", {"topic", "payload"}, {"topic"})
     return ReactionRule(
         topic=_require(match["topic"], f"{path}.match.topic", str, "topic"),
-        match_payload=dict(match.get("payload") or {}),
+        match_payload=dict(_optional(match, "payload", f"{path}.match", dict, {})),
         guard=_parse_optional_expr(obj, "guard", path),
         inject=parse_template(obj["inject"], f"{path}.inject"),
         placement=_parse_placement(obj.get("placement", "new-intention"), f"{path}.placement"),
@@ -353,22 +376,27 @@ def parse_endpoint_declaration(obj: Any, path: str) -> EndpointDeclaration:
     )
     publications = tuple(
         parse_publication_rule(rule, f"{path}.publication-rules[{index}]")
-        for index, rule in enumerate(obj.get("publication-rules") or [])
+        for index, rule in enumerate(_optional(obj, "publication-rules", path, list, []))
     )
     reactions = tuple(
         parse_reaction_rule(rule, f"{path}.reaction-rules[{index}]")
-        for index, rule in enumerate(obj.get("reaction-rules") or [])
+        for index, rule in enumerate(_optional(obj, "reaction-rules", path, list, []))
     )
     role = _require(obj["role"], f"{path}.role", str, "role")
     if role not in {"server", "service", "broker"}:
         raise _fail(f"{path}.role", f"role must be server/service/broker, got {role!r}")
-    return EndpointDeclaration(
+    decl = EndpointDeclaration(
         process_id=_require(obj["process-id"], f"{path}.process-id", str, "process id"),
         role=role,
         publications=publications,
         reactions=reactions,
-        topics=tuple(obj.get("topics") or ()),
+        topics=_strings(obj, "topics", path),
     )
+    try:
+        check_declaration(decl)
+    except EndpointDeclarationError as exc:
+        raise _fail(path, str(exc)) from None
+    return decl
 
 
 _SCENARIO_KEYS = {
@@ -425,7 +453,7 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
         )
 
     schedule = []
-    for index, obj in enumerate(doc.get("demand-schedule") or []):
+    for index, obj in enumerate(_optional(doc, "demand-schedule", path, list, [])):
         entry_path = f"{path}.demand-schedule[{index}]"
         _require(obj, entry_path, dict, "demand delta")
         _check_keys(obj, entry_path, {"tick", "type", "delta"}, {"tick", "type", "delta"})
@@ -438,11 +466,11 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
         )
 
     media = {}
-    for topic, latency in (doc.get("media") or {}).items():
+    for topic, latency in _optional(doc, "media", path, dict, {}).items():
         media[topic] = _require(latency, f"{path}.media.{topic}", int, "latency")
 
     demand = {}
-    for service_type, rate in (doc.get("demand") or {}).items():
+    for service_type, rate in _optional(doc, "demand", path, dict, {}).items():
         demand[service_type] = _require(rate, f"{path}.demand.{service_type}", int, "rate")
 
     endpoints = None
@@ -452,9 +480,7 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
             for index, obj in enumerate(_require(doc["endpoints"], f"{path}.endpoints", list, "endpoints"))
         ]
 
-    probability = doc.get("move-acceptance-probability")
-    if probability is not None and not isinstance(probability, (int, float)):
-        raise _fail(f"{path}.move-acceptance-probability", "must be a number or null")
+    probability = _optional(doc, "move-acceptance-probability", path, (int, float), None)
 
     config = ScenarioConfig(
         name=str(doc.get("name") or "scenario"),
@@ -466,9 +492,11 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
         demand=demand,
         demand_schedule=schedule,
         media=media,
-        significance_threshold=float(doc.get("significance-threshold", 0.5)),
-        uniqueness_constraint=bool(doc.get("uniqueness-constraint", False)),
-        publish_when_empty=bool(doc.get("publish-when-empty", False)),
+        significance_threshold=float(
+            _optional(doc, "significance-threshold", path, (int, float), 0.5)
+        ),
+        uniqueness_constraint=_optional(doc, "uniqueness-constraint", path, bool, False),
+        publish_when_empty=_optional(doc, "publish-when-empty", path, bool, False),
         move_acceptance_probability=(
             float(probability) if probability is not None else None
         ),

@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from coagent.bdi.beliefs import BeliefBase
+from coagent.bdi.beliefs import RESERVED_NAMES, BeliefBase
 from coagent.bdi.config import ActionFault, AgentConfiguration
 from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
@@ -37,9 +37,10 @@ from coagent.coordination import (
     EndpointDeclaration,
     PublicationRule,
     ReactionRule,
+    attach_endpoint,
     build_publication,
-    compile_endpoint,
     endpoint_deliver,
+    endpoint_module,
     publish,
     tick_medium,
 )
@@ -96,8 +97,8 @@ class ScenarioConfig:
     uniqueness_constraint: bool = False
     publish_when_empty: bool = False
     move_acceptance_probability: float | None = None
-    #: Optional custom endpoint declarations (per role).  None selects the
-    #: two canonical coordination processes.
+    #: Endpoint declarations, each attached to every agent of its role.
+    #: None selects ``canonical_endpoints(config)``.
     endpoints: list[EndpointDeclaration] | None = None
 
     def validate(self) -> None:
@@ -153,6 +154,10 @@ class ScenarioConfig:
         for entry in self.demand_schedule:
             if entry.tick < 0:
                 raise ScenarioError("demand-schedule ticks must be >= 0")
+        # Brokers hold one belief per demanded type.
+        for service_type in [*self.demand, *(entry.service_type for entry in self.demand_schedule)]:
+            if not service_type or service_type in RESERVED_NAMES:
+                raise ScenarioError(f"demand type {service_type!r} is empty or a reserved name")
         for topic, latency in self.media.items():
             if latency < 0:
                 raise ScenarioError(f"medium {topic!r}: latency must be >= 0")
@@ -434,121 +439,95 @@ def apply_demand(state: SimulationState, tick: int) -> SimulationState:
 # -- scenario construction ----------------------------------------------------
 
 
-def _server_agent(
-    spec: ServerSpec, deployed: int, env: ScenarioEnvironment, publish_when_empty: bool
-) -> tuple[AgentConfiguration, EndpointDeclaration]:
-    beliefs = BeliefBase(
-        {
-            "server": spec.server_id,
-            "capacity": spec.capacity,
-            "preferred_min": spec.preferred_min,
-            "deployed": deployed,
-        }
-    )
-    cfg = AgentConfiguration(
-        spec.server_id, beliefs=beliefs, plans=PlanLibrary(), environment=env
-    )
-    if publish_when_empty:
-        guard = Expr("deployed < preferred_min")
+#: The service plans the canonical reactions' goals trigger, shared by every service.
+_SERVICE_PLANS = (
+    Plan(
+        plan_id=MOVE_GOAL,
+        trigger=pattern(EventCategory.GOAL_ADDED, MOVE_GOAL),
+        body=(Act("relocate", {"server": Expr("payload.server")}),),
+    ),
+    Plan(
+        plan_id=SWITCH_GOAL,
+        trigger=pattern(EventCategory.GOAL_ADDED, SWITCH_GOAL),
+        context=Expr("type != payload.type"),
+        body=(Act("reallocate", {"type": Expr("payload.type")}),),
+    ),
+)
+
+
+def canonical_endpoints(config: ScenarioConfig) -> list[EndpointDeclaration]:
+    """The two canonical coordination processes: the default ``endpoints`` list.
+
+    Server utilization: servers below their preferred level publish capacity,
+    and services elsewhere react with a ``move-to`` goal.  Demand balancing:
+    brokers publish significant demand changes, and services of another type
+    react to a rise with a ``switch-to`` goal.
+    """
+    if config.publish_when_empty:
+        capacity_guard = Expr("deployed < preferred_min")
     else:
-        guard = Expr("deployed > 0 and deployed < preferred_min")
-    decl = EndpointDeclaration(
-        process_id=UTILIZATION_PROCESS,
-        role="server",
-        publications=(
-            PublicationRule(
-                observe=pattern(EventCategory.BELIEF_UPDATED, "deployed"),
-                topic=TOPIC_CAPACITY,
-                guard=guard,
-                extract=("server", "deployed", "capacity"),
-            ),
-        ),
-    )
-    return cfg, decl
-
-
-def _service_agent(
-    spec: ServiceSpec, server_id: str, env: ScenarioEnvironment
-) -> tuple[AgentConfiguration, list[EndpointDeclaration]]:
-    beliefs = BeliefBase({"type": spec.service_type, "current_server": server_id})
-    plans = PlanLibrary(
-        [
-            Plan(
-                plan_id=MOVE_GOAL,
-                trigger=pattern(EventCategory.GOAL_ADDED, MOVE_GOAL),
-                body=(Act("relocate", {"server": Expr("payload.server")}),),
-            ),
-            Plan(
-                plan_id=SWITCH_GOAL,
-                trigger=pattern(EventCategory.GOAL_ADDED, SWITCH_GOAL),
-                context=Expr("type != payload.type"),
-                body=(Act("reallocate", {"type": Expr("payload.type")}),),
-            ),
-        ]
-    )
-    cfg = AgentConfiguration(
-        spec.service_id,
-        beliefs=beliefs,
-        plans=plans,
-        actions={"relocate", "reallocate"},
-        environment=env,
-    )
-    move_decl = EndpointDeclaration(
-        process_id=UTILIZATION_PROCESS,
-        role="service",
-        reactions=(
-            ReactionRule(
-                topic=TOPIC_CAPACITY,
-                guard=Expr("payload.server != current_server"),
-                inject=EventTemplate(
-                    EventCategory.GOAL_ADDED,
-                    MOVE_GOAL,
-                    {"server": Expr("payload.server"), "deployed": Expr("payload.deployed")},
+        capacity_guard = Expr("deployed > 0 and deployed < preferred_min")
+    threshold = config.significance_threshold
+    return [
+        EndpointDeclaration(
+            process_id=UTILIZATION_PROCESS,
+            role="server",
+            publications=(
+                PublicationRule(
+                    observe=pattern(EventCategory.BELIEF_UPDATED, "deployed"),
+                    topic=TOPIC_CAPACITY,
+                    guard=capacity_guard,
+                    extract=("server", "deployed", "capacity"),
                 ),
-                placement=Placement.NEW_INTENTION,
             ),
         ),
-    )
-    switch_decl = EndpointDeclaration(
-        process_id=BALANCING_PROCESS,
-        role="service",
-        reactions=(
-            ReactionRule(
-                topic=TOPIC_DEMAND,
-                guard=Expr("payload.new > payload.old and payload.subject != type"),
-                inject=EventTemplate(
-                    EventCategory.GOAL_ADDED, SWITCH_GOAL, {"type": Expr("payload.subject")}
+        EndpointDeclaration(
+            process_id=UTILIZATION_PROCESS,
+            role="service",
+            reactions=(
+                ReactionRule(
+                    topic=TOPIC_CAPACITY,
+                    guard=Expr("payload.server != current_server"),
+                    inject=EventTemplate(
+                        EventCategory.GOAL_ADDED,
+                        MOVE_GOAL,
+                        {"server": Expr("payload.server"), "deployed": Expr("payload.deployed")},
+                    ),
+                    placement=Placement.NEW_INTENTION,
                 ),
-                placement=Placement.NEW_INTENTION,
             ),
         ),
-    )
-    return cfg, [move_decl, switch_decl]
-
-
-def _broker_agent(
-    broker_id: str, demand: dict[str, int], threshold: float, env: ScenarioEnvironment
-) -> tuple[AgentConfiguration, EndpointDeclaration]:
-    cfg = AgentConfiguration(
-        broker_id, beliefs=BeliefBase(dict(demand)), plans=PlanLibrary(), environment=env
-    )
-    decl = EndpointDeclaration(
-        process_id=BALANCING_PROCESS,
-        role="broker",
-        publications=(
-            PublicationRule(
-                observe=pattern(EventCategory.BELIEF_UPDATED),
-                topic=TOPIC_DEMAND,
-                guard=Expr(f"abs(payload.new - payload.old) / payload.old >= {threshold!r}"),
-                extract_event={
-                    "subject": Expr("subject"),
-                    "old": Expr("payload.old"),
-                    "new": Expr("payload.new"),
-                },
+        EndpointDeclaration(
+            process_id=BALANCING_PROCESS,
+            role="service",
+            reactions=(
+                ReactionRule(
+                    topic=TOPIC_DEMAND,
+                    guard=Expr("payload.new > payload.old and payload.subject != type"),
+                    inject=EventTemplate(
+                        EventCategory.GOAL_ADDED, SWITCH_GOAL, {"type": Expr("payload.subject")}
+                    ),
+                    placement=Placement.NEW_INTENTION,
+                ),
             ),
         ),
-    )
-    return cfg, decl
+        EndpointDeclaration(
+            process_id=BALANCING_PROCESS,
+            role="broker",
+            publications=(
+                PublicationRule(
+                    observe=pattern(EventCategory.BELIEF_UPDATED),
+                    topic=TOPIC_DEMAND,
+                    guard=Expr(f"abs(payload.new - payload.old) / payload.old >= {threshold!r}"),
+                    extract_event={
+                        "subject": Expr("subject"),
+                        "old": Expr("payload.old"),
+                        "new": Expr("payload.new"),
+                    },
+                ),
+            ),
+        ),
+    ]
 
 
 def build_scenario(config: ScenarioConfig) -> SimulationState:
@@ -556,7 +535,9 @@ def build_scenario(config: ScenarioConfig) -> SimulationState:
 
     Services without an explicit initial server are placed pseudo-randomly
     (seeded by the configuration seed) on servers with free, constraint-legal
-    slots.  Each server manager receives one bootstrap utilization reading so
+    slots.  Each endpoint declaration -- the document's, or else the
+    canonical ones -- is compiled once and attached to every agent of its
+    role.  Each server manager receives one bootstrap utilization reading so
     publication guards are evaluated against the initial state.
     """
     config.validate()
@@ -592,49 +573,54 @@ def build_scenario(config: ScenarioConfig) -> SimulationState:
         state.service_server[service.service_id] = target
         state.service_type[service.service_id] = service.service_type
 
-    for topic in sorted({TOPIC_CAPACITY, TOPIC_DEMAND} | set(config.media)):
+    declarations = canonical_endpoints(config) if config.endpoints is None else config.endpoints
+    topics = {TOPIC_CAPACITY, TOPIC_DEMAND} | set(config.media)
+    topics.update(rule.topic for decl in declarations for rule in (*decl.publications, *decl.reactions))
+    for topic in sorted(topics):
         state.media[topic] = CoordinationMedium(
             topic=topic, latency=config.media.get(topic, 1)
         )
 
-    declarations: dict[str, list[EndpointDeclaration]] = {}
     roles: dict[str, str] = {}
     for spec in config.servers:
-        cfg, decl = _server_agent(
-            spec, state.deployed_count(spec.server_id), env, config.publish_when_empty
+        beliefs = {
+            "server": spec.server_id,
+            "capacity": spec.capacity,
+            "preferred_min": spec.preferred_min,
+            "deployed": state.deployed_count(spec.server_id),
+        }
+        state.agents[spec.server_id] = AgentConfiguration(
+            spec.server_id, beliefs=BeliefBase(beliefs), environment=env
         )
-        state.agents[spec.server_id] = cfg
-        declarations[spec.server_id] = [decl]
         roles[spec.server_id] = "server"
     for service in config.services:
-        cfg, decls = _service_agent(
-            service, state.service_server[service.service_id], env
+        beliefs = {
+            "type": service.service_type,
+            "current_server": state.service_server[service.service_id],
+        }
+        state.agents[service.service_id] = AgentConfiguration(
+            service.service_id,
+            beliefs=BeliefBase(beliefs),
+            plans=PlanLibrary(list(_SERVICE_PLANS)),
+            actions={"relocate", "reallocate"},
+            environment=env,
         )
-        state.agents[service.service_id] = cfg
-        declarations[service.service_id] = decls
         roles[service.service_id] = "service"
     for index in range(config.brokers):
         broker_id = f"broker-{index + 1:02d}"
         if broker_id in state.agents:
             raise ScenarioError(f"broker id {broker_id!r} collides with a configured agent")
-        cfg, decl = _broker_agent(
-            broker_id, state.demand, config.significance_threshold, env
+        state.agents[broker_id] = AgentConfiguration(
+            broker_id, beliefs=BeliefBase(dict(state.demand)), environment=env
         )
-        state.agents[broker_id] = cfg
-        declarations[broker_id] = [decl]
         roles[broker_id] = "broker"
 
-    if config.endpoints is not None:
-        # The document declares the coordination layer itself: each
-        # declaration is instantiated on every agent of its role.
-        declarations = {
-            agent_id: [decl for decl in config.endpoints if decl.role == roles[agent_id]]
-            for agent_id in declarations
-        }
-
+    compiled = [(decl, endpoint_module(decl)) for decl in declarations]
     for agent_id in state.agent_order:
-        for decl in declarations[agent_id]:
-            endpoint = compile_endpoint(decl, state.agents[agent_id])
+        for decl, module in compiled:
+            if decl.role != roles[agent_id]:
+                continue
+            endpoint = attach_endpoint(decl, module, state.agents[agent_id])
             state.endpoints[endpoint.endpoint_id] = endpoint
             for topic in sorted(endpoint.subscriptions):
                 state.media[topic].subscribe(endpoint.endpoint_id, agent_id)

@@ -302,3 +302,74 @@ class TestEndpointSection:
         trace = run_simulation(state, 30, seed=0)
         assert sum(record.moves for record in trace) > 0
         assert trace[-1].underloaded == 0
+
+    def test_declared_topics_get_a_medium(self):
+        from coagent.scenarios import build_scenario, run_simulation
+
+        state = build_scenario(parse_scenario(scenario_with_rules()))
+        assert sorted(state.media) == ["alerts", "capacity", "demand-change"]
+        run_simulation(state, 3, seed=0)
+
+
+REACTION = {"match": {"topic": "capacity"}, "inject": {"category": "goal-added", "subject": "move-to"}}
+PUBLICATION = {"observe": {"category": "belief-updated"}, "topic": "alerts"}
+
+
+def scenario_with_rules(reaction=REACTION, publication=PUBLICATION):
+    return minimal_scenario(
+        endpoints=[
+            {"process-id": "utilization", "role": "service", "reaction-rules": [reaction]},
+            {"process-id": "alerts", "role": "server", "publication-rules": [publication]},
+        ]
+    )
+
+
+MALFORMED_SCENARIOS = {
+    "threshold-not-a-number": minimal_scenario(**{"significance-threshold": "abc"}),
+    "media-not-an-object": minimal_scenario(media=[1]),
+    "demand-not-an-object": minimal_scenario(demand=[1]),
+    "demand-reserved-name": minimal_scenario(brokers=1, demand={"subject": 1}),
+    "uniqueness-not-a-bool": minimal_scenario(**{"uniqueness-constraint": "false"}),
+    "probability-is-a-bool": minimal_scenario(**{"move-acceptance-probability": True}),
+    "ticks-is-a-bool": minimal_scenario(ticks=True),
+    "topics-not-a-list": minimal_scenario(endpoints=[{"process-id": "p", "role": "server", "topics": 5}]),
+    "extract-event-list": scenario_with_rules(publication={**PUBLICATION, "extract-event": ["old"]}),
+    "match-payload-list": scenario_with_rules(reaction={**REACTION, "match": {"topic": "capacity", "payload": [1]}}),
+    "inject-payload-list": scenario_with_rules(
+        reaction={**REACTION, "inject": {**REACTION["inject"], "payload": ["server"]}}
+    ),
+    "guard-on-subject": scenario_with_rules(publication={**PUBLICATION, "guard": "subject == 'x'"}),
+}
+
+MALFORMED_PROGRAMS = {
+    "event-payload-list": minimal_program(events=[{"category": "goal-added", "subject": "g", "payload": [1]}]),
+    "reserved-belief": minimal_program(beliefs={"subject": 1}),
+    "plans-not-a-list": minimal_program(plans=True),
+}
+
+
+class TestMalformedDocuments:
+    """Malformed documents fail with ConfigError and CLI exit code 2, never a traceback."""
+
+    def test_the_unmutated_documents_are_valid(self):
+        parse_scenario(scenario_with_rules())
+        parse_agent_program(minimal_program())
+
+    @pytest.mark.parametrize(
+        "kind, name",
+        [("scenario", name) for name in MALFORMED_SCENARIOS]
+        + [("program", name) for name in MALFORMED_PROGRAMS],
+    )
+    def test_config_error_and_exit_code_2(self, kind, name, tmp_path, capsys):
+        from coagent.cli import main
+
+        if kind == "scenario":
+            doc, parse, command = MALFORMED_SCENARIOS[name], parse_scenario, "validate"
+        else:
+            doc, parse, command = MALFORMED_PROGRAMS[name], parse_agent_program, "oracle"
+        with pytest.raises(ConfigError):
+            parse(doc)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, str(path)]) == 2
+        assert f"{name}.json" in capsys.readouterr().err

@@ -1,9 +1,12 @@
 """Scenario construction, the mechanism operations, and both scenario runs."""
 
+import json
 from collections import deque
 
 import pytest
 
+from coagent.bdi.expressions import Expr
+from coagent.cli import main
 from coagent.loader import load_scenario
 from coagent.scenarios import (
     DemandDelta,
@@ -13,6 +16,7 @@ from coagent.scenarios import (
     ServiceSpec,
     apply_demand,
     build_scenario,
+    canonical_endpoints,
     move_service,
     quiescence_tick,
     run_simulation,
@@ -108,6 +112,127 @@ class TestBuildScenario:
         different.seed = 99
         third = build_scenario(different)
         assert third.service_server != first.service_server
+
+
+#: ``canonical_endpoints`` for scenario B (threshold 0.5), spelled out as a
+#: document's ``endpoints`` section.
+CANONICAL_ENDPOINTS_B = [
+    {
+        "process-id": "utilization",
+        "role": "server",
+        "publication-rules": [
+            {
+                "observe": {"category": "belief-updated", "subject": "deployed"},
+                "guard": "deployed > 0 and deployed < preferred_min",
+                "topic": "capacity",
+                "extract": ["server", "deployed", "capacity"],
+            }
+        ],
+    },
+    {
+        "process-id": "utilization",
+        "role": "service",
+        "reaction-rules": [
+            {
+                "match": {"topic": "capacity"},
+                "guard": "payload.server != current_server",
+                "inject": {
+                    "category": "goal-added",
+                    "subject": "move-to",
+                    "payload": {"server": "payload.server", "deployed": "payload.deployed"},
+                },
+            }
+        ],
+    },
+    {
+        "process-id": "balancing",
+        "role": "service",
+        "reaction-rules": [
+            {
+                "match": {"topic": "demand-change"},
+                "guard": "payload.new > payload.old and payload.subject != type",
+                "inject": {
+                    "category": "goal-added",
+                    "subject": "switch-to",
+                    "payload": {"type": "payload.subject"},
+                },
+            }
+        ],
+    },
+    {
+        "process-id": "balancing",
+        "role": "broker",
+        "publication-rules": [
+            {
+                "observe": {"category": "belief-updated"},
+                "guard": "abs(payload.new - payload.old) / payload.old >= 0.5",
+                "topic": "demand-change",
+                "extract-event": {
+                    "subject": "subject",
+                    "old": "payload.old",
+                    "new": "payload.new",
+                },
+            }
+        ],
+    },
+]
+
+
+def fleet_config(servers):
+    """``servers`` servers holding two services each, plus two brokers."""
+    return ScenarioConfig(
+        name="fleet",
+        servers=[ServerSpec(f"server-{i:02d}", 5, 3) for i in range(servers)],
+        services=[
+            ServiceSpec(f"svc-{i:02d}-{j}", f"type-{j}", f"server-{i:02d}")
+            for i in range(servers)
+            for j in range(2)
+        ],
+        brokers=2,
+        demand={"type-0": 10, "type-1": 10},
+    )
+
+
+class TestEndpointDeclarations:
+    def test_expression_parses_do_not_grow_with_the_fleet(self, monkeypatch):
+        parses = []
+        original = Expr.__init__
+
+        def counting_init(expr, source):
+            parses.append(source)
+            original(expr, source)
+
+        monkeypatch.setattr(Expr, "__init__", counting_init)
+        build_scenario(fleet_config(2))
+        small = len(parses)
+        parses.clear()
+        build_scenario(fleet_config(20))
+        assert small > 0
+        assert len(parses) == small
+
+    def test_each_role_shares_one_compiled_module(self):
+        state = build_scenario(fleet_config(3))
+        modules = {}
+        for endpoint_id, endpoint in state.endpoints.items():
+            modules.setdefault(endpoint_id.split("/")[1], set()).add(id(endpoint.module))
+        # utilization: one server module and one service module; balancing:
+        # one service module and one broker module.
+        assert {process: len(ids) for process, ids in modules.items()} == {
+            "utilization": 2,
+            "balancing": 2,
+        }
+
+    def test_spelled_out_canonical_endpoints_give_identical_trace(self, tmp_path):
+        doc = json.loads(SCENARIO_B.read_text())
+        doc["endpoints"] = CANONICAL_ENDPOINTS_B
+        explicit = tmp_path / "explicit.json"
+        explicit.write_text(json.dumps(doc))
+        config = load_scenario(explicit)
+        assert config.endpoints == canonical_endpoints(config)
+        for name, scenario in (("default", SCENARIO_B), ("explicit", explicit)):
+            assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / name)]) == 0
+        default_bytes = (tmp_path / "default" / "trace.csv").read_bytes()
+        assert (tmp_path / "explicit" / "trace.csv").read_bytes() == default_bytes
 
 
 class TestApplyDemand:
