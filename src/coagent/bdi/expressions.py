@@ -6,17 +6,18 @@ binding references via ``payload.<key>`` and ``subject``, arithmetic
 (``+ - * /``), comparisons (``< <= == != >= >``), boolean connectives
 (``and or not``), and the functions ``abs``, ``min``, ``max``.
 
-Expressions are parsed and checked when configuration is loaded; evaluation
-never raises in condition position.  A reference to an absent belief or
-binding (or a division by zero, or a type mismatch) makes the enclosing
-comparison false.  In value position the same situations raise
+Expressions are checked and compiled once, when configuration is loaded;
+evaluation never raises in condition position.  A reference to an absent
+belief or binding (or a division by zero, or a type mismatch) makes the
+enclosing comparison false.  In value position the same situations raise
 ``ExpressionEvalError`` so the caller can fail the running plan.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Any, Mapping
+import operator
+from typing import Any, Callable, Mapping
 
 
 class ExpressionSyntaxError(ValueError):
@@ -44,68 +45,140 @@ UNDEFINED = _Undefined()
 _ALLOWED_FUNCS = {"abs": abs, "min": min, "max": max}
 
 _CMP_OPS = {
-    ast.Eq: lambda a, b: a == b,
-    ast.NotEq: lambda a, b: a != b,
-    ast.Lt: lambda a, b: a < b,
-    ast.LtE: lambda a, b: a <= b,
-    ast.Gt: lambda a, b: a > b,
-    ast.GtE: lambda a, b: a >= b,
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
 }
 
-_BIN_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/"}
+_BIN_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
 
 
-def _validate(node: ast.AST, source: str) -> None:
+def _truth(value: Any) -> bool:
+    return value is not UNDEFINED and bool(value)
+
+
+def _subject(env: "Env") -> Any:
+    if env.subject is None:
+        return env.names.get("subject", UNDEFINED)
+    return env.subject
+
+
+def _compile(node: ast.AST, source: str) -> Callable[["Env"], Any]:
+    """Check one node against the supported subset and return its evaluator.
+
+    This walk is the grammar's only definition.  A node's own operator is
+    checked before its children are compiled, so the first unsupported
+    construct in pre-order is the one reported.
+    """
     if isinstance(node, ast.Expression):
-        _validate(node.body, source)
-    elif isinstance(node, ast.BoolOp):
-        if not isinstance(node.op, (ast.And, ast.Or)):
-            raise ExpressionSyntaxError(f"unsupported boolean operator in {source!r}")
-        for value in node.values:
-            _validate(value, source)
-    elif isinstance(node, ast.UnaryOp):
+        return _compile(node.body, source)
+    if isinstance(node, ast.BoolOp):
+        operands = [_compile(value, source) for value in node.values]
+        if isinstance(node.op, ast.And):
+            return lambda env: all(_truth(operand(env)) for operand in operands)
+        return lambda env: any(_truth(operand(env)) for operand in operands)
+    if isinstance(node, ast.UnaryOp):
         if not isinstance(node.op, (ast.Not, ast.USub)):
             raise ExpressionSyntaxError(f"unsupported unary operator in {source!r}")
-        _validate(node.operand, source)
-    elif isinstance(node, ast.Compare):
-        for op in node.ops:
-            if type(op) not in _CMP_OPS:
-                raise ExpressionSyntaxError(f"unsupported comparison in {source!r}")
-        _validate(node.left, source)
-        for comp in node.comparators:
-            _validate(comp, source)
-    elif isinstance(node, ast.BinOp):
+        operand = _compile(node.operand, source)
+        if isinstance(node.op, ast.Not):
+            return lambda env: not _truth(operand(env))
+
+        def negation(env: Env) -> Any:
+            value = operand(env)
+            if value is UNDEFINED or isinstance(value, (bool, str)):
+                return UNDEFINED
+            return -value
+
+        return negation
+    if isinstance(node, ast.Compare):
+        if any(type(op) not in _CMP_OPS for op in node.ops):
+            raise ExpressionSyntaxError(f"unsupported comparison in {source!r}")
+        first = _compile(node.left, source)
+        links = [
+            (_CMP_OPS[type(op)], _compile(comparator, source))
+            for op, comparator in zip(node.ops, node.comparators)
+        ]
+
+        def comparison(env: Env) -> bool:
+            left = first(env)
+            for compare, comparator in links:
+                right = comparator(env)
+                if left is UNDEFINED or right is UNDEFINED:
+                    return False
+                try:
+                    if not compare(left, right):
+                        return False
+                except TypeError:
+                    return False
+                left = right
+            return True
+
+        return comparison
+    if isinstance(node, ast.BinOp):
         if type(node.op) not in _BIN_OPS:
             raise ExpressionSyntaxError(f"unsupported arithmetic operator in {source!r}")
-        _validate(node.left, source)
-        _validate(node.right, source)
-    elif isinstance(node, ast.Call):
+        combine = _BIN_OPS[type(node.op)]
+        lhs, rhs = _compile(node.left, source), _compile(node.right, source)
+
+        def arithmetic(env: Env) -> Any:
+            left, right = lhs(env), rhs(env)
+            if left is UNDEFINED or right is UNDEFINED:
+                return UNDEFINED
+            try:
+                return combine(left, right)
+            except (TypeError, ZeroDivisionError):
+                return UNDEFINED
+
+        return arithmetic
+    if isinstance(node, ast.Call):
         if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_FUNCS:
             raise ExpressionSyntaxError(f"unsupported function call in {source!r}")
         if node.keywords:
             raise ExpressionSyntaxError(f"keyword arguments not allowed in {source!r}")
-        for arg in node.args:
-            _validate(arg, source)
-    elif isinstance(node, ast.Attribute):
+        func = _ALLOWED_FUNCS[node.func.id]
+        params = [_compile(arg, source) for arg in node.args]
+
+        def call(env: Env) -> Any:
+            args = [param(env) for param in params]
+            if UNDEFINED in args:
+                return UNDEFINED
+            try:
+                return func(*args)
+            except (TypeError, ValueError):
+                return UNDEFINED
+
+        return call
+    if isinstance(node, ast.Attribute):
         if not (isinstance(node.value, ast.Name) and node.value.id == "payload"):
             raise ExpressionSyntaxError(
                 f"only payload.<key> attribute references allowed in {source!r}"
             )
-    elif isinstance(node, ast.Constant):
+        key = node.attr
+        return lambda env: env.payload.get(key, UNDEFINED)
+    if isinstance(node, ast.Constant):
         if not isinstance(node.value, (int, float, str, bool)):
             raise ExpressionSyntaxError(f"unsupported literal in {source!r}")
-    elif isinstance(node, ast.Name):
-        pass
-    else:
-        raise ExpressionSyntaxError(
-            f"unsupported syntax ({type(node).__name__}) in {source!r}"
-        )
+        literal = node.value
+        return lambda env: literal
+    if isinstance(node, ast.Name):
+        name = node.id
+        if name in ("true", "false"):
+            constant = name == "true"
+            return lambda env: constant
+        if name == "subject":
+            return _subject
+        return lambda env: env.names.get(name, UNDEFINED)
+    raise ExpressionSyntaxError(f"unsupported syntax ({type(node).__name__}) in {source!r}")
 
 
 class Expr:
     """A parsed expression, evaluable in condition or value position."""
 
-    __slots__ = ("source", "_tree")
+    __slots__ = ("source", "_tree", "_evaluate")
 
     def __init__(self, source: str):
         if not isinstance(source, str) or not source.strip():
@@ -114,7 +187,7 @@ class Expr:
             tree = ast.parse(source, mode="eval")
         except SyntaxError as exc:
             raise ExpressionSyntaxError(f"cannot parse expression {source!r}: {exc}") from None
-        _validate(tree, source)
+        self._evaluate = _compile(tree, source)
         self.source = source
         self._tree = tree
 
@@ -132,93 +205,17 @@ class Expr:
     def __hash__(self) -> int:
         return hash(self.source)
 
-    def _eval(self, node: ast.AST, env: "Env") -> Any:
-        if isinstance(node, ast.Expression):
-            return self._eval(node.body, env)
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, ast.Name):
-            if node.id == "true":
-                return True
-            if node.id == "false":
-                return False
-            return env.lookup(node.id)
-        if isinstance(node, ast.Attribute):
-            return env.lookup_payload(node.attr)
-        if isinstance(node, ast.BoolOp):
-            if isinstance(node.op, ast.And):
-                for value in node.values:
-                    if not self._truth(self._eval(value, env)):
-                        return False
-                return True
-            for value in node.values:
-                if self._truth(self._eval(value, env)):
-                    return True
-            return False
-        if isinstance(node, ast.UnaryOp):
-            operand = self._eval(node.operand, env)
-            if isinstance(node.op, ast.Not):
-                return not self._truth(operand)
-            if operand is UNDEFINED or isinstance(operand, (bool, str)):
-                return UNDEFINED
-            return -operand
-        if isinstance(node, ast.Compare):
-            left = self._eval(node.left, env)
-            for op, comparator in zip(node.ops, node.comparators):
-                right = self._eval(comparator, env)
-                if left is UNDEFINED or right is UNDEFINED:
-                    return False
-                try:
-                    ok = _CMP_OPS[type(op)](left, right)
-                except TypeError:
-                    return False
-                if not ok:
-                    return False
-                left = right
-            return True
-        if isinstance(node, ast.BinOp):
-            left = self._eval(node.left, env)
-            right = self._eval(node.right, env)
-            if left is UNDEFINED or right is UNDEFINED:
-                return UNDEFINED
-            try:
-                if isinstance(node.op, ast.Add):
-                    return left + right
-                if isinstance(node.op, ast.Sub):
-                    return left - right
-                if isinstance(node.op, ast.Mult):
-                    return left * right
-                return left / right
-            except (TypeError, ZeroDivisionError):
-                return UNDEFINED
-        if isinstance(node, ast.Call):
-            func = _ALLOWED_FUNCS[node.func.id]  # type: ignore[union-attr]
-            args = [self._eval(arg, env) for arg in node.args]
-            if any(arg is UNDEFINED for arg in args):
-                return UNDEFINED
-            try:
-                return func(*args)
-            except (TypeError, ValueError):
-                return UNDEFINED
-        raise AssertionError(f"unvalidated node {type(node).__name__}")
-
-    @staticmethod
-    def _truth(value: Any) -> bool:
-        if value is UNDEFINED:
-            return False
-        return bool(value)
-
     def evaluate(self, env: "Env") -> Any:
         """Raw evaluation; may return UNDEFINED."""
-        return self._eval(self._tree, env)
+        return self._evaluate(env)
 
     def as_condition(self, env: "Env") -> bool:
         """Total boolean evaluation: undefined results collapse to False."""
-        return self._truth(self._eval(self._tree, env))
+        return _truth(self._evaluate(env))
 
     def as_value(self, env: "Env") -> Any:
         """Strict evaluation: raises if the expression has no defined result."""
-        result = self._eval(self._tree, env)
+        result = self._evaluate(env)
         if result is UNDEFINED:
             raise ExpressionEvalError(
                 f"expression {self.source!r} has no defined value in this context"
@@ -227,30 +224,26 @@ class Expr:
 
 
 class Env:
-    """Name-resolution environment: belief names, ``subject``, and ``payload``."""
+    """Name-resolution environment: belief names, ``subject``, and ``payload``.
 
-    __slots__ = ("names", "payload")
+    ``names`` is read in place, never copied: any mapping with
+    ``get(key, default)`` will do, including the host's ``BeliefBase``, so
+    an evaluation sees the beliefs as they are when it runs.  ``subject``
+    names the triggering event's subject; when it is ``None``, a bare
+    ``subject`` is looked up in ``names`` instead.
+    """
+
+    __slots__ = ("names", "payload", "subject")
 
     def __init__(
         self,
-        names: Mapping[str, Any] | None = None,
+        names: Any = None,
         payload: Mapping[str, Any] | None = None,
         subject: str | None = None,
     ):
-        self.names: dict[str, Any] = dict(names or {})
-        if subject is not None:
-            self.names["subject"] = subject
+        self.names = {} if names is None else names
         self.payload: Mapping[str, Any] = payload or {}
-
-    def lookup(self, name: str) -> Any:
-        if name in self.names:
-            return self.names[name]
-        return UNDEFINED
-
-    def lookup_payload(self, key: str) -> Any:
-        if key in self.payload:
-            return self.payload[key]
-        return UNDEFINED
+        self.subject = subject
 
 
 #: Context that always applies: used as the default plan context and guard.

@@ -171,7 +171,7 @@ def execute_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     plan = cfg.plans.get(record.plan_id)
     step = plan.body[record.pc]
     env = Env(
-        names=cfg.beliefs.as_dict(),
+        names=cfg.beliefs,
         payload=record.bindings,
         subject=record.trigger_te.subject,
     )
@@ -270,7 +270,7 @@ def _expect(cfg: AgentConfiguration, step: Step) -> None:
 
 
 def _event_env(cfg: AgentConfiguration, te: TriggeringEvent) -> Env:
-    return Env(names=cfg.beliefs.as_dict(), payload=te.payload, subject=te.subject)
+    return Env(names=cfg.beliefs, payload=te.payload, subject=te.subject)
 
 
 def _clear_temp(cfg: AgentConfiguration) -> None:

@@ -207,11 +207,11 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
 
 def resolve_mapping(
     mapping: Iterable[EventMappingEntry], te: TriggeringEvent
-) -> tuple[TriggeringEvent, Placement, Expr | None] | None:
-    """First-declared matching entry, with the template instantiated; None if unobserved."""
+) -> EventMappingEntry | None:
+    """First-declared entry whose pattern matches; None if the event is unobserved."""
     for entry in mapping:
         if entry.observe.matches(te):
-            return entry.inject.instantiate(te), entry.placement, entry.guard
+            return entry
     return None
 
 
@@ -221,7 +221,7 @@ def eval_guard(
     """Evaluate an entry guard against host beliefs and the observed bindings."""
     if guard is None:
         return True
-    env = Env(names=cfg.beliefs.as_dict(), payload=te.payload, subject=te.subject)
+    env = Env(names=cfg.beliefs, payload=te.payload, subject=te.subject)
     return guard.as_condition(env)
 
 
@@ -242,19 +242,16 @@ def select_event_coefficient(cfg: AgentConfiguration) -> AgentConfiguration:
 def _inject(cfg: AgentConfiguration, te: TriggeringEvent, intention: int | _Top) -> None:
     """Apply the host's active mapping to one observed event.
 
-    The first matching entry whose guard holds appends its instantiated
-    template to the queue: paired with the observed event's intention for
+    When the guard of the first matching entry holds, its template is
+    instantiated and appended to the queue: paired with the observed event's intention for
     current-intention placement, or with the empty intention for
     new-intention placement or when that intention is no longer live (the
     empty intention has no stack to extend).  Also the observation hook for
     plan lifecycle events.
     """
-    resolved = resolve_mapping((entry for _module_id, entry in cfg.mapping), te)
-    if resolved is None:
+    entry = resolve_mapping((entry for _module_id, entry in cfg.mapping), te)
+    if entry is None or not eval_guard(entry.guard, te, cfg):
         return
-    te_d, placement, guard = resolved
-    if not eval_guard(guard, te, cfg):
-        return
-    if placement is Placement.NEW_INTENTION or intention not in cfg.circumstance.intentions:
+    if entry.placement is Placement.NEW_INTENTION or intention not in cfg.circumstance.intentions:
         intention = TOP
-    cfg.append_event(te_d, intention)
+    cfg.append_event(entry.inject.instantiate(te), intention)

@@ -339,7 +339,7 @@ def endpoint_deliver(
             continue
         if rule.guard is not None:
             env = Env(
-                names=host_cfg.beliefs.as_dict(),
+                names=host_cfg.beliefs,
                 payload=info.payload,
                 subject=info.topic,
             )

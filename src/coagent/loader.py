@@ -34,6 +34,7 @@ from coagent.coefficiency import (
     EventMappingEntry,
     EventTemplate,
     MappingError,
+    ModuleRegistrationError,
     Placement,
     register_module,
 )
@@ -301,7 +302,7 @@ def parse_agent_program(doc: Any, path: str = "agent-program") -> AgentProgram:
                 dict(_optional(event, "payload", event_path, dict, {})),
             )
         )
-    return AgentProgram(
+    program = AgentProgram(
         name=str(doc.get("name") or "agent"),
         beliefs=beliefs,
         actions=actions,
@@ -309,6 +310,12 @@ def parse_agent_program(doc: Any, path: str = "agent-program") -> AgentProgram:
         modules=modules,
         events=events,
     )
+    # Clashes between modules, or with the host, are only seen by registration.
+    try:
+        build_agent(program)
+    except ModuleRegistrationError as exc:
+        raise _fail(f"{path}.modules", str(exc)) from None
+    return program
 
 
 def build_agent(

@@ -138,21 +138,21 @@ class TestResolveMapping:
         assert mapping[0].observe.matches(te)
         resolved = resolve_mapping(mapping, te)
         assert resolved is not None
-        te_d, placement, guard = resolved
+        te_d = resolved.inject.instantiate(te)
         assert te_d == TriggeringEvent(EventCategory.GOAL_ADDED, "publishCapacity", {"was": 2})
-        assert placement is Placement.NEW_INTENTION
-        assert guard is mapping[0].guard
+        assert resolved.placement is Placement.NEW_INTENTION
+        assert resolved.guard is mapping[0].guard
 
     def test_first_declared_entry_wins(self):
         mapping = [entry(inject_subject="first"), entry(inject_subject="second")]
         te = TriggeringEvent(EventCategory.BELIEF_UPDATED, "load", {})
-        te_d, _, _ = resolve_mapping(mapping, te)
+        te_d = resolve_mapping(mapping, te).inject.instantiate(te)
         assert te_d.subject == "first"
 
     def test_unresolvable_template_fields_are_omitted(self):
         mapping = [entry(payload={"x": Expr("payload.missing"), "y": Expr("1")})]
         te = TriggeringEvent(EventCategory.BELIEF_UPDATED, "load", {})
-        te_d, _, _ = resolve_mapping(mapping, te)
+        te_d = resolve_mapping(mapping, te).inject.instantiate(te)
         assert te_d.payload == {"y": 1}
 
 

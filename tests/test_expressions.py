@@ -2,6 +2,7 @@
 
 import pytest
 
+from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.expressions import (
     Env,
     Expr,
@@ -56,6 +57,17 @@ class TestParsing:
             "x ** 2",
             "lambda: 1",
             "x if y else z",
+            "~x",
+            "+x",
+            "x % 2",
+            "x // 2",
+            "x & 1",
+            "x in y",
+            "x is y",
+            "min(a=1)",
+            "None",
+            "b'x'",
+            "payload.a.b",
         ],
     )
     def test_rejected_at_parse_time(self, source):
@@ -106,9 +118,32 @@ class TestValueMode:
         with pytest.raises(ExpressionEvalError):
             Expr("x + 1").as_value(Env(names={}))
 
+    @pytest.mark.parametrize("source", ["-true", "-'s'", "min()"])
+    def test_undefined_operations_raise(self, source):
+        with pytest.raises(ExpressionEvalError):
+            Expr(source).as_value(Env())
+
+    def test_comparisons_and_connectives_always_have_a_value(self):
+        assert Expr("1 < missing < 5").as_value(Env()) is False
+        assert Expr("missing or 1 > 0").as_value(Env()) is True
+
     def test_evaluate_returns_undefined_sentinel(self):
         assert Expr("x + 1").evaluate(Env(names={})) is UNDEFINED
 
     def test_symbol_equality(self):
         assert cond("type != payload.type", names={"type": "a"}, payload={"type": "b"})
         assert not cond("type != payload.type", names={"type": "a"}, payload={"type": "a"})
+
+
+class TestEnv:
+    def test_names_are_read_in_place(self):
+        beliefs = BeliefBase({"x": 1})
+        env = Env(names=beliefs)
+        beliefs.set("x", 2)
+        beliefs.set("y", 3)
+        assert Expr("x + y").as_value(env) == 5
+
+    def test_subject_falls_back_to_names(self):
+        assert ev("subject", names={"subject": "from-names"}) == "from-names"
+        assert ev("subject", names={"subject": "from-names"}, subject="given") == "given"
+        assert ev("subject") is UNDEFINED

@@ -345,6 +345,10 @@ MALFORMED_PROGRAMS = {
     "event-payload-list": minimal_program(events=[{"category": "goal-added", "subject": "g", "payload": [1]}]),
     "reserved-belief": minimal_program(beliefs={"subject": 1}),
     "plans-not-a-list": minimal_program(plans=True),
+    "duplicate-module": minimal_program(modules=[{"id": "m"}, {"id": "m"}]),
+    "module-belief-collision": minimal_program(
+        modules=[{"id": "m", "beliefs": {"x": 1}, "exports": ["x"]}]
+    ),
 }
 
 
@@ -373,3 +377,8 @@ class TestMalformedDocuments:
         path.write_text(json.dumps(doc))
         assert main([command, str(path)]) == 2
         assert f"{name}.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["duplicate-module", "module-belief-collision"])
+    def test_module_registration_clash_names_the_modules_path(self, name):
+        with pytest.raises(ConfigError, match=r"^agent-program\.modules: module 'm'"):
+            parse_agent_program(MALFORMED_PROGRAMS[name])
