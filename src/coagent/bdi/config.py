@@ -73,11 +73,17 @@ class MailState:
 
 @dataclass
 class Circumstance:
-    """Execution context: intentions, pending events, available actions."""
+    """Execution context: intentions, pending events, available actions.
+
+    ``pending`` counts the queued events paired with each intention id, so
+    dropping an intention only rewrites the queue when something in it still
+    refers to that id.
+    """
 
     intentions: dict[int, Intention] = field(default_factory=dict)
     events: list[Event] = field(default_factory=list)
     actions: set[str] = field(default_factory=set)
+    pending: dict[int, int] = field(default_factory=dict)
 
 
 @dataclass
@@ -136,6 +142,9 @@ class AgentConfiguration:
     def append_event(self, te: TriggeringEvent, intention: int | _Top) -> Event:
         event = Event(te=te, intention=intention, seq=self.next_seq())
         self.circumstance.events.append(event)
+        if intention is not TOP:
+            pending = self.circumstance.pending
+            pending[intention] = pending.get(intention, 0) + 1  # type: ignore[index]
         return event
 
     def new_intention(self) -> Intention:

@@ -55,7 +55,9 @@ def select_event(cfg: AgentConfiguration) -> AgentConfiguration:
     if not events:
         cfg.step = Step.SEL_INT
         return cfg
-    cfg.temp.epsilon = events.pop(0)
+    epsilon = cfg.temp.epsilon = events.pop(0)
+    if epsilon.intention is not TOP:
+        cfg.circumstance.pending[epsilon.intention] -= 1  # type: ignore[index]
     cfg.step = Step.REL_PL
     return cfg
 
@@ -139,11 +141,12 @@ def add_intended_means(cfg: AgentConfiguration) -> AgentConfiguration:
 def select_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     """SelInt: round-robin over runnable intentions; wrap the cycle if none."""
     _expect(cfg, Step.SEL_INT)
-    runnable = [
-        iid
-        for iid in sorted(cfg.circumstance.intentions)
-        if cfg.circumstance.intentions[iid].is_runnable(cfg.plans)
-    ]
+    intentions = cfg.circumstance.intentions
+    runnable = (
+        [iid for iid in sorted(intentions) if intentions[iid].is_runnable(cfg.plans)]
+        if intentions
+        else []
+    )
     if not runnable:
         cfg.temp.iota = None
         cfg.step = Step.PROC_MSG
@@ -220,11 +223,13 @@ def execute_intention(cfg: AgentConfiguration) -> AgentConfiguration:
 def clear_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     """ClrInt: pop finished records, emit goal outcomes, drop empty intentions."""
     _expect(cfg, Step.CLR_INT)
-    for iid in sorted(cfg.circumstance.intentions):
-        intention = cfg.circumstance.intentions.get(iid)
-        if intention is None:
-            continue
-        _pop_finished(cfg, intention)
+    intentions = cfg.circumstance.intentions
+    if intentions:
+        for iid in sorted(intentions):
+            intention = intentions.get(iid)
+            if intention is None:
+                continue
+            _pop_finished(cfg, intention)
     cfg.temp.iota = None
     cfg.step = Step.PROC_MSG
     return cfg
@@ -250,11 +255,15 @@ def reasoning_step(cfg: AgentConfiguration) -> AgentConfiguration:
     return _DISPATCH[cfg.step](cfg)
 
 
+#: A cycle visits each step at most once before it wraps to ProcMsg.
+_CYCLE_STEPS = len(Step)
+
+
 def run_cycle(cfg: AgentConfiguration) -> AgentConfiguration:
     """Run one full reasoning cycle: step until the cycle wraps to ProcMsg."""
     if cfg.step is not Step.PROC_MSG:
         raise ValueError("run_cycle must start at ProcMsg")
-    for _ in range(len(Step)):
+    for _ in range(_CYCLE_STEPS):
         reasoning_step(cfg)
         if cfg.step is Step.PROC_MSG:
             return cfg
@@ -367,9 +376,15 @@ def _pop_finished(cfg: AgentConfiguration, intention: Intention) -> None:
 
 
 def _remove_intention(cfg: AgentConfiguration, intention_id: int) -> None:
-    """Drop an intention; its still-queued events re-pair with TOP."""
-    cfg.circumstance.intentions.pop(intention_id, None)
-    events = cfg.circumstance.events
-    for index, event in enumerate(events):
-        if event.intention == intention_id:
-            events[index] = replace(event, intention=TOP)
+    """Drop an intention; its still-queued events re-pair with TOP.
+
+    The queue is scanned only when the pending count says an event there
+    still refers to the dropped intention.
+    """
+    circumstance = cfg.circumstance
+    circumstance.intentions.pop(intention_id, None)
+    if circumstance.pending.pop(intention_id, 0):
+        events = circumstance.events
+        for index, event in enumerate(events):
+            if event.intention == intention_id:
+                events[index] = replace(event, intention=TOP)

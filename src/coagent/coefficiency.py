@@ -247,8 +247,11 @@ def _inject(cfg: AgentConfiguration, te: TriggeringEvent, intention: int | _Top)
     current-intention placement, or with the empty intention for
     new-intention placement or when that intention is no longer live (the
     empty intention has no stack to extend).  Also the observation hook for
-    plan lifecycle events.
+    plan lifecycle events.  A host whose modules declare no mapping entries
+    observes nothing.
     """
+    if not cfg.mapping:
+        return
     entry = resolve_mapping((entry for _module_id, entry in cfg.mapping), te)
     if entry is None or not eval_guard(entry.guard, te, cfg):
         return

@@ -204,6 +204,7 @@ class SimulationState:
         self.tick = 0
         self.rng = random.Random(config.seed)
         self.agents: dict[str, AgentConfiguration] = {}
+        self.brokers: list[str] = []
         self.endpoints: dict[str, CoordinationEndpoint] = {}
         self.media: dict[str, CoordinationMedium] = {}
         self.server_specs: dict[str, ServerSpec] = {}
@@ -430,9 +431,8 @@ def apply_demand(state: SimulationState, tick: int) -> SimulationState:
         old = state.demand.get(entry.service_type, 0)
         new = old + entry.delta
         state.demand[entry.service_type] = new
-        for agent_id in state.agent_order:
-            if agent_id.startswith("broker-"):
-                state.agents[agent_id].write_belief(entry.service_type, new)
+        for broker_id in state.brokers:
+            state.agents[broker_id].write_belief(entry.service_type, new)
     return state
 
 
@@ -614,6 +614,7 @@ def build_scenario(config: ScenarioConfig) -> SimulationState:
             broker_id, beliefs=BeliefBase(dict(state.demand)), environment=env
         )
         roles[broker_id] = "broker"
+        state.brokers.append(broker_id)
 
     compiled = [(decl, endpoint_module(decl)) for decl in declarations]
     for agent_id in state.agent_order:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 from coagent.bdi.config import AgentConfiguration, Step
 from coagent.bdi.events import TOP
@@ -27,11 +28,17 @@ def check_structural_invariants(cfg: AgentConfiguration) -> None:
     seqs = [event.seq for event in cfg.circumstance.events]
     assert seqs == sorted(seqs), "event sequence numbers out of order"
     assert len(seqs) == len(set(seqs)), "duplicate sequence numbers"
+    queued = Counter()
     for event in cfg.circumstance.events:
         if event.intention is not TOP:
             assert event.intention in cfg.circumstance.intentions, (
                 "event references a missing intention"
             )
+            queued[event.intention] += 1
+    for iid in cfg.circumstance.intentions.keys() | cfg.circumstance.pending.keys():
+        assert cfg.circumstance.pending.get(iid, 0) == queued[iid], (
+            f"pending count of intention {iid} differs from its queued events"
+        )
     for intention in cfg.circumstance.intentions.values():
         assert intention.stack, "empty intention left in the circumstance"
         for record in intention.stack:

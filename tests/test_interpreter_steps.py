@@ -7,6 +7,7 @@ from coagent.bdi.config import AgentConfiguration, Message, Step
 from coagent.bdi.events import TOP, EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import (
+    _remove_intention,
     add_intended_means,
     clear_intention,
     compute_applicable_plans,
@@ -375,6 +376,40 @@ class TestClearIntention:
         after = cfg.snapshot()
         before.pop("step"), after.pop("step")
         assert before == after
+
+
+class TestRemoveIntention:
+    def queue(self):
+        """Intentions 1 and 2, with events paired with 1, TOP, 2 and 1 again."""
+        cfg = agent()
+        one, two = cfg.new_intention().intention_id, cfg.new_intention().intention_id
+        for subject, iid in (("a", one), ("b", TOP), ("c", two), ("d", one)):
+            cfg.append_event(goal(subject), iid)
+        return cfg
+
+    def test_queued_events_of_the_dropped_intention_re_pair_with_top(self):
+        cfg = self.queue()
+        before = list(cfg.circumstance.events)
+        _remove_intention(cfg, 1)
+        events = cfg.circumstance.events
+        assert list(cfg.circumstance.intentions) == [2]
+        assert [(e.te.subject, e.seq) for e in events] == [(e.te.subject, e.seq) for e in before]
+        assert [e.intention for e in events] == [TOP, TOP, 2, TOP]
+        assert [e is b for e, b in zip(events, before)] == [False, True, True, False]
+        assert 1 not in cfg.circumstance.pending and cfg.circumstance.pending[2] == 1
+
+    def test_no_pending_events_leaves_the_queue_objects_alone(self):
+        cfg = self.queue()
+        for _ in range(3):  # select "a", "b" and "c", intention 2's only event
+            cfg.step = Step.SEL_EV
+            select_event(cfg)
+        kept = list(cfg.circumstance.events)
+        assert cfg.circumstance.pending[2] == 0
+        _remove_intention(cfg, 2)
+        assert list(cfg.circumstance.intentions) == [1]
+        assert len(cfg.circumstance.events) == len(kept) == 1
+        assert cfg.circumstance.events[0] is kept[0]
+        assert kept[0].intention == 1
 
 
 class TestProcessMessages:

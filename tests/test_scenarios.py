@@ -270,6 +270,22 @@ class TestApplyDemand:
         assert abs(11 - 10) / 10 < 0.5
         assert sum(r.publications.get("demand-change", 0) for r in trace) == 0
 
+    def test_only_brokers_mirror_demand(self):
+        # A server whose id merely starts with "broker-" is not a broker.
+        config = ScenarioConfig(
+            name="demand",
+            servers=[ServerSpec("broker-zz", 5, 3)],
+            services=[ServiceSpec("svc-01", "type-1", "broker-zz")],
+            brokers=1,
+            demand={"type-1": 10},
+            demand_schedule=[DemandDelta(0, "type-1", 10)],
+        )
+        state = build_scenario(config)
+        assert state.brokers == ["broker-01"]
+        apply_demand(state, 0)
+        assert state.agents["broker-01"].beliefs.get("type-1") == 20
+        assert "type-1" not in state.agents["broker-zz"].beliefs
+
 
 class TestMoveService:
     def test_legal_move_preserves_conservation(self):
