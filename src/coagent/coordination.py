@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from coagent.bdi.config import AgentConfiguration
 from coagent.bdi.events import EventCategory, EventPattern, TOP, TriggeringEvent
@@ -63,23 +63,24 @@ class CoordinationInformation:
 class _InFlight:
     info: CoordinationInformation
     due_tick: int
-    seq: int
 
 
 @dataclass
 class CoordinationMedium:
     """Broadcast-with-latency conduit for one topic.
 
-    Deliveries happen at exactly ``publish tick + latency`` in per-source
-    FIFO order; the publishing agent's endpoints never receive their own
-    publication.
+    Deliveries happen at exactly ``publish tick + latency``; the publishing
+    agent's endpoints never receive their own publication.  The publications
+    released together by one ``tick_medium`` call go out in due-tick, then
+    publication order, unless ``order`` is set: then they go out sorted by
+    ``order(info)``, with that order kept on ties.
     """
 
     topic: str
     latency: int = 0
     subscribers: dict[str, str] = field(default_factory=dict)  # endpoint id -> host agent
     in_flight: list[_InFlight] = field(default_factory=list)
-    _next_seq: int = 0
+    order: Callable[[CoordinationInformation], Any] | None = None
 
     def subscribe(self, endpoint_id: str, host: str) -> None:
         self.subscribers[endpoint_id] = host
@@ -93,8 +94,7 @@ def publish(
         raise RoutingError(
             f"publication for topic {info.topic!r} sent to medium {medium.topic!r}"
         )
-    medium.in_flight.append(_InFlight(info=info, due_tick=now + medium.latency, seq=medium._next_seq))
-    medium._next_seq += 1
+    medium.in_flight.append(_InFlight(info=info, due_tick=now + medium.latency))
     return medium
 
 
@@ -103,20 +103,28 @@ def tick_medium(
 ) -> tuple[CoordinationMedium, list[tuple[str, CoordinationInformation]]]:
     """Release all due publications, fanned out to every non-source subscriber.
 
-    The delivery list is totally ordered by (due tick, publication sequence,
-    subscriber id).
+    The due publications are ordered by due tick, then publication order, and
+    then, if the medium has an ``order`` key, stably by that key; each is
+    delivered to the subscribers in endpoint-id order.
     """
-    due = sorted(
-        (item for item in medium.in_flight if item.due_tick <= now),
-        key=lambda item: (item.due_tick, item.seq),
-    )
-    medium.in_flight = [item for item in medium.in_flight if item.due_tick > now]
-    deliveries: list[tuple[str, CoordinationInformation]] = []
-    for item in due:
-        for endpoint_id in sorted(medium.subscribers):
-            if medium.subscribers[endpoint_id] == item.info.source:
-                continue
-            deliveries.append((endpoint_id, item.info))
+    due: list[_InFlight] = []
+    waiting: list[_InFlight] = []
+    for item in medium.in_flight:
+        (due if item.due_tick <= now else waiting).append(item)
+    medium.in_flight = waiting
+    if not due:
+        return medium, []
+    due.sort(key=lambda item: item.due_tick)
+    released = [item.info for item in due]
+    if medium.order is not None:
+        released.sort(key=medium.order)
+    subscribers = sorted(medium.subscribers.items())
+    deliveries = [
+        (endpoint_id, info)
+        for info in released
+        for endpoint_id, host in subscribers
+        if host != info.source
+    ]
     return medium, deliveries
 
 
@@ -331,9 +339,6 @@ def endpoint_deliver(
         raise RoutingError(
             f"endpoint {endpoint.endpoint_id!r} is not subscribed to {info.topic!r}"
         )
-    perceived = TriggeringEvent(
-        EventCategory.MESSAGE_RECEIVED, info.topic, dict(info.payload)
-    )
     for rule in endpoint.reaction_rules:
         if not rule.matches(info):
             continue
@@ -345,6 +350,9 @@ def endpoint_deliver(
             )
             if not rule.guard.as_condition(env):
                 continue
+        perceived = TriggeringEvent(
+            EventCategory.MESSAGE_RECEIVED, info.topic, dict(info.payload)
+        )
         te_d = rule.inject.instantiate(perceived)
         # No intention is active at delivery time, so current-intention
         # placement degenerates to a new course of action.

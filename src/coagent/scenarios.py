@@ -219,11 +219,6 @@ class SimulationState:
         self.rejected_moves = 0
         self.rejected_switches = 0
         self.publications: dict[str, int] = {}
-        # Running totals for the summary.
-        self.total_moves = 0
-        self.total_switches = 0
-        self.total_rejected_moves = 0
-        self.total_rejected_switches = 0
         self.trace: list[TraceRecord] = []
 
     @property
@@ -232,6 +227,14 @@ class SimulationState:
 
     def deployed_count(self, server_id: str) -> int:
         return len(self.server_services[server_id])
+
+    def deployed_types(self, server_id: str, excluding: str | None = None) -> set[str]:
+        """The types offered on a server, leaving out service ``excluding``."""
+        return {
+            self.service_type[other]
+            for other in self.server_services[server_id]
+            if other != excluding
+        }
 
     def underloaded_count(self) -> int:
         """Servers strictly between empty and their preferred utilization."""
@@ -303,7 +306,6 @@ class ScenarioEnvironment:
         target = args.get("server")
         if target not in state.server_specs:
             state.rejected_moves += 1
-            state.total_rejected_moves += 1
             return
         current = state.service_server[service_id]
         if target == current:
@@ -315,7 +317,6 @@ class ScenarioEnvironment:
             # The advertised shortage is gone; the destination manager
             # declines the deployment.
             state.rejected_moves += 1
-            state.total_rejected_moves += 1
             return
         source_spec = state.server_specs[current]
         remaining = state.deployed_count(current) - 1
@@ -323,11 +324,9 @@ class ScenarioEnvironment:
             # Leaving would push the source below its preferred utilization;
             # the source manager declines the undeployment.
             state.rejected_moves += 1
-            state.total_rejected_moves += 1
             return
         if not self._accepts():
             state.rejected_moves += 1
-            state.total_rejected_moves += 1
             return
         move_service(state, service_id, target)
 
@@ -336,11 +335,9 @@ class ScenarioEnvironment:
         new_type = args.get("type")
         if not isinstance(new_type, str) or not new_type:
             state.rejected_switches += 1
-            state.total_rejected_switches += 1
             return
         if new_type != state.service_type[cfg.agent_id] and not self._accepts():
             state.rejected_switches += 1
-            state.total_rejected_switches += 1
             return
         switch_type(state, cfg.agent_id, new_type)
 
@@ -375,22 +372,16 @@ def move_service(state: SimulationState, service_id: str, to_server: str) -> boo
     spec = state.server_specs[to_server]
     if state.deployed_count(to_server) >= spec.capacity:
         state.rejected_moves += 1
-        state.total_rejected_moves += 1
         return False
-    service_type = state.service_type[service_id]
-    if state.config.uniqueness_constraint:
-        deployed_types = {
-            state.service_type[other] for other in state.server_services[to_server]
-        }
-        if service_type in deployed_types:
-            state.rejected_moves += 1
-            state.total_rejected_moves += 1
-            return False
+    if state.config.uniqueness_constraint and (
+        state.service_type[service_id] in state.deployed_types(to_server)
+    ):
+        state.rejected_moves += 1
+        return False
     state.server_services[current].remove(service_id)
     state.server_services[to_server].append(service_id)
     state.service_server[service_id] = to_server
     state.moves += 1
-    state.total_moves += 1
     # Un- and re-deployment surface as belief updates on every agent involved.
     state.agents[service_id].write_belief("current_server", to_server)
     state.agents[current].write_belief("deployed", state.deployed_count(current))
@@ -404,21 +395,15 @@ def switch_type(state: SimulationState, service_id: str, new_type: str) -> bool:
     if new_type == current_type:
         return True
     server_id = state.service_server[service_id]
-    if state.config.uniqueness_constraint:
-        deployed_types = {
-            state.service_type[other]
-            for other in state.server_services[server_id]
-            if other != service_id
-        }
-        if new_type in deployed_types:
-            state.rejected_switches += 1
-            state.total_rejected_switches += 1
-            return False
+    if state.config.uniqueness_constraint and (
+        new_type in state.deployed_types(server_id, excluding=service_id)
+    ):
+        state.rejected_switches += 1
+        return False
     state.service_type[service_id] = new_type
     if new_type not in state.types:
         state.types = sorted(set(state.types) | {new_type})
     state.switches += 1
-    state.total_switches += 1
     state.agents[service_id].write_belief("type", new_type)
     return True
 
@@ -530,6 +515,18 @@ def canonical_endpoints(config: ScenarioConfig) -> list[EndpointDeclaration]:
     ]
 
 
+#: Per topic, the order in which its medium releases the publications due
+#: together; other topics keep publication order.  Capacity offers go out
+#: most attractive first: the highest ``deployed``, ties broken by the lowest
+#: server id.
+RELEASE_ORDER = {
+    TOPIC_CAPACITY: lambda info: (
+        -info.payload.get("deployed", 0),
+        str(info.payload.get("server", "")),
+    ),
+}
+
+
 def build_scenario(config: ScenarioConfig) -> SimulationState:
     """Construct agents, endpoints, and media for a validated configuration.
 
@@ -556,13 +553,10 @@ def build_scenario(config: ScenarioConfig) -> SimulationState:
             for spec in config.servers:
                 if len(state.server_services[spec.server_id]) >= spec.capacity:
                     continue
-                if config.uniqueness_constraint:
-                    deployed_types = {
-                        state.service_type[other]
-                        for other in state.server_services[spec.server_id]
-                    }
-                    if service.service_type in deployed_types:
-                        continue
+                if config.uniqueness_constraint and (
+                    service.service_type in state.deployed_types(spec.server_id)
+                ):
+                    continue
                 eligible.append(spec.server_id)
             if not eligible:
                 raise ScenarioError(
@@ -578,7 +572,7 @@ def build_scenario(config: ScenarioConfig) -> SimulationState:
     topics.update(rule.topic for decl in declarations for rule in (*decl.publications, *decl.reactions))
     for topic in sorted(topics):
         state.media[topic] = CoordinationMedium(
-            topic=topic, latency=config.media.get(topic, 1)
+            topic=topic, latency=config.media.get(topic, 1), order=RELEASE_ORDER.get(topic)
         )
 
     roles: dict[str, str] = {}
@@ -659,33 +653,9 @@ def _route_messages(state: SimulationState) -> None:
 def _deliver_media(state: SimulationState) -> None:
     for topic in sorted(state.media):
         _, deliveries = tick_medium(state.media[topic], state.tick)
-        if not deliveries:
-            continue
-        if topic == TOPIC_CAPACITY:
-            # Per endpoint, offer the most attractive capacity first: the
-            # publisher with the highest deployed count still below capacity,
-            # ties broken by lowest server id.
-            batches: dict[str, list] = {}
-            for endpoint_id, info in deliveries:
-                batches.setdefault(endpoint_id, []).append(info)
-            for endpoint_id in sorted(batches):
-                batch = sorted(
-                    batches[endpoint_id],
-                    key=lambda info: (
-                        -info.payload.get("deployed", 0),
-                        str(info.payload.get("server", "")),
-                    ),
-                )
-                for info in batch:
-                    _deliver_one(state, endpoint_id, info)
-        else:
-            for endpoint_id, info in deliveries:
-                _deliver_one(state, endpoint_id, info)
-
-
-def _deliver_one(state: SimulationState, endpoint_id: str, info) -> None:
-    endpoint = state.endpoints[endpoint_id]
-    endpoint_deliver(endpoint, info, state.agents[endpoint.host])
+        for endpoint_id, info in deliveries:
+            endpoint = state.endpoints[endpoint_id]
+            endpoint_deliver(endpoint, info, state.agents[endpoint.host])
 
 
 def run_simulation(
@@ -770,10 +740,10 @@ def summary(state: SimulationState) -> dict[str, Any]:
         "seed": state.config.seed,
         "ticks": len(state.trace),
         "quiescence-tick": quiescence_tick(state.trace),
-        "total-moves": state.total_moves,
-        "total-switches": state.total_switches,
-        "total-rejected-moves": state.total_rejected_moves,
-        "total-rejected-switches": state.total_rejected_switches,
+        "total-moves": sum(record.moves for record in state.trace),
+        "total-switches": sum(record.switches for record in state.trace),
+        "total-rejected-moves": sum(record.rejected_moves for record in state.trace),
+        "total-rejected-switches": sum(record.rejected_switches for record in state.trace),
         "final-deployments": final_deployments,
         "final-demand": dict(sorted(state.demand.items())),
         "underloaded": state.underloaded_count(),

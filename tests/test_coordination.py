@@ -137,6 +137,64 @@ class TestTickMedium:
                 assert at >= published_at + 2
 
 
+class TestReleaseOrder:
+    @staticmethod
+    def published(order):
+        # Two due ticks released together by one call: ranks 1, 0, 1 at
+        # tick 0 and 0, 1 at tick 1; "b" and "e" come from the subscriber "x".
+        medium = CoordinationMedium("capacity", latency=2, order=order)
+        medium.subscribe("y/e", "y")
+        medium.subscribe("x/e", "x")
+        for name, rank, source, now in (
+            ("a", 1, "p", 0),
+            ("b", 0, "x", 0),
+            ("c", 1, "p", 0),
+            ("d", 0, "p", 1),
+            ("e", 1, "x", 1),
+        ):
+            publish(medium, info(payload={"name": name, "rank": rank}, source=source, tick=now), now=now)
+        _, deliveries = tick_medium(medium, now=3)
+        assert medium.in_flight == []
+        return [(endpoint_id, item.payload["name"]) for endpoint_id, item in deliveries]
+
+    def test_order_key_sorts_release_and_keeps_publication_order_on_ties(self):
+        deliveries = self.published(lambda item: item.payload["rank"])
+        assert deliveries == [
+            ("y/e", "b"),
+            ("x/e", "d"),
+            ("y/e", "d"),
+            ("x/e", "a"),
+            ("y/e", "a"),
+            ("x/e", "c"),
+            ("y/e", "c"),
+            ("y/e", "e"),
+        ]
+
+    def test_no_order_key_keeps_publication_order(self):
+        deliveries = self.published(None)
+        assert deliveries == [
+            ("x/e", "a"),
+            ("y/e", "a"),
+            ("y/e", "b"),
+            ("x/e", "c"),
+            ("y/e", "c"),
+            ("x/e", "d"),
+            ("y/e", "d"),
+            ("y/e", "e"),
+        ]
+
+    def test_order_key_applies_within_one_release_only(self):
+        # Publications due on different calls never overtake each other.
+        medium = CoordinationMedium("capacity", latency=0, order=lambda item: item.payload["rank"])
+        medium.subscribe("y/e", "y")
+        released = []
+        for now, rank in ((0, 5), (1, 0)):
+            publish(medium, info(payload={"rank": rank}, tick=now), now=now)
+            _, deliveries = tick_medium(medium, now=now)
+            released += [item.payload["rank"] for _, item in deliveries]
+        assert released == [5, 0]
+
+
 def host(agent_id="host", beliefs=None, plans=()):
     return AgentConfiguration(
         agent_id,

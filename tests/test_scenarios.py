@@ -2,6 +2,7 @@
 
 import json
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -9,6 +10,8 @@ from coagent.bdi.expressions import Expr
 from coagent.cli import main
 from coagent.loader import load_scenario
 from coagent.scenarios import (
+    MOVE_GOAL,
+    UTILIZATION_PROCESS,
     DemandDelta,
     ScenarioConfig,
     ScenarioError,
@@ -233,6 +236,68 @@ class TestEndpointDeclarations:
             assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / name)]) == 0
         default_bytes = (tmp_path / "default" / "trace.csv").read_bytes()
         assert (tmp_path / "explicit" / "trace.csv").read_bytes() == default_bytes
+
+
+def three_server_config(topic=None):
+    """server-02 (1 deployed) and server-03 (2 deployed) both offer capacity at tick 1.
+
+    With ``topic`` the utilization process is declared as a document's
+    ``endpoints`` section on that topic instead of the canonical ``capacity``.
+    """
+    placed = {"server-01": 4, "server-02": 1, "server-03": 2}
+    config = ScenarioConfig(
+        name="three-server",
+        servers=[ServerSpec(server_id, 5, 3) for server_id in placed],
+        services=[
+            ServiceSpec(f"svc-{server_id[-2:]}-{index}", "web", server_id)
+            for server_id, count in placed.items()
+            for index in range(count)
+        ],
+        media={topic or "capacity": 0},
+    )
+    if topic is not None:
+        config.endpoints = [
+            replace(
+                decl,
+                publications=tuple(replace(rule, topic=topic) for rule in decl.publications),
+                reactions=tuple(replace(rule, topic=topic) for rule in decl.reactions),
+            )
+            for decl in canonical_endpoints(config)
+            if decl.process_id == UTILIZATION_PROCESS
+        ]
+    return config
+
+
+def queued_move_targets(topic=None):
+    """Per service, its server and the servers its queued ``move-to`` goals name
+    after the first offers."""
+    state = build_scenario(three_server_config(topic))
+    run_simulation(state, 2)
+    assert [record.publications[topic or "capacity"] for record in state.trace] == [0, 2]
+    return {
+        service_id: (
+            server_id,
+            [
+                event.te.payload["server"]
+                for event in state.agents[service_id].circumstance.events
+                if event.te.subject == MOVE_GOAL
+            ],
+        )
+        for service_id, server_id in state.service_server.items()
+    }
+
+
+class TestReleaseOrder:
+    @pytest.mark.parametrize("topic", [None, "capacity"], ids=["canonical", "document"])
+    def test_capacity_offers_reach_each_service_fuller_server_first(self, topic):
+        for service_id, (current, servers) in queued_move_targets(topic).items():
+            expected = [offer for offer in ("server-03", "server-02") if offer != current]
+            assert servers == expected, service_id
+
+    def test_other_topics_keep_publication_order(self):
+        for service_id, (current, servers) in queued_move_targets("offers").items():
+            expected = [offer for offer in ("server-02", "server-03") if offer != current]
+            assert servers == expected, service_id
 
 
 class TestApplyDemand:
