@@ -21,9 +21,10 @@ from coagent.coordination import (
     EndpointDeclaration,
     PublicationRule,
     ReactionRule,
+    attach_endpoint,
     build_publication,
-    compile_endpoint,
     endpoint_deliver,
+    endpoint_module,
     publish,
     tick_medium,
 )
@@ -56,24 +57,37 @@ sensor = AgentConfiguration(
     plans=PlanLibrary(),
     environment=env,
 )
-sensor_endpoint = compile_endpoint(
-    EndpointDeclaration(
-        process_id="weather",
-        role="broker",
-        publications=(
-            PublicationRule(
-                observe=pattern("belief-updated", "reading"),
-                topic="temperature",
-                guard=Expr("abs(payload.new - payload.old) >= 2"),
-                extract=("reading",),
-                extract_event={"old": Expr("payload.old"), "new": Expr("payload.new")},
-            ),
+sensor_decl = EndpointDeclaration(
+    process_id="weather",
+    role="broker",
+    publications=(
+        PublicationRule(
+            observe=pattern("belief-updated", "reading"),
+            topic="temperature",
+            guard=Expr("abs(payload.new - payload.old) >= 2"),
+            extract=("reading",),
+            extract_event={"old": Expr("payload.old"), "new": Expr("payload.new")},
         ),
     ),
-    sensor,
 )
+sensor_endpoint = attach_endpoint(sensor_decl, endpoint_module(sensor_decl), sensor)
 env.endpoints[sensor_endpoint.endpoint_id] = sensor_endpoint
 
+# One declaration and one compiled module serve every display.
+display_decl = EndpointDeclaration(
+    process_id="weather",
+    role="service",
+    reactions=(
+        ReactionRule(
+            topic="temperature",
+            inject=EventTemplate(
+                EventCategory.GOAL_ADDED, "show", {"value": Expr("payload.reading")}
+            ),
+            placement=Placement.NEW_INTENTION,
+        ),
+    ),
+)
+display_module = endpoint_module(display_decl)
 displays = {}
 for name in ("display-a", "display-b"):
     display = AgentConfiguration(
@@ -90,22 +104,7 @@ for name in ("display-a", "display-b"):
         ),
         environment=env,
     )
-    endpoint = compile_endpoint(
-        EndpointDeclaration(
-            process_id="weather",
-            role="service",
-            reactions=(
-                ReactionRule(
-                    topic="temperature",
-                    inject=EventTemplate(
-                        EventCategory.GOAL_ADDED, "show", {"value": Expr("payload.reading")}
-                    ),
-                    placement=Placement.NEW_INTENTION,
-                ),
-            ),
-        ),
-        display,
-    )
+    endpoint = attach_endpoint(display_decl, display_module, display)
     medium.subscribe(endpoint.endpoint_id, name)
     displays[endpoint.endpoint_id] = (endpoint, display)
 

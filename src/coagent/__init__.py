@@ -18,12 +18,7 @@ from coagent.bdi.events import Event, EventCategory, EventPattern, TOP, Triggeri
 from coagent.bdi.interpreter import post_external_event, reasoning_step, run_cycle
 from coagent.bdi.plans import Plan
 from coagent.coefficiency import CoefficientModule, EventMappingEntry, register_module
-from coagent.coordination import (
-    CoordinationEndpoint,
-    CoordinationInformation,
-    CoordinationMedium,
-    compile_endpoint,
-)
+from coagent.coordination import CoordinationEndpoint, CoordinationInformation, CoordinationMedium
 from coagent.scenarios import ScenarioConfig, build_scenario, run_simulation
 
 __all__ = [
@@ -46,7 +41,6 @@ __all__ = [
     "TempInfo",
     "TriggeringEvent",
     "build_scenario",
-    "compile_endpoint",
     "post_external_event",
     "reasoning_step",
     "register_module",

@@ -1,8 +1,12 @@
 """The nine-step reasoning cycle as small-step transition functions.
 
 Each function consumes and returns an ``AgentConfiguration``, rewriting it in
-place.  ``reasoning_step`` dispatches on the current step; ``run_cycle``
-drives one full wrap back to message processing.
+place.  One table, ``_TRANSITIONS``, lists the transitions in cycle order and
+is the only place that order is written: ``reasoning_step`` applies the entry
+for the current step, and ``run_cycle`` walks the table once, back to message
+processing.  Event selection has one path for both drivers, the table's SelEv
+entry: the selector registered on the configuration (module activation
+extends event selection only), else plain ``select_event``.
 
 Selection functions are fixed deterministically: events are selected in FIFO
 posting order, the applicable plan with the lowest declaration index wins,
@@ -235,39 +239,44 @@ def clear_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     return cfg
 
 
-_DISPATCH = {
-    Step.PROC_MSG: process_messages,
-    Step.SEL_EV: select_event,
-    Step.REL_PL: compute_relevant_plans,
-    Step.APPL_PL: compute_applicable_plans,
-    Step.SEL_APPL: select_applicable,
-    Step.ADD_IM: add_intended_means,
-    Step.SEL_INT: select_intention,
-    Step.EXEC_INT: execute_intention,
-    Step.CLR_INT: clear_intention,
-}
+def _select(cfg: AgentConfiguration) -> AgentConfiguration:
+    """SelEv: the registered selector (module activation), else plain selection."""
+    return (cfg.select_event_override or select_event)(cfg)
+
+
+#: The cycle in order.  A transition only moves the step forward in this
+#: order, except the wrap to ProcMsg from SelInt or ClrInt.
+_TRANSITIONS = (
+    (Step.PROC_MSG, process_messages),
+    (Step.SEL_EV, _select),
+    (Step.REL_PL, compute_relevant_plans),
+    (Step.APPL_PL, compute_applicable_plans),
+    (Step.SEL_APPL, select_applicable),
+    (Step.ADD_IM, add_intended_means),
+    (Step.SEL_INT, select_intention),
+    (Step.EXEC_INT, execute_intention),
+    (Step.CLR_INT, clear_intention),
+)
 
 
 def reasoning_step(cfg: AgentConfiguration) -> AgentConfiguration:
-    """Apply exactly one transition, honoring a registered event-selection override."""
-    if cfg.step is Step.SEL_EV and cfg.select_event_override is not None:
-        return cfg.select_event_override(cfg)
-    return _DISPATCH[cfg.step](cfg)
-
-
-#: A cycle visits each step at most once before it wraps to ProcMsg.
-_CYCLE_STEPS = len(Step)
+    """Apply exactly one transition: the table entry for the current step."""
+    for step, transition in _TRANSITIONS:
+        if cfg.step is step:
+            return transition(cfg)
+    raise ConfigurationCorruption(f"unknown step {cfg.step!r}")
 
 
 def run_cycle(cfg: AgentConfiguration) -> AgentConfiguration:
-    """Run one full reasoning cycle: step until the cycle wraps to ProcMsg."""
+    """Run one full reasoning cycle: one walk of the table, back to ProcMsg."""
     if cfg.step is not Step.PROC_MSG:
         raise ValueError("run_cycle must start at ProcMsg")
-    for _ in range(_CYCLE_STEPS):
-        reasoning_step(cfg)
-        if cfg.step is Step.PROC_MSG:
-            return cfg
-    raise ConfigurationCorruption("reasoning cycle failed to wrap within nine steps")
+    for step, transition in _TRANSITIONS:
+        if cfg.step is step:
+            transition(cfg)
+    if cfg.step is not Step.PROC_MSG:
+        raise ConfigurationCorruption(f"reasoning cycle ended at {cfg.step.value}")
+    return cfg
 
 
 # -- shared internals --------------------------------------------------------

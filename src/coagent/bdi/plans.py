@@ -90,12 +90,6 @@ class PlanLibrary:
     def in_order(self) -> list[Plan]:
         return list(self._plans.values())
 
-    def declaration_index(self, plan_id: str) -> int:
-        for index, known in enumerate(self._plans):
-            if known == plan_id:
-                return index
-        raise KeyError(plan_id)
-
 
 @dataclass
 class PlanRecord:

@@ -165,7 +165,7 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
         best = None
         best_index = None
         for plan_id in cfg.temp.applicable:
-            index = cfg.plans.declaration_index(plan_id)
+            index = [plan.plan_id for plan in cfg.plans.in_order()].index(plan_id)
             if best_index is None or index < best_index:
                 best, best_index = plan_id, index
         cfg.temp.rho = best

@@ -185,7 +185,6 @@ class CoordinationEndpoint:
     reaction_rules: tuple[ReactionRule, ...]
     module: CoefficientModule
     subscriptions: frozenset[str]
-    publish_topics: frozenset[str]
 
 
 def _payload_refs(expr: Expr) -> set[str]:
@@ -294,15 +293,7 @@ def attach_endpoint(
         reaction_rules=tuple(decl.reactions),
         module=module,
         subscriptions=frozenset(rule.topic for rule in decl.reactions),
-        publish_topics=frozenset(rule.topic for rule in decl.publications),
     )
-
-
-def compile_endpoint(
-    decl: EndpointDeclaration, host_cfg: AgentConfiguration
-) -> CoordinationEndpoint:
-    """Compile a declaration into an endpoint and register it on the host."""
-    return attach_endpoint(decl, endpoint_module(decl), host_cfg)
 
 
 def build_publication(

@@ -13,8 +13,9 @@ movable service endpoints, and demand brokers:
 
 The simulation loop is single-threaded and owns all agents and media.  Each
 tick applies scheduled demand deltas, runs one full reasoning cycle per agent
-in stable agent-id order, routes messages, ticks all media, delivers due
-publications, and emits one trace record.
+in stable agent-id order, ticks all media, delivers due publications, and
+emits one trace record.  Agents coordinate only through media: no scenario
+agent has a plan that sends a message.
 """
 
 from __future__ import annotations
@@ -203,6 +204,7 @@ class SimulationState:
         self.config = config
         self.tick = 0
         self.rng = random.Random(config.seed)
+        #: In agent-id order (``build_scenario`` sorts it); the tick loop runs them so.
         self.agents: dict[str, AgentConfiguration] = {}
         self.brokers: list[str] = []
         self.endpoints: dict[str, CoordinationEndpoint] = {}
@@ -223,7 +225,7 @@ class SimulationState:
 
     @property
     def agent_order(self) -> list[str]:
-        return sorted(self.agents)
+        return list(self.agents)
 
     def deployed_count(self, server_id: str) -> int:
         return len(self.server_services[server_id])
@@ -609,6 +611,7 @@ def build_scenario(config: ScenarioConfig) -> SimulationState:
         )
         roles[broker_id] = "broker"
         state.brokers.append(broker_id)
+    state.agents = {agent_id: state.agents[agent_id] for agent_id in sorted(state.agents)}
 
     compiled = [(decl, endpoint_module(decl)) for decl in declarations]
     for agent_id in state.agent_order:
@@ -640,16 +643,6 @@ def build_scenario(config: ScenarioConfig) -> SimulationState:
 # -- simulation loop ----------------------------------------------------------
 
 
-def _route_messages(state: SimulationState) -> None:
-    for agent_id in state.agent_order:
-        outbox = state.agents[agent_id].mail.outbox
-        while outbox:
-            message = outbox.popleft()
-            receiver = state.agents.get(message.receiver)
-            if receiver is not None:
-                receiver.mail.inbox.append(message)
-
-
 def _deliver_media(state: SimulationState) -> None:
     for topic in sorted(state.media):
         _, deliveries = tick_medium(state.media[topic], state.tick)
@@ -673,9 +666,8 @@ def run_simulation(
     for _ in range(ticks):
         state.reset_tick_counters()
         apply_demand(state, state.tick)
-        for agent_id in state.agent_order:
-            run_cycle(state.agents[agent_id])
-        _route_messages(state)
+        for cfg in state.agents.values():
+            run_cycle(cfg)
         _deliver_media(state)
         state.trace.append(state.snapshot_record())
         state.tick += 1

@@ -7,8 +7,8 @@ from collections import Counter
 
 from coagent.bdi.config import AgentConfiguration, Step
 from coagent.bdi.events import TOP
-from coagent.bdi.interpreter import reasoning_step
-from coagent.bdi.reference import reference_step
+from coagent.bdi.interpreter import reasoning_step, run_cycle
+from coagent.bdi.reference import reference_cycle, reference_step
 from coagent.scenarios import ScenarioConfig, SimulationState, TraceRecord
 
 from tests.conftest import instantiate, random_program
@@ -49,11 +49,28 @@ def check_structural_invariants(cfg: AgentConfiguration) -> None:
 
 
 def equivalence_run(seed: int, cycles: int = 20) -> None:
-    """One randomized main-vs-reference comparison; raises on divergence."""
+    """One randomized main-vs-reference comparison; raises on divergence.
+
+    Two pairs of twins run the same program: one pair is compared after every
+    transition (``reasoning_step``), the other after every full cycle
+    (``run_cycle`` against ``reference_cycle``), because the two drivers
+    reach the transitions by separate code.
+    """
     rng = random.Random(seed)
     program = random_program(rng)
     main = instantiate(*program)
     ref = instantiate(*program)
+    cycled = instantiate(*program)
+    ref_cycled = instantiate(*program)
+    for cycle_index in range(cycles):
+        run_cycle(cycled)
+        reference_cycle(ref_cycled)
+        check_structural_invariants(cycled)
+        if cycled.snapshot_json() != ref_cycled.snapshot_json():
+            raise AssertionError(
+                f"seed {seed}: divergence after cycle {cycle_index}\n"
+                f"main: {cycled.snapshot_json()}\nref : {ref_cycled.snapshot_json()}"
+            )
     for step_index in range(cycles * 9):
         reasoning_step(main)
         reference_step(ref)

@@ -30,7 +30,8 @@ from coagent.coefficiency import (
 from coagent.coordination import (
     CoordinationMedium,
     EndpointDeclaration,
-    compile_endpoint,
+    attach_endpoint,
+    endpoint_module,
     publish,
     tick_medium,
 )
@@ -170,9 +171,8 @@ class TestCriterion3BaselineBisimulation:
             program = random_program(rng)
             bare = instantiate(*program)
             hosted = instantiate(*program)
-            compile_endpoint(
-                EndpointDeclaration(process_id="noop", role="service"), hosted
-            )
+            noop = EndpointDeclaration(process_id="noop", role="service")
+            attach_endpoint(noop, endpoint_module(noop), hosted)
             for index in range(150):
                 reasoning_step(bare)
                 reasoning_step(hosted)
@@ -339,26 +339,22 @@ class TestCriterion7InvariantSuite:
         host.beliefs.set("preferred_min", 3)
         from coagent.coordination import PublicationRule
 
-        ep1 = compile_endpoint(
-            EndpointDeclaration(
-                process_id="p1",
-                role="server",
-                publications=(
-                    PublicationRule(observe=pattern("belief-updated", "deployed"), topic="t1"),
-                ),
+        decl1 = EndpointDeclaration(
+            process_id="p1",
+            role="server",
+            publications=(
+                PublicationRule(observe=pattern("belief-updated", "deployed"), topic="t1"),
             ),
-            host,
         )
-        ep2 = compile_endpoint(
-            EndpointDeclaration(
-                process_id="p2",
-                role="server",
-                publications=(
-                    PublicationRule(observe=pattern("belief-updated", "capacity"), topic="t2"),
-                ),
+        decl2 = EndpointDeclaration(
+            process_id="p2",
+            role="server",
+            publications=(
+                PublicationRule(observe=pattern("belief-updated", "capacity"), topic="t2"),
             ),
-            host,
         )
+        ep1 = attach_endpoint(decl1, endpoint_module(decl1), host)
+        ep2 = attach_endpoint(decl2, endpoint_module(decl2), host)
         assert ep1.module.module_id != ep2.module.module_id
         assert {mid for mid, _ in host.mapping} == {"ep.p1", "ep.p2"}
         checks.append("coordination: process isolation")

@@ -20,8 +20,9 @@ from coagent.coordination import (
     PublicationRule,
     ReactionRule,
     RoutingError,
-    compile_endpoint,
+    attach_endpoint,
     endpoint_deliver,
+    endpoint_module,
     publish,
     tick_medium,
 )
@@ -222,18 +223,19 @@ def capacity_server_decl(guard="deployed > 0 and deployed < preferred_min"):
 class TestCompileEndpoint:
     def test_one_publication_rule_one_mapping_entry_one_plan(self):
         cfg = host(beliefs={"server": "s1", "deployed": 1, "capacity": 5, "preferred_min": 3})
-        endpoint = compile_endpoint(capacity_server_decl(), cfg)
+        decl = capacity_server_decl()
+        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
         assert len(cfg.mapping) == 1
         assert len(cfg.plans) == 1
         assert PUBLISH_ACTION in cfg.circumstance.actions
-        assert endpoint.publish_topics == {"capacity"}
         assert endpoint.subscriptions == frozenset()
 
     def test_server_declaration_observes_deployed_updates_guarded(self):
         # The utilization publication: observe deployed updates, publish on
         # the capacity topic only while under the preferred level.
         cfg = host(beliefs={"server": "s1", "deployed": 1, "capacity": 5, "preferred_min": 3})
-        compile_endpoint(capacity_server_decl(), cfg)
+        decl = capacity_server_decl()
+        attach_endpoint(decl, endpoint_module(decl), cfg)
         ((_, entry),) = cfg.mapping
         te = TriggeringEvent(EventCategory.BELIEF_UPDATED, "deployed", {"old": 1, "new": 1})
         assert entry.observe.matches(te)
@@ -250,7 +252,8 @@ class TestCompileEndpoint:
         program = random_program(rng)
         bare = instantiate(*program)
         hosted = instantiate(*program)
-        compile_endpoint(EndpointDeclaration(process_id="noop", role="service"), hosted)
+        decl = EndpointDeclaration(process_id="noop", role="service")
+        attach_endpoint(decl, endpoint_module(decl), hosted)
         for index in range(150):
             reasoning_step(bare)
             reasoning_step(hosted)
@@ -264,7 +267,7 @@ class TestCompileEndpoint:
             topics=("capacity", "unused-topic"),
         )
         with pytest.raises(EndpointDeclarationError):
-            compile_endpoint(decl, host())
+            attach_endpoint(decl, endpoint_module(decl), host())
 
     def test_publication_guard_event_refs_must_be_extracted(self):
         decl = EndpointDeclaration(
@@ -280,12 +283,13 @@ class TestCompileEndpoint:
             ),
         )
         with pytest.raises(EndpointDeclarationError):
-            compile_endpoint(decl, host())
+            attach_endpoint(decl, endpoint_module(decl), host())
 
     def test_process_isolation(self):
         # Distinct process ids compile to disjoint modules and plans.
         cfg = host(beliefs={"server": "s1", "deployed": 1, "capacity": 5, "preferred_min": 3})
-        first = compile_endpoint(capacity_server_decl(), cfg)
+        first_decl = capacity_server_decl()
+        first = attach_endpoint(first_decl, endpoint_module(first_decl), cfg)
         second_decl = EndpointDeclaration(
             process_id="audit",
             role="server",
@@ -296,7 +300,7 @@ class TestCompileEndpoint:
                 ),
             ),
         )
-        second = compile_endpoint(second_decl, cfg)
+        second = attach_endpoint(second_decl, endpoint_module(second_decl), cfg)
         assert first.module.module_id != second.module.module_id
         plan_ids = [p.plan_id for p in cfg.plans.in_order()]
         assert len(plan_ids) == 2 and len(set(plan_ids)) == 2
@@ -328,7 +332,8 @@ def movable_decl():
 class TestEndpointDeliver:
     def test_matching_info_injects_goal(self):
         cfg = host(beliefs={"current_server": "s1"})
-        endpoint = compile_endpoint(movable_decl(), cfg)
+        decl = movable_decl()
+        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
         endpoint_deliver(endpoint, info(payload={"server": "s2", "deployed": 1}), cfg)
         (event,) = cfg.circumstance.events
         assert event.te == TriggeringEvent(EventCategory.GOAL_ADDED, "move-to", {"server": "s2"})
@@ -336,7 +341,8 @@ class TestEndpointDeliver:
 
     def test_false_guard_leaves_host_unchanged(self):
         cfg = host(beliefs={"current_server": "s2"})
-        endpoint = compile_endpoint(movable_decl(), cfg)
+        decl = movable_decl()
+        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
         before = cfg.snapshot_json()
         endpoint_deliver(endpoint, info(payload={"server": "s2"}), cfg)
         assert cfg.snapshot_json() == before
@@ -357,7 +363,7 @@ class TestEndpointDeliver:
             ),
         )
         cfg = host()
-        endpoint = compile_endpoint(decl, cfg)
+        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
         endpoint_deliver(endpoint, info(), cfg)
         subjects = [event.te.subject for event in cfg.circumstance.events]
         assert subjects == ["first"]
@@ -379,14 +385,15 @@ class TestEndpointDeliver:
             ),
         )
         cfg = host()
-        endpoint = compile_endpoint(decl, cfg)
+        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
         endpoint_deliver(endpoint, info(), cfg)
         subjects = [event.te.subject for event in cfg.circumstance.events]
         assert subjects == ["second"]
 
     def test_unsubscribed_topic_is_routing_error(self):
         cfg = host()
-        endpoint = compile_endpoint(movable_decl(), cfg)
+        decl = movable_decl()
+        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
         with pytest.raises(RoutingError):
             endpoint_deliver(endpoint, info(topic="demand-change"), cfg)
 
@@ -403,7 +410,7 @@ class TestEndpointDeliver:
             ),
         )
         cfg = host()
-        endpoint = compile_endpoint(decl, cfg)
+        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
         endpoint_deliver(endpoint, info(payload={"kind": "alpha"}), cfg)
         assert cfg.circumstance.events == []
         endpoint_deliver(endpoint, info(payload={"kind": "beta"}), cfg)
@@ -428,7 +435,8 @@ class TestPublicationEndToEnd:
             actions=set(),
             environment=env,
         )
-        compile_endpoint(capacity_server_decl(), cfg)
+        decl = capacity_server_decl()
+        attach_endpoint(decl, endpoint_module(decl), cfg)
         post_external_event(
             cfg,
             TriggeringEvent(EventCategory.BELIEF_UPDATED, "deployed", {"old": 1, "new": 1}),

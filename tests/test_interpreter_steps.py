@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.config import AgentConfiguration, Message, Step
 from coagent.bdi.events import TOP, EventCategory, TriggeringEvent, pattern
@@ -447,12 +449,25 @@ class TestReasoningStepDispatch:
         reasoning_step(cfg)
         assert cfg.step in (Step.REL_PL, Step.SEL_INT)
 
-    def test_registered_modules_switch_selection(self):
+    @pytest.mark.parametrize(
+        "driver, start, queued",
+        [
+            (reasoning_step, Step.SEL_EV, False),
+            (run_cycle, Step.PROC_MSG, False),
+            (run_cycle, Step.PROC_MSG, True),
+        ],
+        ids=["reasoning_step", "run_cycle-idle", "run_cycle-queued"],
+    )
+    def test_registered_modules_switch_selection(self, driver, start, queued):
+        # Both drivers reach the registered selector exactly once: the traced
+        # benchmark counts one selector call per agent cycle.
         from coagent.coefficiency import CoefficientModule, register_module
 
         calls = []
-        cfg = agent()
+        cfg = agent([Plan("p", pattern("goal-added", "g1"), (Act("ping", {}),))])
         register_module(cfg, CoefficientModule("m"))
+        if queued:
+            post_external_event(cfg, goal("g1"))
         original = cfg.select_event_override
 
         def spy(config):
@@ -460,8 +475,8 @@ class TestReasoningStepDispatch:
             return original(config)
 
         cfg.select_event_override = spy
-        cfg.step = Step.SEL_EV
-        reasoning_step(cfg)
+        cfg.step = start
+        driver(cfg)
         assert calls == [True]
 
     def test_cycle_closure_on_idle_agent(self, idle_agent):
