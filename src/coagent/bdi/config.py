@@ -113,6 +113,7 @@ class AgentConfiguration:
         plans: PlanLibrary | None = None,
         actions: set[str] | None = None,
         environment: EnvironmentAdapter | None = None,
+        record_observations: bool = True,
     ):
         self.agent_id = agent_id
         self.beliefs = beliefs or BeliefBase()
@@ -122,6 +123,8 @@ class AgentConfiguration:
         self.temp = TempInfo()
         self.step: Step = Step.PROC_MSG
         self.environment: EnvironmentAdapter = environment or InertEnvironment()
+        #: Whether ``observe`` keeps a record; ``observations`` stays empty when not.
+        self.record_observations = record_observations
         self.observations: list[dict[str, Any]] = []
         # Co-efficient machinery, populated by module registration.
         self.modules: dict[str, Any] = {}
@@ -171,15 +174,19 @@ class AgentConfiguration:
         """Record an observation-stream entry; optionally notify module observers.
 
         Only plan lifecycle events are notified: they are observable by
-        event mappings without ever entering the reactive event queue.
+        event mappings without ever entering the reactive event queue.  The
+        notification always happens; the record is built and kept only when
+        ``record_observations`` is set (the default; ``build_scenario``
+        clears it unless the run writes the agent log).
         """
-        record: dict[str, Any] = {"kind": kind}
-        if te is not None:
-            record["te"] = te.to_json()
-        if te is not None or intention is not TOP:
-            record["intention"] = None if intention is TOP else intention
-        record.update(extra)
-        self.observations.append(record)
+        if self.record_observations:
+            record: dict[str, Any] = {"kind": kind}
+            if te is not None:
+                record["te"] = te.to_json()
+            if te is not None or intention is not TOP:
+                record["intention"] = None if intention is TOP else intention
+            record.update(extra)
+            self.observations.append(record)
         if notify and te is not None:
             for hook in self.observation_hooks:
                 hook(self, te, intention)

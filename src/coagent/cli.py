@@ -78,6 +78,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    emit = tuple(args.emit) if args.emit else ("trace-csv", "summary-json")
     try:
         config = load_scenario(args.scenario)
         if args.seed is not None:
@@ -85,12 +86,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         ticks = args.ticks if args.ticks is not None else config.ticks
         if ticks < 0:
             raise ConfigError(f"{args.scenario}: ticks must be >= 0")
-        state = build_scenario(config)
+        state = build_scenario(config, agent_log="agent-log" in emit)
     except (ConfigError, ScenarioError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    emit = tuple(args.emit) if args.emit else ("trace-csv", "summary-json")
     out_dir = Path(args.out)
     targets = {
         "trace-csv": out_dir / "trace.csv",

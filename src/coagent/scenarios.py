@@ -215,6 +215,10 @@ class SimulationState:
         self.service_type: dict[str, str] = {}
         self.demand: dict[str, int] = dict(config.demand)
         self.types: list[str] = config.service_types
+        #: Servers whose deployments changed since the last trace record, and
+        #: that record's per-server sorted type lists (see ``snapshot_record``).
+        self.changed_servers: set[str] = set()
+        self.deployments: dict[str, list[str]] = {}
         # Per-tick activity counters, reset by the scheduler.
         self.moves = 0
         self.switches = 0
@@ -255,12 +259,21 @@ class SimulationState:
         self.publications = {topic: 0 for topic in sorted(self.media)}
 
     def snapshot_record(self) -> TraceRecord:
-        deployments = {
-            server_id: sorted(
-                (self.service_type[service_id] for service_id in services),
+        """The trace record of the current tick.
+
+        Only the servers in ``changed_servers`` get a freshly sorted type
+        list; the others share the previous record's list, which nothing
+        mutates.  ``build_scenario`` marks every server, and the changed ones
+        are visited in id order, so the first record lists the servers
+        sorted and later copies keep that order.
+        """
+        deployments = dict(self.deployments)
+        for server_id in sorted(self.changed_servers):
+            deployments[server_id] = sorted(
+                self.service_type[service_id] for service_id in self.server_services[server_id]
             )
-            for server_id, services in sorted(self.server_services.items())
-        }
+        self.changed_servers.clear()
+        self.deployments = deployments
         return TraceRecord(
             tick=self.tick,
             deployments=deployments,
@@ -383,6 +396,7 @@ def move_service(state: SimulationState, service_id: str, to_server: str) -> boo
     state.server_services[current].remove(service_id)
     state.server_services[to_server].append(service_id)
     state.service_server[service_id] = to_server
+    state.changed_servers.update((current, to_server))
     state.moves += 1
     # Un- and re-deployment surface as belief updates on every agent involved.
     state.agents[service_id].write_belief("current_server", to_server)
@@ -403,6 +417,7 @@ def switch_type(state: SimulationState, service_id: str, new_type: str) -> bool:
         state.rejected_switches += 1
         return False
     state.service_type[service_id] = new_type
+    state.changed_servers.add(server_id)
     if new_type not in state.types:
         state.types = sorted(set(state.types) | {new_type})
     state.switches += 1
@@ -529,7 +544,7 @@ RELEASE_ORDER = {
 }
 
 
-def build_scenario(config: ScenarioConfig) -> SimulationState:
+def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> SimulationState:
     """Construct agents, endpoints, and media for a validated configuration.
 
     Services without an explicit initial server are placed pseudo-randomly
@@ -538,6 +553,9 @@ def build_scenario(config: ScenarioConfig) -> SimulationState:
     canonical ones -- is compiled once and attached to every agent of its
     role.  Each server manager receives one bootstrap utilization reading so
     publication guards are evaluated against the initial state.
+
+    Agents keep observation records only with ``agent_log`` set, for a run
+    that writes ``agent-log.jsonl``; plan-lifecycle hooks fire either way.
     """
     config.validate()
     state = SimulationState(config)
@@ -568,6 +586,7 @@ def build_scenario(config: ScenarioConfig) -> SimulationState:
         state.server_services[target].append(service.service_id)
         state.service_server[service.service_id] = target
         state.service_type[service.service_id] = service.service_type
+    state.changed_servers.update(state.server_services)
 
     declarations = canonical_endpoints(config) if config.endpoints is None else config.endpoints
     topics = {TOPIC_CAPACITY, TOPIC_DEMAND} | set(config.media)
@@ -586,7 +605,10 @@ def build_scenario(config: ScenarioConfig) -> SimulationState:
             "deployed": state.deployed_count(spec.server_id),
         }
         state.agents[spec.server_id] = AgentConfiguration(
-            spec.server_id, beliefs=BeliefBase(beliefs), environment=env
+            spec.server_id,
+            beliefs=BeliefBase(beliefs),
+            environment=env,
+            record_observations=agent_log,
         )
         roles[spec.server_id] = "server"
     for service in config.services:
@@ -600,6 +622,7 @@ def build_scenario(config: ScenarioConfig) -> SimulationState:
             plans=PlanLibrary(list(_SERVICE_PLANS)),
             actions={"relocate", "reallocate"},
             environment=env,
+            record_observations=agent_log,
         )
         roles[service.service_id] = "service"
     for index in range(config.brokers):
@@ -607,7 +630,10 @@ def build_scenario(config: ScenarioConfig) -> SimulationState:
         if broker_id in state.agents:
             raise ScenarioError(f"broker id {broker_id!r} collides with a configured agent")
         state.agents[broker_id] = AgentConfiguration(
-            broker_id, beliefs=BeliefBase(dict(state.demand)), environment=env
+            broker_id,
+            beliefs=BeliefBase(dict(state.demand)),
+            environment=env,
+            record_observations=agent_log,
         )
         roles[broker_id] = "broker"
         state.brokers.append(broker_id)
@@ -656,8 +682,8 @@ def run_simulation(
 ) -> list[TraceRecord]:
     """Run the scheduler for a number of ticks, returning the trace.
 
-    Agent-level action faults are recorded on the failing agent's
-    observation stream and never abort the run.
+    Agent-level action faults fail the agent's plan (a ``plan-failed``
+    observation, when the agent records them) and never abort the run.
     """
     if ticks < 0:
         raise ScenarioError("ticks must be >= 0")

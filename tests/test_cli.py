@@ -100,6 +100,20 @@ class TestRun:
         assert agents == sorted(agents)
         assert not (out / "trace.csv").exists()  # only the requested artifact
 
+    @pytest.mark.parametrize("scenario", [SCENARIO_A, SCENARIO_B], ids=lambda path: path.stem)
+    def test_agent_log_leaves_trace_and_summary_unchanged(self, scenario, tmp_path):
+        # Observation records are kept only for the agent log; leaving it out
+        # must not change any other output.
+        outputs = {}
+        for name, extra in (("plain", []), ("logged", ["--emit", "agent-log"])):
+            out = tmp_path / name
+            emit = ["--emit", "trace-csv", "--emit", "summary-json", *extra]
+            args = ["run", "--scenario", str(scenario), "--seed", "3", "--out", str(out)]
+            assert main([*args, *emit]) == 0
+            outputs[name] = [(out / f).read_bytes() for f in ("trace.csv", "summary.json")]
+        assert not (tmp_path / "plain" / "agent-log.jsonl").exists()
+        assert outputs["plain"] == outputs["logged"]
+
     def test_csv_column_contract(self, tmp_path):
         out = tmp_path / "contract"
         assert main(["run", "--scenario", str(SCENARIO_B), "--out", str(out)]) == 0

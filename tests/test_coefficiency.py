@@ -342,6 +342,38 @@ class TestObservationStreamMatching:
         subjects = [event.te.subject for event in cfg.circumstance.events]
         assert "audit.done" in subjects
 
+    @pytest.mark.parametrize("lifecycle", ["plan-started", "plan-finished"])
+    def test_injection_does_not_depend_on_recording(self, lifecycle):
+        # The lifecycle hook fires whether or not observations are recorded;
+        # only the records differ.
+        runs = []
+        for record in (True, False):
+            cfg = agent(plans=[Plan("work", pattern("goal-added", "g"), (Act("ping", {}),))])
+            cfg.record_observations = record
+            module = CoefficientModule(
+                "audit",
+                mapping=[
+                    EventMappingEntry(
+                        observe=pattern(lifecycle, "work"),
+                        inject=EventTemplate(EventCategory.GOAL_ADDED, "audit.note", {}),
+                    )
+                ],
+            )
+            register_module(cfg, module)
+            post_external_event(cfg, TriggeringEvent(EventCategory.GOAL_ADDED, "g", {}))
+            states = []
+            for _ in range(3):
+                run_cycle(cfg)
+                state = cfg.snapshot()
+                state.pop("observations")
+                states.append(state)
+            runs.append((states, cfg.observations))
+        (recorded_states, recorded), (states, unrecorded) = runs
+        assert states == recorded_states
+        assert "audit.note" in [event["te"]["subject"] for event in states[0]["events"]]
+        assert any(o["kind"] == lifecycle for o in recorded)
+        assert unrecorded == []
+
 
 class TestBaselineBisimulation:
     @pytest.mark.parametrize("seed", range(25))

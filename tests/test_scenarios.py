@@ -1,5 +1,6 @@
 """Scenario construction, the mechanism operations, and both scenario runs."""
 
+import copy
 import json
 from collections import deque
 from dataclasses import replace
@@ -565,6 +566,81 @@ class TestStochasticMode:
         config2.move_acceptance_probability = 0.5
         second = run_simulation(build_scenario(config2), 40, seed=11)
         assert first == second
+
+
+def churn_config():
+    """Six servers, three types, two brokers and four demand deltas.
+
+    Accepted moves land at ticks 3-5 and accepted switches at ticks 7-20,
+    so later changes touch servers whose type lists are already recorded.
+    """
+    servers = [ServerSpec(f"server-{index:02d}", 5, 3) for index in range(1, 7)]
+    services = []
+    for spec, count in zip(servers, (5, 5, 4, 1, 1, 0)):
+        for _ in range(count):
+            number = len(services) + 1
+            service_type = f"type-{number % 3 + 1}"
+            services.append(ServiceSpec(f"svc-{number:02d}", service_type, spec.server_id))
+    return ScenarioConfig(
+        name="churn",
+        ticks=40,
+        servers=servers,
+        services=services,
+        brokers=2,
+        demand={"type-1": 10, "type-2": 10, "type-3": 10},
+        demand_schedule=[
+            DemandDelta(2, "type-1", 10),
+            DemandDelta(9, "type-2", 20),
+            DemandDelta(17, "type-3", 40),
+            DemandDelta(25, "type-1", -15),
+        ],
+        publish_when_empty=True,
+    )
+
+
+class TestSnapshotRecord:
+    def test_incremental_deployments_equal_a_full_rebuild(self):
+        state = build_scenario(churn_config())
+        recorded = []
+        for _ in range(state.config.ticks):
+            record = run_simulation(state, 1)[-1]
+            rebuilt = {
+                server_id: sorted(state.service_type[service_id] for service_id in services)
+                for server_id, services in sorted(state.server_services.items())
+            }
+            assert record.deployments == rebuilt
+            assert list(record.deployments) == list(rebuilt)
+            recorded.append(copy.deepcopy(record.deployments))
+        assert sum(record.moves for record in state.trace) > 0
+        assert sum(record.switches for record in state.trace) > 0
+        # Later moves and switches leave earlier records as they were.
+        assert [record.deployments for record in state.trace] == recorded
+
+    def test_unchanged_servers_share_the_previous_list(self):
+        state = build_scenario(churn_config())
+        trace = run_simulation(state, state.config.ticks)
+        for before, after in zip(trace, trace[1:]):
+            assert after.deployments is not before.deployments
+            if not (after.moves or after.switches):
+                for server_id, types in after.deployments.items():
+                    assert types is before.deployments[server_id]
+
+
+class TestObservationRecording:
+    def test_scenario_agents_keep_no_observation_records(self):
+        config = churn_config()
+        state = build_scenario(config)
+        run_simulation(state, config.ticks)
+        assert all(cfg.observations == [] for cfg in state.agents.values())
+
+    def test_agent_log_records_without_changing_the_trace(self):
+        config = churn_config()
+        plain = run_simulation(build_scenario(config), config.ticks)
+        logged_state = build_scenario(config, agent_log=True)
+        logged = run_simulation(logged_state, config.ticks)
+        assert logged == plain
+        kinds = {o["kind"] for cfg in logged_state.agents.values() for o in cfg.observations}
+        assert {"plan-started", "plan-finished"} <= kinds
 
 
 class TestTraceOutputs:
