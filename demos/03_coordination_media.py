@@ -14,7 +14,7 @@ from coagent.bdi.events import EventCategory, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import run_cycle
 from coagent.bdi.plans import Believe, Plan, PlanLibrary
-from coagent.coefficiency import EventTemplate, Placement
+from coagent.coefficiency import EventTemplate
 from coagent.coordination import (
     PUBLISH_ACTION,
     CoordinationMedium,
@@ -42,9 +42,7 @@ class DemoEnvironment:
     def perform(self, cfg, action, args):
         if action != PUBLISH_ACTION:
             return
-        endpoint = self.endpoints[f"{cfg.agent_id}/{args['__process']}"]
-        fields = {k: v for k, v in args.items() if not k.startswith("__")}
-        info = build_publication(endpoint, cfg, args["__rule"], fields, clock["now"])
+        info = build_publication(self.endpoints, cfg, args, clock["now"])
         publish(medium, info, clock["now"])
         print(f"  [t={clock['now']}] {cfg.agent_id} published {info.payload}")
 
@@ -83,7 +81,6 @@ display_decl = EndpointDeclaration(
             inject=EventTemplate(
                 EventCategory.GOAL_ADDED, "show", {"value": Expr("payload.reading")}
             ),
-            placement=Placement.NEW_INTENTION,
         ),
     ),
 )

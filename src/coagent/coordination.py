@@ -7,6 +7,12 @@ state changes (compiled onto the co-efficient event mapping) and publishes
 extracted data, and a reaction side interprets perceived coordination
 information and injects adjustment events back into the host.  The host
 reasoner keeps authority over every injected event.
+
+This module owns the endpoint protocol: ``endpoint_module`` encodes which
+endpoint and rule a publish action comes from, ``build_publication`` decodes
+a performed publish action back into its publication, and endpoint ids are
+formed only here.  A host environment routes the action without knowing its
+argument format.
 """
 
 from __future__ import annotations
@@ -30,6 +36,11 @@ from coagent.coefficiency import (
 #: Action name endpoints register on their host for the publication plans.
 PUBLISH_ACTION = "coord.publish"
 
+#: Publish-action arguments naming the publishing endpoint's process and
+#: rule; extract-event keys may not start with ``__``, so they never clash.
+_PROCESS_ARG = "__process"
+_RULE_ARG = "__rule"
+
 
 class RoutingError(ValueError):
     """Publication or delivery on a topic the component is not bound to."""
@@ -48,15 +59,6 @@ class CoordinationInformation:
     payload: Mapping[str, Any]
     source: str
     publish_tick: int
-
-    def to_json(self) -> dict[str, Any]:
-        return {
-            "process-id": self.process_id,
-            "topic": self.topic,
-            "payload": dict(self.payload),
-            "source": self.source,
-            "publish-tick": self.publish_tick,
-        }
 
 
 @dataclass
@@ -146,13 +148,16 @@ class PublicationRule:
 
 @dataclass(frozen=True)
 class ReactionRule:
-    """How to react to perceived information: match, guard, injected event."""
+    """How to react to perceived information: match, guard, injected event.
+
+    The injected event always starts a new course of action: no intention is
+    active at delivery time.
+    """
 
     topic: str
     inject: EventTemplate
     match_payload: Mapping[str, Any] = field(default_factory=dict)
     guard: Expr | None = None
-    placement: Placement = Placement.NEW_INTENTION
 
     def matches(self, info: CoordinationInformation) -> bool:
         if info.topic != self.topic:
@@ -171,7 +176,6 @@ class EndpointDeclaration:
     role: str = ""
     publications: tuple[PublicationRule, ...] = ()
     reactions: tuple[ReactionRule, ...] = ()
-    topics: tuple[str, ...] = ()
 
 
 @dataclass
@@ -180,9 +184,7 @@ class CoordinationEndpoint:
 
     endpoint_id: str
     host: str
-    process_id: str
-    publication_rules: tuple[PublicationRule, ...]
-    reaction_rules: tuple[ReactionRule, ...]
+    decl: EndpointDeclaration
     module: CoefficientModule
     subscriptions: frozenset[str]
 
@@ -222,13 +224,6 @@ def check_declaration(decl: EndpointDeclaration) -> None:
     """Raise ``EndpointDeclarationError`` unless the declaration can be compiled."""
     if not decl.process_id:
         raise EndpointDeclarationError("endpoint declaration needs a process-id")
-    if decl.topics:
-        declared = set(decl.topics)
-        used = {rule.topic for rule in (*decl.publications, *decl.reactions)}
-        if declared != used:
-            raise EndpointDeclarationError(
-                f"declared topics {sorted(declared)} do not match rule topics {sorted(used)}"
-            )
     for index, rule in enumerate(decl.publications):
         _check_publication(rule, index)
 
@@ -257,8 +252,8 @@ def endpoint_module(decl: EndpointDeclaration) -> CoefficientModule:
             )
         )
         args: dict[str, Expr] = {
-            "__process": Expr(repr(decl.process_id)),
-            "__rule": Expr(repr(index)),
+            _PROCESS_ARG: Expr(repr(decl.process_id)),
+            _RULE_ARG: Expr(repr(index)),
         }
         for key in rule.extract_event:
             args[key] = Expr(f"payload.{key}")
@@ -286,32 +281,39 @@ def attach_endpoint(
     if decl.publications:
         host_cfg.circumstance.actions.add(PUBLISH_ACTION)
     return CoordinationEndpoint(
-        endpoint_id=f"{host_cfg.agent_id}/{decl.process_id}",
+        endpoint_id=_endpoint_id(host_cfg.agent_id, decl.process_id),
         host=host_cfg.agent_id,
-        process_id=decl.process_id,
-        publication_rules=tuple(decl.publications),
-        reaction_rules=tuple(decl.reactions),
+        decl=decl,
         module=module,
         subscriptions=frozenset(rule.topic for rule in decl.reactions),
     )
 
 
+def _endpoint_id(host: str, process_id: str) -> str:
+    return f"{host}/{process_id}"
+
+
 def build_publication(
-    endpoint: CoordinationEndpoint,
+    endpoints: Mapping[str, CoordinationEndpoint],
     host_cfg: AgentConfiguration,
-    rule_index: int,
-    event_fields: Mapping[str, Any],
+    args: Mapping[str, Any],
     now: int,
 ) -> CoordinationInformation:
-    """Assemble the payload for one publication rule: beliefs + event fields."""
-    rule = endpoint.publication_rules[rule_index]
-    payload: dict[str, Any] = {}
-    for key in rule.extract:
-        payload[key] = host_cfg.beliefs.get(key)
-    for key, value in event_fields.items():
-        payload[key] = value
+    """Decode a performed publish action into the publication it stands for.
+
+    ``args`` are the action's arguments as performed by the host; they name
+    one of the host's endpoints in ``endpoints`` (keyed by endpoint id) and
+    its publication rule.  The payload holds the rule's ``extract`` beliefs,
+    then the observed event's fields.
+    """
+    endpoint = endpoints[_endpoint_id(host_cfg.agent_id, args[_PROCESS_ARG])]
+    rule = endpoint.decl.publications[args[_RULE_ARG]]
+    payload = {key: host_cfg.beliefs.get(key) for key in rule.extract}
+    payload.update(
+        (key, value) for key, value in args.items() if key not in (_PROCESS_ARG, _RULE_ARG)
+    )
     return CoordinationInformation(
-        process_id=endpoint.process_id,
+        process_id=endpoint.decl.process_id,
         topic=rule.topic,
         payload=payload,
         source=host_cfg.agent_id,
@@ -330,7 +332,7 @@ def endpoint_deliver(
         raise RoutingError(
             f"endpoint {endpoint.endpoint_id!r} is not subscribed to {info.topic!r}"
         )
-    for rule in endpoint.reaction_rules:
+    for rule in endpoint.decl.reactions:
         if not rule.matches(info):
             continue
         if rule.guard is not None:
@@ -344,9 +346,6 @@ def endpoint_deliver(
         perceived = TriggeringEvent(
             EventCategory.MESSAGE_RECEIVED, info.topic, dict(info.payload)
         )
-        te_d = rule.inject.instantiate(perceived)
-        # No intention is active at delivery time, so current-intention
-        # placement degenerates to a new course of action.
-        host_cfg.append_event(te_d, TOP)
+        host_cfg.append_event(rule.inject.instantiate(perceived), TOP)
         break
     return host_cfg

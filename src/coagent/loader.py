@@ -361,7 +361,7 @@ def parse_publication_rule(obj: Any, path: str) -> PublicationRule:
 
 def parse_reaction_rule(obj: Any, path: str) -> ReactionRule:
     _require(obj, path, dict, "reaction rule")
-    _check_keys(obj, path, {"match", "guard", "inject", "placement"}, {"match", "inject"})
+    _check_keys(obj, path, {"match", "guard", "inject"}, {"match", "inject"})
     match = _require(obj["match"], f"{path}.match", dict, "match")
     _check_keys(match, f"{path}.match", {"topic", "payload"}, {"topic"})
     return ReactionRule(
@@ -369,7 +369,6 @@ def parse_reaction_rule(obj: Any, path: str) -> ReactionRule:
         match_payload=dict(_optional(match, "payload", f"{path}.match", dict, {})),
         guard=_parse_optional_expr(obj, "guard", path),
         inject=parse_template(obj["inject"], f"{path}.inject"),
-        placement=_parse_placement(obj.get("placement", "new-intention"), f"{path}.placement"),
     )
 
 
@@ -378,7 +377,7 @@ def parse_endpoint_declaration(obj: Any, path: str) -> EndpointDeclaration:
     _check_keys(
         obj,
         path,
-        {"process-id", "role", "publication-rules", "reaction-rules", "topics"},
+        {"process-id", "role", "publication-rules", "reaction-rules"},
         {"process-id", "role"},
     )
     publications = tuple(
@@ -397,7 +396,6 @@ def parse_endpoint_declaration(obj: Any, path: str) -> EndpointDeclaration:
         role=role,
         publications=publications,
         reactions=reactions,
-        topics=_strings(obj, "topics", path),
     )
     try:
         check_declaration(decl)

@@ -30,7 +30,7 @@ from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import post_external_event, run_cycle
 from coagent.bdi.plans import Act, Plan, PlanLibrary
-from coagent.coefficiency import EventTemplate, Placement
+from coagent.coefficiency import EventTemplate
 from coagent.coordination import (
     PUBLISH_ACTION,
     CoordinationEndpoint,
@@ -358,13 +358,7 @@ class ScenarioEnvironment:
 
     def _publish(self, cfg: AgentConfiguration, args: dict[str, Any]) -> None:
         state = self.state
-        process_id = args["__process"]
-        rule_index = args["__rule"]
-        endpoint = state.endpoints[f"{cfg.agent_id}/{process_id}"]
-        event_fields = {
-            key: value for key, value in args.items() if not key.startswith("__")
-        }
-        info = build_publication(endpoint, cfg, rule_index, event_fields, state.tick)
+        info = build_publication(state.endpoints, cfg, args, state.tick)
         publish(state.media[info.topic], info, state.tick)
         state.publications[info.topic] = state.publications.get(info.topic, 0) + 1
 
@@ -495,7 +489,6 @@ def canonical_endpoints(config: ScenarioConfig) -> list[EndpointDeclaration]:
                         MOVE_GOAL,
                         {"server": Expr("payload.server"), "deployed": Expr("payload.deployed")},
                     ),
-                    placement=Placement.NEW_INTENTION,
                 ),
             ),
         ),
@@ -509,7 +502,6 @@ def canonical_endpoints(config: ScenarioConfig) -> list[EndpointDeclaration]:
                     inject=EventTemplate(
                         EventCategory.GOAL_ADDED, SWITCH_GOAL, {"type": Expr("payload.subject")}
                     ),
-                    placement=Placement.NEW_INTENTION,
                 ),
             ),
         ),

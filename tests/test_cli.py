@@ -37,6 +37,37 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "exceed capacity" in err and "bad.json" in err
 
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (
+                {
+                    "name": "clash",
+                    "brokers": 1,
+                    "servers": [{"id": "broker-01", "capacity": 2, "preferred-min": 1}],
+                    "services": [{"id": "v1", "type": "web", "initial-server": "broker-01"}],
+                },
+                "collides",
+            ),
+            (
+                {
+                    "name": "unplaceable",
+                    "uniqueness-constraint": True,
+                    "servers": [{"id": "s1", "capacity": 4, "preferred-min": 1}],
+                    "services": [{"id": "v1", "type": "web"}, {"id": "v2", "type": "web"}],
+                },
+                "no legal placement",
+            ),
+        ],
+    )
+    def test_documents_run_rejects_fail_validation(self, doc, message, tmp_path, capsys):
+        path = tmp_path / f"{doc['name']}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestRun:
     def test_writes_trace_and_summary(self, tmp_path, capsys):

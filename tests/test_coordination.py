@@ -10,7 +10,7 @@ from coagent.bdi.events import EventCategory, TOP, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import post_external_event, reasoning_step, run_cycle
 from coagent.bdi.plans import Plan, PlanLibrary
-from coagent.coefficiency import EventTemplate, Placement
+from coagent.coefficiency import EventTemplate
 from coagent.coordination import (
     PUBLISH_ACTION,
     CoordinationInformation,
@@ -21,6 +21,7 @@ from coagent.coordination import (
     ReactionRule,
     RoutingError,
     attach_endpoint,
+    build_publication,
     endpoint_deliver,
     endpoint_module,
     publish,
@@ -259,16 +260,6 @@ class TestCompileEndpoint:
             reasoning_step(hosted)
             assert bare.snapshot_json() == hosted.snapshot_json()
 
-    def test_declared_topics_must_match_rule_topics(self):
-        decl = EndpointDeclaration(
-            process_id="utilization",
-            role="server",
-            publications=capacity_server_decl().publications,
-            topics=("capacity", "unused-topic"),
-        )
-        with pytest.raises(EndpointDeclarationError):
-            attach_endpoint(decl, endpoint_module(decl), host())
-
     def test_publication_guard_event_refs_must_be_extracted(self):
         decl = EndpointDeclaration(
             process_id="p",
@@ -323,7 +314,6 @@ def movable_decl():
                     "move-to",
                     {"server": Expr("payload.server")},
                 ),
-                placement=Placement.NEW_INTENTION,
             ),
         ),
     )
@@ -447,3 +437,86 @@ class TestPublicationEndToEnd:
         assert env.published == []
         dropped = [o for o in cfg.observations if o["kind"] == "event-discarded"]
         assert any(o["reason"] == "no-applicable-plan" for o in dropped)
+
+
+class TestBuildPublication:
+    """The publish action's args, as the host performs them, decode into one publication."""
+
+    @staticmethod
+    def performed_publications():
+        # A broker hosting two processes; "load" and then "region" change.
+        class DecodingEnv:
+            def __init__(self):
+                self.endpoints = {}
+                self.publications = []
+
+            def perform(self, cfg, action, args):
+                assert action == PUBLISH_ACTION
+                self.publications.append(build_publication(self.endpoints, cfg, args, 7))
+
+        env = DecodingEnv()
+        cfg = AgentConfiguration(
+            "broker-01",
+            beliefs=BeliefBase({"region": "eu", "load": 3}),
+            plans=PlanLibrary(),
+            actions=set(),
+            environment=env,
+        )
+        balancing = EndpointDeclaration(
+            process_id="balancing",
+            role="broker",
+            publications=(
+                PublicationRule(
+                    observe=pattern("belief-updated", "load"),
+                    topic="demand-change",
+                    extract=("region",),
+                    extract_event={
+                        "subject": Expr("subject"),
+                        "old": Expr("payload.old"),
+                        "new": Expr("payload.new"),
+                    },
+                ),
+            ),
+        )
+        audit = EndpointDeclaration(
+            process_id="audit",
+            role="broker",
+            publications=(
+                PublicationRule(observe=pattern("belief-updated", "capacity"), topic="audit"),
+                PublicationRule(
+                    observe=pattern("belief-updated", "region"),
+                    topic="region-audit",
+                    extract=("load",),
+                ),
+            ),
+        )
+        for decl in (balancing, audit):
+            endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
+            env.endpoints[endpoint.endpoint_id] = endpoint
+        for key, value in (("load", 5), ("region", "us")):
+            cfg.write_belief(key, value)
+            for _ in range(5):
+                run_cycle(cfg)
+        return env.publications
+
+    def test_payload_holds_extracted_beliefs_then_event_fields(self):
+        by_topic = {info.topic: info for info in self.performed_publications()}
+        payload = by_topic["demand-change"].payload
+        assert list(payload.items()) == [
+            ("region", "eu"),
+            ("subject", "load"),
+            ("old", 3),
+            ("new", 5),
+        ]
+        assert not any(key.startswith("__") for info in by_topic.values() for key in info.payload)
+
+    def test_source_is_the_host_and_tick_is_now(self):
+        publications = self.performed_publications()
+        assert [(info.source, info.publish_tick) for info in publications] == [("broker-01", 7)] * 2
+
+    def test_args_pick_the_endpoint_and_rule_of_their_process(self):
+        publications = sorted(self.performed_publications(), key=lambda info: info.topic)
+        assert [(info.process_id, info.topic, dict(info.payload)) for info in publications] == [
+            ("balancing", "demand-change", {"region": "eu", "subject": "load", "old": 3, "new": 5}),
+            ("audit", "region-audit", {"load": 5}),
+        ]

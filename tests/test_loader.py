@@ -216,7 +216,6 @@ class TestEndpointSection:
                         "extract": ["server", "deployed"],
                     }
                 ],
-                "topics": ["capacity"],
             },
             "endpoints[0]",
         )
@@ -291,7 +290,6 @@ class TestEndpointSection:
                                 "subject": "move-to",
                                 "payload": {"server": "payload.server"},
                             },
-                            "placement": "new-intention",
                         }
                     ],
                 },
@@ -339,6 +337,7 @@ MALFORMED_SCENARIOS = {
         reaction={**REACTION, "inject": {**REACTION["inject"], "payload": ["server"]}}
     ),
     "guard-on-subject": scenario_with_rules(publication={**PUBLICATION, "guard": "subject == 'x'"}),
+    "reaction-placement": scenario_with_rules(reaction={**REACTION, "placement": "current-intention"}),
 }
 
 MALFORMED_PROGRAMS = {

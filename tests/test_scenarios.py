@@ -217,8 +217,8 @@ class TestEndpointDeclarations:
     def test_each_role_shares_one_compiled_module(self):
         state = build_scenario(fleet_config(3))
         modules = {}
-        for endpoint_id, endpoint in state.endpoints.items():
-            modules.setdefault(endpoint_id.split("/")[1], set()).add(id(endpoint.module))
+        for endpoint in state.endpoints.values():
+            modules.setdefault(endpoint.decl.process_id, set()).add(id(endpoint.module))
         # utilization: one server module and one service module; balancing:
         # one service module and one broker module.
         assert {process: len(ids) for process, ids in modules.items()} == {
