@@ -58,7 +58,7 @@ monitor = CoefficientModule(
     ],
 )
 register_module(host, monitor)
-print(f"active mapping entries: {len(host.mapping)}")
+print(f"active mapping entries: {sum(len(entries) for entries in host.mapping.values())}")
 
 for round_number in range(1, 6):
     post_external_event(host, TriggeringEvent(EventCategory.GOAL_ADDED, "work", {}))

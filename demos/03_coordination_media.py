@@ -14,13 +14,12 @@ from coagent.bdi.events import EventCategory, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import run_cycle
 from coagent.bdi.plans import Believe, Plan, PlanLibrary
-from coagent.coefficiency import EventTemplate
+from coagent.coefficiency import EventMappingEntry, EventTemplate
 from coagent.coordination import (
     PUBLISH_ACTION,
     CoordinationMedium,
     EndpointDeclaration,
     PublicationRule,
-    ReactionRule,
     attach_endpoint,
     build_publication,
     endpoint_deliver,
@@ -76,8 +75,8 @@ display_decl = EndpointDeclaration(
     process_id="weather",
     role="service",
     reactions=(
-        ReactionRule(
-            topic="temperature",
+        EventMappingEntry(
+            observe=pattern("message-received", "temperature"),
             inject=EventTemplate(
                 EventCategory.GOAL_ADDED, "show", {"value": Expr("payload.reading")}
             ),

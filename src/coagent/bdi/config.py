@@ -128,7 +128,8 @@ class AgentConfiguration:
         self.observations: list[dict[str, Any]] = []
         # Co-efficient machinery, populated by module registration.
         self.modules: dict[str, Any] = {}
-        self.mapping: list[tuple[str, Any]] = []
+        #: Module id -> its mapping entries, for modules that declare any.
+        self.mapping: dict[str, tuple[Any, ...]] = {}
         self.select_event_override: Callable[["AgentConfiguration"], "AgentConfiguration"] | None = None
         self.observation_hooks: list[Callable[["AgentConfiguration", TriggeringEvent, int | _Top], None]] = []
         self._next_seq = 0

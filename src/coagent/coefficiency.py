@@ -5,15 +5,18 @@ ordered event mapping.  Each mapping entry names an observed event pattern,
 an event template to inject when the pattern fires, a placement (current or
 new intention), and an optional guard condition over the host state.
 
-Registration merges the module elements into the host agent under the module
-namespace and switches event selection to the extended rule: when the
-selected event is observed by the mapping and the guard holds, the
-instantiated template is appended to the event queue with a fresh sequence
-number.  The selected event itself is processed unchanged, and the injected
-event waits its turn like any other; the reasoner keeps full authority.
+One rule, ``apply_mapping``, injects: within one module's entries, the first
+entry whose pattern matches the observed event and whose guard holds has its
+template instantiated and appended to the event queue with a fresh sequence
+number.  Registration merges the module elements into the host under the
+module namespace and extends event selection to apply that rule, once per
+module in registration order, to the selected event.  The selected event
+itself is processed unchanged, and the injected event waits its turn like
+any other; the reasoner keeps full authority.
 
 Plan lifecycle events never enter the event queue; modules observe them
-through a hook on the observation stream, with the same mapping semantics.
+through a hook on the observation stream, and coordination endpoints apply
+the same rule to perceived coordination information.
 """
 
 from __future__ import annotations
@@ -165,8 +168,8 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
 
     Beliefs and plans are merged under the module namespace (export-listed
     names stay unprefixed); belief references inside the module's own plans
-    are rewritten to the namespaced keys.  The module's mapping entries are
-    appended to the host's active mapping in registration order.
+    are rewritten to the namespaced keys.  A module's mapping entries, if it
+    declares any, join the host's active mapping after earlier modules'.
     """
     if mod.module_id in cfg.modules:
         raise ModuleRegistrationError(f"module {mod.module_id!r} already registered")
@@ -196,8 +199,8 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
         cfg.beliefs.set(renames[key], value)  # registration-time merge, no events
     for plan in staged_plans:
         cfg.plans.add(plan)
-    for entry in mod.mapping:
-        cfg.mapping.append((mod.module_id, entry))
+    if mod.mapping:
+        cfg.mapping[mod.module_id] = tuple(mod.mapping)
     cfg.modules[mod.module_id] = mod
     if cfg.select_event_override is None:
         cfg.select_event_override = select_event_coefficient
@@ -208,7 +211,7 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
 def resolve_mapping(
     mapping: Iterable[EventMappingEntry], te: TriggeringEvent
 ) -> EventMappingEntry | None:
-    """First-declared entry whose pattern matches; None if the event is unobserved."""
+    """First entry whose pattern matches (an iterator resumes after it); None if unobserved."""
     for entry in mapping:
         if entry.observe.matches(te):
             return entry
@@ -239,22 +242,31 @@ def select_event_coefficient(cfg: AgentConfiguration) -> AgentConfiguration:
     return cfg
 
 
-def _inject(cfg: AgentConfiguration, te: TriggeringEvent, intention: int | _Top) -> None:
-    """Apply the host's active mapping to one observed event.
+def apply_mapping(
+    cfg: AgentConfiguration,
+    entries: Iterable[EventMappingEntry],
+    te: TriggeringEvent,
+    intention: int | _Top,
+) -> None:
+    """The guarded-injection rule over one module's entries.
 
-    When the guard of the first matching entry holds, its template is
-    instantiated and appended to the queue: paired with the observed event's intention for
-    current-intention placement, or with the empty intention for
-    new-intention placement or when that intention is no longer live (the
-    empty intention has no stack to extend).  Also the observation hook for
-    plan lifecycle events.  A host whose modules declare no mapping entries
-    observes nothing.
+    The first entry whose pattern matches and whose guard holds injects its
+    instantiated template: paired with ``intention`` for current-intention
+    placement, or with the empty intention for new-intention placement or
+    when ``intention`` is no longer live (the empty intention has no stack
+    to extend).
     """
-    if not cfg.mapping:
-        return
-    entry = resolve_mapping((entry for _module_id, entry in cfg.mapping), te)
-    if entry is None or not eval_guard(entry.guard, te, cfg):
-        return
-    if entry.placement is Placement.NEW_INTENTION or intention not in cfg.circumstance.intentions:
-        intention = TOP
-    cfg.append_event(entry.inject.instantiate(te), intention)
+    remaining = iter(entries)
+    while (entry := resolve_mapping(remaining, te)) is not None:
+        if eval_guard(entry.guard, te, cfg):
+            if entry.placement is Placement.NEW_INTENTION or intention not in cfg.circumstance.intentions:
+                intention = TOP
+            cfg.append_event(entry.inject.instantiate(te), intention)
+            return
+
+
+def _inject(cfg: AgentConfiguration, te: TriggeringEvent, intention: int | _Top) -> None:
+    """Apply each module's entries to one observed event; also the plan
+    lifecycle hook.  A host whose modules declare no entries observes nothing."""
+    for entries in cfg.mapping.values():
+        apply_mapping(cfg, entries, te, intention)

@@ -5,8 +5,9 @@ latency, hidden behind a publish/subscribe interface.  Endpoints shield the
 media from agent internals: a publication side observes significant host
 state changes (compiled onto the co-efficient event mapping) and publishes
 extracted data, and a reaction side interprets perceived coordination
-information and injects adjustment events back into the host.  The host
-reasoner keeps authority over every injected event.
+information and injects adjustment events back into the host, through the
+co-efficient injection rule.  The host reasoner keeps authority over every
+injected event.
 
 This module owns the endpoint protocol: ``endpoint_module`` encodes which
 endpoint and rule a publish action comes from, ``build_publication`` decodes
@@ -23,13 +24,14 @@ from typing import Any, Callable, Mapping
 
 from coagent.bdi.config import AgentConfiguration
 from coagent.bdi.events import EventCategory, EventPattern, TOP, TriggeringEvent
-from coagent.bdi.expressions import TRUE, Env, Expr
+from coagent.bdi.expressions import TRUE, Expr
 from coagent.bdi.plans import Act, Plan
 from coagent.coefficiency import (
     CoefficientModule,
     EventMappingEntry,
     EventTemplate,
     Placement,
+    apply_mapping,
     register_module,
 )
 
@@ -147,35 +149,16 @@ class PublicationRule:
 
 
 @dataclass(frozen=True)
-class ReactionRule:
-    """How to react to perceived information: match, guard, injected event.
-
-    The injected event always starts a new course of action: no intention is
-    active at delivery time.
-    """
-
-    topic: str
-    inject: EventTemplate
-    match_payload: Mapping[str, Any] = field(default_factory=dict)
-    guard: Expr | None = None
-
-    def matches(self, info: CoordinationInformation) -> bool:
-        if info.topic != self.topic:
-            return False
-        for key, value in self.match_payload.items():
-            if key not in info.payload or info.payload[key] != value:
-                return False
-        return True
-
-
-@dataclass(frozen=True)
 class EndpointDeclaration:
-    """Declarative endpoint configuration, one per coordination process."""
+    """Declarative endpoint configuration, one per coordination process.
+
+    ``reactions`` are mapping entries on ``message-received``, one named topic each.
+    """
 
     process_id: str
     role: str = ""
     publications: tuple[PublicationRule, ...] = ()
-    reactions: tuple[ReactionRule, ...] = ()
+    reactions: tuple[EventMappingEntry, ...] = ()
 
 
 @dataclass
@@ -226,6 +209,14 @@ def check_declaration(decl: EndpointDeclaration) -> None:
         raise EndpointDeclarationError("endpoint declaration needs a process-id")
     for index, rule in enumerate(decl.publications):
         _check_publication(rule, index)
+    for index, entry in enumerate(decl.reactions):
+        topic = entry.observe.subject
+        one_topic = topic is not None and not topic.endswith("*")
+        if entry.observe.categories != (EventCategory.MESSAGE_RECEIVED,) or not one_topic:
+            raise EndpointDeclarationError(
+                f"reaction-rules[{index}]: a reaction must observe "
+                "'message-received' on one named topic"
+            )
 
 
 def endpoint_module(decl: EndpointDeclaration) -> CoefficientModule:
@@ -275,7 +266,7 @@ def attach_endpoint(
 ) -> CoordinationEndpoint:
     """Register a declaration's module on the host and return the host's endpoint.
 
-    Reaction rules stay on the endpoint and are evaluated at delivery time.
+    Reactions stay on the endpoint and are applied at delivery time.
     """
     register_module(host_cfg, module)
     if decl.publications:
@@ -285,7 +276,7 @@ def attach_endpoint(
         host=host_cfg.agent_id,
         decl=decl,
         module=module,
-        subscriptions=frozenset(rule.topic for rule in decl.reactions),
+        subscriptions=frozenset(entry.observe.subject for entry in decl.reactions),
     )
 
 
@@ -326,26 +317,12 @@ def endpoint_deliver(
     info: CoordinationInformation,
     host_cfg: AgentConfiguration,
 ) -> AgentConfiguration:
-    """Deliver perceived information: the first matching rule with a true
-    guard injects its event; otherwise the host is unchanged."""
+    """Deliver perceived information: the endpoint's reactions observe it as
+    ``message-received <topic>`` and inject a new course of action, or nothing."""
     if info.topic not in endpoint.subscriptions:
         raise RoutingError(
             f"endpoint {endpoint.endpoint_id!r} is not subscribed to {info.topic!r}"
         )
-    for rule in endpoint.decl.reactions:
-        if not rule.matches(info):
-            continue
-        if rule.guard is not None:
-            env = Env(
-                names=host_cfg.beliefs,
-                payload=info.payload,
-                subject=info.topic,
-            )
-            if not rule.guard.as_condition(env):
-                continue
-        perceived = TriggeringEvent(
-            EventCategory.MESSAGE_RECEIVED, info.topic, dict(info.payload)
-        )
-        host_cfg.append_event(rule.inject.instantiate(perceived), TOP)
-        break
+    perceived = TriggeringEvent(EventCategory.MESSAGE_RECEIVED, info.topic, info.payload)
+    apply_mapping(host_cfg, endpoint.decl.reactions, perceived, TOP)
     return host_cfg

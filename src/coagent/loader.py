@@ -42,10 +42,9 @@ from coagent.coordination import (
     EndpointDeclaration,
     EndpointDeclarationError,
     PublicationRule,
-    ReactionRule,
     check_declaration,
 )
-from coagent.scenarios import DemandDelta, ScenarioConfig, ServerSpec, ServiceSpec
+from coagent.scenarios import DemandDelta, ScenarioConfig, ScenarioError, ServerSpec, ServiceSpec
 
 
 class ConfigError(ValueError):
@@ -359,16 +358,19 @@ def parse_publication_rule(obj: Any, path: str) -> PublicationRule:
     )
 
 
-def parse_reaction_rule(obj: Any, path: str) -> ReactionRule:
+def parse_reaction_rule(obj: Any, path: str) -> EventMappingEntry:
     _require(obj, path, dict, "reaction rule")
     _check_keys(obj, path, {"match", "guard", "inject"}, {"match", "inject"})
     match = _require(obj["match"], f"{path}.match", dict, "match")
     _check_keys(match, f"{path}.match", {"topic", "payload"}, {"topic"})
-    return ReactionRule(
-        topic=_require(match["topic"], f"{path}.match.topic", str, "topic"),
-        match_payload=dict(_optional(match, "payload", f"{path}.match", dict, {})),
-        guard=_parse_optional_expr(obj, "guard", path),
+    return EventMappingEntry(
+        observe=EventPattern(
+            categories=(EventCategory.MESSAGE_RECEIVED,),
+            subject=_require(match["topic"], f"{path}.match.topic", str, "topic"),
+            payload=dict(_optional(match, "payload", f"{path}.match", dict, {})),
+        ),
         inject=parse_template(obj["inject"], f"{path}.inject"),
+        guard=_parse_optional_expr(obj, "guard", path),
     )
 
 
@@ -509,7 +511,7 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
     )
     try:
         config.validate()
-    except Exception as exc:
+    except ScenarioError as exc:
         raise _fail(path, str(exc)) from None
     return config
 

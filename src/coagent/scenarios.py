@@ -30,14 +30,13 @@ from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import post_external_event, run_cycle
 from coagent.bdi.plans import Act, Plan, PlanLibrary
-from coagent.coefficiency import EventTemplate
+from coagent.coefficiency import EventMappingEntry, EventTemplate
 from coagent.coordination import (
     PUBLISH_ACTION,
     CoordinationEndpoint,
     CoordinationMedium,
     EndpointDeclaration,
     PublicationRule,
-    ReactionRule,
     attach_endpoint,
     build_publication,
     endpoint_deliver,
@@ -162,6 +161,11 @@ class ScenarioConfig:
         for topic, latency in self.media.items():
             if latency < 0:
                 raise ScenarioError(f"medium {topic!r}: latency must be >= 0")
+        # Both copies of a (role, process-id) would register one module twice.
+        keys = [(decl.role, decl.process_id) for decl in self.endpoints or ()]
+        duplicates = sorted({key for key in keys if keys.count(key) > 1})
+        if duplicates:
+            raise ScenarioError(f"duplicate endpoint declarations (role, process-id): {duplicates}")
 
     @property
     def service_types(self) -> list[str]:
@@ -481,8 +485,8 @@ def canonical_endpoints(config: ScenarioConfig) -> list[EndpointDeclaration]:
             process_id=UTILIZATION_PROCESS,
             role="service",
             reactions=(
-                ReactionRule(
-                    topic=TOPIC_CAPACITY,
+                EventMappingEntry(
+                    observe=pattern(EventCategory.MESSAGE_RECEIVED, TOPIC_CAPACITY),
                     guard=Expr("payload.server != current_server"),
                     inject=EventTemplate(
                         EventCategory.GOAL_ADDED,
@@ -496,8 +500,8 @@ def canonical_endpoints(config: ScenarioConfig) -> list[EndpointDeclaration]:
             process_id=BALANCING_PROCESS,
             role="service",
             reactions=(
-                ReactionRule(
-                    topic=TOPIC_DEMAND,
+                EventMappingEntry(
+                    observe=pattern(EventCategory.MESSAGE_RECEIVED, TOPIC_DEMAND),
                     guard=Expr("payload.new > payload.old and payload.subject != type"),
                     inject=EventTemplate(
                         EventCategory.GOAL_ADDED, SWITCH_GOAL, {"type": Expr("payload.subject")}
@@ -581,8 +585,11 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
     state.changed_servers.update(state.server_services)
 
     declarations = canonical_endpoints(config) if config.endpoints is None else config.endpoints
+    compiled = [(decl, endpoint_module(decl)) for decl in declarations]
     topics = {TOPIC_CAPACITY, TOPIC_DEMAND} | set(config.media)
-    topics.update(rule.topic for decl in declarations for rule in (*decl.publications, *decl.reactions))
+    for decl in declarations:
+        topics.update(rule.topic for rule in decl.publications)
+        topics.update(entry.observe.subject for entry in decl.reactions)
     for topic in sorted(topics):
         state.media[topic] = CoordinationMedium(
             topic=topic, latency=config.media.get(topic, 1), order=RELEASE_ORDER.get(topic)
@@ -631,7 +638,6 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
         state.brokers.append(broker_id)
     state.agents = {agent_id: state.agents[agent_id] for agent_id in sorted(state.agents)}
 
-    compiled = [(decl, endpoint_module(decl)) for decl in declarations]
     for agent_id in state.agent_order:
         for decl, module in compiled:
             if decl.role != roles[agent_id]:

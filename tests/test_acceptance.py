@@ -356,7 +356,7 @@ class TestCriterion7InvariantSuite:
         ep1 = attach_endpoint(decl1, endpoint_module(decl1), host)
         ep2 = attach_endpoint(decl2, endpoint_module(decl2), host)
         assert ep1.module.module_id != ep2.module.module_id
-        assert {mid for mid, _ in host.mapping} == {"ep.p1", "ep.p2"}
+        assert set(host.mapping) == {"ep.p1", "ep.p2"}
         checks.append("coordination: process isolation")
 
         # scenarios: conservation, capacity, uniqueness, polarity, reinforcement,

@@ -81,8 +81,8 @@ class TestRegisterModule:
         cfg = agent()
         register_module(cfg, first)
         register_module(cfg, second)
-        assert [mid for mid, _ in cfg.mapping] == ["m1", "m2"]
-        assert [e.observe.subject for _, e in cfg.mapping] == ["a", "b"]
+        assert list(cfg.mapping) == ["m1", "m2"]
+        assert [e.observe.subject for es in cfg.mapping.values() for e in es] == ["a", "b"]
 
     def test_module_beliefs_are_namespaced_and_references_rewritten(self):
         mod = CoefficientModule(

@@ -10,7 +10,12 @@ from coagent.bdi.events import EventCategory, TOP, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import post_external_event, reasoning_step, run_cycle
 from coagent.bdi.plans import Plan, PlanLibrary
-from coagent.coefficiency import EventTemplate
+from coagent.coefficiency import (
+    CoefficientModule,
+    EventMappingEntry,
+    EventTemplate,
+    register_module,
+)
 from coagent.coordination import (
     PUBLISH_ACTION,
     CoordinationInformation,
@@ -18,7 +23,6 @@ from coagent.coordination import (
     EndpointDeclaration,
     EndpointDeclarationError,
     PublicationRule,
-    ReactionRule,
     RoutingError,
     attach_endpoint,
     build_publication,
@@ -226,7 +230,7 @@ class TestCompileEndpoint:
         cfg = host(beliefs={"server": "s1", "deployed": 1, "capacity": 5, "preferred_min": 3})
         decl = capacity_server_decl()
         endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
-        assert len(cfg.mapping) == 1
+        assert len(cfg.mapping["ep.utilization"]) == 1
         assert len(cfg.plans) == 1
         assert PUBLISH_ACTION in cfg.circumstance.actions
         assert endpoint.subscriptions == frozenset()
@@ -237,7 +241,7 @@ class TestCompileEndpoint:
         cfg = host(beliefs={"server": "s1", "deployed": 1, "capacity": 5, "preferred_min": 3})
         decl = capacity_server_decl()
         attach_endpoint(decl, endpoint_module(decl), cfg)
-        ((_, entry),) = cfg.mapping
+        ((entry,),) = cfg.mapping.values()
         te = TriggeringEvent(EventCategory.BELIEF_UPDATED, "deployed", {"old": 1, "new": 1})
         assert entry.observe.matches(te)
         from coagent.coefficiency import eval_guard
@@ -295,8 +299,8 @@ class TestCompileEndpoint:
         assert first.module.module_id != second.module.module_id
         plan_ids = [p.plan_id for p in cfg.plans.in_order()]
         assert len(plan_ids) == 2 and len(set(plan_ids)) == 2
-        first_entries = [e for mid, e in cfg.mapping if mid == first.module.module_id]
-        second_entries = [e for mid, e in cfg.mapping if mid == second.module.module_id]
+        first_entries = cfg.mapping[first.module.module_id]
+        second_entries = cfg.mapping[second.module.module_id]
         assert len(first_entries) == 1 and len(second_entries) == 1
         assert first_entries[0] is not second_entries[0]
 
@@ -306,8 +310,8 @@ def movable_decl():
         process_id="utilization",
         role="service",
         reactions=(
-            ReactionRule(
-                topic="capacity",
+            EventMappingEntry(
+                observe=pattern("message-received", "capacity"),
                 guard=Expr("payload.server != current_server"),
                 inject=EventTemplate(
                     EventCategory.GOAL_ADDED,
@@ -342,12 +346,12 @@ class TestEndpointDeliver:
             process_id="p",
             role="service",
             reactions=(
-                ReactionRule(
-                    topic="capacity",
+                EventMappingEntry(
+                    observe=pattern("message-received", "capacity"),
                     inject=EventTemplate(EventCategory.GOAL_ADDED, "first", {}),
                 ),
-                ReactionRule(
-                    topic="capacity",
+                EventMappingEntry(
+                    observe=pattern("message-received", "capacity"),
                     inject=EventTemplate(EventCategory.GOAL_ADDED, "second", {}),
                 ),
             ),
@@ -358,25 +362,30 @@ class TestEndpointDeliver:
         subjects = [event.te.subject for event in cfg.circumstance.events]
         assert subjects == ["first"]
 
-    def test_guard_false_falls_through_to_next_rule(self):
-        decl = EndpointDeclaration(
-            process_id="p",
-            role="service",
-            reactions=(
-                ReactionRule(
-                    topic="capacity",
-                    guard=Expr("false"),
-                    inject=EventTemplate(EventCategory.GOAL_ADDED, "first", {}),
-                ),
-                ReactionRule(
-                    topic="capacity",
-                    inject=EventTemplate(EventCategory.GOAL_ADDED, "second", {}),
-                ),
+    @pytest.mark.parametrize("path", ["selection", "delivery"])
+    def test_guard_false_falls_through_to_next_rule(self, path):
+        # One rule on both paths: within a module, the first entry whose
+        # pattern matches and whose guard holds injects.
+        entries = (
+            EventMappingEntry(
+                observe=pattern("message-received", "capacity"),
+                guard=Expr("false"),
+                inject=EventTemplate(EventCategory.GOAL_ADDED, "first", {}),
+            ),
+            EventMappingEntry(
+                observe=pattern("message-received", "capacity"),
+                inject=EventTemplate(EventCategory.GOAL_ADDED, "second", {}),
             ),
         )
         cfg = host()
-        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
-        endpoint_deliver(endpoint, info(), cfg)
+        if path == "selection":
+            register_module(cfg, CoefficientModule("m", mapping=list(entries)))
+            post_external_event(cfg, TriggeringEvent(EventCategory.MESSAGE_RECEIVED, "capacity", {}))
+            run_cycle(cfg)
+        else:
+            decl = EndpointDeclaration(process_id="p", role="service", reactions=entries)
+            endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
+            endpoint_deliver(endpoint, info(), cfg)
         subjects = [event.te.subject for event in cfg.circumstance.events]
         assert subjects == ["second"]
 
@@ -392,9 +401,8 @@ class TestEndpointDeliver:
             process_id="p",
             role="service",
             reactions=(
-                ReactionRule(
-                    topic="capacity",
-                    match_payload={"kind": "beta"},
+                EventMappingEntry(
+                    observe=pattern("message-received", "capacity", {"kind": "beta"}),
                     inject=EventTemplate(EventCategory.GOAL_ADDED, "hit", {}),
                 ),
             ),
@@ -405,6 +413,23 @@ class TestEndpointDeliver:
         assert cfg.circumstance.events == []
         endpoint_deliver(endpoint, info(payload={"kind": "beta"}), cfg)
         assert [e.te.subject for e in cfg.circumstance.events] == ["hit"]
+
+    @pytest.mark.parametrize(
+        "observe",
+        [
+            pattern("goal-added", "capacity"),
+            pattern("message-received"),
+            pattern("message-received", "cap*"),
+            pattern(["message-received", "goal-added"], "capacity"),
+        ],
+    )
+    def test_reaction_must_observe_one_named_topic(self, observe):
+        reaction = EventMappingEntry(
+            observe=observe, inject=EventTemplate(EventCategory.GOAL_ADDED, "hit", {})
+        )
+        decl = EndpointDeclaration(process_id="p", role="service", reactions=(reaction,))
+        with pytest.raises(EndpointDeclarationError, match="reaction-rules\\[0\\]"):
+            endpoint_module(decl)
 
 
 class TestPublicationEndToEnd:
@@ -439,21 +464,24 @@ class TestPublicationEndToEnd:
         assert any(o["reason"] == "no-applicable-plan" for o in dropped)
 
 
+class DecodingEnv:
+    """Decodes every performed publish action into its publication at tick 7."""
+
+    def __init__(self):
+        self.endpoints = {}
+        self.publications = []
+
+    def perform(self, cfg, action, args):
+        assert action == PUBLISH_ACTION
+        self.publications.append(build_publication(self.endpoints, cfg, args, 7))
+
+
 class TestBuildPublication:
     """The publish action's args, as the host performs them, decode into one publication."""
 
     @staticmethod
     def performed_publications():
         # A broker hosting two processes; "load" and then "region" change.
-        class DecodingEnv:
-            def __init__(self):
-                self.endpoints = {}
-                self.publications = []
-
-            def perform(self, cfg, action, args):
-                assert action == PUBLISH_ACTION
-                self.publications.append(build_publication(self.endpoints, cfg, args, 7))
-
         env = DecodingEnv()
         cfg = AgentConfiguration(
             "broker-01",
@@ -520,3 +548,23 @@ class TestBuildPublication:
             ("balancing", "demand-change", {"region": "eu", "subject": "load", "old": 3, "new": 5}),
             ("audit", "region-audit", {"load": 5}),
         ]
+
+    def test_two_endpoints_observing_one_event_both_publish(self):
+        # Each module's entries are applied on their own: the first
+        # endpoint's rule does not shadow the second's on the same event.
+        env = DecodingEnv()
+        cfg = AgentConfiguration("broker-01", beliefs=BeliefBase({"load": 3}), environment=env)
+        for process_id in ("balancing", "audit"):
+            decl = EndpointDeclaration(
+                process_id=process_id,
+                role="broker",
+                publications=(
+                    PublicationRule(observe=pattern("belief-updated", "load"), topic=process_id),
+                ),
+            )
+            endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
+            env.endpoints[endpoint.endpoint_id] = endpoint
+        cfg.write_belief("load", 5)
+        for _ in range(10):
+            run_cycle(cfg)
+        assert [info.process_id for info in env.publications] == ["balancing", "audit"]

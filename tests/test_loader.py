@@ -109,7 +109,7 @@ class TestAgentProgram:
         )
         program = parse_agent_program(doc)
         cfg = build_agent(program)
-        assert len(cfg.mapping) == 1
+        assert len(cfg.mapping["m1"]) == 1
 
     def test_observation_only_injection_rejected(self):
         doc = minimal_program(
@@ -338,6 +338,10 @@ MALFORMED_SCENARIOS = {
     ),
     "guard-on-subject": scenario_with_rules(publication={**PUBLICATION, "guard": "subject == 'x'"}),
     "reaction-placement": scenario_with_rules(reaction={**REACTION, "placement": "current-intention"}),
+    "reaction-topic-prefix": scenario_with_rules(reaction={**REACTION, "match": {"topic": "cap*"}}),
+    "duplicate-endpoint": minimal_scenario(
+        endpoints=[{"process-id": "utilization", "role": "service", "reaction-rules": [REACTION]}] * 2
+    ),
 }
 
 MALFORMED_PROGRAMS = {

@@ -261,7 +261,10 @@ def three_server_config(topic=None):
             replace(
                 decl,
                 publications=tuple(replace(rule, topic=topic) for rule in decl.publications),
-                reactions=tuple(replace(rule, topic=topic) for rule in decl.reactions),
+                reactions=tuple(
+                    replace(entry, observe=replace(entry.observe, subject=topic))
+                    for entry in decl.reactions
+                ),
             )
             for decl in canonical_endpoints(config)
             if decl.process_id == UTILIZATION_PROCESS
