@@ -6,7 +6,9 @@ is the only place that order is written: ``reasoning_step`` applies the entry
 for the current step, and ``run_cycle`` walks the table once, back to message
 processing.  Event selection has one path for both drivers, the table's SelEv
 entry: the selector registered on the configuration (module activation
-extends event selection only), else plain ``select_event``.
+extends event selection only), else plain ``select_event``.  A cycle that
+begins idle (empty inbox, no queued event, no intention) runs only that
+entry and wraps, unless the selector leaves work for the rest of the walk.
 
 Selection functions are fixed deterministically: events are selected in FIFO
 posting order, the applicable plan with the lowest declaration index wins,
@@ -258,6 +260,9 @@ _TRANSITIONS = (
     (Step.CLR_INT, clear_intention),
 )
 
+#: The walk an idle cycle continues with when its selection leaves work.
+_AFTER_SEL_EV = _TRANSITIONS[2:]
+
 
 def reasoning_step(cfg: AgentConfiguration) -> AgentConfiguration:
     """Apply exactly one transition: the table entry for the current step."""
@@ -268,10 +273,28 @@ def reasoning_step(cfg: AgentConfiguration) -> AgentConfiguration:
 
 
 def run_cycle(cfg: AgentConfiguration) -> AgentConfiguration:
-    """Run one full reasoning cycle: one walk of the table, back to ProcMsg."""
+    """Run one full reasoning cycle: one walk of the table, back to ProcMsg.
+
+    An agent that begins the cycle idle -- no inbox message, no queued event,
+    no intention -- runs only the SelEv entry, so the registered selector
+    still runs once, and then ends at ProcMsg with no selected intention:
+    the state the walk leaves, without the transitions that would do
+    nothing.  If the selector leaves another step or an intention, the walk
+    continues from that step.
+    """
     if cfg.step is not Step.PROC_MSG:
         raise ValueError("run_cycle must start at ProcMsg")
-    for step, transition in _TRANSITIONS:
+    circumstance = cfg.circumstance
+    transitions = _TRANSITIONS
+    if not cfg.mail.inbox and not circumstance.events and not circumstance.intentions:
+        cfg.step = Step.SEL_EV
+        _select(cfg)
+        if cfg.step is Step.SEL_INT and not circumstance.intentions:
+            cfg.temp.iota = None
+            cfg.step = Step.PROC_MSG
+            return cfg
+        transitions = _AFTER_SEL_EV
+    for step, transition in transitions:
         if cfg.step is step:
             transition(cfg)
     if cfg.step is not Step.PROC_MSG:

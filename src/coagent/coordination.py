@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Mapping
 
 from coagent.bdi.config import AgentConfiguration
@@ -61,6 +62,12 @@ class CoordinationInformation:
     payload: Mapping[str, Any]
     source: str
     publish_tick: int
+
+    @cached_property
+    def perceived(self) -> TriggeringEvent:
+        """The event every subscriber's reactions observe: ``message-received
+        <topic>`` carrying the payload itself, built once per publication."""
+        return TriggeringEvent(EventCategory.MESSAGE_RECEIVED, self.topic, self.payload)
 
 
 @dataclass
@@ -323,6 +330,5 @@ def endpoint_deliver(
         raise RoutingError(
             f"endpoint {endpoint.endpoint_id!r} is not subscribed to {info.topic!r}"
         )
-    perceived = TriggeringEvent(EventCategory.MESSAGE_RECEIVED, info.topic, info.payload)
-    apply_mapping(host_cfg, endpoint.decl.reactions, perceived, TOP)
+    apply_mapping(host_cfg, endpoint.decl.reactions, info.perceived, TOP)
     return host_cfg

@@ -223,6 +223,8 @@ class SimulationState:
         #: that record's per-server sorted type lists (see ``snapshot_record``).
         self.changed_servers: set[str] = set()
         self.deployments: dict[str, list[str]] = {}
+        #: Underloaded servers, up to date except for ``changed_servers``.
+        self.underloaded_servers: set[str] = set()
         # Per-tick activity counters, reset by the scheduler.
         self.moves = 0
         self.switches = 0
@@ -247,13 +249,18 @@ class SimulationState:
         }
 
     def underloaded_count(self) -> int:
-        """Servers strictly between empty and their preferred utilization."""
-        count = 0
-        for server_id, spec in self.server_specs.items():
-            deployed = self.deployed_count(server_id)
-            if 0 < deployed < spec.preferred_min:
-                count += 1
-        return count
+        """Servers strictly between empty and their preferred utilization.
+
+        Only the servers in ``changed_servers`` are re-checked; every other
+        server kept its deployment count since it was last checked.
+        """
+        underloaded = self.underloaded_servers
+        for server_id in self.changed_servers:
+            if 0 < self.deployed_count(server_id) < self.server_specs[server_id].preferred_min:
+                underloaded.add(server_id)
+            else:
+                underloaded.discard(server_id)
+        return len(underloaded)
 
     def reset_tick_counters(self) -> None:
         self.moves = 0
@@ -266,22 +273,23 @@ class SimulationState:
         """The trace record of the current tick.
 
         Only the servers in ``changed_servers`` get a freshly sorted type
-        list; the others share the previous record's list, which nothing
-        mutates.  ``build_scenario`` marks every server, and the changed ones
-        are visited in id order, so the first record lists the servers
-        sorted and later copies keep that order.
+        list and an underloaded re-check; the others share the previous
+        record's list, which nothing mutates.  ``build_scenario`` marks every
+        server, and the changed ones are visited in id order, so the first
+        record lists the servers sorted and later copies keep that order.
         """
         deployments = dict(self.deployments)
         for server_id in sorted(self.changed_servers):
             deployments[server_id] = sorted(
                 self.service_type[service_id] for service_id in self.server_services[server_id]
             )
+        underloaded = self.underloaded_count()
         self.changed_servers.clear()
         self.deployments = deployments
         return TraceRecord(
             tick=self.tick,
             deployments=deployments,
-            underloaded=self.underloaded_count(),
+            underloaded=underloaded,
             publications=dict(self.publications),
             moves=self.moves,
             switches=self.switches,

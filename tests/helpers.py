@@ -83,10 +83,16 @@ def equivalence_run(seed: int, cycles: int = 20) -> None:
 
 
 def check_trace_safety(trace: list[TraceRecord], config: ScenarioConfig) -> None:
-    """Conservation, capacity safety, and uniqueness safety at every tick."""
+    """Conservation, capacity safety, uniqueness safety, and the underloaded
+    count at every tick."""
     capacities = {server.server_id: server.capacity for server in config.servers}
+    preferred = {server.server_id: server.preferred_min for server in config.servers}
     total_services = len(config.services)
     for record in trace:
+        underloaded = sum(
+            0 < len(types) < preferred[server_id] for server_id, types in record.deployments.items()
+        )
+        assert record.underloaded == underloaded, f"tick {record.tick}: underloaded miscounted"
         deployed = sum(len(types) for types in record.deployments.values())
         assert deployed == total_services, f"tick {record.tick}: conservation violated"
         for server_id, types in record.deployments.items():

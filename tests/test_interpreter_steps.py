@@ -494,6 +494,95 @@ class TestReasoningStepDispatch:
         assert idle_agent.step is Step.PROC_MSG
 
 
+def _entry_state(entry, registered):
+    """An agent at ProcMsg that is idle or holds exactly one kind of work."""
+    cfg = agent([Plan("p", pattern("goal-added", "g1"), (Act("ping", {}),) * 3)])
+    if registered:
+        from coagent.coefficiency import CoefficientModule, register_module
+
+        register_module(cfg, CoefficientModule("m"))
+    if entry == "inbox":
+        cfg.mail.inbox.append(Message("peer", "a", {"v": 1}))
+    elif entry == "event":
+        post_external_event(cfg, goal("g1"))
+    elif entry == "intention":
+        post_external_event(cfg, goal("g1"))
+        run_cycle(cfg)
+        assert len(cfg.circumstance.intentions) == 1 and not cfg.circumstance.events
+    return cfg
+
+
+def _step_until_wrap(cfg):
+    reasoning_step(cfg)
+    while cfg.step is not Step.PROC_MSG:
+        reasoning_step(cfg)
+
+
+def _count_selections(cfg, monkeypatch):
+    """Count ``cfg``'s selector calls: the registered one, else plain ``select_event``."""
+    import coagent.bdi.interpreter as interpreter
+
+    calls = []
+    selector = cfg.select_event_override or interpreter.select_event
+
+    def counting(config):
+        if config is cfg:
+            calls.append(True)
+        return selector(config)
+
+    if cfg.select_event_override is None:
+        monkeypatch.setattr(interpreter, "select_event", counting)
+    else:
+        cfg.select_event_override = counting
+    return calls
+
+
+class TestIdleCycle:
+    """``run_cycle`` ends an idle agent's cycle after selection; every entry
+    state must still leave what the transition-by-transition walk leaves."""
+
+    @pytest.mark.parametrize("registered", [False, True], ids=["plain", "module"])
+    @pytest.mark.parametrize("entry", ["idle", "inbox", "event", "intention"])
+    def test_run_cycle_matches_the_stepped_walk(self, entry, registered, monkeypatch):
+        cycled = _entry_state(entry, registered)
+        stepped = _entry_state(entry, registered)
+        calls = _count_selections(cycled, monkeypatch)
+        for cycle in range(1, 5):
+            run_cycle(cycled)
+            _step_until_wrap(stepped)
+            assert cycled.snapshot_json() == stepped.snapshot_json()
+            assert len(calls) == cycle
+
+    def test_idle_cycle_wraps_with_no_selected_intention(self, idle_agent):
+        idle_agent.temp.iota = 7  # stale: the wrap must clear it as SelInt does
+        run_cycle(idle_agent)
+        assert idle_agent.step is Step.PROC_MSG
+        assert idle_agent.temp.iota is None
+
+    @pytest.mark.parametrize("append_first", [True, False], ids=["then-select", "after-select"])
+    def test_selector_that_queues_an_event_continues_the_walk(self, append_first, monkeypatch):
+        def appending(cfg):
+            if append_first:
+                cfg.append_event(goal("g1"), TOP)
+            select_event(cfg)
+            if not append_first:
+                cfg.append_event(goal("g1"), TOP)
+            return cfg
+
+        cycled = _entry_state("idle", registered=False)
+        stepped = _entry_state("idle", registered=False)
+        cycled.select_event_override = stepped.select_event_override = appending
+        calls = _count_selections(cycled, monkeypatch)
+        run_cycle(cycled)
+        _step_until_wrap(stepped)
+        assert cycled.snapshot_json() == stepped.snapshot_json()
+        assert calls == [True]
+        if append_first:
+            assert len(cycled.circumstance.intentions) == 1
+        else:
+            assert len(cycled.circumstance.events) == 1
+
+
 class TestPostExternalEvent:
     def test_event_appended_with_top_intention(self, idle_agent):
         post_external_event(idle_agent, goal("g1"))

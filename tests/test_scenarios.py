@@ -628,6 +628,18 @@ class TestSnapshotRecord:
                 for server_id, types in after.deployments.items():
                     assert types is before.deployments[server_id]
 
+    def test_underloaded_count_follows_moves_before_the_next_record(self):
+        state = build_scenario(two_server_config())
+        assert state.underloaded_count() == 1
+        assert move_service(state, "svc-01", "server-02")  # server-02 at 2 of 3
+        assert state.underloaded_count() == 1
+        assert move_service(state, "svc-02", "server-02")  # both servers at 3
+        assert state.underloaded_count() == 0
+        assert state.snapshot_record().underloaded == 0
+        assert move_service(state, "svc-03", "server-02")  # server-01 at 2 of 3
+        assert state.snapshot_record().underloaded == 1
+        assert summary(state)["underloaded"] == 1
+
 
 class TestObservationRecording:
     def test_scenario_agents_keep_no_observation_records(self):
