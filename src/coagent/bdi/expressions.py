@@ -54,6 +54,9 @@ _CMP_OPS = {
 }
 
 _BIN_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+#: The operand types arithmetic takes; any other operand (UNDEFINED, a bool, a
+#: str, a container) makes the result UNDEFINED.
+_NUMBERS = (int, float)
 
 
 def _truth(value: Any) -> bool:
@@ -89,7 +92,7 @@ def _compile(node: ast.AST, source: str) -> Callable[["Env"], Any]:
 
         def negation(env: Env) -> Any:
             value = operand(env)
-            if value is UNDEFINED or isinstance(value, (bool, str)):
+            if type(value) not in _NUMBERS:
                 return UNDEFINED
             return -value
 
@@ -126,11 +129,11 @@ def _compile(node: ast.AST, source: str) -> Callable[["Env"], Any]:
 
         def arithmetic(env: Env) -> Any:
             left, right = lhs(env), rhs(env)
-            if left is UNDEFINED or right is UNDEFINED:
+            if type(left) not in _NUMBERS or type(right) not in _NUMBERS:
                 return UNDEFINED
             try:
                 return combine(left, right)
-            except (TypeError, ZeroDivisionError):
+            except ZeroDivisionError:
                 return UNDEFINED
 
         return arithmetic

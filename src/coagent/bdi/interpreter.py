@@ -15,13 +15,20 @@ posting order, the applicable plan with the lowest declaration index wins,
 and intentions are scheduled round-robin over intention ids with a persisted
 cursor.  Events whose relevant or applicable plan set is empty are discarded,
 never re-queued; a discarded achievement-goal event fails the plan record
-waiting on it.  An unknown action, a failed expression, or a failed subgoal
-fails the enclosing plan and emits a goal-failed event; there is no retry.
+waiting on it.  An unknown action or a failed expression fails the enclosing
+plan; there is no retry.
+
+A plan record closes by one rule, whether it finished or failed: if it was
+an achievement goal, the goal's outcome (goal-succeeded or goal-failed) goes
+to the record below, paired with the intention, or to TOP when the stack is
+empty.  A failure climbs the stack for as long as the record below was
+waiting on the failed goal.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from typing import Any, Mapping
 
 from coagent.bdi.config import (
     ActionFault,
@@ -31,7 +38,7 @@ from coagent.bdi.config import (
     Step,
 )
 from coagent.bdi.events import TOP, Event, EventCategory, TriggeringEvent
-from coagent.bdi.expressions import Env, ExpressionEvalError
+from coagent.bdi.expressions import Env, Expr, ExpressionEvalError
 from coagent.bdi.plans import Act, Believe, Intention, PlanRecord, Send, Subgoal, Unbelieve
 
 
@@ -177,43 +184,28 @@ def execute_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     if not intention.is_runnable(cfg.plans):
         raise ConfigurationCorruption(f"selected intention {iota!r} is not runnable")
     record = intention.top
-    plan = cfg.plans.get(record.plan_id)
-    step = plan.body[record.pc]
-    env = Env(
-        names=cfg.beliefs,
-        payload=record.bindings,
-        subject=record.trigger_te.subject,
-    )
+    step = cfg.plans.get(record.plan_id).body[record.pc]
+    env = Env(names=cfg.beliefs, payload=record.bindings, subject=record.trigger_te.subject)
+    posted = None  # the event this step posts on its own intention
     try:
         if isinstance(step, Act):
             if step.name not in cfg.circumstance.actions:
                 raise ActionFault(f"unknown action {step.name!r}")
-            args = {key: expr.as_value(env) for key, expr in step.args.items()}
-            cfg.environment.perform(cfg, step.name, args)
-            record.pc += 1
+            cfg.environment.perform(cfg, step.name, _evaluate(step.args, env))
         elif isinstance(step, Subgoal):
-            args = {key: expr.as_value(env) for key, expr in step.args.items()}
-            te = TriggeringEvent(EventCategory.GOAL_ADDED, step.goal, args)
-            cfg.append_event(te, intention.intention_id)
+            posted = TriggeringEvent(EventCategory.GOAL_ADDED, step.goal, _evaluate(step.args, env))
             record.waiting_on = step.goal
-            record.pc += 1
         elif isinstance(step, Believe):
-            value = step.value.as_value(env)
-            te = cfg.beliefs.set(step.key, value)
-            if te is not None:
-                cfg.append_event(te, intention.intention_id)
-            record.pc += 1
+            posted = cfg.beliefs.set(step.key, step.value.as_value(env))
         elif isinstance(step, Unbelieve):
-            te = cfg.beliefs.remove(step.key)
-            if te is not None:
-                cfg.append_event(te, intention.intention_id)
-            record.pc += 1
+            posted = cfg.beliefs.remove(step.key)
         elif isinstance(step, Send):
-            payload = {key: expr.as_value(env) for key, expr in step.payload.items()}
-            cfg.mail.outbox.append(Message(cfg.agent_id, step.to, payload))
-            record.pc += 1
+            cfg.mail.outbox.append(Message(cfg.agent_id, step.to, _evaluate(step.payload, env)))
         else:  # pragma: no cover - exhaustive over BodyStep
             raise ConfigurationCorruption(f"unknown body step {step!r}")
+        if posted is not None:
+            cfg.append_event(posted, intention.intention_id)
+        record.pc += 1
     except (ActionFault, ExpressionEvalError) as fault:
         cfg.observe(
             "plan-failed",
@@ -321,6 +313,16 @@ def _clear_temp(cfg: AgentConfiguration) -> None:
     cfg.temp.applicable = []
 
 
+def _evaluate(args: Mapping[str, Expr], env: Env) -> dict[str, Any]:
+    """Evaluate the argument map of an Act, Subgoal or Send step."""
+    return {key: expr.as_value(env) for key, expr in args.items()}
+
+
+def _outcome(category: EventCategory, goal: TriggeringEvent) -> TriggeringEvent:
+    """A goal's outcome event: its subject and a copy of its payload."""
+    return TriggeringEvent(category, goal.subject, dict(goal.payload))
+
+
 def _discard_selected_event(cfg: AgentConfiguration, reason: str) -> None:
     """Drop the selected event; a dropped pending subgoal fails its waiter."""
     epsilon = cfg.temp.epsilon
@@ -334,75 +336,53 @@ def _discard_selected_event(cfg: AgentConfiguration, reason: str) -> None:
             and intention.top.waiting_on == epsilon.te.subject
         ):
             cfg.append_event(
-                TriggeringEvent(
-                    EventCategory.GOAL_FAILED, epsilon.te.subject, dict(epsilon.te.payload)
-                ),
-                intention.intention_id,
+                _outcome(EventCategory.GOAL_FAILED, epsilon.te), intention.intention_id
             )
             intention.top.waiting_on = None
             _fail_top_record(cfg, intention)
     _clear_temp(cfg)
 
 
+def _close_top_record(
+    cfg: AgentConfiguration, intention: Intention, outcome: EventCategory
+) -> bool:
+    """Pop the top record; the one rule that reports a goal's outcome.
+
+    An achievement-goal record posts ``outcome`` for its goal to the record
+    below, paired with the intention, or to TOP once the stack is empty.
+    Returns whether the record below had been waiting on that goal; it
+    waits no longer.
+    """
+    goal = intention.stack.pop().trigger_te
+    if goal.category is not EventCategory.GOAL_ADDED:
+        return False
+    below = intention.top if intention.stack else None
+    cfg.append_event(_outcome(outcome, goal), TOP if below is None else intention.intention_id)
+    if below is None or below.waiting_on != goal.subject:
+        return False
+    below.waiting_on = None
+    return True
+
+
 def _fail_top_record(cfg: AgentConfiguration, intention: Intention) -> None:
-    """Pop the failing top record; cascade through parents waiting on it."""
-    while intention.stack:
-        record = intention.stack.pop()
-        failed_goal = (
-            record.trigger_te
-            if record.trigger_te.category is EventCategory.GOAL_ADDED
-            else None
-        )
-        if intention.stack:
-            if failed_goal is None:
-                break
-            cfg.append_event(
-                TriggeringEvent(
-                    EventCategory.GOAL_FAILED, failed_goal.subject, dict(failed_goal.payload)
-                ),
-                intention.intention_id,
-            )
-            below = intention.top
-            if below.waiting_on == failed_goal.subject:
-                below.waiting_on = None
-                continue
-            break
-        if failed_goal is not None:
-            cfg.append_event(
-                TriggeringEvent(
-                    EventCategory.GOAL_FAILED, failed_goal.subject, dict(failed_goal.payload)
-                ),
-                TOP,
-            )
+    """Fail the top record, and each record below for as long as it waited."""
+    while _close_top_record(cfg, intention, EventCategory.GOAL_FAILED):
+        pass
+    if not intention.stack:
         _remove_intention(cfg, intention.intention_id)
-        break
 
 
 def _pop_finished(cfg: AgentConfiguration, intention: Intention) -> None:
+    """Close finished top records with goal-succeeded; drop an emptied intention."""
     while intention.stack:
         top = intention.top
-        if top.waiting_on is not None:
+        if top.waiting_on is not None or top.pc < len(cfg.plans.get(top.plan_id).body):
             break
-        if top.pc < len(cfg.plans.get(top.plan_id).body):
-            break
-        intention.stack.pop()
         finished = TriggeringEvent(EventCategory.PLAN_FINISHED, top.plan_id, {})
         cfg.observe(
             "plan-finished", te=finished, intention=intention.intention_id, notify=True
         )
-        if top.trigger_te.category is EventCategory.GOAL_ADDED:
-            succeeded = TriggeringEvent(
-                EventCategory.GOAL_SUCCEEDED,
-                top.trigger_te.subject,
-                dict(top.trigger_te.payload),
-            )
-            if intention.stack:
-                cfg.append_event(succeeded, intention.intention_id)
-                below = intention.top
-                if below.waiting_on == top.trigger_te.subject:
-                    below.waiting_on = None
-            else:
-                cfg.append_event(succeeded, TOP)
+        _close_top_record(cfg, intention, EventCategory.GOAL_SUCCEEDED)
     if not intention.stack:
         _remove_intention(cfg, intention.intention_id)
 

@@ -189,9 +189,6 @@ class TraceRecord:
     rejected_switches: int
     demand: dict[str, int]
 
-    def total_deployed(self) -> int:
-        return sum(len(types) for types in self.deployments.values())
-
     def type_counts(self, types: Iterable[str]) -> dict[str, int]:
         counts = {service_type: 0 for service_type in types}
         for deployed in self.deployments.values():

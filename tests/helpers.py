@@ -48,13 +48,48 @@ def check_structural_invariants(cfg: AgentConfiguration) -> None:
         assert set(cfg.temp.applicable) <= set(cfg.temp.relevant), "Ap not within R"
 
 
+def same_snapshot(a, b) -> bool:
+    """Type-strict structural equality of two ``snapshot()`` values.
+
+    At least as strict as comparing their canonical JSON text: the same key
+    sets, the same list lengths and order, ``type(a) is type(b)`` at every
+    node (no bool/int/float or tuple/list coercion), and float leaves
+    compared by ``repr``, so ``-0.0`` and ``0.0`` still differ.
+
+    Equal ``repr`` texts settle it without a walk: over the JSON types a
+    snapshot holds, ``repr`` tells list from tuple, bool from int, int from
+    float and ``-0.0`` from ``0.0``.  Otherwise the walk decides, since the
+    texts also differ when only dict key order does; it raises
+    ``TypeError`` on a key or leaf that is not a JSON type.
+    """
+    return repr(a) == repr(b) or _same_structure(a, b)
+
+
+def _same_structure(a, b) -> bool:
+    kind = type(a)
+    if kind is not type(b):
+        return False
+    if kind is dict:
+        if any(type(key) is not str for key in a):
+            raise TypeError(f"snapshot key is not a str: {a!r}")
+        return a.keys() == b.keys() and all(_same_structure(a[key], b[key]) for key in a)
+    if kind is list or kind is tuple:
+        return len(a) == len(b) and all(map(_same_structure, a, b))
+    if kind is float:
+        return repr(a) == repr(b)
+    if kind in (str, int, bool) or a is None:
+        return a == b
+    raise TypeError(f"snapshot leaf of type {kind.__name__}: {a!r}")
+
+
 def equivalence_run(seed: int, cycles: int = 20) -> None:
     """One randomized main-vs-reference comparison; raises on divergence.
 
     Two pairs of twins run the same program: one pair is compared after every
     transition (``reasoning_step``), the other after every full cycle
     (``run_cycle`` against ``reference_cycle``), because the two drivers
-    reach the transitions by separate code.
+    reach the transitions by separate code.  Snapshots are compared with
+    ``same_snapshot``; JSON is rendered only for the failure message.
     """
     rng = random.Random(seed)
     program = random_program(rng)
@@ -66,7 +101,7 @@ def equivalence_run(seed: int, cycles: int = 20) -> None:
         run_cycle(cycled)
         reference_cycle(ref_cycled)
         check_structural_invariants(cycled)
-        if cycled.snapshot_json() != ref_cycled.snapshot_json():
+        if not same_snapshot(cycled.snapshot(), ref_cycled.snapshot()):
             raise AssertionError(
                 f"seed {seed}: divergence after cycle {cycle_index}\n"
                 f"main: {cycled.snapshot_json()}\nref : {ref_cycled.snapshot_json()}"
@@ -75,7 +110,7 @@ def equivalence_run(seed: int, cycles: int = 20) -> None:
         reasoning_step(main)
         reference_step(ref)
         check_structural_invariants(main)
-        if main.snapshot_json() != ref.snapshot_json():
+        if not same_snapshot(main.snapshot(), ref.snapshot()):
             raise AssertionError(
                 f"seed {seed}: divergence after step {step_index}\n"
                 f"main: {main.snapshot_json()}\nref : {ref.snapshot_json()}"

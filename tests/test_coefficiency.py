@@ -9,7 +9,7 @@ from coagent.bdi.config import AgentConfiguration, Step
 from coagent.bdi.events import TOP, EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import post_external_event, reasoning_step, run_cycle, select_event
-from coagent.bdi.plans import Act, Believe, Plan, PlanLibrary
+from coagent.bdi.plans import Act, Believe, Plan, PlanLibrary, Subgoal
 from coagent.coefficiency import (
     CoefficientModule,
     EventMappingEntry,
@@ -341,6 +341,48 @@ class TestObservationStreamMatching:
         run_cycle(cfg)
         subjects = [event.te.subject for event in cfg.circumstance.events]
         assert "audit.done" in subjects
+
+    def test_plan_finished_hook_runs_before_the_goal_outcome(self):
+        # A finished record is observed, then closed: the hook's injection
+        # queues ahead of the goal-succeeded event, while the intention is
+        # still listed, so current-intention placement pairs it with that
+        # intention; dropping the intention re-pairs both with TOP.
+        cfg = agent(
+            plans=[
+                Plan("top", pattern("goal-added", "g"), (Subgoal("h", {}), Act("ping", {}))),
+                Plan("sub", pattern("goal-added", "h"), (Act("ping", {}),)),
+            ]
+        )
+        module = CoefficientModule(
+            "audit",
+            mapping=[
+                EventMappingEntry(
+                    observe=pattern("plan-finished", "*"),
+                    inject=EventTemplate(EventCategory.GOAL_ADDED, "audit", {}),
+                    placement=Placement.CURRENT_INTENTION,
+                )
+            ],
+        )
+        register_module(cfg, module)
+        post_external_event(cfg, TriggeringEvent(EventCategory.GOAL_ADDED, "g", {}))
+        run_cycle(cfg)  # top posts h and waits on it
+
+        def queue():
+            return [
+                (event.te.category.value, event.te.subject, event.intention)
+                for event in cfg.circumstance.events
+            ]
+
+        run_cycle(cfg)  # sub runs and finishes
+        assert queue() == [("goal-added", "audit", 1), ("goal-succeeded", "h", 1)]
+        assert cfg.circumstance.intentions[1].top.waiting_on is None
+        run_cycle(cfg)  # audit is discarded; top runs ping and finishes
+        assert queue() == [
+            ("goal-succeeded", "h", TOP),
+            ("goal-added", "audit", TOP),
+            ("goal-succeeded", "g", TOP),
+        ]
+        assert cfg.circumstance.intentions == {}
 
     @pytest.mark.parametrize("lifecycle", ["plan-started", "plan-finished"])
     def test_injection_does_not_depend_on_recording(self, lifecycle):

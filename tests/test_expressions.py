@@ -127,6 +127,22 @@ class TestValueMode:
         assert Expr("1 < missing < 5").as_value(Env()) is False
         assert Expr("missing or 1 > 0").as_value(Env()) is True
 
+    @pytest.mark.parametrize(
+        "source, payload",
+        [
+            ("'ab' * 3", {}),
+            ("payload.x * 2", {"x": "ab"}),
+            ("true + 1", {}),
+            ("payload.x * 2", {"x": [1]}),
+            ("-payload.x", {"x": [1]}),
+        ],
+    )
+    def test_arithmetic_takes_numbers_only(self, source, payload):
+        assert Expr(source).evaluate(Env(payload=payload)) is UNDEFINED
+
+    def test_arithmetic_mixes_int_and_float(self):
+        assert Expr("payload.x * 2 + 0.5").as_value(Env(payload={"x": 3})) == 6.5
+
     def test_evaluate_returns_undefined_sentinel(self):
         assert Expr("x + 1").evaluate(Env(names={})) is UNDEFINED
 

@@ -15,12 +15,38 @@ from coagent.bdi.interpreter import post_external_event, reasoning_step
 from coagent.bdi.plans import Act, Believe, Plan, PlanLibrary, Subgoal, Unbelieve
 from coagent.bdi.reference import reference_step
 
-from tests.helpers import equivalence_run
+from tests.helpers import equivalence_run, same_snapshot
 
 
 @pytest.mark.parametrize("seed", range(0, 120))
 def test_randomized_equivalence_sample(seed):
     equivalence_run(seed, cycles=20)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (-0.0, 0.0),
+        (True, 1),
+        (1, 1.0),
+        ((1,), [1]),
+        ({"x": 1}, {"x": 1, "y": 2}),
+        ([{"x": [1, 2]}], [{"x": [2, 1]}]),
+        ({"x": {"y": False}}, {"x": {"y": 0}}),
+    ],
+)
+def test_same_snapshot_is_type_strict(a, b):
+    assert not same_snapshot(a, b)
+    assert not same_snapshot(b, a)
+
+
+def test_same_snapshot_ignores_dict_key_order():
+    assert same_snapshot({"x": 1, "y": [0.5, None]}, {"y": [0.5, None], "x": 1})
+
+
+def test_same_snapshot_rejects_non_json_values():
+    with pytest.raises(TypeError):
+        same_snapshot({"x": object(), "y": 1}, {"y": 1, "x": object()})
 
 
 def _twin_agents(plans, beliefs, events):

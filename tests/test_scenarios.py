@@ -666,7 +666,7 @@ class TestTraceOutputs:
         record = trace[0]
         assert record.tick == 0
         assert set(record.deployments) == {"server-01", "server-02"}
-        assert record.total_deployed() == 6
+        assert sum(len(types) for types in record.deployments.values()) == 6
         assert set(record.publications) == {"capacity", "demand-change"}
 
     def test_summary_contents(self):
