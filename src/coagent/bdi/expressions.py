@@ -4,7 +4,7 @@ Expressions are written in a restricted Python-syntax subset: numeric and
 string literals, ``true``/``false``, belief references by bare name, event
 binding references via ``payload.<key>`` and ``subject``, arithmetic
 (``+ - * /``), comparisons (``< <= == != >= >``), boolean connectives
-(``and or not``), and the functions ``abs``, ``min``, ``max``.
+(``and or not``), and the functions ``abs``, ``min``, ``max`` over numbers.
 
 Expressions are checked and compiled once, when configuration is loaded;
 evaluation never raises in condition position.  A reference to an absent
@@ -54,8 +54,8 @@ _CMP_OPS = {
 }
 
 _BIN_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
-#: The operand types arithmetic takes; any other operand (UNDEFINED, a bool, a
-#: str, a container) makes the result UNDEFINED.
+#: The operand types arithmetic and function calls take; any other operand
+#: (UNDEFINED, a bool, a str, a container) makes the result UNDEFINED.
 _NUMBERS = (int, float)
 
 
@@ -147,11 +147,11 @@ def _compile(node: ast.AST, source: str) -> Callable[["Env"], Any]:
 
         def call(env: Env) -> Any:
             args = [param(env) for param in params]
-            if UNDEFINED in args:
+            if any(type(arg) not in _NUMBERS for arg in args):
                 return UNDEFINED
             try:
                 return func(*args)
-            except (TypeError, ValueError):
+            except TypeError:  # the wrong number of arguments
                 return UNDEFINED
 
         return call

@@ -145,8 +145,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_validate(args: argparse.Namespace) -> int:
     try:
         config = load_scenario(args.scenario)
-        build_scenario(config)
-    except (ConfigError, ScenarioError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     print(

@@ -44,7 +44,7 @@ from coagent.coordination import (
     PublicationRule,
     check_declaration,
 )
-from coagent.scenarios import DemandDelta, ScenarioConfig, ScenarioError, ServerSpec, ServiceSpec
+from coagent.scenarios import ROLES, DemandDelta, ScenarioConfig, ScenarioError, ServerSpec, ServiceSpec
 
 
 class ConfigError(ValueError):
@@ -391,8 +391,8 @@ def parse_endpoint_declaration(obj: Any, path: str) -> EndpointDeclaration:
         for index, rule in enumerate(_optional(obj, "reaction-rules", path, list, []))
     )
     role = _require(obj["role"], f"{path}.role", str, "role")
-    if role not in {"server", "service", "broker"}:
-        raise _fail(f"{path}.role", f"role must be server/service/broker, got {role!r}")
+    if role not in ROLES:
+        raise _fail(f"{path}.role", f"role must be {'/'.join(ROLES)}, got {role!r}")
     decl = EndpointDeclaration(
         process_id=_require(obj["process-id"], f"{path}.process-id", str, "process id"),
         role=role,

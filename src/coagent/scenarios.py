@@ -11,6 +11,11 @@ movable service endpoints, and demand brokers:
   service type toward the demanded one, subject to a per-server uniqueness
   constraint.
 
+One deployment rule, ``admits`` (capacity, and uniqueness under the
+constraint), settles the initial placement, every move and every switch.
+Each change to a server refreshes its per-server views at once, so a trace
+record is a copy of them.
+
 The simulation loop is single-threaded and owns all agents and media.  Each
 tick applies scheduled demand deltas, runs one full reasoning cycle per agent
 in stable agent-id order, ticks all media, delivers due publications, and
@@ -54,9 +59,19 @@ BALANCING_PROCESS = "balancing"
 MOVE_GOAL = "move-to"
 SWITCH_GOAL = "switch-to"
 
+#: The agent roles an endpoint declaration can name.
+ROLES = ("server", "service", "broker")
+
 
 class ScenarioError(ValueError):
     """Scenario configuration violates a build invariant."""
+
+
+def admits(types: list[str], capacity: int, service_type: str, uniqueness: bool) -> bool:
+    """The deployment rule: whether a server offering ``types`` can take one
+    more service of ``service_type`` without exceeding its capacity or, under
+    the uniqueness constraint, offering a type twice."""
+    return len(types) < capacity and not (uniqueness and service_type in types)
 
 
 @dataclass(frozen=True)
@@ -101,7 +116,14 @@ class ScenarioConfig:
     #: None selects ``canonical_endpoints(config)``.
     endpoints: list[EndpointDeclaration] | None = None
 
-    def validate(self) -> None:
+    def validate(self) -> dict[str, str]:
+        """Check the build invariants; return the initial placement.
+
+        The placement maps each service id to its server.  Services naming an
+        initial server are placed first, then the others, each group in
+        document order; an unnamed service draws one of the servers that
+        ``admits`` it from ``random.Random(seed)``.
+        """
         if self.ticks < 0:
             raise ScenarioError("ticks must be >= 0")
         if self.brokers < 0:
@@ -123,34 +145,13 @@ class ScenarioConfig:
                 raise ScenarioError(
                     f"server {server.server_id!r}: preferred-min must be in (0, capacity]"
                 )
-        server_ids = {server.server_id for server in self.servers}
-        counts: dict[str, int] = {server_id: 0 for server_id in server_ids}
-        typed: set[tuple[str, str]] = set()
         for service in self.services:
             if service.service_id in seen:
                 raise ScenarioError(f"duplicate service id {service.service_id!r}")
             seen.add(service.service_id)
-            target = service.initial_server
-            if target is None:
-                continue
-            if target not in server_ids:
-                raise ScenarioError(
-                    f"service {service.service_id!r}: unknown initial-server {target!r}"
-                )
-            counts[target] += 1
-            key = (target, service.service_type)
-            if self.uniqueness_constraint and key in typed:
-                raise ScenarioError(
-                    f"service {service.service_id!r}: type {service.service_type!r} "
-                    f"already deployed on {target!r} (uniqueness constraint)"
-                )
-            typed.add(key)
-        for server in self.servers:
-            if counts[server.server_id] > server.capacity:
-                raise ScenarioError(
-                    f"server {server.server_id!r}: initial deployments "
-                    f"({counts[server.server_id]}) exceed capacity ({server.capacity})"
-                )
+        for broker_id in self.broker_ids:
+            if broker_id in seen:
+                raise ScenarioError(f"broker id {broker_id!r} collides with a configured agent")
         for entry in self.demand_schedule:
             if entry.tick < 0:
                 raise ScenarioError("demand-schedule ticks must be >= 0")
@@ -166,6 +167,43 @@ class ScenarioConfig:
         duplicates = sorted({key for key in keys if keys.count(key) > 1})
         if duplicates:
             raise ScenarioError(f"duplicate endpoint declarations (role, process-id): {duplicates}")
+
+        uniqueness = self.uniqueness_constraint
+        types: dict[str, list[str]] = {server.server_id: [] for server in self.servers}
+        capacity = {server.server_id: server.capacity for server in self.servers}
+        rng = random.Random(self.seed)
+        placement: dict[str, str] = {}
+        rule = "capacity or break the uniqueness constraint" if uniqueness else "capacity"
+        for service in sorted(self.services, key=lambda service: service.initial_server is None):
+            target = service.initial_server
+            if target is None:
+                eligible = [
+                    server_id
+                    for server_id, deployed in types.items()
+                    if admits(deployed, capacity[server_id], service.service_type, uniqueness)
+                ]
+                if not eligible:
+                    raise ScenarioError(
+                        f"no legal placement for service {service.service_id!r}: "
+                        f"every server would exceed {rule}"
+                    )
+                target = rng.choice(eligible)
+            elif target not in types:
+                raise ScenarioError(
+                    f"service {service.service_id!r}: unknown initial-server {target!r}"
+                )
+            elif not admits(types[target], capacity[target], service.service_type, uniqueness):
+                raise ScenarioError(
+                    f"service {service.service_id!r}: initial deployments on {target!r} "
+                    f"would exceed {rule}"
+                )
+            types[target].append(service.service_type)
+            placement[service.service_id] = target
+        return placement
+
+    @property
+    def broker_ids(self) -> list[str]:
+        return [f"broker-{index + 1:02d}" for index in range(self.brokers)]
 
     @property
     def service_types(self) -> list[str]:
@@ -216,11 +254,10 @@ class SimulationState:
         self.service_type: dict[str, str] = {}
         self.demand: dict[str, int] = dict(config.demand)
         self.types: list[str] = config.service_types
-        #: Servers whose deployments changed since the last trace record, and
-        #: that record's per-server sorted type lists (see ``snapshot_record``).
-        self.changed_servers: set[str] = set()
+        #: Per server, in id order, the sorted types it offers, and the servers
+        #: strictly between empty and their preferred utilization; both kept
+        #: current by ``refresh_server``.
         self.deployments: dict[str, list[str]] = {}
-        #: Underloaded servers, up to date except for ``changed_servers``.
         self.underloaded_servers: set[str] = set()
         # Per-tick activity counters, reset by the scheduler.
         self.moves = 0
@@ -237,27 +274,18 @@ class SimulationState:
     def deployed_count(self, server_id: str) -> int:
         return len(self.server_services[server_id])
 
-    def deployed_types(self, server_id: str, excluding: str | None = None) -> set[str]:
-        """The types offered on a server, leaving out service ``excluding``."""
-        return {
-            self.service_type[other]
-            for other in self.server_services[server_id]
-            if other != excluding
-        }
+    def refresh_server(self, server_id: str) -> None:
+        """Bring one server's views up to date after its services changed.
 
-    def underloaded_count(self) -> int:
-        """Servers strictly between empty and their preferred utilization.
-
-        Only the servers in ``changed_servers`` are re-checked; every other
-        server kept its deployment count since it was last checked.
+        The type list is replaced, never mutated, so trace records can share
+        the lists of the servers that did not change.
         """
-        underloaded = self.underloaded_servers
-        for server_id in self.changed_servers:
-            if 0 < self.deployed_count(server_id) < self.server_specs[server_id].preferred_min:
-                underloaded.add(server_id)
-            else:
-                underloaded.discard(server_id)
-        return len(underloaded)
+        services = self.server_services[server_id]
+        self.deployments[server_id] = sorted(self.service_type[service] for service in services)
+        if 0 < len(services) < self.server_specs[server_id].preferred_min:
+            self.underloaded_servers.add(server_id)
+        else:
+            self.underloaded_servers.discard(server_id)
 
     def reset_tick_counters(self) -> None:
         self.moves = 0
@@ -267,26 +295,11 @@ class SimulationState:
         self.publications = {topic: 0 for topic in sorted(self.media)}
 
     def snapshot_record(self) -> TraceRecord:
-        """The trace record of the current tick.
-
-        Only the servers in ``changed_servers`` get a freshly sorted type
-        list and an underloaded re-check; the others share the previous
-        record's list, which nothing mutates.  ``build_scenario`` marks every
-        server, and the changed ones are visited in id order, so the first
-        record lists the servers sorted and later copies keep that order.
-        """
-        deployments = dict(self.deployments)
-        for server_id in sorted(self.changed_servers):
-            deployments[server_id] = sorted(
-                self.service_type[service_id] for service_id in self.server_services[server_id]
-            )
-        underloaded = self.underloaded_count()
-        self.changed_servers.clear()
-        self.deployments = deployments
+        """The trace record of the current tick."""
         return TraceRecord(
             tick=self.tick,
-            deployments=deployments,
-            underloaded=underloaded,
+            deployments=dict(self.deployments),
+            underloaded=len(self.underloaded_servers),
             publications=dict(self.publications),
             moves=self.moves,
             switches=self.switches,
@@ -378,8 +391,8 @@ class ScenarioEnvironment:
 def move_service(state: SimulationState, service_id: str, to_server: str) -> bool:
     """Redeploy a service: bookkeeping plus paired belief updates.
 
-    Returns True when the move was applied.  A full destination or a
-    uniqueness violation rejects the move with no state change; the
+    Returns True when the move was applied.  A destination that does not
+    ``admits`` the service rejects the move with no state change; the
     rejection is counted.
     """
     current = state.service_server[service_id]
@@ -387,19 +400,19 @@ def move_service(state: SimulationState, service_id: str, to_server: str) -> boo
         raise ScenarioError(f"service {service_id!r} is already on {to_server!r}")
     if to_server not in state.server_specs:
         raise ScenarioError(f"unknown destination server {to_server!r}")
-    spec = state.server_specs[to_server]
-    if state.deployed_count(to_server) >= spec.capacity:
-        state.rejected_moves += 1
-        return False
-    if state.config.uniqueness_constraint and (
-        state.service_type[service_id] in state.deployed_types(to_server)
+    if not admits(
+        state.deployments[to_server],
+        state.server_specs[to_server].capacity,
+        state.service_type[service_id],
+        state.config.uniqueness_constraint,
     ):
         state.rejected_moves += 1
         return False
     state.server_services[current].remove(service_id)
     state.server_services[to_server].append(service_id)
     state.service_server[service_id] = to_server
-    state.changed_servers.update((current, to_server))
+    state.refresh_server(current)
+    state.refresh_server(to_server)
     state.moves += 1
     # Un- and re-deployment surface as belief updates on every agent involved.
     state.agents[service_id].write_belief("current_server", to_server)
@@ -414,13 +427,17 @@ def switch_type(state: SimulationState, service_id: str, new_type: str) -> bool:
     if new_type == current_type:
         return True
     server_id = state.service_server[service_id]
-    if state.config.uniqueness_constraint and (
-        new_type in state.deployed_types(server_id, excluding=service_id)
+    # A switch redeploys the service in its own slot: the server without it
+    # must admit the new type.
+    others = list(state.deployments[server_id])
+    others.remove(current_type)
+    if not admits(
+        others, state.server_specs[server_id].capacity, new_type, state.config.uniqueness_constraint
     ):
         state.rejected_switches += 1
         return False
     state.service_type[service_id] = new_type
-    state.changed_servers.add(server_id)
+    state.refresh_server(server_id)
     if new_type not in state.types:
         state.types = sorted(set(state.types) | {new_type})
     state.switches += 1
@@ -548,9 +565,8 @@ RELEASE_ORDER = {
 def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> SimulationState:
     """Construct agents, endpoints, and media for a validated configuration.
 
-    Services without an explicit initial server are placed pseudo-randomly
-    (seeded by the configuration seed) on servers with free, constraint-legal
-    slots.  Each endpoint declaration -- the document's, or else the
+    The initial placement is the one ``ScenarioConfig.validate`` returns.
+    Each endpoint declaration -- the document's, or else the
     canonical ones -- is compiled once and attached to every agent of its
     role.  Each server manager receives one bootstrap utilization reading so
     publication guards are evaluated against the initial state.
@@ -558,36 +574,20 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
     Agents keep observation records only with ``agent_log`` set, for a run
     that writes ``agent-log.jsonl``; plan-lifecycle hooks fire either way.
     """
-    config.validate()
+    placement = config.validate()
     state = SimulationState(config)
     env = ScenarioEnvironment(state)
 
     for spec in config.servers:
         state.server_specs[spec.server_id] = spec
         state.server_services[spec.server_id] = []
-
-    placement_rng = random.Random(config.seed)
     for service in config.services:
-        target = service.initial_server
-        if target is None:
-            eligible = []
-            for spec in config.servers:
-                if len(state.server_services[spec.server_id]) >= spec.capacity:
-                    continue
-                if config.uniqueness_constraint and (
-                    service.service_type in state.deployed_types(spec.server_id)
-                ):
-                    continue
-                eligible.append(spec.server_id)
-            if not eligible:
-                raise ScenarioError(
-                    f"no legal placement for service {service.service_id!r}"
-                )
-            target = placement_rng.choice(eligible)
+        target = placement[service.service_id]
         state.server_services[target].append(service.service_id)
         state.service_server[service.service_id] = target
         state.service_type[service.service_id] = service.service_type
-    state.changed_servers.update(state.server_services)
+    for server_id in sorted(state.server_specs):
+        state.refresh_server(server_id)
 
     declarations = canonical_endpoints(config) if config.endpoints is None else config.endpoints
     compiled = [(decl, endpoint_module(decl)) for decl in declarations]
@@ -629,10 +629,7 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
             record_observations=agent_log,
         )
         roles[service.service_id] = "service"
-    for index in range(config.brokers):
-        broker_id = f"broker-{index + 1:02d}"
-        if broker_id in state.agents:
-            raise ScenarioError(f"broker id {broker_id!r} collides with a configured agent")
+    for broker_id in config.broker_ids:
         state.agents[broker_id] = AgentConfiguration(
             broker_id,
             beliefs=BeliefBase(dict(state.demand)),
@@ -750,12 +747,6 @@ def trace_rows(state: SimulationState) -> list[list[Any]]:
 
 def summary(state: SimulationState) -> dict[str, Any]:
     """Run summary: quiescence tick, activity totals, final deployment map."""
-    final_deployments = {
-        server_id: sorted(
-            state.service_type[service_id] for service_id in services
-        )
-        for server_id, services in sorted(state.server_services.items())
-    }
     return {
         "scenario": state.config.name,
         "seed": state.config.seed,
@@ -765,7 +756,7 @@ def summary(state: SimulationState) -> dict[str, Any]:
         "total-switches": sum(record.switches for record in state.trace),
         "total-rejected-moves": sum(record.rejected_moves for record in state.trace),
         "total-rejected-switches": sum(record.rejected_switches for record in state.trace),
-        "final-deployments": final_deployments,
+        "final-deployments": dict(state.deployments),
         "final-demand": dict(sorted(state.demand.items())),
-        "underloaded": state.underloaded_count(),
+        "underloaded": len(state.underloaded_servers),
     }

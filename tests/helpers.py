@@ -82,6 +82,29 @@ def _same_structure(a, b) -> bool:
     raise TypeError(f"snapshot leaf of type {kind.__name__}: {a!r}")
 
 
+def assert_lockstep(
+    left: AgentConfiguration,
+    right: AgentConfiguration,
+    steps: int,
+    left_step=reasoning_step,
+    right_step=reasoning_step,
+    label: str = "",
+) -> None:
+    """Step two agents together, comparing snapshots after every step.
+
+    Snapshots are compared with ``same_snapshot``; JSON is rendered only for
+    the failure message.
+    """
+    for index in range(steps):
+        left_step(left)
+        right_step(right)
+        if not same_snapshot(left.snapshot(), right.snapshot()):
+            raise AssertionError(
+                f"{label}divergence at step {index}\n"
+                f"left : {left.snapshot_json()}\nright: {right.snapshot_json()}"
+            )
+
+
 def equivalence_run(seed: int, cycles: int = 20) -> None:
     """One randomized main-vs-reference comparison; raises on divergence.
 

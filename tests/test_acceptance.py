@@ -40,6 +40,7 @@ from coagent.scenarios import build_scenario, quiescence_tick, run_simulation
 
 from tests.conftest import SCENARIO_A, SCENARIO_B, instantiate, random_program
 from tests.helpers import (
+    assert_lockstep,
     check_structural_invariants,
     check_trace_safety,
     equivalence_run,
@@ -173,12 +174,7 @@ class TestCriterion3BaselineBisimulation:
             hosted = instantiate(*program)
             noop = EndpointDeclaration(process_id="noop", role="service")
             attach_endpoint(noop, endpoint_module(noop), hosted)
-            for index in range(150):
-                reasoning_step(bare)
-                reasoning_step(hosted)
-                assert bare.snapshot_json() == hosted.snapshot_json(), (
-                    f"seed {seed}: divergence at step {index}"
-                )
+            assert_lockstep(bare, hosted, 150, label=f"seed {seed}: ")
         report(
             "PASS criterion 3: empty-rule-set endpoints byte-identical to bare agents "
             "over 100 random programs"
@@ -284,10 +280,7 @@ class TestCriterion7InvariantSuite:
         rng = random.Random(777)
         program = random_program(rng)
         first, second = instantiate(*program), instantiate(*program)
-        for _ in range(180):
-            reasoning_step(first)
-            reasoning_step(second)
-        assert first.snapshot_json() == second.snapshot_json()
+        assert_lockstep(first, second, 180)
         checks.append("bdi-core: determinism")
 
         # coefficiency: empty-K bisimulation, injection count, placement.
@@ -295,10 +288,7 @@ class TestCriterion7InvariantSuite:
         program = random_program(rng)
         bare, hosted = instantiate(*program), instantiate(*program)
         register_module(hosted, CoefficientModule("noop"))
-        for _ in range(150):
-            reasoning_step(bare)
-            reasoning_step(hosted)
-            assert bare.snapshot_json() == hosted.snapshot_json()
+        assert_lockstep(bare, hosted, 150)
         checks.append("coefficiency: empty-mapping bisimulation")
 
         cfg = _observed_agent(guard=None)

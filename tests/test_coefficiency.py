@@ -8,7 +8,7 @@ from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.config import AgentConfiguration, Step
 from coagent.bdi.events import TOP, EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
-from coagent.bdi.interpreter import post_external_event, reasoning_step, run_cycle, select_event
+from coagent.bdi.interpreter import post_external_event, run_cycle, select_event
 from coagent.bdi.plans import Act, Believe, Plan, PlanLibrary, Subgoal
 from coagent.coefficiency import (
     CoefficientModule,
@@ -24,6 +24,7 @@ from coagent.coefficiency import (
 )
 
 from tests.conftest import instantiate, random_program
+from tests.helpers import assert_lockstep
 
 
 def entry(
@@ -425,9 +426,4 @@ class TestBaselineBisimulation:
         bare = instantiate(*program)
         hosted = instantiate(*program)
         register_module(hosted, CoefficientModule("noop"))
-        for index in range(180):
-            reasoning_step(bare)
-            reasoning_step(hosted)
-            assert bare.snapshot_json() == hosted.snapshot_json(), (
-                f"seed {seed}: divergence at step {index}"
-            )
+        assert_lockstep(bare, hosted, 180, label=f"seed {seed}: ")

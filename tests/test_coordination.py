@@ -8,7 +8,7 @@ from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.config import AgentConfiguration
 from coagent.bdi.events import EventCategory, TOP, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
-from coagent.bdi.interpreter import post_external_event, reasoning_step, run_cycle
+from coagent.bdi.interpreter import post_external_event, run_cycle
 from coagent.bdi.plans import Plan, PlanLibrary
 from coagent.coefficiency import (
     CoefficientModule,
@@ -33,6 +33,7 @@ from coagent.coordination import (
 )
 
 from tests.conftest import instantiate, random_program
+from tests.helpers import assert_lockstep
 
 
 def info(topic="capacity", payload=None, source="pub", tick=0, process="utilization"):
@@ -259,10 +260,7 @@ class TestCompileEndpoint:
         hosted = instantiate(*program)
         decl = EndpointDeclaration(process_id="noop", role="service")
         attach_endpoint(decl, endpoint_module(decl), hosted)
-        for index in range(150):
-            reasoning_step(bare)
-            reasoning_step(hosted)
-            assert bare.snapshot_json() == hosted.snapshot_json()
+        assert_lockstep(bare, hosted, 150)
 
     def test_publication_guard_event_refs_must_be_extracted(self):
         decl = EndpointDeclaration(

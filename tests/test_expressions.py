@@ -135,6 +135,9 @@ class TestValueMode:
             ("true + 1", {}),
             ("payload.x * 2", {"x": [1]}),
             ("-payload.x", {"x": [1]}),
+            ("abs(true)", {}),
+            ("max('a', 'b')", {}),
+            ("min(payload.x)", {"x": [3, 1]}),
         ],
     )
     def test_arithmetic_takes_numbers_only(self, source, payload):

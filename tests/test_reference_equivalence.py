@@ -11,11 +11,11 @@ from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.config import AgentConfiguration
 from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
-from coagent.bdi.interpreter import post_external_event, reasoning_step
+from coagent.bdi.interpreter import post_external_event
 from coagent.bdi.plans import Act, Believe, Plan, PlanLibrary, Subgoal, Unbelieve
 from coagent.bdi.reference import reference_step
 
-from tests.helpers import equivalence_run, same_snapshot
+from tests.helpers import assert_lockstep, equivalence_run, same_snapshot
 
 
 @pytest.mark.parametrize("seed", range(0, 120))
@@ -61,13 +61,6 @@ def _twin_agents(plans, beliefs, events):
     return agents
 
 
-def _assert_lockstep(main, ref, steps=220):
-    for index in range(steps):
-        reasoning_step(main)
-        reference_step(ref)
-        assert main.snapshot_json() == ref.snapshot_json(), f"diverged at step {index}"
-
-
 def test_subgoal_chain_with_failure_cascade():
     plans = [
         Plan("outer", pattern("goal-added", "g1"), (Subgoal("g2", {}), Act("ping", {}))),
@@ -76,7 +69,7 @@ def test_subgoal_chain_with_failure_cascade():
     ]
     events = [TriggeringEvent(EventCategory.GOAL_ADDED, "g1", {})]
     main, ref = _twin_agents(plans, {}, events)
-    _assert_lockstep(main, ref)
+    assert_lockstep(main, ref, 220, right_step=reference_step)
     assert main.circumstance.intentions == {}
 
 
@@ -86,7 +79,7 @@ def test_dropped_subgoal_fails_waiting_parent():
     ]
     events = [TriggeringEvent(EventCategory.GOAL_ADDED, "g1", {})]
     main, ref = _twin_agents(plans, {}, events)
-    _assert_lockstep(main, ref)
+    assert_lockstep(main, ref, 220, right_step=reference_step)
     assert main.circumstance.intentions == {}
     dropped = [o for o in main.observations if o["kind"] == "event-discarded"]
     assert any(o["te"]["subject"] == "nohandler" for o in dropped)
@@ -105,7 +98,7 @@ def test_belief_triggered_interrupt_on_same_intention():
     ]
     events = [TriggeringEvent(EventCategory.GOAL_ADDED, "g1", {})]
     main, ref = _twin_agents(plans, {}, events)
-    _assert_lockstep(main, ref)
+    assert_lockstep(main, ref, 220, right_step=reference_step)
     assert main.beliefs.as_dict() == {"x": 1, "y": 10}
 
 
@@ -119,7 +112,7 @@ def test_unbelieve_and_requeue_interleavings():
         TriggeringEvent(EventCategory.GOAL_ADDED, "g1", {}),
     ]
     main, ref = _twin_agents(plans, {"x": 0}, events)
-    _assert_lockstep(main, ref)
+    assert_lockstep(main, ref, 220, right_step=reference_step)
 
 
 def test_concurrent_intentions_interleave_identically():
@@ -129,5 +122,5 @@ def test_concurrent_intentions_interleave_identically():
         TriggeringEvent(EventCategory.GOAL_ADDED, f"g{i}", {}) for i in range(4)
     ]
     main, ref = _twin_agents(plans, {"x": 0}, events)
-    _assert_lockstep(main, ref, steps=400)
+    assert_lockstep(main, ref, 400, right_step=reference_step)
     assert main.beliefs.get("x") == 8

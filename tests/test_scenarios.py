@@ -6,6 +6,8 @@ from collections import deque
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coagent.bdi.expressions import Expr
 from coagent.cli import main
@@ -54,7 +56,7 @@ def two_server_config(deployments=(5, 1), capacity=5, preferred=3, services=6):
 class TestBuildScenario:
     def test_two_server_initial_underloaded_count(self):
         state = build_scenario(two_server_config())
-        assert state.underloaded_count() == 1  # server-02 at 1 of preferred 3
+        assert state.underloaded_servers == {"server-02"}  # at 1 of preferred 3
 
     def test_ten_domains_five_types_slots(self):
         config = load_scenario(SCENARIO_B)
@@ -116,6 +118,56 @@ class TestBuildScenario:
         different.seed = 99
         third = build_scenario(different)
         assert third.service_server != first.service_server
+
+    @pytest.mark.parametrize("seed", range(1, 5))
+    def test_named_placements_go_before_unnamed_ones(self, seed):
+        # Placed in document order, ``a`` could take the only slot on s1
+        # before ``b`` claims it by name.
+        config = ScenarioConfig(
+            name="mixed",
+            seed=seed,
+            servers=[ServerSpec("s1", 1, 1), ServerSpec("s2", 1, 1)],
+            services=[ServiceSpec("a", "web"), ServiceSpec("b", "web", "s1")],
+        )
+        state = build_scenario(config)
+        assert state.service_server == {"a": "s2", "b": "s1"}
+        check_trace_safety([state.snapshot_record()], config)
+
+
+@st.composite
+def small_configs(draw):
+    """Configs of 1-4 servers and 0-7 services, named and unnamed placements
+    mixed; now and then a service id clashes with a server or a broker."""
+    servers = []
+    for index in range(draw(st.integers(1, 4))):
+        capacity = draw(st.integers(1, 3))
+        servers.append(ServerSpec(f"s{index + 1}", capacity, draw(st.integers(1, capacity))))
+    targets = st.one_of(st.none(), st.sampled_from([server.server_id for server in servers]))
+    ids = draw(st.lists(st.sampled_from("abcdefg"), max_size=7, unique=True))
+    if ids and draw(st.integers(0, 9)) == 0:
+        ids[0] = draw(st.sampled_from(["s1", "broker-01"]))
+    return ScenarioConfig(
+        name="small",
+        seed=draw(st.integers(0, 9)),
+        servers=servers,
+        services=[ServiceSpec(sid, draw(st.sampled_from("xyz")), draw(targets)) for sid in ids],
+        brokers=draw(st.integers(0, 2)),
+        uniqueness_constraint=draw(st.booleans()),
+    )
+
+
+@given(small_configs())
+@settings(max_examples=300, deadline=None)
+def test_validate_accepts_exactly_what_builds_and_the_build_is_legal(config):
+    try:
+        placement = config.validate()
+    except ScenarioError:
+        with pytest.raises(ScenarioError):
+            build_scenario(config)
+        return
+    state = build_scenario(config)
+    assert state.service_server == placement
+    check_trace_safety([state.snapshot_record()], config)
 
 
 #: ``canonical_endpoints`` for scenario B (threshold 0.5), spelled out as a
@@ -630,11 +682,11 @@ class TestSnapshotRecord:
 
     def test_underloaded_count_follows_moves_before_the_next_record(self):
         state = build_scenario(two_server_config())
-        assert state.underloaded_count() == 1
+        assert state.underloaded_servers == {"server-02"}
         assert move_service(state, "svc-01", "server-02")  # server-02 at 2 of 3
-        assert state.underloaded_count() == 1
+        assert state.underloaded_servers == {"server-02"}
         assert move_service(state, "svc-02", "server-02")  # both servers at 3
-        assert state.underloaded_count() == 0
+        assert state.underloaded_servers == set()
         assert state.snapshot_record().underloaded == 0
         assert move_service(state, "svc-03", "server-02")  # server-01 at 2 of 3
         assert state.snapshot_record().underloaded == 1
