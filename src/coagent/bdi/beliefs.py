@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Iterator
 
-from coagent.bdi.events import EventCategory, TriggeringEvent
+from coagent.bdi.events import BELIEF_ADDED, BELIEF_REMOVED, BELIEF_UPDATED, TriggeringEvent
 
 BeliefValue = int | float | bool | str
 
@@ -61,15 +61,13 @@ class BeliefBase:
             if old == value and type(old) is type(value):
                 return None
             self._facts[key] = value
-            return TriggeringEvent(
-                EventCategory.BELIEF_UPDATED, key, {"old": old, "new": value}
-            )
+            return TriggeringEvent(BELIEF_UPDATED, key, {"old": old, "new": value})
         self._facts[key] = value
-        return TriggeringEvent(EventCategory.BELIEF_ADDED, key, {"value": value})
+        return TriggeringEvent(BELIEF_ADDED, key, {"value": value})
 
     def remove(self, key: str) -> TriggeringEvent | None:
         """Drop a belief; returns the belief-removed event, or None if absent."""
         if key not in self._facts:
             return None
         old = self._facts.pop(key)
-        return TriggeringEvent(EventCategory.BELIEF_REMOVED, key, {"old": old})
+        return TriggeringEvent(BELIEF_REMOVED, key, {"old": old})

@@ -27,6 +27,20 @@ class Step(str, Enum):
     CLR_INT = "ClrInt"
 
 
+# The members as module constants, bound by name, for runtime code: a
+# module-global read is cheaper than an Enum member lookup (see
+# ``coagent.bdi.interpreter``).
+PROC_MSG = Step.PROC_MSG
+SEL_EV = Step.SEL_EV
+REL_PL = Step.REL_PL
+APPL_PL = Step.APPL_PL
+SEL_APPL = Step.SEL_APPL
+ADD_IM = Step.ADD_IM
+SEL_INT = Step.SEL_INT
+EXEC_INT = Step.EXEC_INT
+CLR_INT = Step.CLR_INT
+
+
 class ActionFault(RuntimeError):
     """Raised by environment adapters when an action cannot be performed."""
 
@@ -121,7 +135,7 @@ class AgentConfiguration:
         self.circumstance = Circumstance(actions=set(actions or ()))
         self.mail = MailState()
         self.temp = TempInfo()
-        self.step: Step = Step.PROC_MSG
+        self.step: Step = PROC_MSG
         self.environment: EnvironmentAdapter = environment or InertEnvironment()
         #: Whether ``observe`` keeps a record; ``observations`` stays empty when not.
         self.record_observations = record_observations

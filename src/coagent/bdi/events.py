@@ -26,11 +26,22 @@ class EventCategory(str, Enum):
     MESSAGE_RECEIVED = "message-received"
 
 
+# The members as module constants, bound by name, for runtime code (see
+# ``coagent.bdi.interpreter``).
+BELIEF_ADDED = EventCategory.BELIEF_ADDED
+BELIEF_UPDATED = EventCategory.BELIEF_UPDATED
+BELIEF_REMOVED = EventCategory.BELIEF_REMOVED
+GOAL_ADDED = EventCategory.GOAL_ADDED
+GOAL_SUCCEEDED = EventCategory.GOAL_SUCCEEDED
+GOAL_FAILED = EventCategory.GOAL_FAILED
+PLAN_STARTED = EventCategory.PLAN_STARTED
+PLAN_FINISHED = EventCategory.PLAN_FINISHED
+MESSAGE_RECEIVED = EventCategory.MESSAGE_RECEIVED
+
+
 #: Categories a co-efficient module may inject.  Plan lifecycle events exist
 #: only on the observation stream and are never legal injection targets.
-INJECTABLE_CATEGORIES = frozenset(
-    {EventCategory.GOAL_ADDED, EventCategory.BELIEF_UPDATED, EventCategory.MESSAGE_RECEIVED}
-)
+INJECTABLE_CATEGORIES = frozenset({GOAL_ADDED, BELIEF_UPDATED, MESSAGE_RECEIVED})
 
 class _Top:
     """The empty intention: marks events not tied to any running intention."""

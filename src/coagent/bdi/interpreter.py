@@ -23,6 +23,17 @@ an achievement goal, the goal's outcome (goal-succeeded or goal-failed) goes
 to the record below, paired with the intention, or to TOP when the stack is
 empty.  A failure climbs the stack for as long as the record below was
 waiting on the failed goal.
+
+Hot-path rule: runtime code names enum members through module constants
+(``SEL_EV``, ``GOAL_ADDED``, ``NEW_INTENTION``), bound once, by name, next to
+the enum that defines them.  A member lookup such as ``Step.SEL_EV`` costs
+about 0.10 µs on CPython 3.11.7 (0.035 µs on 3.12) against 0.007 µs for a
+module-global read, and a profiler shows it nowhere: it has no frame of its
+own and is charged to its caller's self time.  An idle cycle made seven
+such lookups; on 3.11.7 the rule took it from 1.0-1.3 µs to about 0.3 µs
+(timeit, best of 7 x 200,000 cycles).  Code that runs once, ``_TRANSITIONS``
+and class-level defaults, may spell members out, and so does the naive
+``coagent.bdi.reference``; ``tests/test_hot_path.py`` checks the rule.
 """
 
 from __future__ import annotations
@@ -31,13 +42,33 @@ from dataclasses import replace
 from typing import Any, Mapping
 
 from coagent.bdi.config import (
+    ADD_IM,
+    APPL_PL,
+    CLR_INT,
+    EXEC_INT,
+    PROC_MSG,
+    REL_PL,
+    SEL_APPL,
+    SEL_EV,
+    SEL_INT,
     ActionFault,
     AgentConfiguration,
     ConfigurationCorruption,
     Message,
     Step,
 )
-from coagent.bdi.events import TOP, Event, EventCategory, TriggeringEvent
+from coagent.bdi.events import (
+    GOAL_ADDED,
+    GOAL_FAILED,
+    GOAL_SUCCEEDED,
+    MESSAGE_RECEIVED,
+    PLAN_FINISHED,
+    PLAN_STARTED,
+    TOP,
+    Event,
+    EventCategory,
+    TriggeringEvent,
+)
 from coagent.bdi.expressions import Env, Expr, ExpressionEvalError
 from coagent.bdi.plans import Act, Believe, Intention, PlanRecord, Send, Subgoal, Unbelieve
 
@@ -50,34 +81,32 @@ def post_external_event(cfg: AgentConfiguration, te: TriggeringEvent) -> AgentCo
 
 def process_messages(cfg: AgentConfiguration) -> AgentConfiguration:
     """ProcMsg: convert the inbox to message-received events in FIFO order."""
-    _expect(cfg, Step.PROC_MSG)
+    _expect(cfg, PROC_MSG)
     while cfg.mail.inbox:
         message = cfg.mail.inbox.popleft()
-        te = TriggeringEvent(
-            EventCategory.MESSAGE_RECEIVED, message.sender, dict(message.payload)
-        )
+        te = TriggeringEvent(MESSAGE_RECEIVED, message.sender, dict(message.payload))
         cfg.append_event(te, TOP)
-    cfg.step = Step.SEL_EV
+    cfg.step = SEL_EV
     return cfg
 
 
 def select_event(cfg: AgentConfiguration) -> AgentConfiguration:
     """SelEv: pick the oldest pending event, or skip to intention selection."""
-    _expect(cfg, Step.SEL_EV)
+    _expect(cfg, SEL_EV)
     events = cfg.circumstance.events
     if not events:
-        cfg.step = Step.SEL_INT
+        cfg.step = SEL_INT
         return cfg
     epsilon = cfg.temp.epsilon = events.pop(0)
     if epsilon.intention is not TOP:
         cfg.circumstance.pending[epsilon.intention] -= 1  # type: ignore[index]
-    cfg.step = Step.REL_PL
+    cfg.step = REL_PL
     return cfg
 
 
 def compute_relevant_plans(cfg: AgentConfiguration) -> AgentConfiguration:
     """RelPl: collect plans whose trigger matches the selected event."""
-    _expect(cfg, Step.REL_PL)
+    _expect(cfg, REL_PL)
     epsilon = cfg.temp.epsilon
     if epsilon is None:
         raise ConfigurationCorruption("RelPl reached without a selected event")
@@ -86,16 +115,16 @@ def compute_relevant_plans(cfg: AgentConfiguration) -> AgentConfiguration:
     ]
     cfg.temp.relevant = relevant
     if relevant:
-        cfg.step = Step.APPL_PL
+        cfg.step = APPL_PL
         return cfg
     _discard_selected_event(cfg, reason="no-relevant-plan")
-    cfg.step = Step.SEL_INT
+    cfg.step = SEL_INT
     return cfg
 
 
 def compute_applicable_plans(cfg: AgentConfiguration) -> AgentConfiguration:
     """ApplPl: filter relevant plans by their context condition."""
-    _expect(cfg, Step.APPL_PL)
+    _expect(cfg, APPL_PL)
     epsilon = cfg.temp.epsilon
     if epsilon is None:
         raise ConfigurationCorruption("ApplPl reached without a selected event")
@@ -107,28 +136,28 @@ def compute_applicable_plans(cfg: AgentConfiguration) -> AgentConfiguration:
     ]
     cfg.temp.applicable = applicable
     if applicable:
-        cfg.step = Step.SEL_APPL
+        cfg.step = SEL_APPL
         return cfg
     _discard_selected_event(cfg, reason="no-applicable-plan")
-    cfg.step = Step.SEL_INT
+    cfg.step = SEL_INT
     return cfg
 
 
 def select_applicable(cfg: AgentConfiguration) -> AgentConfiguration:
     """SelAppl: commit to the applicable plan declared earliest in the library."""
-    _expect(cfg, Step.SEL_APPL)
+    _expect(cfg, SEL_APPL)
     if not cfg.temp.applicable:
         raise ConfigurationCorruption("SelAppl reached with no applicable plans")
     # temp.applicable preserves declaration order, so the head has the
     # lowest declaration index.
     cfg.temp.rho = cfg.temp.applicable[0]
-    cfg.step = Step.ADD_IM
+    cfg.step = ADD_IM
     return cfg
 
 
 def add_intended_means(cfg: AgentConfiguration) -> AgentConfiguration:
     """AddIm: push the chosen plan onto its intention, creating one if external."""
-    _expect(cfg, Step.ADD_IM)
+    _expect(cfg, ADD_IM)
     epsilon, rho = cfg.temp.epsilon, cfg.temp.rho
     if epsilon is None or rho is None:
         raise ConfigurationCorruption("AddIm reached without event and plan")
@@ -144,16 +173,16 @@ def add_intended_means(cfg: AgentConfiguration) -> AgentConfiguration:
         plan_id=rho, trigger_te=epsilon.te, bindings=dict(epsilon.te.payload)
     )
     intention.stack.append(record)
-    started = TriggeringEvent(EventCategory.PLAN_STARTED, rho, {})
+    started = TriggeringEvent(PLAN_STARTED, rho, {})
     cfg.observe("plan-started", te=started, intention=intention.intention_id, notify=True)
     _clear_temp(cfg)
-    cfg.step = Step.SEL_INT
+    cfg.step = SEL_INT
     return cfg
 
 
 def select_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     """SelInt: round-robin over runnable intentions; wrap the cycle if none."""
-    _expect(cfg, Step.SEL_INT)
+    _expect(cfg, SEL_INT)
     intentions = cfg.circumstance.intentions
     runnable = (
         [iid for iid in sorted(intentions) if intentions[iid].is_runnable(cfg.plans)]
@@ -162,19 +191,19 @@ def select_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     )
     if not runnable:
         cfg.temp.iota = None
-        cfg.step = Step.PROC_MSG
+        cfg.step = PROC_MSG
         return cfg
     cursor = cfg.last_intention_run
     chosen = next((iid for iid in runnable if cursor is None or iid > cursor), runnable[0])
     cfg.temp.iota = chosen
     cfg.last_intention_run = chosen
-    cfg.step = Step.EXEC_INT
+    cfg.step = EXEC_INT
     return cfg
 
 
 def execute_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     """ExecInt: run exactly one body step of the selected intention's top plan."""
-    _expect(cfg, Step.EXEC_INT)
+    _expect(cfg, EXEC_INT)
     iota = cfg.temp.iota
     if iota is None:
         raise ConfigurationCorruption("ExecInt reached without a selected intention")
@@ -193,7 +222,7 @@ def execute_intention(cfg: AgentConfiguration) -> AgentConfiguration:
                 raise ActionFault(f"unknown action {step.name!r}")
             cfg.environment.perform(cfg, step.name, _evaluate(step.args, env))
         elif isinstance(step, Subgoal):
-            posted = TriggeringEvent(EventCategory.GOAL_ADDED, step.goal, _evaluate(step.args, env))
+            posted = TriggeringEvent(GOAL_ADDED, step.goal, _evaluate(step.args, env))
             record.waiting_on = step.goal
         elif isinstance(step, Believe):
             posted = cfg.beliefs.set(step.key, step.value.as_value(env))
@@ -214,13 +243,13 @@ def execute_intention(cfg: AgentConfiguration) -> AgentConfiguration:
             fault=str(fault),
         )
         _fail_top_record(cfg, intention)
-    cfg.step = Step.CLR_INT
+    cfg.step = CLR_INT
     return cfg
 
 
 def clear_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     """ClrInt: pop finished records, emit goal outcomes, drop empty intentions."""
-    _expect(cfg, Step.CLR_INT)
+    _expect(cfg, CLR_INT)
     intentions = cfg.circumstance.intentions
     if intentions:
         for iid in sorted(intentions):
@@ -229,7 +258,7 @@ def clear_intention(cfg: AgentConfiguration) -> AgentConfiguration:
                 continue
             _pop_finished(cfg, intention)
     cfg.temp.iota = None
-    cfg.step = Step.PROC_MSG
+    cfg.step = PROC_MSG
     return cfg
 
 
@@ -274,22 +303,22 @@ def run_cycle(cfg: AgentConfiguration) -> AgentConfiguration:
     nothing.  If the selector leaves another step or an intention, the walk
     continues from that step.
     """
-    if cfg.step is not Step.PROC_MSG:
+    if cfg.step is not PROC_MSG:
         raise ValueError("run_cycle must start at ProcMsg")
     circumstance = cfg.circumstance
     transitions = _TRANSITIONS
     if not cfg.mail.inbox and not circumstance.events and not circumstance.intentions:
-        cfg.step = Step.SEL_EV
+        cfg.step = SEL_EV
         _select(cfg)
-        if cfg.step is Step.SEL_INT and not circumstance.intentions:
+        if cfg.step is SEL_INT and not circumstance.intentions:
             cfg.temp.iota = None
-            cfg.step = Step.PROC_MSG
+            cfg.step = PROC_MSG
             return cfg
         transitions = _AFTER_SEL_EV
     for step, transition in transitions:
         if cfg.step is step:
             transition(cfg)
-    if cfg.step is not Step.PROC_MSG:
+    if cfg.step is not PROC_MSG:
         raise ConfigurationCorruption(f"reasoning cycle ended at {cfg.step.value}")
     return cfg
 
@@ -328,7 +357,7 @@ def _discard_selected_event(cfg: AgentConfiguration, reason: str) -> None:
     epsilon = cfg.temp.epsilon
     assert epsilon is not None
     cfg.observe("event-discarded", te=epsilon.te, intention=epsilon.intention, reason=reason)
-    if epsilon.te.category is EventCategory.GOAL_ADDED and epsilon.intention is not TOP:
+    if epsilon.te.category is GOAL_ADDED and epsilon.intention is not TOP:
         intention = cfg.circumstance.intentions.get(epsilon.intention)  # type: ignore[arg-type]
         if (
             intention is not None
@@ -336,7 +365,7 @@ def _discard_selected_event(cfg: AgentConfiguration, reason: str) -> None:
             and intention.top.waiting_on == epsilon.te.subject
         ):
             cfg.append_event(
-                _outcome(EventCategory.GOAL_FAILED, epsilon.te), intention.intention_id
+                _outcome(GOAL_FAILED, epsilon.te), intention.intention_id
             )
             intention.top.waiting_on = None
             _fail_top_record(cfg, intention)
@@ -354,7 +383,7 @@ def _close_top_record(
     waits no longer.
     """
     goal = intention.stack.pop().trigger_te
-    if goal.category is not EventCategory.GOAL_ADDED:
+    if goal.category is not GOAL_ADDED:
         return False
     below = intention.top if intention.stack else None
     cfg.append_event(_outcome(outcome, goal), TOP if below is None else intention.intention_id)
@@ -366,7 +395,7 @@ def _close_top_record(
 
 def _fail_top_record(cfg: AgentConfiguration, intention: Intention) -> None:
     """Fail the top record, and each record below for as long as it waited."""
-    while _close_top_record(cfg, intention, EventCategory.GOAL_FAILED):
+    while _close_top_record(cfg, intention, GOAL_FAILED):
         pass
     if not intention.stack:
         _remove_intention(cfg, intention.intention_id)
@@ -378,11 +407,11 @@ def _pop_finished(cfg: AgentConfiguration, intention: Intention) -> None:
         top = intention.top
         if top.waiting_on is not None or top.pc < len(cfg.plans.get(top.plan_id).body):
             break
-        finished = TriggeringEvent(EventCategory.PLAN_FINISHED, top.plan_id, {})
+        finished = TriggeringEvent(PLAN_FINISHED, top.plan_id, {})
         cfg.observe(
             "plan-finished", te=finished, intention=intention.intention_id, notify=True
         )
-        _close_top_record(cfg, intention, EventCategory.GOAL_SUCCEEDED)
+        _close_top_record(cfg, intention, GOAL_SUCCEEDED)
     if not intention.stack:
         _remove_intention(cfg, intention.intention_id)
 

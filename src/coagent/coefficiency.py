@@ -29,7 +29,7 @@ from enum import Enum
 from typing import Any, Iterable, Mapping
 
 from coagent.bdi.beliefs import BeliefValue
-from coagent.bdi.config import AgentConfiguration, Step
+from coagent.bdi.config import REL_PL, AgentConfiguration
 from coagent.bdi.events import (
     INJECTABLE_CATEGORIES,
     TOP,
@@ -46,6 +46,12 @@ from coagent.bdi.plans import Act, Believe, Plan, Send, Subgoal, Unbelieve
 class Placement(str, Enum):
     CURRENT_INTENTION = "current-intention"
     NEW_INTENTION = "new-intention"
+
+
+# The members as module constants, bound by name, for runtime code (see
+# ``coagent.bdi.interpreter``).
+CURRENT_INTENTION = Placement.CURRENT_INTENTION
+NEW_INTENTION = Placement.NEW_INTENTION
 
 
 class ModuleRegistrationError(ValueError):
@@ -236,7 +242,7 @@ def select_event_coefficient(cfg: AgentConfiguration) -> AgentConfiguration:
     the temporary structure for normal processing.
     """
     select_event(cfg)
-    if cfg.step is Step.REL_PL:
+    if cfg.step is REL_PL:
         epsilon = cfg.temp.epsilon
         _inject(cfg, epsilon.te, epsilon.intention)
     return cfg
@@ -259,7 +265,7 @@ def apply_mapping(
     remaining = iter(entries)
     while (entry := resolve_mapping(remaining, te)) is not None:
         if eval_guard(entry.guard, te, cfg):
-            if entry.placement is Placement.NEW_INTENTION or intention not in cfg.circumstance.intentions:
+            if entry.placement is NEW_INTENTION or intention not in cfg.circumstance.intentions:
                 intention = TOP
             cfg.append_event(entry.inject.instantiate(te), intention)
             return

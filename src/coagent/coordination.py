@@ -24,14 +24,14 @@ from functools import cached_property
 from typing import Any, Callable, Mapping
 
 from coagent.bdi.config import AgentConfiguration
-from coagent.bdi.events import EventCategory, EventPattern, TOP, TriggeringEvent
+from coagent.bdi.events import GOAL_ADDED, MESSAGE_RECEIVED, TOP, EventPattern, TriggeringEvent
 from coagent.bdi.expressions import TRUE, Expr
 from coagent.bdi.plans import Act, Plan
 from coagent.coefficiency import (
     CoefficientModule,
     EventMappingEntry,
     EventTemplate,
-    Placement,
+    NEW_INTENTION,
     apply_mapping,
     register_module,
 )
@@ -67,7 +67,7 @@ class CoordinationInformation:
     def perceived(self) -> TriggeringEvent:
         """The event every subscriber's reactions observe: ``message-received
         <topic>`` carrying the payload itself, built once per publication."""
-        return TriggeringEvent(EventCategory.MESSAGE_RECEIVED, self.topic, self.payload)
+        return TriggeringEvent(MESSAGE_RECEIVED, self.topic, self.payload)
 
 
 @dataclass
@@ -219,7 +219,7 @@ def check_declaration(decl: EndpointDeclaration) -> None:
     for index, entry in enumerate(decl.reactions):
         topic = entry.observe.subject
         one_topic = topic is not None and not topic.endswith("*")
-        if entry.observe.categories != (EventCategory.MESSAGE_RECEIVED,) or not one_topic:
+        if entry.observe.categories != (MESSAGE_RECEIVED,) or not one_topic:
             raise EndpointDeclarationError(
                 f"reaction-rules[{index}]: a reaction must observe "
                 "'message-received' on one named topic"
@@ -244,8 +244,8 @@ def endpoint_module(decl: EndpointDeclaration) -> CoefficientModule:
         mapping.append(
             EventMappingEntry(
                 observe=rule.observe,
-                inject=EventTemplate(EventCategory.GOAL_ADDED, goal, dict(rule.extract_event)),
-                placement=Placement.NEW_INTENTION,
+                inject=EventTemplate(GOAL_ADDED, goal, dict(rule.extract_event)),
+                placement=NEW_INTENTION,
                 guard=rule.guard,
             )
         )
@@ -259,7 +259,7 @@ def endpoint_module(decl: EndpointDeclaration) -> CoefficientModule:
             Plan(
                 plan_id=f"publish.{index}",
                 trigger=EventPattern(
-                    categories=(EventCategory.GOAL_ADDED,), subject=goal
+                    categories=(GOAL_ADDED,), subject=goal
                 ),
                 context=rule.guard if rule.guard is not None else TRUE,
                 body=(Act(PUBLISH_ACTION, args),),

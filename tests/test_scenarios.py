@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coagent.coefficiency as coefficiency
+import coagent.scenarios as scenarios
 from coagent.bdi.expressions import Expr
 from coagent.cli import main
 from coagent.loader import load_scenario
@@ -708,6 +710,58 @@ class TestObservationRecording:
         assert logged == plain
         kinds = {o["kind"] for cfg in logged_state.agents.values() for o in cfg.observations}
         assert {"plan-started", "plan-finished"} <= kinds
+
+
+def quiet_fleet_config():
+    """A small quiet-fleet shape: every service placed by name, one broker,
+    flat demand, so nothing happens after bootstrap."""
+    types = ("type-00", "type-01", "type-02")
+    services = []
+    for server in range(6):
+        for _ in range((3, 4, 5)[server % 3]):
+            index = len(services)
+            services.append(
+                ServiceSpec(f"svc-{index:03d}", types[index % 3], f"srv-{server:02d}")
+            )
+    return ScenarioConfig(
+        name="quiet-fleet",
+        ticks=30,
+        servers=[ServerSpec(f"srv-{server:02d}", 5, 3) for server in range(6)],
+        services=services,
+        brokers=1,
+        demand={service_type: 100 for service_type in types},
+    )
+
+
+class TestCycleAccounting:
+    """The scheduler runs one cycle, and so one event selection, per agent
+    per tick: ``perfbench``'s structural count, held over full runs.  A
+    scheduler that skips idle agents has to change this test on purpose."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [load_scenario(SCENARIO_B), quiet_fleet_config()],
+        ids=["scenario-b", "quiet-fleet"],
+    )
+    def test_one_cycle_and_one_selection_per_agent_per_tick(self, monkeypatch, config):
+        calls = {"run_cycle": 0, "select": 0}
+        run_cycle, select = scenarios.run_cycle, coefficiency.select_event_coefficient
+
+        def counted_cycle(cfg):
+            calls["run_cycle"] += 1
+            return run_cycle(cfg)
+
+        def counted_select(cfg):
+            calls["select"] += 1
+            return select(cfg)
+
+        monkeypatch.setattr(scenarios, "run_cycle", counted_cycle)
+        # Registration installs the selector, so it is wrapped before the build.
+        monkeypatch.setattr(coefficiency, "select_event_coefficient", counted_select)
+        state = build_scenario(config)
+        run_simulation(state, config.ticks, seed=config.seed)
+        expected = len(state.agents) * config.ticks
+        assert calls == {"run_cycle": expected, "select": expected}
 
 
 class TestTraceOutputs:
