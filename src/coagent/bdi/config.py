@@ -152,13 +152,9 @@ class AgentConfiguration:
 
     # -- event plumbing -----------------------------------------------------
 
-    def next_seq(self) -> int:
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
-
     def append_event(self, te: TriggeringEvent, intention: int | _Top) -> Event:
-        event = Event(te=te, intention=intention, seq=self.next_seq())
+        event = Event(te=te, intention=intention, seq=self._next_seq)
+        self._next_seq += 1
         self.circumstance.events.append(event)
         if intention is not TOP:
             pending = self.circumstance.pending

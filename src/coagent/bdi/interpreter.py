@@ -252,11 +252,9 @@ def clear_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     _expect(cfg, CLR_INT)
     intentions = cfg.circumstance.intentions
     if intentions:
+        # The walk removes only the intention it visits, so each id is live.
         for iid in sorted(intentions):
-            intention = intentions.get(iid)
-            if intention is None:
-                continue
-            _pop_finished(cfg, intention)
+            _pop_finished(cfg, intentions[iid])
     cfg.temp.iota = None
     cfg.step = PROC_MSG
     return cfg

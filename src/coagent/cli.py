@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import sys
 from pathlib import Path
@@ -116,11 +115,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     try:
         if "trace-csv" in emit:
-            buffer = io.StringIO()
-            writer = csv.writer(buffer, lineterminator="\n")
-            writer.writerow(trace_columns(state))
-            writer.writerows(trace_rows(state))
-            targets["trace-csv"].write_text(buffer.getvalue(), encoding="utf-8")
+            with targets["trace-csv"].open("w", encoding="utf-8", newline="") as handle:
+                writer = csv.writer(handle, lineterminator="\n")
+                writer.writerow(trace_columns(state))
+                writer.writerows(trace_rows(state))
         if "summary-json" in emit:
             targets["summary-json"].write_text(
                 json.dumps(run_summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -13,8 +13,9 @@ movable service endpoints, and demand brokers:
 
 One deployment rule, ``admits`` (capacity, and uniqueness under the
 constraint), settles the initial placement, every move and every switch.
-Each change to a server refreshes its per-server views at once, so a trace
-record is a copy of them.
+``SimulationState.deployments`` is the one per-server record: per server, in
+id order, the sorted types it runs.  Each change to a server replaces its
+list at once, so a trace record is a copy of the record.
 
 The simulation loop is single-threaded and owns all agents and media.  Each
 tick applies scheduled demand deltas, runs one full reasoning cycle per agent
@@ -26,6 +27,7 @@ agent has a plan that sends a message.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -228,12 +230,10 @@ class TraceRecord:
     demand: dict[str, int]
 
     def type_counts(self, types: Iterable[str]) -> dict[str, int]:
-        counts = {service_type: 0 for service_type in types}
-        for deployed in self.deployments.values():
-            for service_type in deployed:
-                if service_type in counts:
-                    counts[service_type] += 1
-        return counts
+        counts = Counter(
+            service_type for deployed in self.deployments.values() for service_type in deployed
+        )
+        return {service_type: counts[service_type] for service_type in types}
 
 
 class SimulationState:
@@ -245,18 +245,17 @@ class SimulationState:
         self.rng = random.Random(config.seed)
         #: In agent-id order (``build_scenario`` sorts it); the tick loop runs them so.
         self.agents: dict[str, AgentConfiguration] = {}
-        self.brokers: list[str] = []
         self.endpoints: dict[str, CoordinationEndpoint] = {}
+        #: In topic order (``build_scenario`` sorts it).
         self.media: dict[str, CoordinationMedium] = {}
         self.server_specs: dict[str, ServerSpec] = {}
-        self.server_services: dict[str, list[str]] = {}
         self.service_server: dict[str, str] = {}
         self.service_type: dict[str, str] = {}
         self.demand: dict[str, int] = dict(config.demand)
         self.types: list[str] = config.service_types
-        #: Per server, in id order, the sorted types it offers, and the servers
-        #: strictly between empty and their preferred utilization; both kept
-        #: current by ``refresh_server``.
+        #: The one per-server record: per server, in id order, the sorted
+        #: types it runs.  Beside it, the servers strictly between empty and
+        #: their preferred utilization.  ``refresh_server`` writes both.
         self.deployments: dict[str, list[str]] = {}
         self.underloaded_servers: set[str] = set()
         # Per-tick activity counters, reset by the scheduler.
@@ -271,18 +270,14 @@ class SimulationState:
     def agent_order(self) -> list[str]:
         return list(self.agents)
 
-    def deployed_count(self, server_id: str) -> int:
-        return len(self.server_services[server_id])
+    def refresh_server(self, server_id: str, types: list[str]) -> None:
+        """Store a server's new sorted type list and update its underload.
 
-    def refresh_server(self, server_id: str) -> None:
-        """Bring one server's views up to date after its services changed.
-
-        The type list is replaced, never mutated, so trace records can share
-        the lists of the servers that did not change.
+        The stored list is replaced, never mutated, so trace records can
+        share the lists of the servers that did not change.
         """
-        services = self.server_services[server_id]
-        self.deployments[server_id] = sorted(self.service_type[service] for service in services)
-        if 0 < len(services) < self.server_specs[server_id].preferred_min:
+        self.deployments[server_id] = types
+        if 0 < len(types) < self.server_specs[server_id].preferred_min:
             self.underloaded_servers.add(server_id)
         else:
             self.underloaded_servers.discard(server_id)
@@ -292,7 +287,7 @@ class SimulationState:
         self.switches = 0
         self.rejected_moves = 0
         self.rejected_switches = 0
-        self.publications = {topic: 0 for topic in sorted(self.media)}
+        self.publications = {topic: 0 for topic in self.media}
 
     def snapshot_record(self) -> TraceRecord:
         """The trace record of the current tick."""
@@ -305,7 +300,7 @@ class SimulationState:
             switches=self.switches,
             rejected_moves=self.rejected_moves,
             rejected_switches=self.rejected_switches,
-            demand=dict(sorted(self.demand.items())),
+            demand=dict(self.demand),
         )
 
 
@@ -350,13 +345,13 @@ class ScenarioEnvironment:
             # mirroring the same-type no-op rule for switches.
             return
         spec = state.server_specs[target]
-        if state.deployed_count(target) >= spec.preferred_min:
+        if len(state.deployments[target]) >= spec.preferred_min:
             # The advertised shortage is gone; the destination manager
             # declines the deployment.
             state.rejected_moves += 1
             return
         source_spec = state.server_specs[current]
-        remaining = state.deployed_count(current) - 1
+        remaining = len(state.deployments[current]) - 1
         if 0 < remaining < source_spec.preferred_min:
             # Leaving would push the source below its preferred utilization;
             # the source manager declines the undeployment.
@@ -400,24 +395,26 @@ def move_service(state: SimulationState, service_id: str, to_server: str) -> boo
         raise ScenarioError(f"service {service_id!r} is already on {to_server!r}")
     if to_server not in state.server_specs:
         raise ScenarioError(f"unknown destination server {to_server!r}")
+    service_type = state.service_type[service_id]
+    destination = state.deployments[to_server]
     if not admits(
-        state.deployments[to_server],
+        destination,
         state.server_specs[to_server].capacity,
-        state.service_type[service_id],
+        service_type,
         state.config.uniqueness_constraint,
     ):
         state.rejected_moves += 1
         return False
-    state.server_services[current].remove(service_id)
-    state.server_services[to_server].append(service_id)
+    source = list(state.deployments[current])
+    source.remove(service_type)
     state.service_server[service_id] = to_server
-    state.refresh_server(current)
-    state.refresh_server(to_server)
+    state.refresh_server(current, source)
+    state.refresh_server(to_server, sorted([*destination, service_type]))
     state.moves += 1
     # Un- and re-deployment surface as belief updates on every agent involved.
     state.agents[service_id].write_belief("current_server", to_server)
-    state.agents[current].write_belief("deployed", state.deployed_count(current))
-    state.agents[to_server].write_belief("deployed", state.deployed_count(to_server))
+    state.agents[current].write_belief("deployed", len(source))
+    state.agents[to_server].write_belief("deployed", len(destination) + 1)
     return True
 
 
@@ -437,7 +434,7 @@ def switch_type(state: SimulationState, service_id: str, new_type: str) -> bool:
         state.rejected_switches += 1
         return False
     state.service_type[service_id] = new_type
-    state.refresh_server(server_id)
+    state.refresh_server(server_id, sorted([*others, new_type]))
     if new_type not in state.types:
         state.types = sorted(set(state.types) | {new_type})
     state.switches += 1
@@ -453,7 +450,7 @@ def apply_demand(state: SimulationState, tick: int) -> SimulationState:
         old = state.demand.get(entry.service_type, 0)
         new = old + entry.delta
         state.demand[entry.service_type] = new
-        for broker_id in state.brokers:
+        for broker_id in state.config.broker_ids:
             state.agents[broker_id].write_belief(entry.service_type, new)
     return state
 
@@ -578,16 +575,17 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
     state = SimulationState(config)
     env = ScenarioEnvironment(state)
 
-    for spec in config.servers:
+    types: dict[str, list[str]] = {}
+    for spec in sorted(config.servers, key=lambda spec: spec.server_id):
         state.server_specs[spec.server_id] = spec
-        state.server_services[spec.server_id] = []
+        types[spec.server_id] = []
     for service in config.services:
         target = placement[service.service_id]
-        state.server_services[target].append(service.service_id)
+        types[target].append(service.service_type)
         state.service_server[service.service_id] = target
         state.service_type[service.service_id] = service.service_type
-    for server_id in sorted(state.server_specs):
-        state.refresh_server(server_id)
+    for server_id, deployed in types.items():
+        state.refresh_server(server_id, sorted(deployed))
 
     declarations = canonical_endpoints(config) if config.endpoints is None else config.endpoints
     compiled = [(decl, endpoint_module(decl)) for decl in declarations]
@@ -606,7 +604,7 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
             "server": spec.server_id,
             "capacity": spec.capacity,
             "preferred_min": spec.preferred_min,
-            "deployed": state.deployed_count(spec.server_id),
+            "deployed": len(state.deployments[spec.server_id]),
         }
         state.agents[spec.server_id] = AgentConfiguration(
             spec.server_id,
@@ -637,7 +635,6 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
             record_observations=agent_log,
         )
         roles[broker_id] = "broker"
-        state.brokers.append(broker_id)
     state.agents = {agent_id: state.agents[agent_id] for agent_id in sorted(state.agents)}
 
     for agent_id in state.agent_order:
@@ -652,7 +649,7 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
     # Bootstrap utilization readings: the architecture reports each server's
     # current deployment level once, as an external belief-update event.
     for spec in config.servers:
-        deployed = state.deployed_count(spec.server_id)
+        deployed = len(state.deployments[spec.server_id])
         post_external_event(
             state.agents[spec.server_id],
             TriggeringEvent(
@@ -670,8 +667,8 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
 
 
 def _deliver_media(state: SimulationState) -> None:
-    for topic in sorted(state.media):
-        _, deliveries = tick_medium(state.media[topic], state.tick)
+    for medium in state.media.values():
+        _, deliveries = tick_medium(medium, state.tick)
         for endpoint_id, info in deliveries:
             endpoint = state.endpoints[endpoint_id]
             endpoint_deliver(endpoint, info, state.agents[endpoint.host])
@@ -721,26 +718,27 @@ def quiescence_tick(trace: list[TraceRecord]) -> int | None:
 def trace_columns(state: SimulationState) -> list[str]:
     """Stable CSV column order; see the README for the column contract."""
     columns = ["tick"]
-    columns += [f"server:{server_id}" for server_id in sorted(state.server_specs)]
+    columns += [f"server:{server_id}" for server_id in state.deployments]
     columns += [f"type:{service_type}" for service_type in state.types]
     columns += ["underloaded", "moves"]
-    columns += [f"pub:{topic}" for topic in sorted(state.media)]
+    columns += [f"pub:{topic}" for topic in state.media]
     columns += ["switches", "rejected-moves", "rejected-switches"]
     columns += [f"demand:{service_type}" for service_type in sorted(state.demand)]
     return columns
 
 
 def trace_rows(state: SimulationState) -> list[list[Any]]:
+    """One row per trace record, in ``trace_columns`` order."""
+    demand_types = sorted(state.demand)
     rows = []
     for record in state.trace:
-        type_counts = record.type_counts(state.types)
         row: list[Any] = [record.tick]
-        row += [len(record.deployments[server_id]) for server_id in sorted(state.server_specs)]
-        row += [type_counts[service_type] for service_type in state.types]
+        row += [len(deployed) for deployed in record.deployments.values()]
+        row += record.type_counts(state.types).values()
         row += [record.underloaded, record.moves]
-        row += [record.publications.get(topic, 0) for topic in sorted(state.media)]
+        row += [record.publications.get(topic, 0) for topic in state.media]
         row += [record.switches, record.rejected_moves, record.rejected_switches]
-        row += [record.demand.get(service_type, 0) for service_type in sorted(state.demand)]
+        row += [record.demand.get(service_type, 0) for service_type in demand_types]
         rows.append(row)
     return rows
 

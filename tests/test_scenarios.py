@@ -30,6 +30,8 @@ from coagent.scenarios import (
     run_simulation,
     summary,
     switch_type,
+    trace_columns,
+    trace_rows,
 )
 
 from tests.conftest import SCENARIO_A, SCENARIO_B
@@ -70,8 +72,7 @@ class TestBuildScenario:
             per_type[service_type] = per_type.get(service_type, 0) + 1
         assert all(count <= 10 for count in per_type.values())
         # Uniqueness holds in the seeded placement.
-        for server_id, services in state.server_services.items():
-            types = [state.service_type[s] for s in services]
+        for types in state.deployments.values():
             assert len(set(types)) == len(types)
 
     def test_zero_services_vacuous_run(self):
@@ -404,7 +405,7 @@ class TestApplyDemand:
             demand_schedule=[DemandDelta(0, "type-1", 10)],
         )
         state = build_scenario(config)
-        assert state.brokers == ["broker-01"]
+        assert config.broker_ids == ["broker-01"]
         apply_demand(state, 0)
         assert state.agents["broker-01"].beliefs.get("type-1") == 20
         assert "type-1" not in state.agents["broker-zz"].beliefs
@@ -413,12 +414,12 @@ class TestApplyDemand:
 class TestMoveService:
     def test_legal_move_preserves_conservation(self):
         state = build_scenario(two_server_config())
-        total_before = sum(len(s) for s in state.server_services.values())
+        total_before = sum(len(types) for types in state.deployments.values())
         assert move_service(state, "svc-01", "server-02") is True
         assert state.service_server["svc-01"] == "server-02"
-        assert state.deployed_count("server-01") == 4
-        assert state.deployed_count("server-02") == 2
-        assert sum(len(s) for s in state.server_services.values()) == total_before
+        assert len(state.deployments["server-01"]) == 4
+        assert len(state.deployments["server-02"]) == 2
+        assert sum(len(types) for types in state.deployments.values()) == total_before
         # Paired belief updates on all three agents.
         assert state.agents["server-01"].beliefs.get("deployed") == 4
         assert state.agents["server-02"].beliefs.get("deployed") == 2
@@ -428,7 +429,7 @@ class TestMoveService:
         state = build_scenario(two_server_config(deployments=(1, 5)))
         assert move_service(state, "svc-01", "server-02") is False
         assert state.rejected_moves == 1
-        assert state.deployed_count("server-01") == 1
+        assert len(state.deployments["server-01"]) == 1
 
     def test_uniqueness_violation_rejected(self):
         config = ScenarioConfig(
@@ -661,10 +662,10 @@ class TestSnapshotRecord:
         recorded = []
         for _ in range(state.config.ticks):
             record = run_simulation(state, 1)[-1]
-            rebuilt = {
-                server_id: sorted(state.service_type[service_id] for service_id in services)
-                for server_id, services in sorted(state.server_services.items())
-            }
+            rebuilt = {server_id: [] for server_id in sorted(state.server_specs)}
+            for service_id, server_id in state.service_server.items():
+                rebuilt[server_id].append(state.service_type[service_id])
+            rebuilt = {server_id: sorted(types) for server_id, types in rebuilt.items()}
             assert record.deployments == rebuilt
             assert list(record.deployments) == list(rebuilt)
             recorded.append(copy.deepcopy(record.deployments))
@@ -774,6 +775,40 @@ class TestTraceOutputs:
         assert set(record.deployments) == {"server-01", "server-02"}
         assert sum(len(types) for types in record.deployments.values()) == 6
         assert set(record.publications) == {"capacity", "demand-change"}
+
+    def test_columns_sorted_and_rows_aligned_for_out_of_order_declarations(self):
+        # Servers and media declared out of id and topic order; the demand
+        # spike and server-02's underload make every pub: and server: value
+        # differ from its neighbour's at some tick.
+        services = [ServiceSpec("svc-01", "type-1", "server-02")]
+        services += [ServiceSpec(f"svc-{n:02d}", "type-2", "server-01") for n in range(2, 6)]
+        config = ScenarioConfig(
+            name="unordered",
+            ticks=8,
+            servers=[ServerSpec("server-02", 5, 3), ServerSpec("server-01", 5, 3)],
+            services=services,
+            brokers=1,
+            demand={"type-2": 10, "type-1": 10},
+            demand_schedule=[DemandDelta(0, "type-1", 10)],
+            media={"demand-change": 1, "capacity": 2},
+        )
+        state = build_scenario(config)
+        trace = run_simulation(state, config.ticks, seed=0)
+        columns = trace_columns(state)
+        for prefix in ("server:", "type:", "pub:", "demand:"):
+            named = [column for column in columns if column.startswith(prefix)]
+            assert named == sorted(named) and named
+        rows = trace_rows(state)
+        assert len(rows) == len(trace)
+        for record, row in zip(trace, rows):
+            values = dict(zip(columns, row, strict=True))
+            for server_id, types in record.deployments.items():
+                assert values[f"server:{server_id}"] == len(types)
+            for topic, count in record.publications.items():
+                assert values[f"pub:{topic}"] == count
+        assert any(row[1] != row[2] for row in rows)
+        assert sum(record.publications["capacity"] for record in trace) > 0
+        assert sum(record.publications["demand-change"] for record in trace) > 0
 
     def test_summary_contents(self):
         config = load_scenario(SCENARIO_A)
