@@ -5,6 +5,9 @@ goal lifecycle transition, a plan lifecycle transition, or an incoming
 message.  Events queued for reactive processing are pairs of a triggering
 event and the intention that caused it (``TOP`` for external events), tagged
 with a monotone sequence number that fixes selection order.
+
+Once an event is built its payload is read-only: events, plan records and
+messages share a payload rather than copy it, and no code writes to one.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class _Top:
 TOP = _Top()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TriggeringEvent:
     """One reasoning event: a category, the identifier it concerns, and bindings."""
 
@@ -76,7 +79,7 @@ class TriggeringEvent:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Event:
     """A queued event: the triggering event paired with an intention id (or TOP)."""
 

@@ -84,7 +84,7 @@ def process_messages(cfg: AgentConfiguration) -> AgentConfiguration:
     _expect(cfg, PROC_MSG)
     while cfg.mail.inbox:
         message = cfg.mail.inbox.popleft()
-        te = TriggeringEvent(MESSAGE_RECEIVED, message.sender, dict(message.payload))
+        te = TriggeringEvent(MESSAGE_RECEIVED, message.sender, message.payload)
         cfg.append_event(te, TOP)
     cfg.step = SEL_EV
     return cfg
@@ -169,9 +169,7 @@ def add_intended_means(cfg: AgentConfiguration) -> AgentConfiguration:
             raise ConfigurationCorruption(
                 f"event references missing intention {epsilon.intention!r}"
             )
-    record = PlanRecord(
-        plan_id=rho, trigger_te=epsilon.te, bindings=dict(epsilon.te.payload)
-    )
+    record = PlanRecord(plan_id=rho, trigger_te=epsilon.te, bindings=epsilon.te.payload)
     intention.stack.append(record)
     started = TriggeringEvent(PLAN_STARTED, rho, {})
     cfg.observe("plan-started", te=started, intention=intention.intention_id, notify=True)
@@ -346,8 +344,8 @@ def _evaluate(args: Mapping[str, Expr], env: Env) -> dict[str, Any]:
 
 
 def _outcome(category: EventCategory, goal: TriggeringEvent) -> TriggeringEvent:
-    """A goal's outcome event: its subject and a copy of its payload."""
-    return TriggeringEvent(category, goal.subject, dict(goal.payload))
+    """A goal's outcome event: its subject and its payload, shared, not copied."""
+    return TriggeringEvent(category, goal.subject, goal.payload)
 
 
 def _discard_selected_event(cfg: AgentConfiguration, reason: str) -> None:

@@ -95,13 +95,13 @@ class PlanLibrary:
 class PlanRecord:
     """One partially executed plan instance on an intention stack.
 
-    ``bindings`` snapshots the triggering event's subject and payload.
+    ``bindings`` is the triggering event's payload, shared and read-only.
     ``waiting_on`` holds the subgoal name this record is suspended on, if any.
     """
 
     plan_id: str
     trigger_te: TriggeringEvent
-    bindings: dict[str, Any]
+    bindings: Mapping[str, Any]
     pc: int = 0
     waiting_on: str | None = None
 

@@ -8,7 +8,10 @@ new intention), and an optional guard condition over the host state.
 One rule, ``apply_mapping``, injects: within one module's entries, the first
 entry whose pattern matches the observed event and whose guard holds has its
 template instantiated and appended to the event queue with a fresh sequence
-number.  Registration merges the module elements into the host under the
+number.  A template reads only the observed event, and event payloads are
+read-only, so the hosts that observe one event (the subscribers of one
+publication) all queue the one event instantiated from it, not a copy each.
+Registration merges the module elements into the host under the
 module namespace and extends event selection to apply that rule, once per
 module in registration order, to the selected event.  The selected event
 itself is processed unchanged, and the injected event waits its turn like
@@ -69,6 +72,11 @@ class EventTemplate:
     category: EventCategory
     subject: str
     payload: Mapping[str, Expr] = field(default_factory=dict)
+    #: The last observed event and the event instantiated from it, matched
+    #: by identity; holding the observed event keeps its id from reuse.
+    _last: tuple[TriggeringEvent, TriggeringEvent] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.category not in INJECTABLE_CATEGORIES:
@@ -81,14 +89,22 @@ class EventTemplate:
         """Evaluate payload expressions against the observed event's bindings.
 
         Expressions without a defined value drop their key from the payload.
+        The result depends on ``te`` alone (no host belief is in scope), so
+        consecutive calls on the same observed event return the same event:
+        one publication delivered to many hosts injects one shared event.
         """
+        last = self._last
+        if last is not None and last[0] is te:
+            return last[1]
         env = Env(names={}, payload=te.payload, subject=te.subject)
         payload: dict[str, Any] = {}
         for key, expr in self.payload.items():
             value = expr.evaluate(env)
             if value is not UNDEFINED:
                 payload[key] = value
-        return TriggeringEvent(self.category, self.subject, payload)
+        injected = TriggeringEvent(self.category, self.subject, payload)
+        object.__setattr__(self, "_last", (te, injected))
+        return injected
 
 
 @dataclass(frozen=True)

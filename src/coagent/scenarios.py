@@ -728,13 +728,27 @@ def trace_columns(state: SimulationState) -> list[str]:
 
 
 def trace_rows(state: SimulationState) -> list[list[Any]]:
-    """One row per trace record, in ``trace_columns`` order."""
+    """One row per trace record, in ``trace_columns`` order.
+
+    The type counts carry from record to record: a server's list is
+    replaced, never mutated, so only the servers whose list object changed
+    are recounted.
+    """
     demand_types = sorted(state.demand)
+    counts: Counter[str] = Counter()
+    counted: dict[str, list[str]] = {}
     rows = []
     for record in state.trace:
+        for server_id, deployed in record.deployments.items():
+            before = counted.get(server_id)
+            if deployed is not before:
+                if before is not None:
+                    counts.subtract(before)
+                counts.update(deployed)
+                counted[server_id] = deployed
         row: list[Any] = [record.tick]
         row += [len(deployed) for deployed in record.deployments.values()]
-        row += record.type_counts(state.types).values()
+        row += [counts[service_type] for service_type in state.types]
         row += [record.underloaded, record.moves]
         row += [record.publications.get(topic, 0) for topic in state.media]
         row += [record.switches, record.rejected_moves, record.rejected_switches]

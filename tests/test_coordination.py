@@ -430,6 +430,54 @@ class TestEndpointDeliver:
             endpoint_module(decl)
 
 
+class TestSharedInjection:
+    """A template reads only the observed event, so the hosts that observe
+    one publication queue one shared event, each behind its own guard."""
+
+    def test_one_publication_queues_one_event_on_every_subscriber(self):
+        decl = movable_decl()
+        module = endpoint_module(decl)
+        medium = CoordinationMedium("capacity")
+        hosts, endpoints = {}, {}
+        # svc-2 already sits on s2: its guard is false, and it queues nothing.
+        currents = {"svc-1": "s1", "svc-2": "s2", "svc-3": "s1", "svc-4": "s3"}
+        for name, current in currents.items():
+            hosts[name] = host(name, beliefs={"current_server": current})
+            endpoint = attach_endpoint(decl, module, hosts[name])
+            medium.subscribe(endpoint.endpoint_id, name)
+            endpoints[endpoint.endpoint_id] = endpoint
+        publish(medium, info(payload={"server": "s2", "deployed": 1}), now=0)
+        _, deliveries = tick_medium(medium, now=0)
+        for endpoint_id, item in deliveries:
+            endpoint = endpoints[endpoint_id]
+            endpoint_deliver(endpoint, item, hosts[endpoint.host])
+        assert [len(cfg.circumstance.events) for cfg in hosts.values()] == [1, 0, 1, 1]
+        queued = [event for cfg in hosts.values() for event in cfg.circumstance.events]
+        shared = queued[0].te
+        assert shared == TriggeringEvent(EventCategory.GOAL_ADDED, "move-to", {"server": "s2"})
+        assert all(event.te is shared for event in queued)
+
+    def test_instantiation_follows_alternating_observed_events(self):
+        template = EventTemplate(
+            EventCategory.GOAL_ADDED,
+            "move-to",
+            {
+                "server": Expr("payload.server"),
+                "topic": Expr("subject"),
+                "absent": Expr("payload.absent"),  # undefined: the key is dropped
+            },
+        )
+        a = TriggeringEvent(EventCategory.MESSAGE_RECEIVED, "capacity", {"server": "s1"})
+        b = TriggeringEvent(EventCategory.MESSAGE_RECEIVED, "offers", {"server": "s2"})
+        from_a, from_b, from_a_again = (template.instantiate(te) for te in (a, b, a))
+        assert from_a.payload == {"server": "s1", "topic": "capacity"}
+        assert from_b.payload == {"server": "s2", "topic": "offers"}
+        assert from_a_again == from_a
+        assert template.instantiate(a) is from_a_again
+        equal_copy = TriggeringEvent(a.category, a.subject, dict(a.payload))
+        assert template.instantiate(equal_copy) == from_a
+
+
 class TestPublicationEndToEnd:
     def test_publish_plan_rechecks_guard_before_publishing(self):
         # A stale publish goal must not publish once the guard turned false.

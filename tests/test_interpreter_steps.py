@@ -1,12 +1,14 @@
 """Per-step behavior of the reasoning cycle, one class per transition."""
 
+import copy
+import dataclasses
 import itertools
 
 import pytest
 
 from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.config import AgentConfiguration, Message, Step
-from coagent.bdi.events import TOP, EventCategory, TriggeringEvent, pattern
+from coagent.bdi.events import TOP, Event, EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import (
     _remove_intention,
@@ -602,3 +604,58 @@ class TestPostExternalEvent:
         post_external_event(cfg, goal("g1"))
         run_cycle(cfg)
         assert len(cfg.circumstance.intentions) == 1
+
+
+class TestSharedPayloads:
+    """A payload is read-only once its event is built, so what is built from
+    the event shares the payload: plan records, goal outcomes and
+    message-received events hold the same dict, never a copy."""
+
+    def test_plan_record_bindings_are_the_event_payload(self):
+        cfg = agent([Plan("p", pattern("goal-added", "g1"), (Act("ping", {}),))])
+        te = goal("g1", {"k": 1})
+        post_external_event(cfg, te)
+        step_to(cfg, Step.ADD_IM)
+        add_intended_means(cfg)
+        (intention,) = cfg.circumstance.intentions.values()
+        assert intention.top.bindings is te.payload
+
+    def test_goal_succeeded_shares_the_goal_payload(self):
+        cfg = agent([Plan("p", pattern("goal-added", "g1"), (Act("ping", {}),))])
+        te = goal("g1", {"k": 1})
+        post_external_event(cfg, te)
+        run_cycle(cfg)
+        (event,) = cfg.circumstance.events
+        assert event.te.category is EventCategory.GOAL_SUCCEEDED
+        assert event.te.payload is te.payload
+
+    def test_goal_failed_shares_the_subgoal_payload(self):
+        # No plan handles g2: its discard fails the record waiting on it.
+        outer = Plan("outer", pattern("goal-added", "g1"), (Subgoal("g2", {"n": Expr("1")}),))
+        cfg = agent([outer])
+        post_external_event(cfg, goal("g1"))
+        run_cycle(cfg)
+        (subgoal,) = cfg.circumstance.events
+        run_cycle(cfg)
+        failed = [e.te for e in cfg.circumstance.events if e.te.subject == "g2"]
+        assert [te.category for te in failed] == [EventCategory.GOAL_FAILED]
+        assert failed[0].payload is subgoal.te.payload == {"n": 1}
+
+    def test_message_received_shares_the_message_payload(self):
+        cfg = agent()
+        message = Message("peer", "a", {"k": 7})
+        cfg.mail.inbox.append(message)
+        process_messages(cfg)
+        (event,) = cfg.circumstance.events
+        assert event.te.payload is message.payload
+
+    def test_event_records_are_frozen_slotted_and_deep_copy(self):
+        te = goal("g1", {"k": 1})
+        event = Event(te, TOP, 0)
+        for record in (te, event):
+            assert not hasattr(record, "__dict__")
+            for name in (f.name for f in dataclasses.fields(record)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(record, name, None)
+        clone = copy.deepcopy(event)
+        assert clone == event and clone.te.payload is not te.payload

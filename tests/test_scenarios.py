@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import coagent.coefficiency as coefficiency
 import coagent.scenarios as scenarios
+from coagent.bdi.config import AgentConfiguration
 from coagent.bdi.expressions import Expr
 from coagent.cli import main
 from coagent.loader import load_scenario
@@ -696,6 +697,54 @@ class TestSnapshotRecord:
         assert summary(state)["underloaded"] == 1
 
 
+def capacity_config(servers=20):
+    """Half the servers full and half at one service: every underloaded
+    server's capacity offer goes to every service on another server."""
+    specs = [ServerSpec(f"server-{n:02d}", 5, 3) for n in range(1, servers + 1)]
+    services = []
+    for index, spec in enumerate(specs):
+        for _ in range(5 if index < servers // 2 else 1):
+            services.append(ServiceSpec(f"svc-{len(services) + 1:03d}", "web", spec.server_id))
+    return ScenarioConfig(
+        name="capacity",
+        ticks=30,
+        servers=specs,
+        services=services,
+        media={"capacity": 1, "demand-change": 1},
+    )
+
+
+class TestPayloadsStayReadOnly:
+    def test_no_payload_changes_once_published_or_queued(self, monkeypatch):
+        # Events, plan records and hosts share payloads, so one write would
+        # reach every holder.  Each payload is copied when it is published
+        # or first queued, and must still equal that copy after the run.
+        kept = {}
+
+        def keep(payload):
+            if id(payload) not in kept:
+                kept[id(payload)] = (payload, copy.deepcopy(payload))
+
+        publish, append_event = scenarios.publish, AgentConfiguration.append_event
+
+        def keeping_publish(medium, info, now):
+            keep(info.payload)
+            return publish(medium, info, now)
+
+        def keeping_append(cfg, te, intention):
+            keep(te.payload)
+            return append_event(cfg, te, intention)
+
+        monkeypatch.setattr(scenarios, "publish", keeping_publish)
+        monkeypatch.setattr(AgentConfiguration, "append_event", keeping_append)
+        config = capacity_config()
+        state = build_scenario(config)
+        trace = run_simulation(state, config.ticks, seed=0)
+        assert sum(record.publications["capacity"] for record in trace) >= 10
+        assert sum(record.moves for record in trace) > 0
+        assert [copied for payload, copied in kept.values() if payload != copied] == []
+
+
 class TestObservationRecording:
     def test_scenario_agents_keep_no_observation_records(self):
         config = churn_config()
@@ -809,6 +858,18 @@ class TestTraceOutputs:
         assert any(row[1] != row[2] for row in rows)
         assert sum(record.publications["capacity"] for record in trace) > 0
         assert sum(record.publications["demand-change"] for record in trace) > 0
+
+    def test_carried_type_counts_equal_a_recount_of_each_record(self):
+        config = churn_config()
+        state = build_scenario(config)
+        trace = run_simulation(state, config.ticks)
+        assert sum(record.moves for record in trace) > 0
+        assert sum(record.switches for record in trace) > 0
+        columns = trace_columns(state)
+        for record, row in zip(trace, trace_rows(state), strict=True):
+            values = dict(zip(columns, row, strict=True))
+            recount = record.type_counts(state.types)
+            assert {t: values[f"type:{t}"] for t in state.types} == recount
 
     def test_summary_contents(self):
         config = load_scenario(SCENARIO_A)
