@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Mapping, Protocol
+from typing import Any, Callable, Protocol
 
 from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.events import TOP, Event, TriggeringEvent, _Top
-from coagent.bdi.plans import Intention, PlanLibrary
+# ActionFault and Message are defined beside the body steps that raise and send them.
+from coagent.bdi.plans import ActionFault, Intention, Message, PlanLibrary
 
 
 class Step(str, Enum):
@@ -41,10 +41,6 @@ EXEC_INT = Step.EXEC_INT
 CLR_INT = Step.CLR_INT
 
 
-class ActionFault(RuntimeError):
-    """Raised by environment adapters when an action cannot be performed."""
-
-
 class ConfigurationCorruption(RuntimeError):
     """Raised when an interpreter invariant is violated (signals a bug)."""
 
@@ -67,22 +63,12 @@ class InertEnvironment:
         pass
 
 
-@dataclass(frozen=True)
-class Message:
-    sender: str
-    receiver: str
-    payload: Mapping[str, Any] = field(default_factory=dict)
-
-    def to_json(self) -> dict[str, Any]:
-        return {"sender": self.sender, "receiver": self.receiver, "payload": dict(self.payload)}
-
-
 @dataclass
 class MailState:
     """Minimal agent communication state: FIFO inbox and outbox."""
 
-    inbox: deque[Message] = field(default_factory=deque)
-    outbox: deque[Message] = field(default_factory=deque)
+    inbox: list[Message] = field(default_factory=list)
+    outbox: list[Message] = field(default_factory=list)
 
 
 @dataclass
@@ -102,7 +88,10 @@ class Circumstance:
 
 @dataclass
 class TempInfo:
-    """Volatile per-cycle data used between reasoning steps."""
+    """Volatile per-cycle data used between reasoning steps.
+
+    ``relevant`` may be the plan library's own indexed list: read-only.
+    """
 
     relevant: list[str] = field(default_factory=list)
     applicable: list[str] = field(default_factory=list)
@@ -188,7 +177,8 @@ class AgentConfiguration:
         event mappings without ever entering the reactive event queue.  The
         notification always happens; the record is built and kept only when
         ``record_observations`` is set (the default; ``build_scenario``
-        clears it unless the run writes the agent log).
+        clears it unless the run writes the agent log).  The interpreter
+        calls this only when a record or a notification can follow.
         """
         if self.record_observations:
             record: dict[str, Any] = {"kind": kind}

@@ -33,13 +33,27 @@ own and is charged to its caller's self time.  An idle cycle made seven
 such lookups; on 3.11.7 the rule took it from 1.0-1.3 µs to about 0.3 µs
 (timeit, best of 7 x 200,000 cycles).  Code that runs once, ``_TRANSITIONS``
 and class-level defaults, may spell members out, and so does the naive
-``coagent.bdi.reference``; ``tests/test_hot_path.py`` checks the rule.
+``coagent.bdi.reference``.  The rule also counts frames, since each Python
+call costs one:
+
+* Step checks are inline (``if cfg.step is not X: _expect(cfg, X)``), so
+  ``_expect`` runs only to raise.  ``run_cycle``'s idle branch calls the
+  SelEv entry's selector itself: an idle module host enters ``run_cycle``,
+  ``select_event_coefficient`` and ``select_event``, nothing more.
+* Lifecycle events exist only where they are recorded or hooked: plan-started
+  and plan-finished are built only when the host records observations or has
+  a hook, which only a module with mapping entries installs; other
+  observations are built only when recorded.
+* Relevance is indexed: ``PlanLibrary.relevant`` looks plans up by the
+  event's category and subject, and only the reference scans the whole
+  library.  Each body step runs itself, so ExecInt has no type dispatch.
+
+``tests/test_hot_path.py`` checks the rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Mapping
 
 from coagent.bdi.config import (
     ADD_IM,
@@ -54,7 +68,6 @@ from coagent.bdi.config import (
     ActionFault,
     AgentConfiguration,
     ConfigurationCorruption,
-    Message,
     Step,
 )
 from coagent.bdi.events import (
@@ -65,12 +78,11 @@ from coagent.bdi.events import (
     PLAN_FINISHED,
     PLAN_STARTED,
     TOP,
-    Event,
     EventCategory,
     TriggeringEvent,
 )
-from coagent.bdi.expressions import Env, Expr, ExpressionEvalError
-from coagent.bdi.plans import Act, Believe, Intention, PlanRecord, Send, Subgoal, Unbelieve
+from coagent.bdi.expressions import Env, ExpressionEvalError
+from coagent.bdi.plans import Intention, PlanRecord
 
 
 def post_external_event(cfg: AgentConfiguration, te: TriggeringEvent) -> AgentConfiguration:
@@ -81,18 +93,20 @@ def post_external_event(cfg: AgentConfiguration, te: TriggeringEvent) -> AgentCo
 
 def process_messages(cfg: AgentConfiguration) -> AgentConfiguration:
     """ProcMsg: convert the inbox to message-received events in FIFO order."""
-    _expect(cfg, PROC_MSG)
-    while cfg.mail.inbox:
-        message = cfg.mail.inbox.popleft()
-        te = TriggeringEvent(MESSAGE_RECEIVED, message.sender, message.payload)
-        cfg.append_event(te, TOP)
+    if cfg.step is not PROC_MSG:
+        _expect(cfg, PROC_MSG)
+    inbox = cfg.mail.inbox
+    for message in inbox:
+        cfg.append_event(TriggeringEvent(MESSAGE_RECEIVED, message.sender, message.payload), TOP)
+    inbox.clear()
     cfg.step = SEL_EV
     return cfg
 
 
 def select_event(cfg: AgentConfiguration) -> AgentConfiguration:
     """SelEv: pick the oldest pending event, or skip to intention selection."""
-    _expect(cfg, SEL_EV)
+    if cfg.step is not SEL_EV:
+        _expect(cfg, SEL_EV)
     events = cfg.circumstance.events
     if not events:
         cfg.step = SEL_INT
@@ -106,14 +120,12 @@ def select_event(cfg: AgentConfiguration) -> AgentConfiguration:
 
 def compute_relevant_plans(cfg: AgentConfiguration) -> AgentConfiguration:
     """RelPl: collect plans whose trigger matches the selected event."""
-    _expect(cfg, REL_PL)
+    if cfg.step is not REL_PL:
+        _expect(cfg, REL_PL)
     epsilon = cfg.temp.epsilon
     if epsilon is None:
         raise ConfigurationCorruption("RelPl reached without a selected event")
-    relevant = [
-        plan.plan_id for plan in cfg.plans.in_order() if plan.trigger.matches(epsilon.te)
-    ]
-    cfg.temp.relevant = relevant
+    relevant = cfg.temp.relevant = cfg.plans.relevant(epsilon.te)
     if relevant:
         cfg.step = APPL_PL
         return cfg
@@ -124,7 +136,8 @@ def compute_relevant_plans(cfg: AgentConfiguration) -> AgentConfiguration:
 
 def compute_applicable_plans(cfg: AgentConfiguration) -> AgentConfiguration:
     """ApplPl: filter relevant plans by their context condition."""
-    _expect(cfg, APPL_PL)
+    if cfg.step is not APPL_PL:
+        _expect(cfg, APPL_PL)
     epsilon = cfg.temp.epsilon
     if epsilon is None:
         raise ConfigurationCorruption("ApplPl reached without a selected event")
@@ -145,7 +158,8 @@ def compute_applicable_plans(cfg: AgentConfiguration) -> AgentConfiguration:
 
 def select_applicable(cfg: AgentConfiguration) -> AgentConfiguration:
     """SelAppl: commit to the applicable plan declared earliest in the library."""
-    _expect(cfg, SEL_APPL)
+    if cfg.step is not SEL_APPL:
+        _expect(cfg, SEL_APPL)
     if not cfg.temp.applicable:
         raise ConfigurationCorruption("SelAppl reached with no applicable plans")
     # temp.applicable preserves declaration order, so the head has the
@@ -157,7 +171,8 @@ def select_applicable(cfg: AgentConfiguration) -> AgentConfiguration:
 
 def add_intended_means(cfg: AgentConfiguration) -> AgentConfiguration:
     """AddIm: push the chosen plan onto its intention, creating one if external."""
-    _expect(cfg, ADD_IM)
+    if cfg.step is not ADD_IM:
+        _expect(cfg, ADD_IM)
     epsilon, rho = cfg.temp.epsilon, cfg.temp.rho
     if epsilon is None or rho is None:
         raise ConfigurationCorruption("AddIm reached without event and plan")
@@ -171,8 +186,9 @@ def add_intended_means(cfg: AgentConfiguration) -> AgentConfiguration:
             )
     record = PlanRecord(plan_id=rho, trigger_te=epsilon.te, bindings=epsilon.te.payload)
     intention.stack.append(record)
-    started = TriggeringEvent(PLAN_STARTED, rho, {})
-    cfg.observe("plan-started", te=started, intention=intention.intention_id, notify=True)
+    if cfg.record_observations or cfg.observation_hooks:
+        started = TriggeringEvent(PLAN_STARTED, rho, {})
+        cfg.observe("plan-started", te=started, intention=intention.intention_id, notify=True)
     _clear_temp(cfg)
     cfg.step = SEL_INT
     return cfg
@@ -180,7 +196,8 @@ def add_intended_means(cfg: AgentConfiguration) -> AgentConfiguration:
 
 def select_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     """SelInt: round-robin over runnable intentions; wrap the cycle if none."""
-    _expect(cfg, SEL_INT)
+    if cfg.step is not SEL_INT:
+        _expect(cfg, SEL_INT)
     intentions = cfg.circumstance.intentions
     runnable = (
         [iid for iid in sorted(intentions) if intentions[iid].is_runnable(cfg.plans)]
@@ -201,7 +218,8 @@ def select_intention(cfg: AgentConfiguration) -> AgentConfiguration:
 
 def execute_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     """ExecInt: run exactly one body step of the selected intention's top plan."""
-    _expect(cfg, EXEC_INT)
+    if cfg.step is not EXEC_INT:
+        _expect(cfg, EXEC_INT)
     iota = cfg.temp.iota
     if iota is None:
         raise ConfigurationCorruption("ExecInt reached without a selected intention")
@@ -213,33 +231,19 @@ def execute_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     record = intention.top
     step = cfg.plans.get(record.plan_id).body[record.pc]
     env = Env(names=cfg.beliefs, payload=record.bindings, subject=record.trigger_te.subject)
-    posted = None  # the event this step posts on its own intention
     try:
-        if isinstance(step, Act):
-            if step.name not in cfg.circumstance.actions:
-                raise ActionFault(f"unknown action {step.name!r}")
-            cfg.environment.perform(cfg, step.name, _evaluate(step.args, env))
-        elif isinstance(step, Subgoal):
-            posted = TriggeringEvent(GOAL_ADDED, step.goal, _evaluate(step.args, env))
-            record.waiting_on = step.goal
-        elif isinstance(step, Believe):
-            posted = cfg.beliefs.set(step.key, step.value.as_value(env))
-        elif isinstance(step, Unbelieve):
-            posted = cfg.beliefs.remove(step.key)
-        elif isinstance(step, Send):
-            cfg.mail.outbox.append(Message(cfg.agent_id, step.to, _evaluate(step.payload, env)))
-        else:  # pragma: no cover - exhaustive over BodyStep
-            raise ConfigurationCorruption(f"unknown body step {step!r}")
+        posted = step.run(cfg, record, env)  # the event it posts on its own intention
         if posted is not None:
             cfg.append_event(posted, intention.intention_id)
         record.pc += 1
     except (ActionFault, ExpressionEvalError) as fault:
-        cfg.observe(
-            "plan-failed",
-            intention=intention.intention_id,
-            plan=record.plan_id,
-            fault=str(fault),
-        )
+        if cfg.record_observations:
+            cfg.observe(
+                "plan-failed",
+                intention=intention.intention_id,
+                plan=record.plan_id,
+                fault=str(fault),
+            )
         _fail_top_record(cfg, intention)
     cfg.step = CLR_INT
     return cfg
@@ -247,7 +251,8 @@ def execute_intention(cfg: AgentConfiguration) -> AgentConfiguration:
 
 def clear_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     """ClrInt: pop finished records, emit goal outcomes, drop empty intentions."""
-    _expect(cfg, CLR_INT)
+    if cfg.step is not CLR_INT:
+        _expect(cfg, CLR_INT)
     intentions = cfg.circumstance.intentions
     if intentions:
         # The walk removes only the intention it visits, so each id is live.
@@ -305,7 +310,7 @@ def run_cycle(cfg: AgentConfiguration) -> AgentConfiguration:
     transitions = _TRANSITIONS
     if not cfg.mail.inbox and not circumstance.events and not circumstance.intentions:
         cfg.step = SEL_EV
-        _select(cfg)
+        (cfg.select_event_override or select_event)(cfg)  # the SelEv entry, inlined
         if cfg.step is SEL_INT and not circumstance.intentions:
             cfg.temp.iota = None
             cfg.step = PROC_MSG
@@ -338,11 +343,6 @@ def _clear_temp(cfg: AgentConfiguration) -> None:
     cfg.temp.applicable = []
 
 
-def _evaluate(args: Mapping[str, Expr], env: Env) -> dict[str, Any]:
-    """Evaluate the argument map of an Act, Subgoal or Send step."""
-    return {key: expr.as_value(env) for key, expr in args.items()}
-
-
 def _outcome(category: EventCategory, goal: TriggeringEvent) -> TriggeringEvent:
     """A goal's outcome event: its subject and its payload, shared, not copied."""
     return TriggeringEvent(category, goal.subject, goal.payload)
@@ -352,7 +352,8 @@ def _discard_selected_event(cfg: AgentConfiguration, reason: str) -> None:
     """Drop the selected event; a dropped pending subgoal fails its waiter."""
     epsilon = cfg.temp.epsilon
     assert epsilon is not None
-    cfg.observe("event-discarded", te=epsilon.te, intention=epsilon.intention, reason=reason)
+    if cfg.record_observations:
+        cfg.observe("event-discarded", te=epsilon.te, intention=epsilon.intention, reason=reason)
     if epsilon.te.category is GOAL_ADDED and epsilon.intention is not TOP:
         intention = cfg.circumstance.intentions.get(epsilon.intention)  # type: ignore[arg-type]
         if (
@@ -403,10 +404,11 @@ def _pop_finished(cfg: AgentConfiguration, intention: Intention) -> None:
         top = intention.top
         if top.waiting_on is not None or top.pc < len(cfg.plans.get(top.plan_id).body):
             break
-        finished = TriggeringEvent(PLAN_FINISHED, top.plan_id, {})
-        cfg.observe(
-            "plan-finished", te=finished, intention=intention.intention_id, notify=True
-        )
+        if cfg.record_observations or cfg.observation_hooks:
+            finished = TriggeringEvent(PLAN_FINISHED, top.plan_id, {})
+            cfg.observe(
+                "plan-finished", te=finished, intention=intention.intention_id, notify=True
+            )
         _close_top_record(cfg, intention, GOAL_SUCCEEDED)
     if not intention.stack:
         _remove_intention(cfg, intention.intention_id)

@@ -1,12 +1,40 @@
-"""Plans, body steps, plan records, and intentions."""
+"""Plans, body steps, plan records, and intentions.
+
+Each body step runs itself: ``run(cfg, record, env)`` applies the step for
+the top record of the selected intention and returns the event it posts on
+that intention, if any.  A step fails its plan by raising ``ActionFault``
+or ``ExpressionEvalError``.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
-from coagent.bdi.events import EventPattern, TriggeringEvent
-from coagent.bdi.expressions import TRUE, Expr
+from coagent.bdi.events import GOAL_ADDED, EventCategory, EventPattern, TriggeringEvent
+from coagent.bdi.expressions import TRUE, Env, Expr
+
+if TYPE_CHECKING:
+    from coagent.bdi.config import AgentConfiguration
+
+
+class ActionFault(RuntimeError):
+    """Raised by environment adapters when an action cannot be performed."""
+
+
+@dataclass(frozen=True)
+class Message:
+    sender: str
+    receiver: str
+    payload: Mapping[str, Any] = field(default_factory=dict)
+
+    def to_json(self) -> dict[str, Any]:
+        return {"sender": self.sender, "receiver": self.receiver, "payload": dict(self.payload)}
+
+
+def _evaluate(args: Mapping[str, Expr], env: Env) -> dict[str, Any]:
+    """Evaluate the argument map of an Act, Subgoal or Send step."""
+    return {key: expr.as_value(env) for key, expr in args.items()}
 
 
 @dataclass(frozen=True)
@@ -16,6 +44,11 @@ class Act:
     name: str
     args: Mapping[str, Expr] = field(default_factory=dict)
 
+    def run(self, cfg: AgentConfiguration, record: PlanRecord, env: Env) -> None:
+        if self.name not in cfg.circumstance.actions:
+            raise ActionFault(f"unknown action {self.name!r}")
+        cfg.environment.perform(cfg, self.name, _evaluate(self.args, env))
+
 
 @dataclass(frozen=True)
 class Subgoal:
@@ -23,6 +56,11 @@ class Subgoal:
 
     goal: str
     args: Mapping[str, Expr] = field(default_factory=dict)
+
+    def run(self, cfg: AgentConfiguration, record: PlanRecord, env: Env) -> TriggeringEvent:
+        posted = TriggeringEvent(GOAL_ADDED, self.goal, _evaluate(self.args, env))
+        record.waiting_on = self.goal
+        return posted
 
 
 @dataclass(frozen=True)
@@ -32,12 +70,18 @@ class Believe:
     key: str
     value: Expr
 
+    def run(self, cfg: AgentConfiguration, record: PlanRecord, env: Env) -> TriggeringEvent | None:
+        return cfg.beliefs.set(self.key, self.value.as_value(env))
+
 
 @dataclass(frozen=True)
 class Unbelieve:
     """Drop a belief if present."""
 
     key: str
+
+    def run(self, cfg: AgentConfiguration, record: PlanRecord, env: Env) -> TriggeringEvent | None:
+        return cfg.beliefs.remove(self.key)
 
 
 @dataclass(frozen=True)
@@ -46,6 +90,9 @@ class Send:
 
     to: str
     payload: Mapping[str, Expr] = field(default_factory=dict)
+
+    def run(self, cfg: AgentConfiguration, record: PlanRecord, env: Env) -> None:
+        cfg.mail.outbox.append(Message(cfg.agent_id, self.to, _evaluate(self.payload, env)))
 
 
 BodyStep = Act | Subgoal | Believe | Unbelieve | Send
@@ -66,10 +113,21 @@ class Plan:
 
 
 class PlanLibrary:
-    """Ordered plan collection; declaration order breaks applicable-plan ties."""
+    """Ordered plan collection; declaration order breaks applicable-plan ties.
+
+    ``relevant`` answers RelPl from an index built lazily per event category
+    and subject: the plans whose trigger admits both, in declaration order.
+    Triggers with payload constraints are re-checked against each event, and
+    ``add`` drops the index.  Only ``coagent.bdi.reference`` scans the whole
+    library for every event.
+    """
 
     def __init__(self, plans: list[Plan] | None = None):
         self._plans: dict[str, Plan] = {}
+        #: (category, subject) -> (the plan ids whose trigger admits both;
+        #: those plans, to re-check per event, if any has payload
+        #: constraints, else None).
+        self._relevance: dict[tuple[EventCategory, str], tuple[list[str], list[Plan] | None]] = {}
         for plan in plans or []:
             self.add(plan)
 
@@ -77,6 +135,7 @@ class PlanLibrary:
         if plan.plan_id in self._plans:
             raise ValueError(f"duplicate plan id {plan.plan_id!r}")
         self._plans[plan.plan_id] = plan
+        self._relevance = {}
 
     def get(self, plan_id: str) -> Plan:
         return self._plans[plan_id]
@@ -89,6 +148,32 @@ class PlanLibrary:
 
     def in_order(self) -> list[Plan]:
         return list(self._plans.values())
+
+    def relevant(self, te: TriggeringEvent) -> list[str]:
+        """Ids of the plans whose trigger matches ``te``, in declaration order.
+
+        The list may be the index's own: read it, never mutate it.
+        """
+        entry = self._relevance.get((te.category, te.subject))
+        if entry is None:
+            entry = self._index(te.category, te.subject)
+        ids, constrained = entry
+        if constrained is None:
+            return ids
+        return [plan.plan_id for plan in constrained if plan.trigger.matches(te)]
+
+    def _index(
+        self, category: EventCategory, subject: str
+    ) -> tuple[list[str], list[Plan] | None]:
+        probe = TriggeringEvent(category, subject)
+        plans = [
+            plan
+            for plan in self._plans.values()
+            if EventPattern(plan.trigger.categories, plan.trigger.subject).matches(probe)
+        ]
+        constrained = plans if any(plan.trigger.payload for plan in plans) else None
+        entry = self._relevance[category, subject] = ([plan.plan_id for plan in plans], constrained)
+        return entry
 
 
 @dataclass

@@ -191,7 +191,9 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
     Beliefs and plans are merged under the module namespace (export-listed
     names stay unprefixed); belief references inside the module's own plans
     are rewritten to the namespaced keys.  A module's mapping entries, if it
-    declares any, join the host's active mapping after earlier modules'.
+    declares any, join the host's active mapping after earlier modules', and
+    the first such module installs the plan-lifecycle hook; a host without
+    one calls no hook.
     """
     if mod.module_id in cfg.modules:
         raise ModuleRegistrationError(f"module {mod.module_id!r} already registered")
@@ -223,10 +225,11 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
         cfg.plans.add(plan)
     if mod.mapping:
         cfg.mapping[mod.module_id] = tuple(mod.mapping)
+        if _inject not in cfg.observation_hooks:
+            cfg.observation_hooks.append(_inject)
     cfg.modules[mod.module_id] = mod
     if cfg.select_event_override is None:
         cfg.select_event_override = select_event_coefficient
-        cfg.observation_hooks.append(_inject)
     return cfg
 
 
@@ -258,7 +261,7 @@ def select_event_coefficient(cfg: AgentConfiguration) -> AgentConfiguration:
     the temporary structure for normal processing.
     """
     select_event(cfg)
-    if cfg.step is REL_PL:
+    if cfg.step is REL_PL and cfg.mapping:
         epsilon = cfg.temp.epsilon
         _inject(cfg, epsilon.te, epsilon.intention)
     return cfg
@@ -289,6 +292,6 @@ def apply_mapping(
 
 def _inject(cfg: AgentConfiguration, te: TriggeringEvent, intention: int | _Top) -> None:
     """Apply each module's entries to one observed event; also the plan
-    lifecycle hook.  A host whose modules declare no entries observes nothing."""
+    lifecycle hook, installed only once a module declares entries."""
     for entries in cfg.mapping.values():
         apply_mapping(cfg, entries, te, intention)

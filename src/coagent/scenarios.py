@@ -252,6 +252,10 @@ class SimulationState:
         self.service_server: dict[str, str] = {}
         self.service_type: dict[str, str] = {}
         self.demand: dict[str, int] = dict(config.demand)
+        #: The demand schedule by tick, in document order within a tick.
+        self.demand_by_tick: dict[int, list[DemandDelta]] = {}
+        for entry in config.demand_schedule:
+            self.demand_by_tick.setdefault(entry.tick, []).append(entry)
         self.types: list[str] = config.service_types
         #: The one per-server record: per server, in id order, the sorted
         #: types it runs.  Beside it, the servers strictly between empty and
@@ -444,9 +448,7 @@ def switch_type(state: SimulationState, service_id: str, new_type: str) -> bool:
 
 def apply_demand(state: SimulationState, tick: int) -> SimulationState:
     """Apply scheduled request-rate deltas; brokers mirror them as beliefs."""
-    for entry in state.config.demand_schedule:
-        if entry.tick != tick:
-            continue
+    for entry in state.demand_by_tick.get(tick, ()):
         old = state.demand.get(entry.service_type, 0)
         new = old + entry.delta
         state.demand[entry.service_type] = new

@@ -385,6 +385,28 @@ class TestObservationStreamMatching:
         ]
         assert cfg.circumstance.intentions == {}
 
+    def test_entries_registered_after_an_entryless_module_see_lifecycle_events(self):
+        # A module without entries installs no lifecycle hook; the first
+        # module that declares entries does, whenever it registers.
+        cfg = agent(plans=[Plan("work", pattern("goal-added", "g"), (Act("ping", {}),))])
+        cfg.record_observations = False
+        register_module(cfg, CoefficientModule("quiet"))
+        assert cfg.observation_hooks == []
+        module = CoefficientModule(
+            "audit",
+            mapping=[
+                EventMappingEntry(
+                    observe=pattern("plan-finished", "work"),
+                    inject=EventTemplate(EventCategory.GOAL_ADDED, "audit.done", {}),
+                )
+            ],
+        )
+        register_module(cfg, module)
+        post_external_event(cfg, TriggeringEvent(EventCategory.GOAL_ADDED, "g", {}))
+        run_cycle(cfg)
+        subjects = [event.te.subject for event in cfg.circumstance.events]
+        assert subjects == ["audit.done", "g"]
+
     @pytest.mark.parametrize("lifecycle", ["plan-started", "plan-finished"])
     def test_injection_does_not_depend_on_recording(self, lifecycle):
         # The lifecycle hook fires whether or not observations are recorded;

@@ -1,28 +1,36 @@
-"""The hot-path rule: runtime code names enum members through module constants.
+"""The hot-path rule: what a reasoning cycle may cost.
 
 An Enum member lookup such as ``Step.SEL_EV`` costs several times a
 module-global read, and a profiler cannot show it: it has no frame of its
 own.  So every function body of the runtime modules reads members through
 constants bound once, by name, in the module that defines the enum.
 Class-level defaults and other module-level code run once and are exempt.
+
+A Python call costs a frame.  So a cycle enters only the functions that do
+its work: step checks are inline, an idle cycle goes straight to the
+selector, and a host that neither records observations nor declares
+mapping entries builds no lifecycle event and calls no hook.
 """
 
 from __future__ import annotations
 
 import ast
+import sys
 from enum import Enum
 from pathlib import Path
 
 import pytest
 
 from coagent import coefficiency, coordination
-from coagent.bdi import beliefs, config, events, interpreter
-from coagent.bdi.config import Step
-from coagent.bdi.events import EventCategory
-from coagent.coefficiency import Placement
+from coagent.bdi import beliefs, config, events, interpreter, plans
+from coagent.bdi.config import AgentConfiguration, Step
+from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
+from coagent.bdi.interpreter import post_external_event, run_cycle
+from coagent.bdi.plans import Act, Plan, PlanLibrary
+from coagent.coefficiency import CoefficientModule, Placement, register_module
 
 #: The modules whose functions run every reasoning cycle.
-RUNTIME_MODULES = (interpreter, beliefs, config, coefficiency, coordination)
+RUNTIME_MODULES = (interpreter, beliefs, config, coefficiency, coordination, plans)
 ENUMS = {enum.__name__: enum for enum in (Step, EventCategory, Placement)}
 DEFINING_MODULES = {Step: config, EventCategory: events, Placement: coefficiency}
 
@@ -79,3 +87,50 @@ def test_each_constant_is_the_member_of_its_name(module):
     for name, value in vars(module).items():
         if isinstance(value, Enum):
             assert value is type(value).__members__.get(name), f"{module.__name__}.{name}"
+
+
+def entered(fn, *args) -> list[str]:
+    """The Python functions ``fn(*args)`` enters, in call order (C calls excluded)."""
+    names: list[str] = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            names.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        fn(*args)
+    finally:
+        sys.setprofile(None)
+    return names
+
+
+def module_host(record_observations: bool) -> AgentConfiguration:
+    """A service-like host: one plan, one module without mapping entries."""
+    cfg = AgentConfiguration(
+        "a",
+        plans=PlanLibrary([Plan("work", pattern("goal-added", "g"), (Act("ping"),))]),
+        actions={"ping"},
+        record_observations=record_observations,
+    )
+    register_module(cfg, CoefficientModule("m"))
+    return cfg
+
+
+def test_an_idle_cycle_enters_only_the_selector():
+    cfg = module_host(record_observations=True)
+    assert entered(run_cycle, cfg) == ["run_cycle", "select_event_coefficient", "select_event"]
+
+
+@pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
+def test_a_busy_cycle_without_entries_enters_no_check_or_hook(record):
+    # The first cycle adopts and runs the plan, which finishes; the second
+    # discards its goal-succeeded outcome, which no plan handles.
+    cfg = module_host(record_observations=record)
+    post_external_event(cfg, TriggeringEvent(EventCategory.GOAL_ADDED, "g", {}))
+    names = entered(run_cycle, cfg) + entered(run_cycle, cfg)
+    assert not cfg.circumstance.events and not cfg.circumstance.intentions
+    assert "_expect" not in names and "_inject" not in names
+    # Recording is the one reason to enter observe: the control shows the
+    # profile sees it.
+    assert ("observe" in names) is record

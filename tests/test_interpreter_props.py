@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coagent.bdi.config import Step
-from coagent.bdi.events import TOP
+from coagent.bdi.events import TOP, EventCategory, EventPattern, TriggeringEvent
 from coagent.bdi.interpreter import reasoning_step
+from coagent.bdi.plans import Act, Plan, PlanLibrary
 
 from tests.conftest import instantiate, random_program
 from tests.helpers import check_structural_invariants, run_traced
@@ -116,3 +117,36 @@ def test_events_from_dead_intentions_repair_to_top():
     assert cfg.circumstance.intentions == {}
     assert cfg.circumstance.events, "belief events should still be queued"
     assert all(event.intention is TOP for event in cfg.circumstance.events)
+
+
+CATEGORIES = (
+    EventCategory.GOAL_ADDED,
+    EventCategory.GOAL_SUCCEEDED,
+    EventCategory.BELIEF_UPDATED,
+    EventCategory.MESSAGE_RECEIVED,
+)
+payloads = st.dictionaries(st.sampled_from(["k", "m"]), st.integers(0, 1), max_size=2)
+triggers = st.builds(
+    EventPattern,
+    categories=st.none()
+    | st.lists(st.sampled_from(CATEGORIES), min_size=1, max_size=2, unique=True).map(tuple),
+    subject=st.sampled_from([None, "a", "ab", "b", "*", "a*", "ab*", "c*"]),
+    payload=payloads,
+)
+events = st.builds(
+    TriggeringEvent, st.sampled_from(CATEGORIES), st.sampled_from(["a", "ab", "b", "c"]), payloads
+)
+
+
+@given(st.lists(st.tuples(st.just("add"), triggers) | st.tuples(st.just("relevant"), events), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_indexed_relevance_equals_the_declaration_order_scan(operations):
+    """Exact, prefix and any-subject triggers, payload constraints, and plans
+    added after a lookup: the index answers as a scan of every plan would."""
+    library = PlanLibrary()
+    for index, (operation, value) in enumerate(operations):
+        if operation == "add":
+            library.add(Plan(f"p{index}", value, (Act("ping"),)))
+        else:
+            scan = [plan.plan_id for plan in library.in_order() if plan.trigger.matches(value)]
+            assert library.relevant(value) == scan

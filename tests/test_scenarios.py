@@ -380,6 +380,17 @@ class TestApplyDemand:
         apply_demand(state, 0)
         assert len(broker.circumstance.events) == before
 
+    def test_deltas_of_one_tick_apply_in_document_order(self):
+        state = self.make_state(
+            [DemandDelta(2, "type-1", 5), DemandDelta(0, "type-1", 1), DemandDelta(2, "type-1", -3)]
+        )
+        broker = state.agents["broker-01"]
+        queued = len(broker.circumstance.events)
+        apply_demand(state, 2)
+        written = [event.te.payload for event in broker.circumstance.events[queued:]]
+        assert written == [{"old": 10, "new": 15}, {"old": 15, "new": 12}]
+        assert state.demand["type-1"] == 12
+
     def test_significant_change_fires_publication(self):
         # Oracle: |delta| / old = 20/10 = 2.0 >= 0.5, so the guard holds.
         state = self.make_state([DemandDelta(0, "type-1", 20)])
