@@ -75,6 +75,12 @@ class MailState:
 class Circumstance:
     """Execution context: intentions, pending events, available actions.
 
+    ``intentions`` iterates in ascending id order: its only writer is
+    ``AgentConfiguration.new_intention``, which inserts each intention under
+    a fresh id greater than every id before it, and intentions are only ever
+    removed.  The interpreter schedules and clears intentions in that order
+    without sorting.
+
     ``pending`` counts the queued events paired with each intention id, so
     dropping an intention only rewrites the queue when something in it still
     refers to that id.

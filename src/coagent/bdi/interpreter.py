@@ -4,11 +4,12 @@ Each function consumes and returns an ``AgentConfiguration``, rewriting it in
 place.  One table, ``_TRANSITIONS``, lists the transitions in cycle order and
 is the only place that order is written: ``reasoning_step`` applies the entry
 for the current step, and ``run_cycle`` walks the table once, back to message
-processing.  Event selection has one path for both drivers, the table's SelEv
-entry: the selector registered on the configuration (module activation
-extends event selection only), else plain ``select_event``.  A cycle that
-begins idle (empty inbox, no queued event, no intention) runs only that
-entry and wraps, unless the selector leaves work for the rest of the walk.
+processing.  Event selection has one rule for both drivers, the table's
+SelEv entry: the selector registered on the configuration (module activation
+extends event selection only), else plain ``select_event``.  ``run_cycle``
+has one path for idle and busy agents alike: ProcMsg only for a non-empty
+inbox, the selector called inline, a wrap as soon as selection leaves no
+intention to schedule, else the rest of the table.
 
 Selection functions are fixed deterministically: events are selected in FIFO
 posting order, the applicable plan with the lowest declaration index wins,
@@ -37,9 +38,18 @@ and class-level defaults, may spell members out, and so does the naive
 call costs one:
 
 * Step checks are inline (``if cfg.step is not X: _expect(cfg, X)``), so
-  ``_expect`` runs only to raise.  ``run_cycle``'s idle branch calls the
-  SelEv entry's selector itself: an idle module host enters ``run_cycle``,
-  ``select_event_coefficient`` and ``select_event``, nothing more.
+  ``_expect`` runs only to raise.  ``run_cycle`` calls the SelEv entry's
+  selector itself and ProcMsg only for mail: an idle module host enters
+  ``run_cycle``, ``select_event_coefficient`` and ``select_event``, nothing
+  more, and a busy cycle with an empty inbox enters neither
+  ``process_messages`` nor ``_select``.
+* Intentions are never sorted: they iterate in ascending id order (see
+  ``Circumstance``).  SelInt checks runnability inline and stops at the
+  first runnable id after the cursor, ExecInt checks the record it runs
+  inline, and ClrInt reads each stack's top directly.  A plan id becomes a
+  body by one subscript of ``PlanLibrary.by_id``, not a ``get`` call.
+* ApplPl evaluates no context that is literally ``TRUE`` (the default), and
+  builds the event's ``Env`` only for the first context it evaluates.
 * Lifecycle events exist only where they are recorded or hooked: plan-started
   and plan-finished are built only when the host records observations or has
   a hook, which only a module with mapping entries installs; other
@@ -81,7 +91,7 @@ from coagent.bdi.events import (
     EventCategory,
     TriggeringEvent,
 )
-from coagent.bdi.expressions import Env, ExpressionEvalError
+from coagent.bdi.expressions import TRUE, Env, ExpressionEvalError
 from coagent.bdi.plans import Intention, PlanRecord
 
 
@@ -141,12 +151,18 @@ def compute_applicable_plans(cfg: AgentConfiguration) -> AgentConfiguration:
     epsilon = cfg.temp.epsilon
     if epsilon is None:
         raise ConfigurationCorruption("ApplPl reached without a selected event")
-    env = _event_env(cfg, epsilon.te)
-    applicable = [
-        plan_id
-        for plan_id in cfg.temp.relevant
-        if cfg.plans.get(plan_id).context.as_condition(env)
-    ]
+    plans = cfg.plans.by_id
+    env = None  # built for the first context that is not literally true
+    applicable = []
+    for plan_id in cfg.temp.relevant:
+        context = plans[plan_id].context
+        if context is not TRUE:
+            if env is None:
+                te = epsilon.te
+                env = Env(names=cfg.beliefs, payload=te.payload, subject=te.subject)
+            if not context.as_condition(env):
+                continue
+        applicable.append(plan_id)
     cfg.temp.applicable = applicable
     if applicable:
         cfg.step = SEL_APPL
@@ -195,21 +211,35 @@ def add_intended_means(cfg: AgentConfiguration) -> AgentConfiguration:
 
 
 def select_intention(cfg: AgentConfiguration) -> AgentConfiguration:
-    """SelInt: round-robin over runnable intentions; wrap the cycle if none."""
+    """SelInt: round-robin over runnable intentions; wrap the cycle if none.
+
+    The intentions iterate in ascending id order (see ``Circumstance``), so
+    one pass finds the first runnable id after the cursor and stops there,
+    else takes the lowest runnable id.  An intention is runnable when its
+    top record waits on no subgoal and has a next body step.
+    """
     if cfg.step is not SEL_INT:
         _expect(cfg, SEL_INT)
-    intentions = cfg.circumstance.intentions
-    runnable = (
-        [iid for iid in sorted(intentions) if intentions[iid].is_runnable(cfg.plans)]
-        if intentions
-        else []
-    )
-    if not runnable:
-        cfg.temp.iota = None
-        cfg.step = PROC_MSG
-        return cfg
+    plans = cfg.plans.by_id
     cursor = cfg.last_intention_run
-    chosen = next((iid for iid in runnable if cursor is None or iid > cursor), runnable[0])
+    first = None  # the lowest runnable id, taken if none follows the cursor
+    for iid, intention in cfg.circumstance.intentions.items():
+        stack = intention.stack
+        if not stack:
+            continue
+        top = stack[-1]
+        if top.waiting_on is None and top.pc < len(plans[top.plan_id].body):
+            if cursor is None or iid > cursor:
+                chosen = iid
+                break
+            if first is None:
+                first = iid
+    else:
+        if first is None:
+            cfg.temp.iota = None
+            cfg.step = PROC_MSG
+            return cfg
+        chosen = first
     cfg.temp.iota = chosen
     cfg.last_intention_run = chosen
     cfg.step = EXEC_INT
@@ -226,10 +256,12 @@ def execute_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     intention = cfg.circumstance.intentions.get(iota)
     if intention is None:
         raise ConfigurationCorruption(f"selected intention {iota!r} is missing")
-    if not intention.is_runnable(cfg.plans):
+    stack = intention.stack
+    record = stack[-1] if stack else None
+    body = cfg.plans.by_id[record.plan_id].body if record is not None else ()
+    if record is None or record.waiting_on is not None or record.pc >= len(body):
         raise ConfigurationCorruption(f"selected intention {iota!r} is not runnable")
-    record = intention.top
-    step = cfg.plans.get(record.plan_id).body[record.pc]
+    step = body[record.pc]
     env = Env(names=cfg.beliefs, payload=record.bindings, subject=record.trigger_te.subject)
     try:
         posted = step.run(cfg, record, env)  # the event it posts on its own intention
@@ -255,9 +287,10 @@ def clear_intention(cfg: AgentConfiguration) -> AgentConfiguration:
         _expect(cfg, CLR_INT)
     intentions = cfg.circumstance.intentions
     if intentions:
-        # The walk removes only the intention it visits, so each id is live.
-        for iid in sorted(intentions):
-            _pop_finished(cfg, intentions[iid])
+        # Ascending id order (see ``Circumstance``); the walk removes only
+        # the intention it visits, so it walks a copy of the live ones.
+        for intention in list(intentions.values()):
+            _pop_finished(cfg, intention)
     cfg.temp.iota = None
     cfg.step = PROC_MSG
     return cfg
@@ -282,7 +315,7 @@ _TRANSITIONS = (
     (Step.CLR_INT, clear_intention),
 )
 
-#: The walk an idle cycle continues with when its selection leaves work.
+#: The walk ``run_cycle`` continues with after event selection.
 _AFTER_SEL_EV = _TRANSITIONS[2:]
 
 
@@ -297,26 +330,26 @@ def reasoning_step(cfg: AgentConfiguration) -> AgentConfiguration:
 def run_cycle(cfg: AgentConfiguration) -> AgentConfiguration:
     """Run one full reasoning cycle: one walk of the table, back to ProcMsg.
 
-    An agent that begins the cycle idle -- no inbox message, no queued event,
-    no intention -- runs only the SelEv entry, so the registered selector
-    still runs once, and then ends at ProcMsg with no selected intention:
-    the state the walk leaves, without the transitions that would do
-    nothing.  If the selector leaves another step or an intention, the walk
-    continues from that step.
+    One path for every agent, with the first two entries inlined: ProcMsg
+    runs only when the inbox holds a message (an empty inbox only moves the
+    step to SelEv), and the registered selector, the SelEv entry, is called
+    directly, exactly once.  If selection leaves SelInt with no intention,
+    the cycle ends at ProcMsg with no selected intention -- the state
+    SelInt would leave, without the call.  Otherwise the walk continues
+    over the rest of the table from the step selection left.
     """
     if cfg.step is not PROC_MSG:
         raise ValueError("run_cycle must start at ProcMsg")
-    circumstance = cfg.circumstance
-    transitions = _TRANSITIONS
-    if not cfg.mail.inbox and not circumstance.events and not circumstance.intentions:
+    if cfg.mail.inbox:
+        process_messages(cfg)
+    else:
         cfg.step = SEL_EV
-        (cfg.select_event_override or select_event)(cfg)  # the SelEv entry, inlined
-        if cfg.step is SEL_INT and not circumstance.intentions:
-            cfg.temp.iota = None
-            cfg.step = PROC_MSG
-            return cfg
-        transitions = _AFTER_SEL_EV
-    for step, transition in transitions:
+    (cfg.select_event_override or select_event)(cfg)  # the SelEv entry, inlined
+    if cfg.step is SEL_INT and not cfg.circumstance.intentions:
+        cfg.temp.iota = None
+        cfg.step = PROC_MSG
+        return cfg
+    for step, transition in _AFTER_SEL_EV:
         if cfg.step is step:
             transition(cfg)
     if cfg.step is not PROC_MSG:
@@ -330,10 +363,6 @@ def run_cycle(cfg: AgentConfiguration) -> AgentConfiguration:
 def _expect(cfg: AgentConfiguration, step: Step) -> None:
     if cfg.step is not step:
         raise ConfigurationCorruption(f"expected step {step.value}, at {cfg.step.value}")
-
-
-def _event_env(cfg: AgentConfiguration, te: TriggeringEvent) -> Env:
-    return Env(names=cfg.beliefs, payload=te.payload, subject=te.subject)
 
 
 def _clear_temp(cfg: AgentConfiguration) -> None:
@@ -359,12 +388,12 @@ def _discard_selected_event(cfg: AgentConfiguration, reason: str) -> None:
         if (
             intention is not None
             and intention.stack
-            and intention.top.waiting_on == epsilon.te.subject
+            and intention.stack[-1].waiting_on == epsilon.te.subject
         ):
             cfg.append_event(
                 _outcome(GOAL_FAILED, epsilon.te), intention.intention_id
             )
-            intention.top.waiting_on = None
+            intention.stack[-1].waiting_on = None
             _fail_top_record(cfg, intention)
     _clear_temp(cfg)
 
@@ -379,10 +408,11 @@ def _close_top_record(
     Returns whether the record below had been waiting on that goal; it
     waits no longer.
     """
-    goal = intention.stack.pop().trigger_te
+    stack = intention.stack
+    goal = stack.pop().trigger_te
     if goal.category is not GOAL_ADDED:
         return False
-    below = intention.top if intention.stack else None
+    below = stack[-1] if stack else None
     cfg.append_event(_outcome(outcome, goal), TOP if below is None else intention.intention_id)
     if below is None or below.waiting_on != goal.subject:
         return False
@@ -400,9 +430,11 @@ def _fail_top_record(cfg: AgentConfiguration, intention: Intention) -> None:
 
 def _pop_finished(cfg: AgentConfiguration, intention: Intention) -> None:
     """Close finished top records with goal-succeeded; drop an emptied intention."""
-    while intention.stack:
-        top = intention.top
-        if top.waiting_on is not None or top.pc < len(cfg.plans.get(top.plan_id).body):
+    stack = intention.stack
+    plans = cfg.plans.by_id
+    while stack:
+        top = stack[-1]
+        if top.waiting_on is not None or top.pc < len(plans[top.plan_id].body):
             break
         if cfg.record_observations or cfg.observation_hooks:
             finished = TriggeringEvent(PLAN_FINISHED, top.plan_id, {})
@@ -410,7 +442,7 @@ def _pop_finished(cfg: AgentConfiguration, intention: Intention) -> None:
                 "plan-finished", te=finished, intention=intention.intention_id, notify=True
             )
         _close_top_record(cfg, intention, GOAL_SUCCEEDED)
-    if not intention.stack:
+    if not stack:
         _remove_intention(cfg, intention.intention_id)
 
 

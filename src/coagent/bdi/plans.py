@@ -120,10 +120,15 @@ class PlanLibrary:
     Triggers with payload constraints are re-checked against each event, and
     ``add`` drops the index.  Only ``coagent.bdi.reference`` scans the whole
     library for every event.
+
+    ``by_id`` maps plan id -> plan in declaration order, so the interpreter
+    turns a plan id into its body with one subscript, without a ``get``
+    call.  It is the library's own dict: read it, never write it; ``add``
+    is its only writer.
     """
 
     def __init__(self, plans: list[Plan] | None = None):
-        self._plans: dict[str, Plan] = {}
+        self.by_id: dict[str, Plan] = {}
         #: (category, subject) -> (the plan ids whose trigger admits both;
         #: those plans, to re-check per event, if any has payload
         #: constraints, else None).
@@ -132,22 +137,22 @@ class PlanLibrary:
             self.add(plan)
 
     def add(self, plan: Plan) -> None:
-        if plan.plan_id in self._plans:
+        if plan.plan_id in self.by_id:
             raise ValueError(f"duplicate plan id {plan.plan_id!r}")
-        self._plans[plan.plan_id] = plan
+        self.by_id[plan.plan_id] = plan
         self._relevance = {}
 
     def get(self, plan_id: str) -> Plan:
-        return self._plans[plan_id]
+        return self.by_id[plan_id]
 
     def __contains__(self, plan_id: str) -> bool:
-        return plan_id in self._plans
+        return plan_id in self.by_id
 
     def __len__(self) -> int:
-        return len(self._plans)
+        return len(self.by_id)
 
     def in_order(self) -> list[Plan]:
-        return list(self._plans.values())
+        return list(self.by_id.values())
 
     def relevant(self, te: TriggeringEvent) -> list[str]:
         """Ids of the plans whose trigger matches ``te``, in declaration order.
@@ -168,7 +173,7 @@ class PlanLibrary:
         probe = TriggeringEvent(category, subject)
         plans = [
             plan
-            for plan in self._plans.values()
+            for plan in self.by_id.values()
             if EventPattern(plan.trigger.categories, plan.trigger.subject).matches(probe)
         ]
         constrained = plans if any(plan.trigger.payload for plan in plans) else None
@@ -209,15 +214,6 @@ class Intention:
     @property
     def top(self) -> PlanRecord:
         return self.stack[-1]
-
-    def is_runnable(self, library: PlanLibrary) -> bool:
-        """True when the top record has an executable next step."""
-        if not self.stack:
-            return False
-        top = self.top
-        if top.waiting_on is not None:
-            return False
-        return top.pc < len(library.get(top.plan_id).body)
 
     def to_json(self) -> dict[str, Any]:
         return {

@@ -7,9 +7,11 @@ constants bound once, by name, in the module that defines the enum.
 Class-level defaults and other module-level code run once and are exempt.
 
 A Python call costs a frame.  So a cycle enters only the functions that do
-its work: step checks are inline, an idle cycle goes straight to the
-selector, and a host that neither records observations nor declares
-mapping entries builds no lifecycle event and calls no hook.
+its work: step checks are inline, every cycle goes straight to the
+selector and runs ProcMsg only for mail, intention scheduling and plan
+lookups make no method call, ApplPl evaluates no context that is literally
+``TRUE``, and a host that neither records observations nor declares mapping
+entries builds no lifecycle event and calls no hook.
 """
 
 from __future__ import annotations
@@ -18,15 +20,22 @@ import ast
 import sys
 from enum import Enum
 from pathlib import Path
+from types import CodeType
 
 import pytest
 
 from coagent import coefficiency, coordination
 from coagent.bdi import beliefs, config, events, interpreter, plans
-from coagent.bdi.config import AgentConfiguration, Step
+from coagent.bdi.config import AgentConfiguration, Message, Step
 from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
-from coagent.bdi.interpreter import post_external_event, run_cycle
-from coagent.bdi.plans import Act, Plan, PlanLibrary
+from coagent.bdi.expressions import TRUE, Env, Expr
+from coagent.bdi.interpreter import (
+    compute_applicable_plans,
+    post_external_event,
+    reasoning_step,
+    run_cycle,
+)
+from coagent.bdi.plans import Act, Intention, Plan, PlanLibrary
 from coagent.coefficiency import CoefficientModule, Placement, register_module
 
 #: The modules whose functions run every reasoning cycle.
@@ -89,20 +98,26 @@ def test_each_constant_is_the_member_of_its_name(module):
             assert value is type(value).__members__.get(name), f"{module.__name__}.{name}"
 
 
-def entered(fn, *args) -> list[str]:
-    """The Python functions ``fn(*args)`` enters, in call order (C calls excluded)."""
-    names: list[str] = []
+def entered_code(fn, *args) -> list[CodeType]:
+    """The code of each Python function ``fn(*args)`` enters, in call order
+    (C calls excluded)."""
+    codes: list[CodeType] = []
 
     def profile(frame, event, arg):
         if event == "call":
-            names.append(frame.f_code.co_name)
+            codes.append(frame.f_code)
 
     sys.setprofile(profile)
     try:
         fn(*args)
     finally:
         sys.setprofile(None)
-    return names
+    return codes
+
+
+def entered(fn, *args) -> list[str]:
+    """The names of the Python functions ``fn(*args)`` enters, in call order."""
+    return [code.co_name for code in entered_code(fn, *args)]
 
 
 def module_host(record_observations: bool) -> AgentConfiguration:
@@ -134,3 +149,64 @@ def test_a_busy_cycle_without_entries_enters_no_check_or_hook(record):
     # Recording is the one reason to enter observe: the control shows the
     # profile sees it.
     assert ("observe" in names) is record
+
+
+def test_a_busy_cycle_with_an_empty_inbox_enters_no_message_selection_or_lookup_call():
+    # Three cycles: adopt the plan and run its first step, run its second
+    # step and close it, discard the goal-succeeded outcome.
+    cfg = AgentConfiguration(
+        "a",
+        plans=PlanLibrary([Plan("work", pattern("goal-added", "g"), (Act("ping"), Act("ping")))]),
+        actions={"ping"},
+    )
+    register_module(cfg, CoefficientModule("m"))
+    post_external_event(cfg, TriggeringEvent(EventCategory.GOAL_ADDED, "g", {}))
+    codes = []
+    for _ in range(3):
+        codes += entered_code(run_cycle, cfg)
+    assert not cfg.circumstance.events and not cfg.circumstance.intentions
+    names = [code.co_name for code in codes]
+    assert names.count("execute_intention") == 2
+    assert "process_messages" not in names and "_select" not in names
+    assert PlanLibrary.get.__code__ not in codes
+    assert Intention.top.fget.__code__ not in codes
+
+
+def test_a_cycle_with_a_queued_message_processes_it():
+    # The control: the profile sees ProcMsg when there is mail.
+    cfg = module_host(record_observations=False)
+    cfg.mail.inbox.append(Message("b", "a", {}))
+    names = entered(run_cycle, cfg)
+    assert "process_messages" in names
+    assert not cfg.mail.inbox and not cfg.circumstance.events  # selected, then discarded
+
+
+def at_applicable_plans(contexts) -> AgentConfiguration:
+    """An agent at ApplPl for goal ``g``, one relevant plan per context."""
+    library = PlanLibrary(
+        [
+            Plan(f"p{index}", pattern("goal-added", "g"), (Act("ping"),), context)
+            for index, context in enumerate(contexts)
+        ]
+    )
+    cfg = AgentConfiguration("a", plans=library, actions={"ping"})
+    cfg.beliefs.set("x", 3)
+    post_external_event(cfg, TriggeringEvent(EventCategory.GOAL_ADDED, "g", {}))
+    while cfg.step is not Step.APPL_PL:
+        reasoning_step(cfg)
+    return cfg
+
+
+def test_a_true_context_evaluates_no_expression():
+    cfg = at_applicable_plans([TRUE, TRUE])
+    assert entered(compute_applicable_plans, cfg) == ["compute_applicable_plans"]
+    assert cfg.temp.applicable == ["p0", "p1"]
+
+
+def test_other_contexts_are_evaluated_once_per_relevant_plan_in_one_env():
+    # Expr("true") is not the TRUE constant, so it is evaluated like any other.
+    cfg = at_applicable_plans([Expr("x > 1"), TRUE, Expr("x > 5"), Expr("true")])
+    codes = entered_code(compute_applicable_plans, cfg)
+    assert codes.count(Expr.as_condition.__code__) == 3
+    assert codes.count(Env.__init__.__code__) == 1
+    assert cfg.temp.applicable == ["p0", "p1", "p3"]

@@ -6,10 +6,17 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coagent.bdi.config import Step
-from coagent.bdi.events import TOP, EventCategory, EventPattern, TriggeringEvent
-from coagent.bdi.interpreter import reasoning_step
-from coagent.bdi.plans import Act, Plan, PlanLibrary
+from coagent.bdi.config import AgentConfiguration, Step
+from coagent.bdi.events import TOP, EventCategory, EventPattern, TriggeringEvent, pattern
+from coagent.bdi.interpreter import (
+    _remove_intention,
+    post_external_event,
+    reasoning_step,
+    run_cycle,
+    select_intention,
+)
+from coagent.bdi.plans import Act, Plan, PlanLibrary, PlanRecord, Subgoal
+from coagent.bdi.reference import reference_step
 
 from tests.conftest import instantiate, random_program
 from tests.helpers import check_structural_invariants, run_traced
@@ -150,3 +157,102 @@ def test_indexed_relevance_equals_the_declaration_order_scan(operations):
         else:
             scan = [plan.plan_id for plan in library.in_order() if plan.trigger.matches(value)]
             assert library.relevant(value) == scan
+
+
+# -- intention order and scheduling -------------------------------------------
+
+#: ``ok`` succeeds through a subgoal; ``bad``'s subgoal runs an unknown action,
+#: so the failure cascades up the stack; ``lost`` waits on a subgoal no plan
+#: handles, whose discard fails the waiter.
+ORDER_PLANS = (
+    Plan("ok", pattern("goal-added", "ok"), (Subgoal("leaf"), Act("ping"))),
+    Plan("leaf", pattern("goal-added", "leaf"), (Act("ping"),)),
+    Plan("bad", pattern("goal-added", "bad"), (Subgoal("boom"), Act("ping"))),
+    Plan("boom", pattern("goal-added", "boom"), (Act("explode"),)),
+    Plan("lost", pattern("goal-added", "lost"), (Subgoal("nowhere"), Act("ping"))),
+)
+
+order_operations = st.lists(
+    st.tuples(st.just("post"), st.sampled_from(["ok", "bad", "lost"]))
+    | st.tuples(st.just("cycle"), st.integers(1, 3))
+    | st.tuples(st.just("remove"), st.integers(0, 7)),
+    max_size=40,
+)
+
+
+@given(order_operations)
+@settings(max_examples=150, deadline=None)
+def test_intentions_iterate_in_ascending_id_order(operations):
+    """Creation, goal success, the failure cascade and dropping an intention
+    interleaved: the circumstance's intentions stay in ascending id order."""
+    cfg = AgentConfiguration("a", plans=PlanLibrary(list(ORDER_PLANS)), actions={"ping"})
+    intentions = cfg.circumstance.intentions
+    created = 0
+
+    def cycle() -> None:
+        nonlocal created
+        before = max(intentions, default=0)
+        run_cycle(cfg)
+        created += max(intentions, default=0) > before
+        assert list(intentions) == sorted(intentions)
+
+    for operation, value in operations:
+        if operation == "post":
+            post_external_event(cfg, TriggeringEvent(EventCategory.GOAL_ADDED, value, {}))
+        elif operation == "cycle":
+            for _ in range(value):
+                cycle()
+        elif intentions:
+            _remove_intention(cfg, list(intentions)[value % len(intentions)])
+        assert list(intentions) == sorted(intentions)
+    for _ in range(1000):  # every goal runs to its end
+        if not intentions and not cfg.circumstance.events:
+            break
+        cycle()
+    assert not intentions
+    assert created == sum(operation == "post" for operation, _ in operations)
+
+
+TOPS = ("runnable", "waiting", "finished")
+
+
+@st.composite
+def scheduled_agents(draw):
+    """An agent at SelInt: intentions with gaps in their ids, each with one or
+    two records whose top is runnable, waiting or finished; a random cursor."""
+    plan = Plan("p", pattern("goal-added", "g"), (Act("ping"), Act("ping"), Act("ping")))
+    cfg = AgentConfiguration("a", plans=PlanLibrary([plan]), actions={"ping"})
+    goal = TriggeringEvent(EventCategory.GOAL_ADDED, "g", {})
+    for _ in range(draw(st.integers(0, 6))):
+        intention = cfg.new_intention()
+        if draw(st.booleans()):
+            _remove_intention(cfg, intention.intention_id)
+            continue
+        for _ in range(draw(st.integers(0, 1))):
+            intention.stack.append(PlanRecord("p", goal, {}, pc=0, waiting_on="g"))
+        top = draw(st.sampled_from(TOPS))
+        intention.stack.append(
+            PlanRecord(
+                "p",
+                goal,
+                {},
+                pc=3 if top == "finished" else draw(st.integers(0, 2)),
+                waiting_on="g" if top == "waiting" else None,
+            )
+        )
+    cfg.last_intention_run = draw(st.none() | st.integers(0, 7))
+    cfg.step = Step.SEL_INT
+    return cfg
+
+
+@given(scheduled_agents())
+@settings(max_examples=300, deadline=None)
+def test_intention_selection_equals_the_sorted_scan(cfg):
+    """SelInt picks what the reference's scan over the sorted ids picks."""
+    expected = reference_step(copy.deepcopy(cfg))
+    select_intention(cfg)
+    assert (cfg.step, cfg.temp.iota, cfg.last_intention_run) == (
+        expected.step,
+        expected.temp.iota,
+        expected.last_intention_run,
+    )
