@@ -1,23 +1,47 @@
 """Guard and value expressions over beliefs and event bindings.
 
-Expressions are written in a restricted Python-syntax subset: numeric and
-string literals, ``true``/``false``, belief references by bare name, event
-binding references via ``payload.<key>`` and ``subject``, arithmetic
-(``+ - * /``), comparisons (``< <= == != >= >``), boolean connectives
-(``and or not``), and the functions ``abs``, ``min``, ``max`` over numbers.
+Expressions are written in a restricted Python-syntax subset.  The grammar
+and its meaning, which ``coagent.bdi.reference`` re-derives independently:
 
-Expressions are checked and compiled once, when configuration is loaded;
-evaluation never raises in condition position.  A reference to an absent
-belief or binding (or a division by zero, or a type mismatch) makes the
-enclosing comparison false.  In value position the same situations raise
-``ExpressionEvalError`` so the caller can fail the running plan.
+* literals: ints, floats, strings, and ``true``/``false`` (``True`` and
+  ``False`` too);
+* a bare name is the belief of that name; ``payload.<key>`` is the event
+  binding ``key``; ``subject`` is the triggering event's subject, or the
+  belief named ``subject`` when the environment has no subject;
+* arithmetic ``+ - * /`` and unary minus take numbers only (``int`` and
+  ``float``, not ``bool``); ``abs``, ``min`` and ``max`` take numbers only
+  and the arity Python's builtins take;
+* comparisons ``< <= == != >= >``, chained as in Python: a link runs only
+  when the links before it held, and the result is ``True`` or ``False``;
+* ``and``, ``or`` and ``not`` over truth values, short-circuiting, with a
+  ``True`` or ``False`` result.
+
+A reference to an absent belief or binding is undefined (``UNDEFINED``), and
+so is arithmetic or a call over an operand that is not a number, a division
+by zero, or a call with the wrong number of arguments.  A comparison with an
+undefined operand, or between values Python cannot order, is false, and an
+undefined value is false wherever a truth value is taken.  So evaluation
+never raises in condition position; in value position an undefined result
+raises ``ExpressionEvalError``, so the caller can fail the running plan.
+
+Each expression is parsed and checked once, when configuration is loaded,
+by the walk that also writes it as one Python function: a tree of ``ast``
+node classes and fields, never source text.  Loading keeps only the parsed
+tree; the expression's first evaluation runs the walk again, turns what it
+writes into ``ast`` nodes and compiles them.  Every evaluation after that is
+one call of straight-line code.  Literals enter that code as constants, and
+the sentinel, the number types and the three functions by name.  Short-circuit
+operands and later comparison links run inside ``if`` blocks that follow one
+another, so the code nests only as deep as the source nests ``and``/``or``
+and comparisons, and a long operand list or arithmetic chain stays flat.  A
+source nested too deeply for the parser or the walk is an
+``ExpressionSyntaxError``.
 """
 
 from __future__ import annotations
 
 import ast
-import operator
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 
 class ExpressionSyntaxError(ValueError):
@@ -42,157 +66,315 @@ class _Undefined:
 
 UNDEFINED = _Undefined()
 
-_ALLOWED_FUNCS = {"abs": abs, "min": min, "max": max}
-
-_CMP_OPS = {
-    ast.Eq: operator.eq,
-    ast.NotEq: operator.ne,
-    ast.Lt: operator.lt,
-    ast.LtE: operator.le,
-    ast.Gt: operator.gt,
-    ast.GtE: operator.ge,
-}
-
-_BIN_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul, ast.Div: operator.truediv}
+_FUNCTIONS = ("abs", "min", "max")
+_COMPARISONS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+_ARITHMETIC = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 #: The operand types arithmetic and function calls take; any other operand
 #: (UNDEFINED, a bool, a str, a container) makes the result UNDEFINED.
 _NUMBERS = (int, float)
 
+#: What generated code reads by name: its only globals.
+_BINDINGS = {
+    "UNDEFINED": UNDEFINED,
+    "NUMBERS": _NUMBERS,
+    "abs": abs,
+    "min": min,
+    "max": max,
+    "type": type,
+    "TypeError": TypeError,
+    "ZeroDivisionError": ZeroDivisionError,
+}
 
-def _truth(value: Any) -> bool:
-    return value is not UNDEFINED and bool(value)
+#: A value's static kind: its exact type when known (a literal, or a result
+#: that is always a bool), ``_DEFINED`` when it is known not to be
+#: UNDEFINED, else ``None``.
+_DEFINED = object
+
+#: A written node: an ``ast`` node class and its fields in ``_fields``
+#: order, each a written node, a list of them, or a plain value.  A tuple
+#: costs a fraction of an ``ast`` node to build, and loading writes every
+#: expression, evaluated or not, for the walk's checks; ``_node`` turns the
+#: tuples into ``ast`` nodes once an expression is evaluated.
+_Written = tuple
+
+_EMPTY: list = []  # ``_node`` copies every list, so written nodes may share one
+_LOAD, _STORE, _NOT = (ast.Load,), (ast.Store,), (ast.Not,)
+_IS, _IS_NOT, _IN = [(ast.Is,)], [(ast.IsNot,)], [(ast.In,)]  # one-operator lists
+_UNDEFINED = (ast.Name, "UNDEFINED", _LOAD)
+_UNDEFINED_ONLY = [_UNDEFINED]
+_FALSE, _TRUE, _NONE = (ast.Constant, False), (ast.Constant, True), (ast.Constant, None)
+_ENV = (ast.Name, "env", _LOAD)
+_TYPE, _NUMBERS_ONLY = (ast.Name, "type", _LOAD), [(ast.Name, "NUMBERS", _LOAD)]
+_SUBJECT = (ast.Attribute, _ENV, "subject", _LOAD)
+_GET = {
+    mapping: (ast.Attribute, (ast.Attribute, _ENV, mapping, _LOAD), "get", _LOAD)
+    for mapping in ("names", "payload")
+}
+_IGNORE = {
+    error: [(ast.ExceptHandler, (ast.Name, error, _LOAD), None, [(ast.Pass,)])]
+    for error in ("TypeError", "ZeroDivisionError")
+}
+_ARGUMENTS = (ast.arguments, _EMPTY, [(ast.arg, "env")], None, _EMPTY, _EMPTY, None, _EMPTY)
 
 
-def _subject(env: "Env") -> Any:
-    if env.subject is None:
-        return env.names.get("subject", UNDEFINED)
-    return env.subject
+def _lookup(mapping: str, key: str) -> _Written:
+    """``env.<mapping>.get(key, UNDEFINED)``."""
+    return (ast.Call, _GET[mapping], [(ast.Constant, key), _UNDEFINED], _EMPTY)
 
 
-def _compile(node: ast.AST, source: str) -> Callable[["Env"], Any]:
-    """Check one node against the supported subset and return its evaluator.
+def _is_number(value: _Written) -> _Written:
+    return (ast.Compare, (ast.Call, _TYPE, [value], _EMPTY), _IN, _NUMBERS_ONLY)
+
+
+def _defined(value: _Written) -> _Written:
+    return (ast.Compare, value, _IS_NOT, _UNDEFINED_ONLY)
+
+
+def _all(tests: list[_Written]) -> _Written:
+    return tests[0] if len(tests) == 1 else (ast.BoolOp, (ast.And,), tests)
+
+
+def _guarded(block: list[_Written], tests: list[_Written], statement: _Written) -> None:
+    """Append ``statement`` to ``block``, run only if every test holds."""
+    block.append((ast.If, _all(tests), [statement], _EMPTY) if tests else statement)
+
+
+def _truth(value: _Written, kind: Any) -> _Written:
+    """The truth of ``value`` as a bool expression, UNDEFINED being false;
+    ``value`` is a name or constant unless it is always a bool."""
+    if kind is bool:
+        return value
+    if value[0] is ast.Constant:
+        return (ast.Constant, bool(value[1]))
+    as_bool = (ast.UnaryOp, _NOT, (ast.UnaryOp, _NOT, value))
+    if kind is not None:
+        return as_bool
+    return (ast.BoolOp, (ast.And,), [_defined(value), as_bool])
+
+
+def _ignoring(error: str, statement: _Written) -> _Written:
+    """``statement``, with ``error`` raised by it ignored."""
+    return (ast.Try, [statement], _IGNORE[error], _EMPTY, _EMPTY)
+
+
+def _set(local: _Written, value: _Written) -> _Written:
+    """``local = value``, for the written name ``local`` that reads a local."""
+    return (ast.Assign, [(ast.Name, local[1], _STORE)], value)
+
+
+def _is_atom(value: _Written) -> bool:
+    return value[0] is ast.Name or value[0] is ast.Constant
+
+
+class _Writer:
+    """The grammar walk: checks one parsed expression and writes its code.
 
     This walk is the grammar's only definition.  A node's own operator is
-    checked before its children are compiled, so the first unsupported
-    construct in pre-order is the one reported.
+    checked before its children are walked, so the first unsupported
+    construct in pre-order is the one reported.  ``walk`` appends the
+    statements a node needs to the block it is given and returns the node's
+    value as an expression over names and constants, with the value's
+    kind; it enters one Python frame per level of the source tree.
     """
-    if isinstance(node, ast.Expression):
-        return _compile(node.body, source)
-    if isinstance(node, ast.BoolOp):
-        operands = [_compile(value, source) for value in node.values]
-        if isinstance(node.op, ast.And):
-            return lambda env: all(_truth(operand(env)) for operand in operands)
-        return lambda env: any(_truth(operand(env)) for operand in operands)
-    if isinstance(node, ast.UnaryOp):
-        if not isinstance(node.op, (ast.Not, ast.USub)):
-            raise ExpressionSyntaxError(f"unsupported unary operator in {source!r}")
-        operand = _compile(node.operand, source)
-        if isinstance(node.op, ast.Not):
-            return lambda env: not _truth(operand(env))
 
-        def negation(env: Env) -> Any:
-            value = operand(env)
-            if type(value) not in _NUMBERS:
-                return UNDEFINED
-            return -value
+    def __init__(self, source: str):
+        self.source = source
+        self.temps = 0
 
-        return negation
-    if isinstance(node, ast.Compare):
-        if any(type(op) not in _CMP_OPS for op in node.ops):
-            raise ExpressionSyntaxError(f"unsupported comparison in {source!r}")
-        first = _compile(node.left, source)
-        links = [
-            (_CMP_OPS[type(op)], _compile(comparator, source))
-            for op, comparator in zip(node.ops, node.comparators)
+    def temp(self) -> _Written:
+        """A new local of the written function, as the name that reads it."""
+        self.temps += 1
+        return (ast.Name, f"t{self.temps}", _LOAD)
+
+    def atom(self, value: _Written, block: list[_Written]) -> _Written:
+        """The value as a name or constant, so it may be read twice."""
+        if _is_atom(value):
+            return value
+        temp = self.temp()
+        block.append(_set(temp, value))
+        return temp
+
+    def numbers(self, operands: list[tuple[_Written, Any]]) -> list[_Written] | None:
+        """The checks that every operand is a number; None if one never is."""
+        tests = []
+        for value, kind in operands:
+            if kind in _NUMBERS:
+                continue
+            if kind is not None and kind is not _DEFINED:
+                return None
+            tests.append(_is_number(value))
+        return tests
+
+    def walk(self, node: ast.AST, block: list[_Written]) -> tuple[_Written, Any]:
+        source, form = self.source, type(node)
+        if form is ast.Attribute:
+            if not (isinstance(node.value, ast.Name) and node.value.id == "payload"):
+                raise ExpressionSyntaxError(
+                    f"only payload.<key> attribute references allowed in {source!r}"
+                )
+            return _lookup("payload", node.attr), None
+        if form is ast.Name:
+            name = node.id
+            if name in ("true", "false"):
+                return (_TRUE if name == "true" else _FALSE), bool
+            if name == "subject":
+                result = self.temp()
+                block.append(_set(result, _SUBJECT))
+                unset = (ast.Compare, result, _IS, [_NONE])
+                block.append((ast.If, unset, [_set(result, _lookup("names", "subject"))], _EMPTY))
+                return result, None
+            return _lookup("names", name), None
+        if form is ast.Constant:
+            if not isinstance(node.value, (int, float, str, bool)):
+                raise ExpressionSyntaxError(f"unsupported literal in {source!r}")
+            return (ast.Constant, node.value), type(node.value)
+        if form is ast.BoolOp:
+            # One ``if`` per later operand, side by side: it runs while the
+            # result so far is true (``and``) or false (``or``).
+            result = self.temp()
+            test = result if isinstance(node.op, ast.And) else (ast.UnaryOp, _NOT, result)
+            outer = block
+            for position, operand in enumerate(node.values):
+                if position:
+                    block = []
+                    outer.append((ast.If, test, block, _EMPTY))
+                value, kind = self.walk(operand, block)
+                if kind is not bool:
+                    value = self.atom(value, block)
+                block.append(_set(result, _truth(value, kind)))
+            return result, bool
+        if form is ast.UnaryOp:
+            if not isinstance(node.op, (ast.Not, ast.USub)):
+                raise ExpressionSyntaxError(f"unsupported unary operator in {source!r}")
+            value, kind = self.walk(node.operand, block)
+            value = self.atom(value, block)
+            if isinstance(node.op, ast.Not):
+                negation = (ast.UnaryOp, _NOT, value)
+                if kind is None:  # UNDEFINED is false, so its negation is true
+                    undefined = (ast.Compare, value, _IS, _UNDEFINED_ONLY)
+                    return (ast.BoolOp, (ast.Or,), [undefined, negation]), bool
+                return negation, bool
+            tests = self.numbers([(value, kind)])
+            if tests is None:
+                return _UNDEFINED, None
+            negative = (ast.UnaryOp, node.op, value)
+            if not tests:
+                return negative, kind
+            return (ast.IfExp, tests[0], negative, _UNDEFINED), None
+        if form is ast.Compare:
+            if any(not isinstance(op, _COMPARISONS) for op in node.ops):
+                raise ExpressionSyntaxError(f"unsupported comparison in {source!r}")
+            # Each link: both sides defined, then the comparison itself, a
+            # TypeError counting as false.  Later links run inside an ``if``
+            # on the result so far.
+            left, left_kind = self.walk(node.left, block)
+            left = self.atom(left, block)
+            result = self.temp()
+            holds = [_set(result, _TRUE)]
+            outer = block
+            for position, (op, comparator) in enumerate(zip(node.ops, node.comparators)):
+                if position:
+                    block = []
+                    outer.append((ast.If, result, block, _EMPTY))
+                right, right_kind = self.walk(comparator, block)
+                right = self.atom(right, block)
+                block.append(_set(result, _FALSE))
+                link = (ast.If, (ast.Compare, left, [op], [right]), holds, _EMPTY)
+                sides = ((left, left_kind), (right, right_kind))
+                tests = [_defined(side) for side, kind in sides if kind is None]
+                _guarded(block, tests, _ignoring("TypeError", link))
+                left, left_kind = right, right_kind if right_kind is not None else _DEFINED
+            return result, bool
+        if form is ast.BinOp:
+            if not isinstance(node.op, _ARITHMETIC):
+                raise ExpressionSyntaxError(f"unsupported arithmetic operator in {source!r}")
+            operands = []
+            for operand in (node.left, node.right):
+                value, kind = self.walk(operand, block)
+                operands.append((self.atom(value, block), kind))
+            tests = self.numbers(operands)
+            if tests is None:
+                return _UNDEFINED, None
+            (left, left_kind), (right, right_kind) = operands
+            combined = (ast.BinOp, left, node.op, right)
+            if isinstance(node.op, ast.Div):  # a division by zero is undefined
+                result = self.temp()
+                block.append(_set(result, _UNDEFINED))
+                _guarded(block, tests, _ignoring("ZeroDivisionError", _set(result, combined)))
+                return result, None
+            if tests:
+                return (ast.IfExp, _all(tests), combined, _UNDEFINED), None
+            return combined, float if float in (left_kind, right_kind) else int
+        if form is ast.Call:
+            if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
+                raise ExpressionSyntaxError(f"unsupported function call in {source!r}")
+            if node.keywords:
+                raise ExpressionSyntaxError(f"keyword arguments not allowed in {source!r}")
+            args = []
+            for arg in node.args:
+                value, kind = self.walk(arg, block)
+                args.append((self.atom(value, block), kind))
+            tests = self.numbers(args)
+            if tests is None:
+                return _UNDEFINED, None
+            # The wrong number of arguments is a TypeError: undefined.
+            result = self.temp()
+            function = (ast.Name, node.func.id, _LOAD)
+            call = (ast.Call, function, [value for value, _ in args], _EMPTY)
+            block.append(_set(result, _UNDEFINED))
+            _guarded(block, tests, _ignoring("TypeError", _set(result, call)))
+            return result, None
+        raise ExpressionSyntaxError(f"unsupported syntax ({type(node).__name__}) in {source!r}")
+
+    def module(self, tree: ast.Expression) -> _Written:
+        """The written module defining ``value(env)``, and ``condition(env)``
+        unless the value is always a bool: ``value`` then serves as both."""
+        body: list[_Written] = []
+        value, kind = self.walk(tree.body, body)
+        results = {"value": value}
+        if kind is not bool:
+            value = self.atom(value, body)
+            results = {"value": value, "condition": _truth(value, kind)}
+        functions = [
+            (ast.FunctionDef, name, _ARGUMENTS, [*body, (ast.Return, result)], _EMPTY)
+            for name, result in results.items()
         ]
+        return (ast.Module, functions, _EMPTY)
 
-        def comparison(env: Env) -> bool:
-            left = first(env)
-            for compare, comparator in links:
-                right = comparator(env)
-                if left is UNDEFINED or right is UNDEFINED:
-                    return False
-                try:
-                    if not compare(left, right):
-                        return False
-                except TypeError:
-                    return False
-                left = right
-            return True
 
-        return comparison
-    if isinstance(node, ast.BinOp):
-        if type(node.op) not in _BIN_OPS:
-            raise ExpressionSyntaxError(f"unsupported arithmetic operator in {source!r}")
-        combine = _BIN_OPS[type(node.op)]
-        lhs, rhs = _compile(node.left, source), _compile(node.right, source)
-
-        def arithmetic(env: Env) -> Any:
-            left, right = lhs(env), rhs(env)
-            if type(left) not in _NUMBERS or type(right) not in _NUMBERS:
-                return UNDEFINED
-            try:
-                return combine(left, right)
-            except ZeroDivisionError:
-                return UNDEFINED
-
-        return arithmetic
-    if isinstance(node, ast.Call):
-        if not isinstance(node.func, ast.Name) or node.func.id not in _ALLOWED_FUNCS:
-            raise ExpressionSyntaxError(f"unsupported function call in {source!r}")
-        if node.keywords:
-            raise ExpressionSyntaxError(f"keyword arguments not allowed in {source!r}")
-        func = _ALLOWED_FUNCS[node.func.id]
-        params = [_compile(arg, source) for arg in node.args]
-
-        def call(env: Env) -> Any:
-            args = [param(env) for param in params]
-            if any(type(arg) not in _NUMBERS for arg in args):
-                return UNDEFINED
-            try:
-                return func(*args)
-            except TypeError:  # the wrong number of arguments
-                return UNDEFINED
-
-        return call
-    if isinstance(node, ast.Attribute):
-        if not (isinstance(node.value, ast.Name) and node.value.id == "payload"):
-            raise ExpressionSyntaxError(
-                f"only payload.<key> attribute references allowed in {source!r}"
-            )
-        key = node.attr
-        return lambda env: env.payload.get(key, UNDEFINED)
-    if isinstance(node, ast.Constant):
-        if not isinstance(node.value, (int, float, str, bool)):
-            raise ExpressionSyntaxError(f"unsupported literal in {source!r}")
-        literal = node.value
-        return lambda env: literal
-    if isinstance(node, ast.Name):
-        name = node.id
-        if name in ("true", "false"):
-            constant = name == "true"
-            return lambda env: constant
-        if name == "subject":
-            return _subject
-        return lambda env: env.names.get(name, UNDEFINED)
-    raise ExpressionSyntaxError(f"unsupported syntax ({type(node).__name__}) in {source!r}")
+def _node(written: Any) -> Any:
+    """The ``ast`` node a written node stands for, at line 1; lists become
+    lists of nodes, and other values stay as they are.  One frame per level
+    of the written tree."""
+    if type(written) is list:
+        return list(map(_node, written))
+    if type(written) is not tuple:
+        return written
+    node = written[0](*map(_node, written[1:]))
+    if "lineno" in node._attributes:
+        node.lineno = node.end_lineno = 1
+        node.col_offset = node.end_col_offset = 0
+    return node
 
 
 class Expr:
     """A parsed expression, evaluable in condition or value position."""
 
-    __slots__ = ("source", "_tree", "_evaluate")
+    __slots__ = ("source", "_tree", "_value", "_condition")
 
     def __init__(self, source: str):
         if not isinstance(source, str) or not source.strip():
             raise ExpressionSyntaxError(f"expression must be a non-empty string, got {source!r}")
         try:
             tree = ast.parse(source, mode="eval")
+            _Writer(source).module(tree)  # for its checks; written again when first evaluated
         except SyntaxError as exc:
             raise ExpressionSyntaxError(f"cannot parse expression {source!r}: {exc}") from None
-        self._evaluate = _compile(tree, source)
+        except RecursionError:
+            raise ExpressionSyntaxError(f"expression nests too deeply: {source!r}") from None
         self.source = source
         self._tree = tree
+        self._value = self._condition = None
 
     def __repr__(self) -> str:
         return f"Expr({self.source!r})"
@@ -208,17 +390,31 @@ class Expr:
     def __hash__(self) -> int:
         return hash(self.source)
 
+    def _compile(self) -> tuple[Any, Any]:
+        """Write and compile the code, once; returns the value and condition
+        functions.
+
+        Loading does not keep what its walk wrote: held from loading to the
+        first evaluation, it doubled the objects each expression keeps, and
+        on a large fleet that cost set-up one more garbage collection."""
+        module = _node(_Writer(self.source).module(self._tree))
+        namespace = dict(_BINDINGS)
+        exec(compile(module, f"<expression {self.source!r}>", "exec"), namespace)
+        self._value = namespace["value"]
+        self._condition = namespace.get("condition", self._value)
+        return self._value, self._condition
+
     def evaluate(self, env: "Env") -> Any:
         """Raw evaluation; may return UNDEFINED."""
-        return self._evaluate(env)
+        return (self._value or self._compile()[0])(env)
 
     def as_condition(self, env: "Env") -> bool:
         """Total boolean evaluation: undefined results collapse to False."""
-        return _truth(self._evaluate(env))
+        return (self._condition or self._compile()[1])(env)
 
     def as_value(self, env: "Env") -> Any:
         """Strict evaluation: raises if the expression has no defined result."""
-        result = self._evaluate(env)
+        result = (self._value or self._compile()[0])(env)
         if result is UNDEFINED:
             raise ExpressionEvalError(
                 f"expression {self.source!r} has no defined value in this context"

@@ -45,9 +45,11 @@ call costs one:
   ``process_messages`` nor ``_select``.
 * Intentions are never sorted: they iterate in ascending id order (see
   ``Circumstance``).  SelInt checks runnability inline and stops at the
-  first runnable id after the cursor, ExecInt checks the record it runs
-  inline, and ClrInt reads each stack's top directly.  A plan id becomes a
-  body by one subscript of ``PlanLibrary.by_id``, not a ``get`` call.
+  first runnable id after the cursor, and ExecInt checks the record it runs
+  inline.  ClrInt visits only the intention ExecInt ran, by one ``get``
+  (a failure may have removed it), and reads its top directly: every other
+  top was settled by an earlier ClrInt.  A plan id becomes a body by one
+  subscript of ``PlanLibrary.by_id``, not a ``get`` call.
 * ApplPl evaluates no context that is literally ``TRUE`` (the default), and
   builds the event's ``Env`` only for the first context it evaluates.
 * Lifecycle events exist only where they are recorded or hooked: plan-started
@@ -282,15 +284,15 @@ def execute_intention(cfg: AgentConfiguration) -> AgentConfiguration:
 
 
 def clear_intention(cfg: AgentConfiguration) -> AgentConfiguration:
-    """ClrInt: pop finished records, emit goal outcomes, drop empty intentions."""
+    """ClrInt: pop the run intention's finished records, emit goal outcomes,
+    drop it if empty."""
     if cfg.step is not CLR_INT:
         _expect(cfg, CLR_INT)
-    intentions = cfg.circumstance.intentions
-    if intentions:
-        # Ascending id order (see ``Circumstance``); the walk removes only
-        # the intention it visits, so it walks a copy of the live ones.
-        for intention in list(intentions.values()):
-            _pop_finished(cfg, intention)
+    # Only the intention ExecInt ran can have a finished top: every other
+    # top was settled by an earlier ClrInt.  A failure may have removed it.
+    intention = cfg.circumstance.intentions.get(cfg.temp.iota)  # type: ignore[arg-type]
+    if intention is not None:
+        _pop_finished(cfg, intention)
     cfg.temp.iota = None
     cfg.step = PROC_MSG
     return cfg

@@ -4,9 +4,13 @@ This module re-implements the reasoning-cycle rules directly and
 inefficiently, without reusing any of the step logic in
 ``coagent.bdi.interpreter``: pattern matching, event selection, plan
 selection, intention scheduling, failure handling, and cleanup are all
-re-derived here from their definitions.  Only the passive data model and the
-expression evaluator are shared.  Agreement between the two implementations
-over randomly generated programs is the primary semantic acceptance check.
+re-derived here from their definitions.  Expressions are evaluated by a
+naive walk of their parsed tree, re-derived from the grammar in the
+``coagent.bdi.expressions`` docstring, not by the compiled functions the
+main interpreter calls.  Only the passive data model is shared, with the
+parsed tree, the ``UNDEFINED`` sentinel and the error types.  Agreement
+between the two implementations over randomly generated programs is the
+primary semantic acceptance check.
 
 The reference does not support co-efficient modules; it covers the plain
 interpreter semantics.
@@ -14,12 +18,14 @@ interpreter semantics.
 
 from __future__ import annotations
 
+import ast
+import operator
 from dataclasses import replace
-from typing import Any
+from typing import Any, Mapping
 
 from coagent.bdi.config import AgentConfiguration, Step
 from coagent.bdi.events import TOP, EventCategory, EventPattern, TriggeringEvent
-from coagent.bdi.expressions import Env, ExpressionEvalError
+from coagent.bdi.expressions import UNDEFINED, Expr, ExpressionEvalError
 from coagent.bdi.plans import Act, Believe, Intention, PlanRecord, Send, Subgoal, Unbelieve
 from coagent.bdi.config import ActionFault, Message
 
@@ -46,12 +52,123 @@ def _matches(pattern: EventPattern, te: TriggeringEvent) -> bool:
     return True
 
 
-def _env_for(cfg: AgentConfiguration, te: TriggeringEvent, payload: Any = None) -> Env:
-    return Env(
-        names=cfg.beliefs.as_dict(),
-        payload=te.payload if payload is None else payload,
-        subject=te.subject,
-    )
+# -- expressions ---------------------------------------------------------------
+
+_COMPARE = {
+    ast.Eq: operator.eq,
+    ast.NotEq: operator.ne,
+    ast.Lt: operator.lt,
+    ast.LtE: operator.le,
+    ast.Gt: operator.gt,
+    ast.GtE: operator.ge,
+}
+_ARITHMETIC = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+}
+_FUNCTIONS = {"abs": abs, "min": min, "max": max}
+
+
+class Scope:
+    """What an expression reads: beliefs, the event's bindings and subject."""
+
+    def __init__(self, names: Mapping[str, Any], payload: Mapping[str, Any], subject: Any):
+        self.names = names
+        self.payload = payload
+        self.subject = subject
+
+
+def _is_number(value: Any) -> bool:
+    return type(value) is int or type(value) is float
+
+
+def _truth(value: Any) -> bool:
+    return value is not UNDEFINED and bool(value)
+
+
+def _node_value(node: ast.AST, scope: Scope) -> Any:
+    if isinstance(node, ast.Expression):
+        return _node_value(node.body, scope)
+    if isinstance(node, ast.Constant):
+        return node.value
+    if isinstance(node, ast.Name):
+        if node.id == "true":
+            return True
+        if node.id == "false":
+            return False
+        if node.id == "subject" and scope.subject is not None:
+            return scope.subject
+        return scope.names.get(node.id, UNDEFINED)
+    if isinstance(node, ast.Attribute):
+        return scope.payload.get(node.attr, UNDEFINED)
+    if isinstance(node, ast.UnaryOp):
+        operand = _node_value(node.operand, scope)
+        if isinstance(node.op, ast.Not):
+            return not _truth(operand)
+        return -operand if _is_number(operand) else UNDEFINED
+    if isinstance(node, ast.BinOp):
+        left = _node_value(node.left, scope)
+        right = _node_value(node.right, scope)
+        if not (_is_number(left) and _is_number(right)):
+            return UNDEFINED
+        try:
+            return _ARITHMETIC[type(node.op)](left, right)
+        except ZeroDivisionError:
+            return UNDEFINED
+    if isinstance(node, ast.Call):
+        args = [_node_value(arg, scope) for arg in node.args]
+        if not all(_is_number(arg) for arg in args):
+            return UNDEFINED
+        try:
+            return _FUNCTIONS[node.func.id](*args)
+        except TypeError:  # the wrong number of arguments
+            return UNDEFINED
+    if isinstance(node, ast.Compare):
+        left = _node_value(node.left, scope)
+        for op, comparator in zip(node.ops, node.comparators):
+            right = _node_value(comparator, scope)
+            if left is UNDEFINED or right is UNDEFINED:
+                return False
+            try:
+                if not _COMPARE[type(op)](left, right):
+                    return False
+            except TypeError:
+                return False
+            left = right
+        return True
+    if isinstance(node, ast.BoolOp):
+        truths = (_truth(_node_value(operand, scope)) for operand in node.values)
+        return all(truths) if isinstance(node.op, ast.And) else any(truths)
+    raise AssertionError(f"unchecked expression node {type(node).__name__}")
+
+
+def expression_value(expr: Expr, scope: Scope) -> Any:
+    """The expression's raw value; UNDEFINED where it has none."""
+    return _node_value(expr.tree, scope)
+
+
+def expression_holds(expr: Expr, scope: Scope) -> bool:
+    """Condition position: an undefined value is false."""
+    return _truth(expression_value(expr, scope))
+
+
+def expression_strict(expr: Expr, scope: Scope) -> Any:
+    """Value position: an undefined value raises ``ExpressionEvalError``."""
+    value = expression_value(expr, scope)
+    if value is UNDEFINED:
+        raise ExpressionEvalError(
+            f"expression {expr.source!r} has no defined value in this context"
+        )
+    return value
+
+
+# -- the cycle -----------------------------------------------------------------
+
+
+def _scope(cfg: AgentConfiguration, te: TriggeringEvent, payload: Any = None) -> Scope:
+    return Scope(cfg.beliefs.as_dict(), te.payload if payload is None else payload, te.subject)
 
 
 def _repair_events(cfg: AgentConfiguration, dead: int) -> None:
@@ -151,7 +268,7 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
         applicable = []
         for plan_id in cfg.temp.relevant:
             plan = cfg.plans.get(plan_id)
-            if plan.context.as_condition(_env_for(cfg, epsilon.te)):
+            if expression_holds(plan.context, _scope(cfg, epsilon.te)):
                 applicable.append(plan_id)
         cfg.temp.applicable = applicable
         if applicable:
@@ -225,24 +342,20 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
         record = intention.stack[-1]
         plan = cfg.plans.get(record.plan_id)
         body_step = plan.body[record.pc]
-        env = Env(
-            names=cfg.beliefs.as_dict(),
-            payload=record.bindings,
-            subject=record.trigger_te.subject,
-        )
+        scope = _scope(cfg, record.trigger_te, record.bindings)
         try:
             if isinstance(body_step, Act):
                 if body_step.name not in cfg.circumstance.actions:
                     raise ActionFault(f"unknown action {body_step.name!r}")
                 args = {}
                 for key in body_step.args:
-                    args[key] = body_step.args[key].as_value(env)
+                    args[key] = expression_strict(body_step.args[key], scope)
                 cfg.environment.perform(cfg, body_step.name, args)
                 record.pc += 1
             elif isinstance(body_step, Subgoal):
                 args = {}
                 for key in body_step.args:
-                    args[key] = body_step.args[key].as_value(env)
+                    args[key] = expression_strict(body_step.args[key], scope)
                 cfg.append_event(
                     TriggeringEvent(EventCategory.GOAL_ADDED, body_step.goal, args),
                     intention.intention_id,
@@ -250,7 +363,7 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
                 record.waiting_on = body_step.goal
                 record.pc += 1
             elif isinstance(body_step, Believe):
-                value = body_step.value.as_value(env)
+                value = expression_strict(body_step.value, scope)
                 te = cfg.beliefs.set(body_step.key, value)
                 if te is not None:
                     cfg.append_event(te, intention.intention_id)
@@ -263,7 +376,7 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
             elif isinstance(body_step, Send):
                 payload = {}
                 for key in body_step.payload:
-                    payload[key] = body_step.payload[key].as_value(env)
+                    payload[key] = expression_strict(body_step.payload[key], scope)
                 cfg.mail.outbox.append(Message(cfg.agent_id, body_step.to, payload))
                 record.pc += 1
         except (ActionFault, ExpressionEvalError) as fault:

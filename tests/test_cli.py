@@ -68,6 +68,22 @@ class TestValidate:
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "guard",
+        ["-" * 1100 + "1", "+".join(["1"] * 3000)],
+        ids=["unary-minus-1100", "sum-3000"],
+    )
+    def test_deeply_nested_guard_is_a_config_error(self, guard, tmp_path, capsys):
+        doc = json.loads(SCENARIO_B.read_text())
+        rule = {"observe": {"category": "belief-updated"}, "topic": "alerts", "guard": guard}
+        doc["endpoints"] = [{"process-id": "alerts", "role": "broker", "publication-rules": [rule]}]
+        path = tmp_path / "deep.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "nests too deeply" in err and "publication-rules[0].guard" in err
+        assert "Traceback" not in err
+
 
 class TestRun:
     def test_writes_trace_and_summary(self, tmp_path, capsys):

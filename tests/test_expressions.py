@@ -1,6 +1,11 @@
 """Expression language: parsing, evaluation, and totality rules."""
 
+import math
+import warnings
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.expressions import (
@@ -9,6 +14,12 @@ from coagent.bdi.expressions import (
     ExpressionEvalError,
     ExpressionSyntaxError,
     UNDEFINED,
+)
+from coagent.bdi.reference import (
+    Scope,
+    expression_holds,
+    expression_strict,
+    expression_value,
 )
 
 
@@ -87,6 +98,13 @@ class TestConditionTotality:
     def test_division_by_zero_is_false(self):
         assert cond("1 / zero > 0", names={"zero": 0}) is False
 
+    @pytest.mark.parametrize(
+        "source",
+        ["missing == missing", "missing != 1", "1 != missing", "1 < 2 != missing", "-missing != 0"],
+    )
+    def test_an_undefined_operand_makes_any_comparison_false(self, source):
+        assert cond(source) is False
+
     def test_type_mismatch_is_false(self):
         assert cond("x < 5", names={"x": "sym"}) is False
 
@@ -138,6 +156,9 @@ class TestValueMode:
             ("abs(true)", {}),
             ("max('a', 'b')", {}),
             ("min(payload.x)", {"x": [3, 1]}),
+            ("payload.x + 1", {"x": True}),
+            ("-payload.x", {"x": False}),
+            ("max(payload.x, 1)", {"x": True}),
         ],
     )
     def test_arithmetic_takes_numbers_only(self, source, payload):
@@ -166,3 +187,142 @@ class TestEnv:
         assert ev("subject", names={"subject": "from-names"}) == "from-names"
         assert ev("subject", names={"subject": "from-names"}, subject="given") == "given"
         assert ev("subject") is UNDEFINED
+
+
+class TestExtremeSources:
+    """Sources far larger or deeper than any configuration still compile."""
+
+    @staticmethod
+    def alternating(levels):
+        source = "x"
+        for level in range(levels):
+            source = f"(y {'and' if level % 2 else 'or'} {source})"
+        return source
+
+    @pytest.mark.parametrize(
+        "source, names, expected",
+        [
+            (" and ".join(["x"] * 2000), {"x": 1}, True),
+            (" and ".join(["x"] * 1999 + ["y"]), {"x": 1, "y": 0}, False),
+            (" + ".join(["1"] * 500), {}, 500),
+            (" + ".join(["x"] * 499 + ["1.5"]), {"x": 2}, 999.5),
+            ("not " * 300 + "x", {"x": 0}, False),
+            ("not " * 301 + "missing", {}, True),
+            ("-" * 300 + "x", {"x": 4}, 4),
+            ("-" * 301 + "1", {}, -1),
+        ],
+        ids=["and-2000", "and-2000-false", "sum-500", "sum-500-names", "not-300",
+             "not-301-undefined", "minus-300", "minus-301"],
+    )
+    def test_long_and_deep_chains(self, source, names, expected):
+        expr = Expr(source)
+        value = expr.evaluate(Env(names=names))
+        assert value == expected and type(value) is type(expected)
+        assert expr.as_condition(Env(names=names)) is bool(expected)
+
+    @pytest.mark.parametrize("y", [0, 1])
+    @pytest.mark.parametrize("x", [0, 1])
+    def test_150_levels_of_alternating_and_or(self, x, y):
+        expr = Expr(self.alternating(150))
+        scope = Scope({"x": x, "y": y}, {}, None)
+        assert expr.evaluate(Env(names={"x": x, "y": y})) is expression_value(expr, scope)
+
+    def test_nesting_beyond_the_parser_is_a_syntax_error(self):
+        for source in ("-" * 1100 + "1", "+".join(["1"] * 3000), "not " * 1100 + "x"):
+            with pytest.raises(ExpressionSyntaxError, match="nests too deeply"):
+                Expr(source)
+
+
+# -- differential check against the reference oracle's evaluator ---------------
+
+_LEAVES = st.one_of(
+    st.integers(min_value=0, max_value=10**6).map(str),
+    st.floats(min_value=0, max_value=1e300).map(repr),
+    st.sampled_from(["true", "false", "True", "False", "1e999", str(10**400)]),
+    st.text(alphabet="ab ", max_size=3).map(repr),
+    st.sampled_from(["a", "b", "c", "subject", "payload.p", "payload.q"]),
+    st.sampled_from(["missing", "payload.absent"]),  # always undefined
+)
+_COMPARISON_OPS = st.sampled_from(["<", "<=", "==", "!=", ">=", ">"])
+
+
+def _chain(operands, operators):
+    parts = [operands[0]]
+    for operator, operand in zip(operators, operands[1:]):
+        parts += [operator, operand]
+    return "(" + " ".join(parts) + ")"
+
+
+def _compound(children):
+    operands = st.lists(children, min_size=2, max_size=4)
+    comparisons = st.tuples(operands, st.lists(_COMPARISON_OPS, min_size=3, max_size=3))
+    return st.one_of(
+        children.map(lambda x: f"(not {x})"),
+        children.map(lambda x: f"(-{x})"),
+        st.tuples(children, st.sampled_from("+-*/"), children).map(
+            lambda t: f"({t[0]} {t[1]} {t[2]})"
+        ),
+        comparisons.map(lambda t: _chain(t[0], t[1])),
+        comparisons.map(lambda t: _chain(t[0], t[1])),  # weighted: the guards' main form
+        st.tuples(operands, st.lists(st.sampled_from(["and", "or"]), min_size=3, max_size=3)).map(
+            lambda t: _chain(t[0], t[1])
+        ),
+        st.tuples(st.sampled_from(["abs", "min", "max"]), st.lists(children, max_size=3)).map(
+            lambda t: f"{t[0]}({', '.join(t[1])})"
+        ),
+    )
+
+
+#: Sources over the whole grammar, each with at least one operator.
+_SOURCES = _compound(st.recursive(_LEAVES, _compound, max_leaves=8))
+_VALUES = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    st.sampled_from([0.0, -0.0, 10**400]),
+    st.floats(),
+    st.booleans(),
+    st.text(alphabet="ab", max_size=2),
+    st.none(),
+)
+
+
+def _outcome(evaluate):
+    try:
+        return ("value", evaluate())
+    except Exception as exc:  # noqa: BLE001 -- errors are compared, not handled
+        return ("error", type(exc), str(exc))
+
+
+def _agree(main, reference):
+    if main[0] != reference[0] or main[0] == "error":
+        return main == reference
+    a, b = main[1], reference[1]
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+@given(
+    source=_SOURCES,
+    names=st.dictionaries(st.sampled_from(["a", "b", "c", "subject"]), _VALUES),
+    payload=st.dictionaries(st.sampled_from(["p", "q"]), _VALUES),
+    subject=st.one_of(st.none(), st.text(alphabet="ab", max_size=2)),
+)
+@settings(max_examples=500, deadline=None)
+def test_compiled_expressions_agree_with_the_reference_evaluator(source, names, payload, subject):
+    # Every position compares against a fresh Expr, so each compiles its
+    # function here, with warnings raised as errors.
+    env = Env(names=names, payload=payload, subject=subject)
+    scope = Scope(names, payload, subject)
+    for position, reference in (
+        ("evaluate", expression_value),
+        ("as_condition", expression_holds),
+        ("as_value", expression_strict),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            expr = Expr(source)
+            ours = _outcome(lambda: getattr(expr, position)(env))
+        theirs = _outcome(lambda: reference(expr, scope))
+        assert _agree(ours, theirs), (source, position, ours, theirs)

@@ -10,7 +10,7 @@ A Python call costs a frame.  So a cycle enters only the functions that do
 its work: step checks are inline, every cycle goes straight to the
 selector and runs ProcMsg only for mail, intention scheduling and plan
 lookups make no method call, ApplPl evaluates no context that is literally
-``TRUE``, and a host that neither records observations nor declares mapping
+``TRUE``, an expression runs as one generated function, and a host that neither records observations nor declares mapping
 entries builds no lifecycle event and calls no hook.
 """
 
@@ -26,6 +26,7 @@ import pytest
 
 from coagent import coefficiency, coordination
 from coagent.bdi import beliefs, config, events, interpreter, plans
+from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.config import AgentConfiguration, Message, Step
 from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import TRUE, Env, Expr
@@ -210,3 +211,14 @@ def test_other_contexts_are_evaluated_once_per_relevant_plan_in_one_env():
     assert codes.count(Expr.as_condition.__code__) == 3
     assert codes.count(Env.__init__.__code__) == 1
     assert cfg.temp.applicable == ["p0", "p1", "p3"]
+
+
+@pytest.mark.parametrize("position", ["evaluate", "as_condition", "as_value"])
+def test_an_expression_evaluates_in_one_generated_function(position):
+    # A guard over two bindings and a belief: once compiled, the entry point
+    # calls one function, which enters only the belief base's get.  The
+    # tree of closures it replaced entered fifteen frames here.
+    guard = Expr("payload.new > payload.old and payload.subject != type")
+    env = Env(names=BeliefBase({"type": "a"}), payload={"new": 2, "old": 1, "subject": "b"})
+    assert getattr(guard, position)(env) is True  # the first evaluation compiles
+    assert entered(getattr(guard, position), env) == [position, "value", "get"]

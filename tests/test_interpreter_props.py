@@ -89,6 +89,22 @@ def test_determinism(seed):
 
 
 @given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=80, deadline=None)
+def test_no_live_intention_keeps_a_finished_top(seed):
+    """After every cycle, each live intention's top record waits on a
+    subgoal or has a step left: ClrInt, which visits only the intention
+    ExecInt ran, leaves no finished top behind."""
+    cfg = stepped_agent(seed)
+    for _ in range(40):
+        run_cycle(cfg)
+        for intention in cfg.circumstance.intentions.values():
+            assert intention.stack
+            top = intention.stack[-1]
+            body = cfg.plans.by_id[top.plan_id].body
+            assert top.waiting_on is not None or top.pc < len(body), (seed, intention)
+
+
+@given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=40, deadline=None)
 def test_deepcopy_isolation(seed):
     """Stepping a copy never disturbs the original configuration."""
