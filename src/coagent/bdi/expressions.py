@@ -25,17 +25,17 @@ never raises in condition position; in value position an undefined result
 raises ``ExpressionEvalError``, so the caller can fail the running plan.
 
 Each expression is parsed and checked once, when configuration is loaded,
-by the walk that also writes it as one Python function: a tree of ``ast``
-node classes and fields, never source text.  Loading keeps only the parsed
-tree; the expression's first evaluation runs the walk again, turns what it
-writes into ``ast`` nodes and compiles them.  Every evaluation after that is
-one call of straight-line code.  Literals enter that code as constants, and
-the sentinel, the number types and the three functions by name.  Short-circuit
-operands and later comparison links run inside ``if`` blocks that follow one
-another, so the code nests only as deep as the source nests ``and``/``or``
-and comparisons, and a long operand list or arithmetic chain stays flat.  A
-source nested too deeply for the parser or the walk is an
-``ExpressionSyntaxError``.
+by the walk that also writes it as one Python function, ``value(env)``: a
+tree of ``ast`` nodes, never source text.  Loading keeps only the parsed
+tree; the expression's first evaluation runs the walk again and compiles
+what it writes.  Every evaluation after that is one call of straight-line
+code, and ``as_condition`` takes the truth of its result inline.  Literals
+enter that code as constants, and the sentinel, the number types and the
+three functions by name.  Short-circuit operands and later comparison links
+run inside ``if`` blocks that follow one another, so the code nests only as
+deep as the source nests ``and``/``or`` and comparisons, and a long operand
+list or arithmetic chain stays flat.  A source nested too deeply for the
+parser or the walk is an ``ExpressionSyntaxError``.
 """
 
 from __future__ import annotations
@@ -90,80 +90,73 @@ _BINDINGS = {
 #: UNDEFINED, else ``None``.
 _DEFINED = object
 
-#: A written node: an ``ast`` node class and its fields in ``_fields``
-#: order, each a written node, a list of them, or a plain value.  A tuple
-#: costs a fraction of an ``ast`` node to build, and loading writes every
-#: expression, evaluated or not, for the walk's checks; ``_node`` turns the
-#: tuples into ``ast`` nodes once an expression is evaluated.
-_Written = tuple
-
-_EMPTY: list = []  # ``_node`` copies every list, so written nodes may share one
-_LOAD, _STORE, _NOT = (ast.Load,), (ast.Store,), (ast.Not,)
-_IS, _IS_NOT, _IN = [(ast.Is,)], [(ast.IsNot,)], [(ast.In,)]  # one-operator lists
-_UNDEFINED = (ast.Name, "UNDEFINED", _LOAD)
+# Nodes and field lists that every written function may share: ``compile``
+# only reads its tree, so one node may stand at many places in it, and
+# nothing appends to a shared list.  Node classes take their fields
+# positionally, in ``_fields`` order.
+_EMPTY: list = []
+_LOAD, _STORE, _NOT = ast.Load(), ast.Store(), ast.Not()
+_IS, _IS_NOT, _IN = [ast.Is()], [ast.IsNot()], [ast.In()]  # one-operator lists
+_UNDEFINED = ast.Name("UNDEFINED", _LOAD)
 _UNDEFINED_ONLY = [_UNDEFINED]
-_FALSE, _TRUE, _NONE = (ast.Constant, False), (ast.Constant, True), (ast.Constant, None)
-_ENV = (ast.Name, "env", _LOAD)
-_TYPE, _NUMBERS_ONLY = (ast.Name, "type", _LOAD), [(ast.Name, "NUMBERS", _LOAD)]
-_SUBJECT = (ast.Attribute, _ENV, "subject", _LOAD)
+_FALSE, _TRUE, _NONE = ast.Constant(False), ast.Constant(True), ast.Constant(None)
+_ENV = ast.Name("env", _LOAD)
+_TYPE, _NUMBERS_ONLY = ast.Name("type", _LOAD), [ast.Name("NUMBERS", _LOAD)]
+_SUBJECT = ast.Attribute(_ENV, "subject", _LOAD)
 _GET = {
-    mapping: (ast.Attribute, (ast.Attribute, _ENV, mapping, _LOAD), "get", _LOAD)
+    mapping: ast.Attribute(ast.Attribute(_ENV, mapping, _LOAD), "get", _LOAD)
     for mapping in ("names", "payload")
 }
 _IGNORE = {
-    error: [(ast.ExceptHandler, (ast.Name, error, _LOAD), None, [(ast.Pass,)])]
+    error: [ast.ExceptHandler(ast.Name(error, _LOAD), None, [ast.Pass()])]
     for error in ("TypeError", "ZeroDivisionError")
 }
-_ARGUMENTS = (ast.arguments, _EMPTY, [(ast.arg, "env")], None, _EMPTY, _EMPTY, None, _EMPTY)
+_ARGUMENTS = ast.arguments(_EMPTY, [ast.arg("env")], None, _EMPTY, _EMPTY, None, _EMPTY)
 
 
-def _lookup(mapping: str, key: str) -> _Written:
+def _lookup(mapping: str, key: str) -> ast.expr:
     """``env.<mapping>.get(key, UNDEFINED)``."""
-    return (ast.Call, _GET[mapping], [(ast.Constant, key), _UNDEFINED], _EMPTY)
+    return ast.Call(_GET[mapping], [ast.Constant(key), _UNDEFINED], _EMPTY)
 
 
-def _is_number(value: _Written) -> _Written:
-    return (ast.Compare, (ast.Call, _TYPE, [value], _EMPTY), _IN, _NUMBERS_ONLY)
+def _is_number(value: ast.expr) -> ast.expr:
+    return ast.Compare(ast.Call(_TYPE, [value], _EMPTY), _IN, _NUMBERS_ONLY)
 
 
-def _defined(value: _Written) -> _Written:
-    return (ast.Compare, value, _IS_NOT, _UNDEFINED_ONLY)
+def _defined(value: ast.expr) -> ast.expr:
+    return ast.Compare(value, _IS_NOT, _UNDEFINED_ONLY)
 
 
-def _all(tests: list[_Written]) -> _Written:
-    return tests[0] if len(tests) == 1 else (ast.BoolOp, (ast.And,), tests)
+def _all(tests: list[ast.expr]) -> ast.expr:
+    return tests[0] if len(tests) == 1 else ast.BoolOp(ast.And(), tests)
 
 
-def _guarded(block: list[_Written], tests: list[_Written], statement: _Written) -> None:
+def _guarded(block: list[ast.stmt], tests: list[ast.expr], statement: ast.stmt) -> None:
     """Append ``statement`` to ``block``, run only if every test holds."""
-    block.append((ast.If, _all(tests), [statement], _EMPTY) if tests else statement)
+    block.append(ast.If(_all(tests), [statement], _EMPTY) if tests else statement)
 
 
-def _truth(value: _Written, kind: Any) -> _Written:
+def _truth(value: ast.expr, kind: Any) -> ast.expr:
     """The truth of ``value`` as a bool expression, UNDEFINED being false;
     ``value`` is a name or constant unless it is always a bool."""
     if kind is bool:
         return value
-    if value[0] is ast.Constant:
-        return (ast.Constant, bool(value[1]))
-    as_bool = (ast.UnaryOp, _NOT, (ast.UnaryOp, _NOT, value))
+    if type(value) is ast.Constant:
+        return ast.Constant(bool(value.value))
+    as_bool = ast.UnaryOp(_NOT, ast.UnaryOp(_NOT, value))
     if kind is not None:
         return as_bool
-    return (ast.BoolOp, (ast.And,), [_defined(value), as_bool])
+    return ast.BoolOp(ast.And(), [_defined(value), as_bool])
 
 
-def _ignoring(error: str, statement: _Written) -> _Written:
+def _ignoring(error: str, statement: ast.stmt) -> ast.stmt:
     """``statement``, with ``error`` raised by it ignored."""
-    return (ast.Try, [statement], _IGNORE[error], _EMPTY, _EMPTY)
+    return ast.Try([statement], _IGNORE[error], _EMPTY, _EMPTY)
 
 
-def _set(local: _Written, value: _Written) -> _Written:
-    """``local = value``, for the written name ``local`` that reads a local."""
-    return (ast.Assign, [(ast.Name, local[1], _STORE)], value)
-
-
-def _is_atom(value: _Written) -> bool:
-    return value[0] is ast.Name or value[0] is ast.Constant
+def _set(local: ast.Name, value: ast.expr) -> ast.stmt:
+    """``local = value``, for the node ``local`` that reads a local."""
+    return ast.Assign([ast.Name(local.id, _STORE)], value)
 
 
 class _Writer:
@@ -181,31 +174,24 @@ class _Writer:
         self.source = source
         self.temps = 0
 
-    def temp(self) -> _Written:
-        """A new local of the written function, as the name that reads it."""
+    def temp(self) -> ast.Name:
+        """A new local of the written function, as the node that reads it."""
         self.temps += 1
-        return (ast.Name, f"t{self.temps}", _LOAD)
+        return ast.Name(f"t{self.temps}", _LOAD)
 
-    def atom(self, value: _Written, block: list[_Written]) -> _Written:
+    def atom(self, value: ast.expr, block: list[ast.stmt]) -> ast.expr:
         """The value as a name or constant, so it may be read twice."""
-        if _is_atom(value):
+        if type(value) is ast.Name or type(value) is ast.Constant:
             return value
         temp = self.temp()
         block.append(_set(temp, value))
         return temp
 
-    def numbers(self, operands: list[tuple[_Written, Any]]) -> list[_Written] | None:
-        """The checks that every operand is a number; None if one never is."""
-        tests = []
-        for value, kind in operands:
-            if kind in _NUMBERS:
-                continue
-            if kind is not None and kind is not _DEFINED:
-                return None
-            tests.append(_is_number(value))
-        return tests
+    def numbers(self, operands: list[tuple[ast.expr, Any]]) -> list[ast.expr]:
+        """The run-time checks that every operand is a number."""
+        return [_is_number(value) for value, kind in operands if kind not in _NUMBERS]
 
-    def walk(self, node: ast.AST, block: list[_Written]) -> tuple[_Written, Any]:
+    def walk(self, node: ast.AST, block: list[ast.stmt]) -> tuple[ast.expr, Any]:
         source, form = self.source, type(node)
         if form is ast.Attribute:
             if not (isinstance(node.value, ast.Name) and node.value.id == "payload"):
@@ -220,24 +206,24 @@ class _Writer:
             if name == "subject":
                 result = self.temp()
                 block.append(_set(result, _SUBJECT))
-                unset = (ast.Compare, result, _IS, [_NONE])
-                block.append((ast.If, unset, [_set(result, _lookup("names", "subject"))], _EMPTY))
+                unset = ast.Compare(result, _IS, [_NONE])
+                block.append(ast.If(unset, [_set(result, _lookup("names", "subject"))], _EMPTY))
                 return result, None
             return _lookup("names", name), None
         if form is ast.Constant:
             if not isinstance(node.value, (int, float, str, bool)):
                 raise ExpressionSyntaxError(f"unsupported literal in {source!r}")
-            return (ast.Constant, node.value), type(node.value)
+            return ast.Constant(node.value), type(node.value)
         if form is ast.BoolOp:
             # One ``if`` per later operand, side by side: it runs while the
             # result so far is true (``and``) or false (``or``).
             result = self.temp()
-            test = result if isinstance(node.op, ast.And) else (ast.UnaryOp, _NOT, result)
+            test = result if isinstance(node.op, ast.And) else ast.UnaryOp(_NOT, result)
             outer = block
             for position, operand in enumerate(node.values):
                 if position:
                     block = []
-                    outer.append((ast.If, test, block, _EMPTY))
+                    outer.append(ast.If(test, block, _EMPTY))
                 value, kind = self.walk(operand, block)
                 if kind is not bool:
                     value = self.atom(value, block)
@@ -249,18 +235,16 @@ class _Writer:
             value, kind = self.walk(node.operand, block)
             value = self.atom(value, block)
             if isinstance(node.op, ast.Not):
-                negation = (ast.UnaryOp, _NOT, value)
+                negation = ast.UnaryOp(_NOT, value)
                 if kind is None:  # UNDEFINED is false, so its negation is true
-                    undefined = (ast.Compare, value, _IS, _UNDEFINED_ONLY)
-                    return (ast.BoolOp, (ast.Or,), [undefined, negation]), bool
+                    undefined = ast.Compare(value, _IS, _UNDEFINED_ONLY)
+                    return ast.BoolOp(ast.Or(), [undefined, negation]), bool
                 return negation, bool
             tests = self.numbers([(value, kind)])
-            if tests is None:
-                return _UNDEFINED, None
-            negative = (ast.UnaryOp, node.op, value)
+            negative = ast.UnaryOp(node.op, value)
             if not tests:
                 return negative, kind
-            return (ast.IfExp, tests[0], negative, _UNDEFINED), None
+            return ast.IfExp(tests[0], negative, _UNDEFINED), None
         if form is ast.Compare:
             if any(not isinstance(op, _COMPARISONS) for op in node.ops):
                 raise ExpressionSyntaxError(f"unsupported comparison in {source!r}")
@@ -275,11 +259,11 @@ class _Writer:
             for position, (op, comparator) in enumerate(zip(node.ops, node.comparators)):
                 if position:
                     block = []
-                    outer.append((ast.If, result, block, _EMPTY))
+                    outer.append(ast.If(result, block, _EMPTY))
                 right, right_kind = self.walk(comparator, block)
                 right = self.atom(right, block)
                 block.append(_set(result, _FALSE))
-                link = (ast.If, (ast.Compare, left, [op], [right]), holds, _EMPTY)
+                link = ast.If(ast.Compare(left, [op], [right]), holds, _EMPTY)
                 sides = ((left, left_kind), (right, right_kind))
                 tests = [_defined(side) for side, kind in sides if kind is None]
                 _guarded(block, tests, _ignoring("TypeError", link))
@@ -293,17 +277,15 @@ class _Writer:
                 value, kind = self.walk(operand, block)
                 operands.append((self.atom(value, block), kind))
             tests = self.numbers(operands)
-            if tests is None:
-                return _UNDEFINED, None
             (left, left_kind), (right, right_kind) = operands
-            combined = (ast.BinOp, left, node.op, right)
+            combined = ast.BinOp(left, node.op, right)
             if isinstance(node.op, ast.Div):  # a division by zero is undefined
                 result = self.temp()
                 block.append(_set(result, _UNDEFINED))
                 _guarded(block, tests, _ignoring("ZeroDivisionError", _set(result, combined)))
                 return result, None
             if tests:
-                return (ast.IfExp, _all(tests), combined, _UNDEFINED), None
+                return ast.IfExp(_all(tests), combined, _UNDEFINED), None
             return combined, float if float in (left_kind, right_kind) else int
         if form is ast.Call:
             if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
@@ -315,66 +297,45 @@ class _Writer:
                 value, kind = self.walk(arg, block)
                 args.append((self.atom(value, block), kind))
             tests = self.numbers(args)
-            if tests is None:
-                return _UNDEFINED, None
             # The wrong number of arguments is a TypeError: undefined.
             result = self.temp()
-            function = (ast.Name, node.func.id, _LOAD)
-            call = (ast.Call, function, [value for value, _ in args], _EMPTY)
+            call = ast.Call(ast.Name(node.func.id, _LOAD), [value for value, _ in args], _EMPTY)
             block.append(_set(result, _UNDEFINED))
             _guarded(block, tests, _ignoring("TypeError", _set(result, call)))
             return result, None
         raise ExpressionSyntaxError(f"unsupported syntax ({type(node).__name__}) in {source!r}")
 
-    def module(self, tree: ast.Expression) -> _Written:
-        """The written module defining ``value(env)``, and ``condition(env)``
-        unless the value is always a bool: ``value`` then serves as both."""
-        body: list[_Written] = []
-        value, kind = self.walk(tree.body, body)
-        results = {"value": value}
-        if kind is not bool:
-            value = self.atom(value, body)
-            results = {"value": value, "condition": _truth(value, kind)}
-        functions = [
-            (ast.FunctionDef, name, _ARGUMENTS, [*body, (ast.Return, result)], _EMPTY)
-            for name, result in results.items()
-        ]
-        return (ast.Module, functions, _EMPTY)
-
-
-def _node(written: Any) -> Any:
-    """The ``ast`` node a written node stands for, at line 1; lists become
-    lists of nodes, and other values stay as they are.  One frame per level
-    of the written tree."""
-    if type(written) is list:
-        return list(map(_node, written))
-    if type(written) is not tuple:
-        return written
-    node = written[0](*map(_node, written[1:]))
-    if "lineno" in node._attributes:
-        node.lineno = node.end_lineno = 1
-        node.col_offset = node.end_col_offset = 0
-    return node
+    def module(self, tree: ast.Expression) -> ast.Module:
+        """The module that defines ``value(env)``, at line 1."""
+        body: list[ast.stmt] = []
+        value, _ = self.walk(tree.body, body)
+        body.append(ast.Return(value))
+        module = ast.Module([ast.FunctionDef("value", _ARGUMENTS, body, _EMPTY)], _EMPTY)
+        for node in ast.walk(module):  # iterative, unlike ast.fix_missing_locations
+            if "lineno" in node._attributes:
+                node.lineno = node.end_lineno = 1
+                node.col_offset = node.end_col_offset = 0
+        return module
 
 
 class Expr:
     """A parsed expression, evaluable in condition or value position."""
 
-    __slots__ = ("source", "_tree", "_value", "_condition")
+    __slots__ = ("source", "_tree", "_value")
 
     def __init__(self, source: str):
         if not isinstance(source, str) or not source.strip():
             raise ExpressionSyntaxError(f"expression must be a non-empty string, got {source!r}")
         try:
             tree = ast.parse(source, mode="eval")
-            _Writer(source).module(tree)  # for its checks; written again when first evaluated
+            _Writer(source).walk(tree.body, [])  # for its checks; the code is dropped
         except SyntaxError as exc:
             raise ExpressionSyntaxError(f"cannot parse expression {source!r}: {exc}") from None
         except RecursionError:
             raise ExpressionSyntaxError(f"expression nests too deeply: {source!r}") from None
         self.source = source
         self._tree = tree
-        self._value = self._condition = None
+        self._value = None
 
     def __repr__(self) -> str:
         return f"Expr({self.source!r})"
@@ -390,31 +351,29 @@ class Expr:
     def __hash__(self) -> int:
         return hash(self.source)
 
-    def _compile(self) -> tuple[Any, Any]:
-        """Write and compile the code, once; returns the value and condition
-        functions.
+    def _compile(self) -> Any:
+        """Write and compile the code, once; returns the value function.
 
-        Loading does not keep what its walk wrote: held from loading to the
-        first evaluation, it doubled the objects each expression keeps, and
-        on a large fleet that cost set-up one more garbage collection."""
-        module = _node(_Writer(self.source).module(self._tree))
+        Loading drops what its walk wrote, so an expression that is never
+        evaluated keeps only its parsed tree."""
+        module = _Writer(self.source).module(self._tree)
         namespace = dict(_BINDINGS)
         exec(compile(module, f"<expression {self.source!r}>", "exec"), namespace)
         self._value = namespace["value"]
-        self._condition = namespace.get("condition", self._value)
-        return self._value, self._condition
+        return self._value
 
     def evaluate(self, env: "Env") -> Any:
         """Raw evaluation; may return UNDEFINED."""
-        return (self._value or self._compile()[0])(env)
+        return (self._value or self._compile())(env)
 
     def as_condition(self, env: "Env") -> bool:
         """Total boolean evaluation: undefined results collapse to False."""
-        return (self._condition or self._compile()[1])(env)
+        result = (self._value or self._compile())(env)
+        return result is not UNDEFINED and bool(result)
 
     def as_value(self, env: "Env") -> Any:
         """Strict evaluation: raises if the expression has no defined result."""
-        result = (self._value or self._compile()[0])(env)
+        result = (self._value or self._compile())(env)
         if result is UNDEFINED:
             raise ExpressionEvalError(
                 f"expression {self.source!r} has no defined value in this context"
