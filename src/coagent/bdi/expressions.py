@@ -1,13 +1,13 @@
-"""Guard and value expressions over beliefs and event bindings.
+"""Guard and value expressions over beliefs and the triggering event.
 
 Expressions are written in a restricted Python-syntax subset.  The grammar
 and its meaning, which ``coagent.bdi.reference`` re-derives independently:
 
 * literals: ints, floats, strings, and ``true``/``false`` (``True`` and
   ``False`` too);
-* a bare name is the belief of that name; ``payload.<key>`` is the event
-  binding ``key``; ``subject`` is the triggering event's subject, or the
-  belief named ``subject`` when the environment has no subject;
+* a bare name is the belief of that name; ``payload.<key>`` is the entry
+  ``key`` of the triggering event's payload; ``subject`` is the triggering
+  event's subject (``subject`` is a reserved belief key);
 * arithmetic ``+ - * /`` and unary minus take numbers only (``int`` and
   ``float``, not ``bool``); ``abs``, ``min`` and ``max`` take numbers only
   and the arity Python's builtins take;
@@ -16,7 +16,7 @@ and its meaning, which ``coagent.bdi.reference`` re-derives independently:
 * ``and``, ``or`` and ``not`` over truth values, short-circuiting, with a
   ``True`` or ``False`` result.
 
-A reference to an absent belief or binding is undefined (``UNDEFINED``), and
+A reference to an absent belief or payload entry is undefined (``UNDEFINED``), and
 so is arithmetic or a call over an operand that is not a number, a division
 by zero, or a call with the wrong number of arguments.  A comparison with an
 undefined operand, or between values Python cannot order, is false, and an
@@ -25,11 +25,14 @@ never raises in condition position; in value position an undefined result
 raises ``ExpressionEvalError``, so the caller can fail the running plan.
 
 Each expression is parsed and checked once, when configuration is loaded,
-by the walk that also writes it as one Python function, ``value(env)``: a
-tree of ``ast`` nodes, never source text.  Loading keeps only the parsed
-tree; the expression's first evaluation runs the walk again and compiles
-what it writes.  Every evaluation after that is one call of straight-line
-code, and ``as_condition`` takes the truth of its result inline.  Literals
+by the walk that also writes it as one Python function, ``value(names,
+te)``: a tree of ``ast`` nodes, never source text.  The function reads the
+beliefs ``names`` in place, never a copy (any mapping with ``get(key,
+default)``, the host's ``BeliefBase`` included), and the triggering event
+``te``.  Loading keeps only the parsed tree; the expression's first
+evaluation runs the walk again and compiles what it writes.  Every
+evaluation after that is one call of straight-line code, and
+``as_condition`` takes the truth of its result inline.  Literals
 enter that code as constants, and the sentinel, the number types and the
 three functions by name.  Short-circuit operands and later comparison links
 run inside ``if`` blocks that follow one another, so the code nests only as
@@ -41,7 +44,10 @@ parser or the walk is an ``ExpressionSyntaxError``.
 from __future__ import annotations
 
 import ast
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from coagent.bdi.events import TriggeringEvent
 
 
 class ExpressionSyntaxError(ValueError):
@@ -99,23 +105,25 @@ _LOAD, _STORE, _NOT = ast.Load(), ast.Store(), ast.Not()
 _IS, _IS_NOT, _IN = [ast.Is()], [ast.IsNot()], [ast.In()]  # one-operator lists
 _UNDEFINED = ast.Name("UNDEFINED", _LOAD)
 _UNDEFINED_ONLY = [_UNDEFINED]
-_FALSE, _TRUE, _NONE = ast.Constant(False), ast.Constant(True), ast.Constant(None)
-_ENV = ast.Name("env", _LOAD)
+_FALSE, _TRUE = ast.Constant(False), ast.Constant(True)
+_TE = ast.Name("te", _LOAD)
 _TYPE, _NUMBERS_ONLY = ast.Name("type", _LOAD), [ast.Name("NUMBERS", _LOAD)]
-_SUBJECT = ast.Attribute(_ENV, "subject", _LOAD)
+_SUBJECT = ast.Attribute(_TE, "subject", _LOAD)
 _GET = {
-    mapping: ast.Attribute(ast.Attribute(_ENV, mapping, _LOAD), "get", _LOAD)
-    for mapping in ("names", "payload")
+    "names": ast.Attribute(ast.Name("names", _LOAD), "get", _LOAD),
+    "payload": ast.Attribute(ast.Attribute(_TE, "payload", _LOAD), "get", _LOAD),
 }
 _IGNORE = {
     error: [ast.ExceptHandler(ast.Name(error, _LOAD), None, [ast.Pass()])]
     for error in ("TypeError", "ZeroDivisionError")
 }
-_ARGUMENTS = ast.arguments(_EMPTY, [ast.arg("env")], None, _EMPTY, _EMPTY, None, _EMPTY)
+_ARGUMENTS = ast.arguments(
+    _EMPTY, [ast.arg("names"), ast.arg("te")], None, _EMPTY, _EMPTY, None, _EMPTY
+)
 
 
 def _lookup(mapping: str, key: str) -> ast.expr:
-    """``env.<mapping>.get(key, UNDEFINED)``."""
+    """``names.get(key, UNDEFINED)`` or ``te.payload.get(key, UNDEFINED)``."""
     return ast.Call(_GET[mapping], [ast.Constant(key), _UNDEFINED], _EMPTY)
 
 
@@ -204,11 +212,7 @@ class _Writer:
             if name in ("true", "false"):
                 return (_TRUE if name == "true" else _FALSE), bool
             if name == "subject":
-                result = self.temp()
-                block.append(_set(result, _SUBJECT))
-                unset = ast.Compare(result, _IS, [_NONE])
-                block.append(ast.If(unset, [_set(result, _lookup("names", "subject"))], _EMPTY))
-                return result, None
+                return _SUBJECT, _DEFINED
             return _lookup("names", name), None
         if form is ast.Constant:
             if not isinstance(node.value, (int, float, str, bool)):
@@ -306,7 +310,7 @@ class _Writer:
         raise ExpressionSyntaxError(f"unsupported syntax ({type(node).__name__}) in {source!r}")
 
     def module(self, tree: ast.Expression) -> ast.Module:
-        """The module that defines ``value(env)``, at line 1."""
+        """The module that defines ``value(names, te)``, at line 1."""
         body: list[ast.stmt] = []
         value, _ = self.walk(tree.body, body)
         body.append(ast.Return(value))
@@ -362,46 +366,23 @@ class Expr:
         self._value = namespace["value"]
         return self._value
 
-    def evaluate(self, env: "Env") -> Any:
-        """Raw evaluation; may return UNDEFINED."""
-        return (self._value or self._compile())(env)
+    def evaluate(self, names: Any, te: TriggeringEvent) -> Any:
+        """Raw evaluation over beliefs ``names`` and event ``te``; may return UNDEFINED."""
+        return (self._value or self._compile())(names, te)
 
-    def as_condition(self, env: "Env") -> bool:
+    def as_condition(self, names: Any, te: TriggeringEvent) -> bool:
         """Total boolean evaluation: undefined results collapse to False."""
-        result = (self._value or self._compile())(env)
+        result = (self._value or self._compile())(names, te)
         return result is not UNDEFINED and bool(result)
 
-    def as_value(self, env: "Env") -> Any:
+    def as_value(self, names: Any, te: TriggeringEvent) -> Any:
         """Strict evaluation: raises if the expression has no defined result."""
-        result = (self._value or self._compile())(env)
+        result = (self._value or self._compile())(names, te)
         if result is UNDEFINED:
             raise ExpressionEvalError(
                 f"expression {self.source!r} has no defined value in this context"
             )
         return result
-
-
-class Env:
-    """Name-resolution environment: belief names, ``subject``, and ``payload``.
-
-    ``names`` is read in place, never copied: any mapping with
-    ``get(key, default)`` will do, including the host's ``BeliefBase``, so
-    an evaluation sees the beliefs as they are when it runs.  ``subject``
-    names the triggering event's subject; when it is ``None``, a bare
-    ``subject`` is looked up in ``names`` instead.
-    """
-
-    __slots__ = ("names", "payload", "subject")
-
-    def __init__(
-        self,
-        names: Any = None,
-        payload: Mapping[str, Any] | None = None,
-        subject: str | None = None,
-    ):
-        self.names = {} if names is None else names
-        self.payload: Mapping[str, Any] = payload or {}
-        self.subject = subject
 
 
 #: Context that always applies: used as the default plan context and guard.

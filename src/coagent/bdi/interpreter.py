@@ -50,8 +50,9 @@ call costs one:
   (a failure may have removed it), and reads its top directly: every other
   top was settled by an earlier ClrInt.  A plan id becomes a body by one
   subscript of ``PlanLibrary.by_id``, not a ``get`` call.
-* ApplPl evaluates no context that is literally ``TRUE`` (the default), and
-  builds the event's ``Env`` only for the first context it evaluates.
+* ApplPl evaluates no context that is literally ``TRUE`` (the default),
+  and evaluates every other context over the host's beliefs and the
+  selected event as they are, building nothing for it.
 * Lifecycle events exist only where they are recorded or hooked: plan-started
   and plan-finished are built only when the host records observations or has
   a hook, which only a module with mapping entries installs; other
@@ -93,7 +94,7 @@ from coagent.bdi.events import (
     EventCategory,
     TriggeringEvent,
 )
-from coagent.bdi.expressions import TRUE, Env, ExpressionEvalError
+from coagent.bdi.expressions import TRUE, ExpressionEvalError
 from coagent.bdi.plans import Intention, PlanRecord
 
 
@@ -153,18 +154,12 @@ def compute_applicable_plans(cfg: AgentConfiguration) -> AgentConfiguration:
     epsilon = cfg.temp.epsilon
     if epsilon is None:
         raise ConfigurationCorruption("ApplPl reached without a selected event")
-    plans = cfg.plans.by_id
-    env = None  # built for the first context that is not literally true
+    plans, beliefs, te = cfg.plans.by_id, cfg.beliefs, epsilon.te
     applicable = []
     for plan_id in cfg.temp.relevant:
         context = plans[plan_id].context
-        if context is not TRUE:
-            if env is None:
-                te = epsilon.te
-                env = Env(names=cfg.beliefs, payload=te.payload, subject=te.subject)
-            if not context.as_condition(env):
-                continue
-        applicable.append(plan_id)
+        if context is TRUE or context.as_condition(beliefs, te):
+            applicable.append(plan_id)
     cfg.temp.applicable = applicable
     if applicable:
         cfg.step = SEL_APPL
@@ -202,7 +197,7 @@ def add_intended_means(cfg: AgentConfiguration) -> AgentConfiguration:
             raise ConfigurationCorruption(
                 f"event references missing intention {epsilon.intention!r}"
             )
-    record = PlanRecord(plan_id=rho, trigger_te=epsilon.te, bindings=epsilon.te.payload)
+    record = PlanRecord(plan_id=rho, trigger_te=epsilon.te)
     intention.stack.append(record)
     if cfg.record_observations or cfg.observation_hooks:
         started = TriggeringEvent(PLAN_STARTED, rho, {})
@@ -264,9 +259,8 @@ def execute_intention(cfg: AgentConfiguration) -> AgentConfiguration:
     if record is None or record.waiting_on is not None or record.pc >= len(body):
         raise ConfigurationCorruption(f"selected intention {iota!r} is not runnable")
     step = body[record.pc]
-    env = Env(names=cfg.beliefs, payload=record.bindings, subject=record.trigger_te.subject)
     try:
-        posted = step.run(cfg, record, env)  # the event it posts on its own intention
+        posted = step.run(cfg, record)  # the event it posts on its own intention
         if posted is not None:
             cfg.append_event(posted, intention.intention_id)
         record.pc += 1

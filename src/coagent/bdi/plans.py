@@ -1,9 +1,10 @@
 """Plans, body steps, plan records, and intentions.
 
-Each body step runs itself: ``run(cfg, record, env)`` applies the step for
-the top record of the selected intention and returns the event it posts on
-that intention, if any.  A step fails its plan by raising ``ActionFault``
-or ``ExpressionEvalError``.
+Each body step runs itself: ``run(cfg, record)`` applies the step for the
+top record of the selected intention and returns the event it posts on that
+intention, if any.  Its expressions read the host's beliefs,
+``cfg.beliefs``, and the record's triggering event, ``record.trigger_te``.
+A step fails its plan by raising ``ActionFault`` or ``ExpressionEvalError``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Mapping
 
 from coagent.bdi.events import GOAL_ADDED, EventCategory, EventPattern, TriggeringEvent
-from coagent.bdi.expressions import TRUE, Env, Expr
+from coagent.bdi.expressions import TRUE, Expr
 
 if TYPE_CHECKING:
     from coagent.bdi.config import AgentConfiguration
@@ -32,9 +33,12 @@ class Message:
         return {"sender": self.sender, "receiver": self.receiver, "payload": dict(self.payload)}
 
 
-def _evaluate(args: Mapping[str, Expr], env: Env) -> dict[str, Any]:
+def _evaluate(
+    args: Mapping[str, Expr], cfg: AgentConfiguration, record: PlanRecord
+) -> dict[str, Any]:
     """Evaluate the argument map of an Act, Subgoal or Send step."""
-    return {key: expr.as_value(env) for key, expr in args.items()}
+    beliefs, te = cfg.beliefs, record.trigger_te
+    return {key: expr.as_value(beliefs, te) for key, expr in args.items()}
 
 
 @dataclass(frozen=True)
@@ -44,10 +48,10 @@ class Act:
     name: str
     args: Mapping[str, Expr] = field(default_factory=dict)
 
-    def run(self, cfg: AgentConfiguration, record: PlanRecord, env: Env) -> None:
+    def run(self, cfg: AgentConfiguration, record: PlanRecord) -> None:
         if self.name not in cfg.circumstance.actions:
             raise ActionFault(f"unknown action {self.name!r}")
-        cfg.environment.perform(cfg, self.name, _evaluate(self.args, env))
+        cfg.environment.perform(cfg, self.name, _evaluate(self.args, cfg, record))
 
 
 @dataclass(frozen=True)
@@ -57,8 +61,8 @@ class Subgoal:
     goal: str
     args: Mapping[str, Expr] = field(default_factory=dict)
 
-    def run(self, cfg: AgentConfiguration, record: PlanRecord, env: Env) -> TriggeringEvent:
-        posted = TriggeringEvent(GOAL_ADDED, self.goal, _evaluate(self.args, env))
+    def run(self, cfg: AgentConfiguration, record: PlanRecord) -> TriggeringEvent:
+        posted = TriggeringEvent(GOAL_ADDED, self.goal, _evaluate(self.args, cfg, record))
         record.waiting_on = self.goal
         return posted
 
@@ -70,8 +74,8 @@ class Believe:
     key: str
     value: Expr
 
-    def run(self, cfg: AgentConfiguration, record: PlanRecord, env: Env) -> TriggeringEvent | None:
-        return cfg.beliefs.set(self.key, self.value.as_value(env))
+    def run(self, cfg: AgentConfiguration, record: PlanRecord) -> TriggeringEvent | None:
+        return cfg.beliefs.set(self.key, self.value.as_value(cfg.beliefs, record.trigger_te))
 
 
 @dataclass(frozen=True)
@@ -80,7 +84,7 @@ class Unbelieve:
 
     key: str
 
-    def run(self, cfg: AgentConfiguration, record: PlanRecord, env: Env) -> TriggeringEvent | None:
+    def run(self, cfg: AgentConfiguration, record: PlanRecord) -> TriggeringEvent | None:
         return cfg.beliefs.remove(self.key)
 
 
@@ -91,8 +95,8 @@ class Send:
     to: str
     payload: Mapping[str, Expr] = field(default_factory=dict)
 
-    def run(self, cfg: AgentConfiguration, record: PlanRecord, env: Env) -> None:
-        cfg.mail.outbox.append(Message(cfg.agent_id, self.to, _evaluate(self.payload, env)))
+    def run(self, cfg: AgentConfiguration, record: PlanRecord) -> None:
+        cfg.mail.outbox.append(Message(cfg.agent_id, self.to, _evaluate(self.payload, cfg, record)))
 
 
 BodyStep = Act | Subgoal | Believe | Unbelieve | Send
@@ -183,15 +187,15 @@ class PlanLibrary:
 
 @dataclass
 class PlanRecord:
-    """One partially executed plan instance on an intention stack.
+    """One partially executed plan instance on an intention stack: its plan
+    and the triggering event it handles, whose payload and subject its
+    expressions read.
 
-    ``bindings`` is the triggering event's payload, shared and read-only.
     ``waiting_on`` holds the subgoal name this record is suspended on, if any.
     """
 
     plan_id: str
     trigger_te: TriggeringEvent
-    bindings: Mapping[str, Any]
     pc: int = 0
     waiting_on: str | None = None
 

@@ -8,7 +8,9 @@ re-derived here from their definitions.  Expressions are evaluated by a
 naive walk of their parsed tree, re-derived from the grammar in the
 ``coagent.bdi.expressions`` docstring, not by the compiled functions the
 main interpreter calls.  Only the passive data model is shared, with the
-parsed tree, the ``UNDEFINED`` sentinel and the error types.  Agreement
+parsed tree, the ``UNDEFINED`` sentinel and the error types, and nothing is
+shared by reference: a plan record holds its own copy of its triggering
+event, and an expression reads a copy of the beliefs.  Agreement
 between the two implementations over randomly generated programs is the
 primary semantic acceptance check.
 
@@ -71,15 +73,6 @@ _ARITHMETIC = {
 _FUNCTIONS = {"abs": abs, "min": min, "max": max}
 
 
-class Scope:
-    """What an expression reads: beliefs, the event's bindings and subject."""
-
-    def __init__(self, names: Mapping[str, Any], payload: Mapping[str, Any], subject: Any):
-        self.names = names
-        self.payload = payload
-        self.subject = subject
-
-
 def _is_number(value: Any) -> bool:
     return type(value) is int or type(value) is float
 
@@ -88,9 +81,9 @@ def _truth(value: Any) -> bool:
     return value is not UNDEFINED and bool(value)
 
 
-def _node_value(node: ast.AST, scope: Scope) -> Any:
+def _node_value(node: ast.AST, names: Mapping[str, Any], te: TriggeringEvent) -> Any:
     if isinstance(node, ast.Expression):
-        return _node_value(node.body, scope)
+        return _node_value(node.body, names, te)
     if isinstance(node, ast.Constant):
         return node.value
     if isinstance(node, ast.Name):
@@ -98,19 +91,19 @@ def _node_value(node: ast.AST, scope: Scope) -> Any:
             return True
         if node.id == "false":
             return False
-        if node.id == "subject" and scope.subject is not None:
-            return scope.subject
-        return scope.names.get(node.id, UNDEFINED)
+        if node.id == "subject":
+            return te.subject
+        return names.get(node.id, UNDEFINED)
     if isinstance(node, ast.Attribute):
-        return scope.payload.get(node.attr, UNDEFINED)
+        return te.payload.get(node.attr, UNDEFINED)
     if isinstance(node, ast.UnaryOp):
-        operand = _node_value(node.operand, scope)
+        operand = _node_value(node.operand, names, te)
         if isinstance(node.op, ast.Not):
             return not _truth(operand)
         return -operand if _is_number(operand) else UNDEFINED
     if isinstance(node, ast.BinOp):
-        left = _node_value(node.left, scope)
-        right = _node_value(node.right, scope)
+        left = _node_value(node.left, names, te)
+        right = _node_value(node.right, names, te)
         if not (_is_number(left) and _is_number(right)):
             return UNDEFINED
         try:
@@ -118,7 +111,7 @@ def _node_value(node: ast.AST, scope: Scope) -> Any:
         except ZeroDivisionError:
             return UNDEFINED
     if isinstance(node, ast.Call):
-        args = [_node_value(arg, scope) for arg in node.args]
+        args = [_node_value(arg, names, te) for arg in node.args]
         if not all(_is_number(arg) for arg in args):
             return UNDEFINED
         try:
@@ -126,9 +119,9 @@ def _node_value(node: ast.AST, scope: Scope) -> Any:
         except TypeError:  # the wrong number of arguments
             return UNDEFINED
     if isinstance(node, ast.Compare):
-        left = _node_value(node.left, scope)
+        left = _node_value(node.left, names, te)
         for op, comparator in zip(node.ops, node.comparators):
-            right = _node_value(comparator, scope)
+            right = _node_value(comparator, names, te)
             if left is UNDEFINED or right is UNDEFINED:
                 return False
             try:
@@ -139,24 +132,25 @@ def _node_value(node: ast.AST, scope: Scope) -> Any:
             left = right
         return True
     if isinstance(node, ast.BoolOp):
-        truths = (_truth(_node_value(operand, scope)) for operand in node.values)
+        truths = (_truth(_node_value(operand, names, te)) for operand in node.values)
         return all(truths) if isinstance(node.op, ast.And) else any(truths)
     raise AssertionError(f"unchecked expression node {type(node).__name__}")
 
 
-def expression_value(expr: Expr, scope: Scope) -> Any:
-    """The expression's raw value; UNDEFINED where it has none."""
-    return _node_value(expr.tree, scope)
+def expression_value(expr: Expr, names: Mapping[str, Any], te: TriggeringEvent) -> Any:
+    """The expression's raw value over beliefs ``names`` and event ``te``;
+    UNDEFINED where it has none."""
+    return _node_value(expr.tree, names, te)
 
 
-def expression_holds(expr: Expr, scope: Scope) -> bool:
+def expression_holds(expr: Expr, names: Mapping[str, Any], te: TriggeringEvent) -> bool:
     """Condition position: an undefined value is false."""
-    return _truth(expression_value(expr, scope))
+    return _truth(expression_value(expr, names, te))
 
 
-def expression_strict(expr: Expr, scope: Scope) -> Any:
+def expression_strict(expr: Expr, names: Mapping[str, Any], te: TriggeringEvent) -> Any:
     """Value position: an undefined value raises ``ExpressionEvalError``."""
-    value = expression_value(expr, scope)
+    value = expression_value(expr, names, te)
     if value is UNDEFINED:
         raise ExpressionEvalError(
             f"expression {expr.source!r} has no defined value in this context"
@@ -165,10 +159,6 @@ def expression_strict(expr: Expr, scope: Scope) -> Any:
 
 
 # -- the cycle -----------------------------------------------------------------
-
-
-def _scope(cfg: AgentConfiguration, te: TriggeringEvent, payload: Any = None) -> Scope:
-    return Scope(cfg.beliefs.as_dict(), te.payload if payload is None else payload, te.subject)
 
 
 def _repair_events(cfg: AgentConfiguration, dead: int) -> None:
@@ -268,7 +258,7 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
         applicable = []
         for plan_id in cfg.temp.relevant:
             plan = cfg.plans.get(plan_id)
-            if expression_holds(plan.context, _scope(cfg, epsilon.te)):
+            if expression_holds(plan.context, cfg.beliefs.as_dict(), epsilon.te):
                 applicable.append(plan_id)
         cfg.temp.applicable = applicable
         if applicable:
@@ -297,9 +287,9 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
             intention = cfg.new_intention()
         else:
             intention = cfg.circumstance.intentions[epsilon.intention]
-        intention.stack.append(
-            PlanRecord(plan_id=rho, trigger_te=epsilon.te, bindings=dict(epsilon.te.payload))
-        )
+        te = epsilon.te
+        copied = TriggeringEvent(te.category, te.subject, dict(te.payload))
+        intention.stack.append(PlanRecord(plan_id=rho, trigger_te=copied))
         cfg.observe(
             "plan-started",
             te=TriggeringEvent(EventCategory.PLAN_STARTED, rho, {}),
@@ -342,20 +332,20 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
         record = intention.stack[-1]
         plan = cfg.plans.get(record.plan_id)
         body_step = plan.body[record.pc]
-        scope = _scope(cfg, record.trigger_te, record.bindings)
+        names, trigger = cfg.beliefs.as_dict(), record.trigger_te
         try:
             if isinstance(body_step, Act):
                 if body_step.name not in cfg.circumstance.actions:
                     raise ActionFault(f"unknown action {body_step.name!r}")
                 args = {}
                 for key in body_step.args:
-                    args[key] = expression_strict(body_step.args[key], scope)
+                    args[key] = expression_strict(body_step.args[key], names, trigger)
                 cfg.environment.perform(cfg, body_step.name, args)
                 record.pc += 1
             elif isinstance(body_step, Subgoal):
                 args = {}
                 for key in body_step.args:
-                    args[key] = expression_strict(body_step.args[key], scope)
+                    args[key] = expression_strict(body_step.args[key], names, trigger)
                 cfg.append_event(
                     TriggeringEvent(EventCategory.GOAL_ADDED, body_step.goal, args),
                     intention.intention_id,
@@ -363,7 +353,7 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
                 record.waiting_on = body_step.goal
                 record.pc += 1
             elif isinstance(body_step, Believe):
-                value = expression_strict(body_step.value, scope)
+                value = expression_strict(body_step.value, names, trigger)
                 te = cfg.beliefs.set(body_step.key, value)
                 if te is not None:
                     cfg.append_event(te, intention.intention_id)
@@ -376,7 +366,7 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
             elif isinstance(body_step, Send):
                 payload = {}
                 for key in body_step.payload:
-                    payload[key] = expression_strict(body_step.payload[key], scope)
+                    payload[key] = expression_strict(body_step.payload[key], names, trigger)
                 cfg.mail.outbox.append(Message(cfg.agent_id, body_step.to, payload))
                 record.pc += 1
         except (ActionFault, ExpressionEvalError) as fault:

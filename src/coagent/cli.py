@@ -14,7 +14,14 @@ from pathlib import Path
 
 from coagent.bdi.interpreter import post_external_event, run_cycle
 from coagent.bdi.reference import reference_cycle
-from coagent.loader import ConfigError, build_agent, load_agent_program, load_scenario
+from coagent.loader import (
+    ConfigError,
+    build_agent,
+    load_agent_program,
+    load_scenario,
+    parse_scenario,
+    read_json,
+)
 from coagent.scenarios import (
     ScenarioError,
     build_scenario,
@@ -79,9 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args: argparse.Namespace) -> int:
     emit = tuple(args.emit) if args.emit else ("trace-csv", "summary-json")
     try:
-        config = load_scenario(args.scenario)
-        if args.seed is not None:
-            config.seed = args.seed
+        doc = read_json(args.scenario)
+        if args.seed is not None and isinstance(doc, dict):
+            doc = {**doc, "seed": args.seed}  # validated, and placed, with this seed
+        config = parse_scenario(doc, args.scenario)
         ticks = args.ticks if args.ticks is not None else config.ticks
         if ticks < 0:
             raise ConfigError(f"{args.scenario}: ticks must be >= 0")

@@ -8,7 +8,8 @@ new intention), and an optional guard condition over the host state.
 One rule, ``apply_mapping``, injects: within one module's entries, the first
 entry whose pattern matches the observed event and whose guard holds has its
 template instantiated and appended to the event queue with a fresh sequence
-number.  A template reads only the observed event, and event payloads are
+number.  A template reads only the observed event (its expressions see one
+shared empty belief mapping, not the host's beliefs), and event payloads are
 read-only, so the hosts that observe one event (the subscribers of one
 publication) all queue the one event instantiated from it, not a copy each.
 Registration merges the module elements into the host under the
@@ -29,6 +30,7 @@ import copy
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from coagent.bdi.beliefs import BeliefValue
@@ -41,7 +43,7 @@ from coagent.bdi.events import (
     TriggeringEvent,
     _Top,
 )
-from coagent.bdi.expressions import UNDEFINED, Env, Expr
+from coagent.bdi.expressions import UNDEFINED, Expr
 from coagent.bdi.interpreter import select_event
 from coagent.bdi.plans import Act, Believe, Plan, Send, Subgoal, Unbelieve
 
@@ -58,16 +60,22 @@ NEW_INTENTION = Placement.NEW_INTENTION
 
 
 class ModuleRegistrationError(ValueError):
-    """Duplicate module id or namespace collision."""
+    """Duplicate or unusable module id, or namespace collision."""
 
 
 class MappingError(ValueError):
     """Illegal event mapping entry."""
 
 
+#: The beliefs a template's expressions read: none, so a bare name is
+#: undefined.  One read-only mapping, shared by every instantiation.
+_NO_BELIEFS: Mapping[str, Any] = MappingProxyType({})
+
+
 @dataclass(frozen=True)
 class EventTemplate:
-    """An injectable event: category, subject, payload expressions over bindings."""
+    """An injectable event: category, subject, payload expressions over the
+    observed event."""
 
     category: EventCategory
     subject: str
@@ -86,20 +94,20 @@ class EventTemplate:
             )
 
     def instantiate(self, te: TriggeringEvent) -> TriggeringEvent:
-        """Evaluate payload expressions against the observed event's bindings.
+        """Evaluate payload expressions over the observed event ``te``.
 
         Expressions without a defined value drop their key from the payload.
-        The result depends on ``te`` alone (no host belief is in scope), so
+        The result depends on ``te`` alone (the beliefs they read are
+        ``_NO_BELIEFS``, one shared empty mapping), so
         consecutive calls on the same observed event return the same event:
         one publication delivered to many hosts injects one shared event.
         """
         last = self._last
         if last is not None and last[0] is te:
             return last[1]
-        env = Env(names={}, payload=te.payload, subject=te.subject)
         payload: dict[str, Any] = {}
         for key, expr in self.payload.items():
-            value = expr.evaluate(env)
+            value = expr.evaluate(_NO_BELIEFS, te)
             if value is not UNDEFINED:
                 payload[key] = value
         injected = TriggeringEvent(self.category, self.subject, payload)
@@ -190,7 +198,10 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
 
     Beliefs and plans are merged under the module namespace (export-listed
     names stay unprefixed); belief references inside the module's own plans
-    are rewritten to the namespaced keys.  A module's mapping entries, if it
+    are rewritten to the namespaced keys.  The namespace prefix is the module
+    id, each character outside ``[0-9A-Za-z_]`` made ``_``, then ``__``; an id
+    that starts with a digit is refused, since its names would not parse as
+    expression names.  A module's mapping entries, if it
     declares any, join the host's active mapping after earlier modules', and
     the first such module installs the plan-lifecycle hook; a host without
     one calls no hook.
@@ -199,6 +210,8 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
         raise ModuleRegistrationError(f"module {mod.module_id!r} already registered")
 
     prefix = _belief_prefix(mod.module_id)
+    if not prefix.isidentifier():
+        raise ModuleRegistrationError(f"module id {mod.module_id!r} starts with a digit")
     renames: dict[str, str] = {}
     for key in mod.beliefs:
         target = key if key in mod.exports else prefix + key
@@ -246,11 +259,10 @@ def resolve_mapping(
 def eval_guard(
     guard: Expr | None, te: TriggeringEvent, cfg: AgentConfiguration
 ) -> bool:
-    """Evaluate an entry guard against host beliefs and the observed bindings."""
+    """Evaluate an entry guard against host beliefs and the observed event."""
     if guard is None:
         return True
-    env = Env(names=cfg.beliefs, payload=te.payload, subject=te.subject)
-    return guard.as_condition(env)
+    return guard.as_condition(cfg.beliefs, te)
 
 
 def select_event_coefficient(cfg: AgentConfiguration) -> AgentConfiguration:

@@ -145,7 +145,7 @@ class PublicationRule:
 
     ``extract`` names host beliefs copied into the publication payload;
     ``extract_event`` maps payload keys to expressions over the observed
-    event's bindings (``subject``, ``payload.<key>``).
+    event (``subject``, ``payload.<key>``).
     """
 
     observe: EventPattern

@@ -81,11 +81,17 @@ def _strings(obj: Mapping[str, Any], key: str, path: str) -> tuple[str, ...]:
     return tuple(items)
 
 
+def _belief_key(key: str, path: str) -> str:
+    """``key``, if it may name a belief: not empty, not a reserved name."""
+    if not key or key in RESERVED_NAMES:
+        raise _fail(path, f"belief key {key!r} is empty or a reserved name")
+    return key
+
+
 def _parse_beliefs(obj: Mapping[str, Any], path: str) -> dict[str, Any]:
     beliefs = dict(_optional(obj, "beliefs", path, dict, {}))
     for key, value in beliefs.items():
-        if not key or key in RESERVED_NAMES:
-            raise _fail(f"{path}.beliefs", f"belief key {key!r} is empty or a reserved name")
+        _belief_key(key, f"{path}.beliefs")
         _require(value, f"{path}.beliefs.{key}", (int, float, bool, str), "belief value")
     return beliefs
 
@@ -184,7 +190,7 @@ def parse_body_step(obj: Any, path: str) -> BodyStep:
     if kind == "believe":
         _check_keys(obj, path, {"do", "key", "value"}, {"key", "value"})
         return Believe(
-            _require(obj["key"], f"{path}.key", str, "belief key"),
+            _belief_key(_require(obj["key"], f"{path}.key", str, "belief key"), f"{path}.key"),
             _parse_expr(obj["value"], f"{path}.value"),
         )
     if kind == "unbelieve":
@@ -336,7 +342,7 @@ def build_agent(
 
 
 def load_agent_program(path: str | Path) -> AgentProgram:
-    return parse_agent_program(_read_json(path), str(path))
+    return parse_agent_program(read_json(path), str(path))
 
 
 # -- scenario documents ---------------------------------------------------------
@@ -518,10 +524,12 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
 
 def load_scenario(path: str | Path) -> ScenarioConfig:
     """Load, parse, and fully validate a scenario document."""
-    return parse_scenario(_read_json(path), str(path))
+    return parse_scenario(read_json(path), str(path))
 
 
-def _read_json(path: str | Path) -> Any:
+def read_json(path: str | Path) -> Any:
+    """The JSON document at ``path``; a missing, unreadable or invalid file
+    is a ``ConfigError``."""
     file_path = Path(path)
     if not file_path.exists():
         raise ConfigError(f"{path}: file not found")

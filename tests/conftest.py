@@ -41,9 +41,14 @@ _CONTEXTS = (
     "not (x > 3)",
     "payload.v == 1",
     "x + y < 10",
+    "subject == 'g1'",
 )
 
-_VALUES = ("1", "x + 1", "y", "x - 1", "'s'", "0", "x * 2")
+#: Values and arguments read the beliefs and the record's triggering event.
+_VALUES = (
+    "1", "x + 1", "y", "x - 1", "'s'", "0", "x * 2", "payload.v", "subject", "payload.v + 1"
+)
+_ARGS = ("1", "payload.v", "subject", "payload.v + 1")
 
 
 def random_plan_body(rng: random.Random) -> tuple:
@@ -55,14 +60,14 @@ def random_plan_body(rng: random.Random) -> tuple:
         elif kind == 2:
             steps.append(Act(UNKNOWN_ACTION, {}))
         elif kind <= 4:
-            args = {"v": Expr("1")} if rng.random() < 0.5 else {}
+            args = {"v": Expr(rng.choice(_ARGS))} if rng.random() < 0.5 else {}
             steps.append(Subgoal(rng.choice(GOALS), args))
         elif kind == 5:
             steps.append(Believe(rng.choice(BELIEF_KEYS), Expr(rng.choice(_VALUES))))
         elif kind == 6:
             steps.append(Unbelieve(rng.choice(BELIEF_KEYS)))
         else:
-            steps.append(Send("peer", {"v": Expr("1")}))
+            steps.append(Send("peer", {"v": Expr(rng.choice(_ARGS))}))
     return tuple(steps)
 
 

@@ -114,7 +114,7 @@ class TestCriterion2SelectionRuleBranches:
         cfg.plans.add(Plan("h", pattern("goal-added", "mapped"), (Act("noop", {}),)))
         intention = cfg.new_intention()
         intention.stack.append(
-            PlanRecord("h", TriggeringEvent(EventCategory.GOAL_ADDED, "seed", {}), {})
+            PlanRecord("h", TriggeringEvent(EventCategory.GOAL_ADDED, "seed", {}))
         )
         cfg.append_event(
             TriggeringEvent(EventCategory.BELIEF_UPDATED, "load", {}), intention.intention_id

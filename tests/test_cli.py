@@ -128,6 +128,32 @@ class TestRun:
         assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("seed, code", [(1, 0), (0, 2)])
+    def test_seed_option_is_the_seed_validated(self, seed, code, tmp_path, capsys):
+        # The greedy initial placement draws with the seed: seed 1 places c,
+        # seed 0 (the document's) does not.
+        doc = {
+            "name": "seeded",
+            "seed": 0,
+            "ticks": 5,
+            "uniqueness-constraint": True,
+            "servers": [
+                {"id": "s1", "capacity": 2, "preferred-min": 1},
+                {"id": "s2", "capacity": 1, "preferred-min": 1},
+            ],
+            "services": [{"id": "a", "type": "x"}, {"id": "b", "type": "y"}, {"id": "c", "type": "y"}],
+        }
+        path = tmp_path / "seeded.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        args = ["run", "--scenario", str(path), "--seed", str(seed), "--out", str(out)]
+        assert main(args) == code
+        if code == 0:
+            assert (out / "trace.csv").exists() and (out / "summary.json").exists()
+        else:
+            assert "no legal placement for service 'c'" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_agent_log_emission(self, tmp_path):
         out = tmp_path / "log"
         code = main(
@@ -214,6 +240,14 @@ class TestOracle:
         path.write_text(json.dumps({"plans": [{"id": "p"}]}))
         assert main(["oracle", str(path)]) == 2
         assert "prog.json" in capsys.readouterr().err
+
+    def test_reserved_believe_key_exit_2(self, program_path, capsys):
+        doc = json.loads(program_path.read_text())
+        doc["plans"][0]["body"][0]["key"] = "payload"
+        program_path.write_text(json.dumps(doc))
+        assert main(["oracle", str(program_path), "--compare"]) == 2
+        err = capsys.readouterr().err
+        assert "body[0].key" in err and "reserved" in err and "Traceback" not in err
 
     def test_module_programs_rejected(self, tmp_path, capsys):
         doc = {

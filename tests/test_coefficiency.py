@@ -223,7 +223,7 @@ class TestSelectEventCoefficient:
         from coagent.bdi.plans import PlanRecord
 
         intention.stack.append(
-            PlanRecord("h", TriggeringEvent(EventCategory.GOAL_ADDED, "publishCapacity", {}), {})
+            PlanRecord("h", TriggeringEvent(EventCategory.GOAL_ADDED, "publishCapacity", {}))
         )
         te = TriggeringEvent(EventCategory.BELIEF_UPDATED, "load", {})
         cfg.append_event(te, intention.intention_id)

@@ -8,27 +8,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coagent.bdi.beliefs import BeliefBase
+from coagent.bdi.events import EventCategory, TriggeringEvent
 from coagent.bdi.expressions import (
-    Env,
     Expr,
     ExpressionEvalError,
     ExpressionSyntaxError,
     UNDEFINED,
 )
 from coagent.bdi.reference import (
-    Scope,
     expression_holds,
     expression_strict,
     expression_value,
 )
 
 
-def ev(source, names=None, payload=None, subject=None):
-    return Expr(source).evaluate(Env(names=names, payload=payload, subject=subject))
+def event(payload=None, subject="e"):
+    """A triggering event: what an expression reads besides the beliefs."""
+    return TriggeringEvent(EventCategory.GOAL_ADDED, subject, payload or {})
 
 
-def cond(source, names=None, payload=None, subject=None):
-    return Expr(source).as_condition(Env(names=names, payload=payload, subject=subject))
+def ev(source, names=None, payload=None, subject="e"):
+    return Expr(source).evaluate(names or {}, event(payload, subject))
+
+
+def cond(source, names=None, payload=None, subject="e"):
+    return Expr(source).as_condition(names or {}, event(payload, subject))
 
 
 class TestParsing:
@@ -130,20 +134,20 @@ class TestConditionTotality:
 
 class TestValueMode:
     def test_defined_value(self):
-        assert Expr("x + 1").as_value(Env(names={"x": 2})) == 3
+        assert Expr("x + 1").as_value({"x": 2}, event()) == 3
 
     def test_undefined_value_raises(self):
         with pytest.raises(ExpressionEvalError):
-            Expr("x + 1").as_value(Env(names={}))
+            Expr("x + 1").as_value({}, event())
 
     @pytest.mark.parametrize("source", ["-true", "-'s'", "min()"])
     def test_undefined_operations_raise(self, source):
         with pytest.raises(ExpressionEvalError):
-            Expr(source).as_value(Env())
+            Expr(source).as_value({}, event())
 
     def test_comparisons_and_connectives_always_have_a_value(self):
-        assert Expr("1 < missing < 5").as_value(Env()) is False
-        assert Expr("missing or 1 > 0").as_value(Env()) is True
+        assert Expr("1 < missing < 5").as_value({}, event()) is False
+        assert Expr("missing or 1 > 0").as_value({}, event()) is True
 
     @pytest.mark.parametrize(
         "source, payload",
@@ -162,31 +166,32 @@ class TestValueMode:
         ],
     )
     def test_arithmetic_takes_numbers_only(self, source, payload):
-        assert Expr(source).evaluate(Env(payload=payload)) is UNDEFINED
+        assert Expr(source).evaluate({}, event(payload)) is UNDEFINED
 
     def test_arithmetic_mixes_int_and_float(self):
-        assert Expr("payload.x * 2 + 0.5").as_value(Env(payload={"x": 3})) == 6.5
+        assert Expr("payload.x * 2 + 0.5").as_value({}, event({"x": 3})) == 6.5
 
     def test_evaluate_returns_undefined_sentinel(self):
-        assert Expr("x + 1").evaluate(Env(names={})) is UNDEFINED
+        assert Expr("x + 1").evaluate({}, event()) is UNDEFINED
 
     def test_symbol_equality(self):
         assert cond("type != payload.type", names={"type": "a"}, payload={"type": "b"})
         assert not cond("type != payload.type", names={"type": "a"}, payload={"type": "a"})
 
 
-class TestEnv:
+class TestInputs:
     def test_names_are_read_in_place(self):
         beliefs = BeliefBase({"x": 1})
-        env = Env(names=beliefs)
+        expr = Expr("x + y")
+        assert expr.evaluate(beliefs, event()) is UNDEFINED  # compiled before the writes
         beliefs.set("x", 2)
         beliefs.set("y", 3)
-        assert Expr("x + y").as_value(env) == 5
+        assert expr.as_value(beliefs, event()) == 5
 
-    def test_subject_falls_back_to_names(self):
-        assert ev("subject", names={"subject": "from-names"}) == "from-names"
+    def test_subject_is_the_event_subject_even_when_names_hold_one(self):
         assert ev("subject", names={"subject": "from-names"}, subject="given") == "given"
-        assert ev("subject") is UNDEFINED
+        assert ev("subject == 'given'", names={"subject": "x"}, subject="given") is True
+        assert ev("payload.subject", payload={"subject": "p"}, subject="given") == "p"
 
 
 class TestExtremeSources:
@@ -216,16 +221,16 @@ class TestExtremeSources:
     )
     def test_long_and_deep_chains(self, source, names, expected):
         expr = Expr(source)
-        value = expr.evaluate(Env(names=names))
+        value = expr.evaluate(names, event())
         assert value == expected and type(value) is type(expected)
-        assert expr.as_condition(Env(names=names)) is bool(expected)
+        assert expr.as_condition(names, event()) is bool(expected)
 
     @pytest.mark.parametrize("y", [0, 1])
     @pytest.mark.parametrize("x", [0, 1])
     def test_150_levels_of_alternating_and_or(self, x, y):
         expr = Expr(self.alternating(150))
-        scope = Scope({"x": x, "y": y}, {}, None)
-        assert expr.evaluate(Env(names={"x": x, "y": y})) is expression_value(expr, scope)
+        names = {"x": x, "y": y}
+        assert expr.evaluate(names, event()) is expression_value(expr, names, event())
 
     def test_nesting_beyond_the_parser_is_a_syntax_error(self):
         for source in ("-" * 1100 + "1", "+".join(["1"] * 3000), "not " * 1100 + "x"):
@@ -307,14 +312,13 @@ def _agree(main, reference):
     source=_SOURCES,
     names=st.dictionaries(st.sampled_from(["a", "b", "c", "subject"]), _VALUES),
     payload=st.dictionaries(st.sampled_from(["p", "q"]), _VALUES),
-    subject=st.one_of(st.none(), st.text(alphabet="ab", max_size=2)),
+    subject=st.text(alphabet="ab", max_size=2),
 )
 @settings(max_examples=500, deadline=None)
 def test_compiled_expressions_agree_with_the_reference_evaluator(source, names, payload, subject):
     # Every position compares against a fresh Expr, so each compiles its
     # function here, with warnings raised as errors.
-    env = Env(names=names, payload=payload, subject=subject)
-    scope = Scope(names, payload, subject)
+    te = event(payload, subject)
     for position, reference in (
         ("evaluate", expression_value),
         ("as_condition", expression_holds),
@@ -323,6 +327,6 @@ def test_compiled_expressions_agree_with_the_reference_evaluator(source, names, 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             expr = Expr(source)
-            ours = _outcome(lambda: getattr(expr, position)(env))
-        theirs = _outcome(lambda: reference(expr, scope))
+            ours = _outcome(lambda: getattr(expr, position)(names, te))
+        theirs = _outcome(lambda: reference(expr, names, te))
         assert _agree(ours, theirs), (source, position, ours, theirs)

@@ -29,7 +29,7 @@ from coagent.bdi import beliefs, config, events, interpreter, plans
 from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.config import AgentConfiguration, Message, Step
 from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
-from coagent.bdi.expressions import TRUE, Env, Expr
+from coagent.bdi.expressions import TRUE, Expr
 from coagent.bdi.interpreter import (
     compute_applicable_plans,
     post_external_event,
@@ -204,21 +204,26 @@ def test_a_true_context_evaluates_no_expression():
     assert cfg.temp.applicable == ["p0", "p1"]
 
 
-def test_other_contexts_are_evaluated_once_per_relevant_plan_in_one_env():
+def test_other_contexts_are_evaluated_once_per_relevant_plan_building_nothing():
     # Expr("true") is not the TRUE constant, so it is evaluated like any other.
-    cfg = at_applicable_plans([Expr("x > 1"), TRUE, Expr("x > 5"), Expr("true")])
-    codes = entered_code(compute_applicable_plans, cfg)
-    assert codes.count(Expr.as_condition.__code__) == 3
-    assert codes.count(Env.__init__.__code__) == 1
+    contexts = [Expr("x > 1"), TRUE, Expr("x > 5"), Expr("true")]
+    cfg = at_applicable_plans(contexts)
+    for context in contexts:  # compiled before the profile
+        context.evaluate(cfg.beliefs, cfg.temp.epsilon.te)
+    reads_x = ["as_condition", "value", "get"]
+    assert entered(compute_applicable_plans, cfg) == [
+        "compute_applicable_plans", *reads_x, *reads_x, "as_condition", "value"
+    ]
     assert cfg.temp.applicable == ["p0", "p1", "p3"]
 
 
 @pytest.mark.parametrize("position", ["evaluate", "as_condition", "as_value"])
 def test_an_expression_evaluates_in_one_generated_function(position):
-    # A guard over two bindings and a belief: once compiled, the entry point
-    # calls one function, which enters only the belief base's get.  The
-    # tree of closures it replaced entered fifteen frames here.
+    # A guard over two payload entries and a belief: once compiled, the
+    # entry point calls one function, which enters only the belief base's
+    # get.  The tree of closures it replaced entered fifteen frames here.
     guard = Expr("payload.new > payload.old and payload.subject != type")
-    env = Env(names=BeliefBase({"type": "a"}), payload={"new": 2, "old": 1, "subject": "b"})
-    assert getattr(guard, position)(env) is True  # the first evaluation compiles
-    assert entered(getattr(guard, position), env) == [position, "value", "get"]
+    beliefs = BeliefBase({"type": "a"})
+    te = TriggeringEvent(EventCategory.BELIEF_UPDATED, "load", {"new": 2, "old": 1, "subject": "b"})
+    assert getattr(guard, position)(beliefs, te) is True  # the first evaluation compiles
+    assert entered(getattr(guard, position), beliefs, te) == [position, "value", "get"]

@@ -204,12 +204,18 @@ def test_intentions_iterate_in_ascending_id_order(operations):
     cfg = AgentConfiguration("a", plans=PlanLibrary(list(ORDER_PLANS)), actions={"ping"})
     intentions = cfg.circumstance.intentions
     created = 0
+    adoptable = sum(operation == "post" for operation, _ in operations)
+    allocate = cfg.new_intention
+
+    def new_intention():
+        nonlocal created
+        created += 1
+        return allocate()
+
+    cfg.new_intention = new_intention
 
     def cycle() -> None:
-        nonlocal created
-        before = max(intentions, default=0)
         run_cycle(cfg)
-        created += max(intentions, default=0) > before
         assert list(intentions) == sorted(intentions)
 
     for operation, value in operations:
@@ -219,14 +225,23 @@ def test_intentions_iterate_in_ascending_id_order(operations):
             for _ in range(value):
                 cycle()
         elif intentions:
-            _remove_intention(cfg, list(intentions)[value % len(intentions)])
+            dropped = list(intentions)[value % len(intentions)]
+            # Its queued subgoals re-pair with TOP: each one a plan handles
+            # is adopted as a new intention.
+            adoptable += sum(
+                event.intention == dropped
+                and event.te.category is EventCategory.GOAL_ADDED
+                and bool(cfg.plans.relevant(event.te))
+                for event in cfg.circumstance.events
+            )
+            _remove_intention(cfg, dropped)
         assert list(intentions) == sorted(intentions)
     for _ in range(1000):  # every goal runs to its end
         if not intentions and not cfg.circumstance.events:
             break
         cycle()
     assert not intentions
-    assert created == sum(operation == "post" for operation, _ in operations)
+    assert created == adoptable
 
 
 TOPS = ("runnable", "waiting", "finished")
@@ -245,13 +260,12 @@ def scheduled_agents(draw):
             _remove_intention(cfg, intention.intention_id)
             continue
         for _ in range(draw(st.integers(0, 1))):
-            intention.stack.append(PlanRecord("p", goal, {}, pc=0, waiting_on="g"))
+            intention.stack.append(PlanRecord("p", goal, pc=0, waiting_on="g"))
         top = draw(st.sampled_from(TOPS))
         intention.stack.append(
             PlanRecord(
                 "p",
                 goal,
-                {},
                 pc=3 if top == "finished" else draw(st.integers(0, 2)),
                 waiting_on="g" if top == "waiting" else None,
             )

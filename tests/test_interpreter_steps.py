@@ -139,8 +139,6 @@ class TestComputeApplicablePlans:
     def test_contexts_evaluated_independently_oracle(self):
         # Oracle: evaluate both context expressions directly against the
         # belief base; Ap must equal exactly the plans whose context is true.
-        from coagent.bdi.expressions import Env
-
         beliefs = {"x": 2}
         c1, c2 = Expr("x > 3"), Expr("x <= 3")
         plans = [
@@ -151,8 +149,7 @@ class TestComputeApplicablePlans:
         post_external_event(cfg, goal("g1"))
         step_to(cfg, Step.APPL_PL)
         compute_applicable_plans(cfg)
-        env = Env(names=beliefs, payload={}, subject="g1")
-        expected = [p.plan_id for p in plans if p.context.as_condition(env)]
+        expected = [p.plan_id for p in plans if p.context.as_condition(beliefs, goal("g1"))]
         assert cfg.temp.applicable == expected == ["p2"]
 
 
@@ -611,14 +608,14 @@ class TestSharedPayloads:
     the event shares the payload: plan records, goal outcomes and
     message-received events hold the same dict, never a copy."""
 
-    def test_plan_record_bindings_are_the_event_payload(self):
+    def test_plan_record_trigger_is_the_selected_event(self):
         cfg = agent([Plan("p", pattern("goal-added", "g1"), (Act("ping", {}),))])
         te = goal("g1", {"k": 1})
         post_external_event(cfg, te)
         step_to(cfg, Step.ADD_IM)
         add_intended_means(cfg)
         (intention,) = cfg.circumstance.intentions.values()
-        assert intention.top.bindings is te.payload
+        assert intention.top.trigger_te is te
 
     def test_goal_succeeded_shares_the_goal_payload(self):
         cfg = agent([Plan("p", pattern("goal-added", "g1"), (Act("ping", {}),))])

@@ -128,6 +128,36 @@ class TestAgentProgram:
         with pytest.raises(ConfigError, match="cannot be injected"):
             parse_agent_program(doc)
 
+    @pytest.mark.parametrize("key", ["", "payload", "subject", "true", "max"])
+    def test_believe_key_must_name_a_belief(self, key):
+        doc = minimal_program()
+        doc["plans"][0]["body"] = [{"do": "believe", "key": key, "value": "1"}]
+        with pytest.raises(ConfigError, match="empty or a reserved name") as raised:
+            parse_agent_program(doc)
+        assert "agent-program.plans[0].body[0].key" in str(raised.value)
+
+    def test_module_id_must_prefix_identifiers(self):
+        # Module beliefs are renamed "<prefix>__<key>" in the module's own
+        # expressions; "1__y > 1" would not parse.
+        module = {
+            "id": "1",
+            "beliefs": {"y": 2},
+            "plans": [
+                {
+                    "id": "p",
+                    "trigger": {"category": "goal-added", "subject": "g"},
+                    "context": "y > 1",
+                    "body": [{"do": "act", "name": "ping"}],
+                }
+            ],
+        }
+        with pytest.raises(ConfigError, match="module id '1' starts with a digit") as raised:
+            parse_agent_program(minimal_program(modules=[module]))
+        assert "agent-program.modules" in str(raised.value)
+        module["id"] = "m1"
+        cfg = build_agent(parse_agent_program(minimal_program(modules=[module])))
+        assert cfg.beliefs.get("m1__y") == 2
+
 
 class TestPatternParsing:
     def test_category_list(self):
