@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Iterable, Protocol
 
 from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.events import TOP, Event, TriggeringEvent, _Top
@@ -75,6 +75,9 @@ class MailState:
 class Circumstance:
     """Execution context: intentions, pending events, available actions.
 
+    ``actions`` is a frozenset, so one action set can be shared by every
+    agent with the same program; registration replaces it, never writes it.
+
     ``intentions`` iterates in ascending id order: its only writer is
     ``AgentConfiguration.new_intention``, which inserts each intention under
     a fresh id greater than every id before it, and intentions are only ever
@@ -88,7 +91,7 @@ class Circumstance:
 
     intentions: dict[int, Intention] = field(default_factory=dict)
     events: list[Event] = field(default_factory=list)
-    actions: set[str] = field(default_factory=set)
+    actions: frozenset[str] = frozenset()
     pending: dict[int, int] = field(default_factory=dict)
 
 
@@ -106,28 +109,35 @@ class TempInfo:
     epsilon: Event | None = None
 
 
+#: The library of every agent built without plans.
+_NO_PLANS = PlanLibrary()
+
+
 class AgentConfiguration:
     """The full interpreter state: program, circumstance, mail, temp data, step.
 
-    Configurations are self-contained values mutated only by their own
-    reasoning steps (and by architecture-level writers such as external
-    belief updates); they are safe to hand between threads as long as a
-    single thread drives them.
+    Configurations are mutated only by their own reasoning steps (and by
+    architecture-level writers such as external belief updates).  Their plan
+    library and action set are read-only values that other configurations
+    may share.  A shared library's relevance index still fills lazily, but
+    each entry is a deterministic function of immutable plans, stored by one
+    dict assignment; so configurations are safe to hand between threads as
+    long as a single thread drives each one.
     """
 
     def __init__(
         self,
         agent_id: str,
         beliefs: BeliefBase | None = None,
-        plans: PlanLibrary | None = None,
-        actions: set[str] | None = None,
+        plans: PlanLibrary = _NO_PLANS,
+        actions: Iterable[str] = frozenset(),
         environment: EnvironmentAdapter | None = None,
         record_observations: bool = True,
     ):
         self.agent_id = agent_id
         self.beliefs = beliefs or BeliefBase()
-        self.plans = plans or PlanLibrary()
-        self.circumstance = Circumstance(actions=set(actions or ()))
+        self.plans = plans
+        self.circumstance = Circumstance(actions=frozenset(actions))
         self.mail = MailState()
         self.temp = TempInfo()
         self.step: Step = PROC_MSG

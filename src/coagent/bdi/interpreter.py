@@ -49,7 +49,8 @@ call costs one:
   inline.  ClrInt visits only the intention ExecInt ran, by one ``get``
   (a failure may have removed it), and reads its top directly: every other
   top was settled by an earlier ClrInt.  A plan id becomes a body by one
-  subscript of ``PlanLibrary.by_id``, not a ``get`` call.
+  subscript of ``PlanLibrary.by_id``, which only the library's constructor
+  writes.
 * ApplPl evaluates no context that is literally ``TRUE`` (the default),
   and evaluates every other context over the host's beliefs and the
   selected event as they are, building nothing for it.
@@ -59,7 +60,9 @@ call costs one:
   observations are built only when recorded.
 * Relevance is indexed: ``PlanLibrary.relevant`` looks plans up by the
   event's category and subject, and only the reference scans the whole
-  library.  Each body step runs itself, so ExecInt has no type dispatch.
+  library.  Libraries are read-only values, so agents with one program
+  share one library and fill its index once.  Each body step runs itself,
+  so ExecInt has no type dispatch.
 
 ``tests/test_hot_path.py`` checks the rule.
 """

@@ -10,7 +10,7 @@ A step fails its plan by raising ``ActionFault`` or ``ExpressionEvalError``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from coagent.bdi.events import GOAL_ADDED, EventCategory, EventPattern, TriggeringEvent
 from coagent.bdi.expressions import TRUE, Expr
@@ -119,44 +119,37 @@ class Plan:
 class PlanLibrary:
     """Ordered plan collection; declaration order breaks applicable-plan ties.
 
+    A library is a value: the constructor is the only writer of its plans,
+    so one library can be shared by every agent with the same program.
+    Module registration gives its host a new library instead of writing
+    into the old one.
+
     ``relevant`` answers RelPl from an index built lazily per event category
     and subject: the plans whose trigger admits both, in declaration order.
-    Triggers with payload constraints are re-checked against each event, and
-    ``add`` drops the index.  Only ``coagent.bdi.reference`` scans the whole
-    library for every event.
+    Triggers with payload constraints are re-checked against each event.
+    Only ``coagent.bdi.reference`` scans the whole library for every event.
 
     ``by_id`` maps plan id -> plan in declaration order, so the interpreter
-    turns a plan id into its body with one subscript, without a ``get``
-    call.  It is the library's own dict: read it, never write it; ``add``
-    is its only writer.
+    turns a plan id into its body with one subscript.  It is the library's
+    own dict, written only by the constructor: read it, never write it.
     """
 
-    def __init__(self, plans: list[Plan] | None = None):
+    def __init__(self, plans: Iterable[Plan] = ()):
         self.by_id: dict[str, Plan] = {}
+        for plan in plans:
+            if plan.plan_id in self.by_id:
+                raise ValueError(f"duplicate plan id {plan.plan_id!r}")
+            self.by_id[plan.plan_id] = plan
         #: (category, subject) -> (the plan ids whose trigger admits both;
         #: those plans, to re-check per event, if any has payload
         #: constraints, else None).
         self._relevance: dict[tuple[EventCategory, str], tuple[list[str], list[Plan] | None]] = {}
-        for plan in plans or []:
-            self.add(plan)
-
-    def add(self, plan: Plan) -> None:
-        if plan.plan_id in self.by_id:
-            raise ValueError(f"duplicate plan id {plan.plan_id!r}")
-        self.by_id[plan.plan_id] = plan
-        self._relevance = {}
-
-    def get(self, plan_id: str) -> Plan:
-        return self.by_id[plan_id]
 
     def __contains__(self, plan_id: str) -> bool:
         return plan_id in self.by_id
 
     def __len__(self) -> int:
         return len(self.by_id)
-
-    def in_order(self) -> list[Plan]:
-        return list(self.by_id.values())
 
     def relevant(self, te: TriggeringEvent) -> list[str]:
         """Ids of the plans whose trigger matches ``te``, in declaration order.

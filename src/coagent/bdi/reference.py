@@ -200,7 +200,7 @@ def _fail_stack(cfg: AgentConfiguration, intention: Intention) -> None:
 def _finished(cfg: AgentConfiguration, record: PlanRecord) -> bool:
     if record.waiting_on is not None:
         return False
-    return record.pc >= len(cfg.plans.get(record.plan_id).body)
+    return record.pc >= len(cfg.plans.by_id[record.plan_id].body)
 
 
 def _runnable(cfg: AgentConfiguration, intention: Intention) -> bool:
@@ -209,7 +209,7 @@ def _runnable(cfg: AgentConfiguration, intention: Intention) -> bool:
     record = intention.stack[-1]
     if record.waiting_on is not None:
         return False
-    return record.pc < len(cfg.plans.get(record.plan_id).body)
+    return record.pc < len(cfg.plans.by_id[record.plan_id].body)
 
 
 def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
@@ -241,7 +241,7 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
         epsilon = cfg.temp.epsilon
         assert epsilon is not None
         relevant = []
-        for plan in cfg.plans.in_order():
+        for plan in cfg.plans.by_id.values():
             if _matches(plan.trigger, epsilon.te):
                 relevant.append(plan.plan_id)
         cfg.temp.relevant = relevant
@@ -257,7 +257,7 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
         assert epsilon is not None
         applicable = []
         for plan_id in cfg.temp.relevant:
-            plan = cfg.plans.get(plan_id)
+            plan = cfg.plans.by_id[plan_id]
             if expression_holds(plan.context, cfg.beliefs.as_dict(), epsilon.te):
                 applicable.append(plan_id)
         cfg.temp.applicable = applicable
@@ -272,7 +272,7 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
         best = None
         best_index = None
         for plan_id in cfg.temp.applicable:
-            index = [plan.plan_id for plan in cfg.plans.in_order()].index(plan_id)
+            index = list(cfg.plans.by_id).index(plan_id)
             if best_index is None or index < best_index:
                 best, best_index = plan_id, index
         cfg.temp.rho = best
@@ -330,7 +330,7 @@ def reference_step(cfg: AgentConfiguration) -> AgentConfiguration:
         assert iota is not None
         intention = cfg.circumstance.intentions[iota]
         record = intention.stack[-1]
-        plan = cfg.plans.get(record.plan_id)
+        plan = cfg.plans.by_id[record.plan_id]
         body_step = plan.body[record.pc]
         names, trigger = cfg.beliefs.as_dict(), record.trigger_te
         try:

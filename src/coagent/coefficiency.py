@@ -45,7 +45,7 @@ from coagent.bdi.events import (
 )
 from coagent.bdi.expressions import UNDEFINED, Expr
 from coagent.bdi.interpreter import select_event
-from coagent.bdi.plans import Act, Believe, Plan, Send, Subgoal, Unbelieve
+from coagent.bdi.plans import Act, Believe, Plan, PlanLibrary, Send, Subgoal, Unbelieve
 
 
 class Placement(str, Enum):
@@ -198,7 +198,11 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
 
     Beliefs and plans are merged under the module namespace (export-listed
     names stay unprefixed); belief references inside the module's own plans
-    are rewritten to the namespaced keys.  The namespace prefix is the module
+    are rewritten to the namespaced keys.  A module that declares plans gives
+    the host a new library, the host's plans then its own, and leaves the
+    old one, which other hosts may share, as it was.  Every clash -- a belief
+    or plan id taken by the host, or a plan id the module declares twice --
+    is refused before the host changes.  The namespace prefix is the module
     id, each character outside ``[0-9A-Za-z_]`` made ``_``, then ``__``; an id
     that starts with a digit is refused, since its names would not parse as
     expression names.  A module's mapping entries, if it
@@ -221,21 +225,21 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
             )
         renames[key] = target
 
-    staged_plans = []
+    staged_plans: dict[str, Plan] = {}
     for plan in mod.plans:
         plan_id = (
             plan.plan_id if plan.plan_id in mod.exports else f"{mod.module_id}.{plan.plan_id}"
         )
-        if plan_id in cfg.plans:
+        if plan_id in cfg.plans or plan_id in staged_plans:
             raise ModuleRegistrationError(
-                f"module {mod.module_id!r} plan {plan_id!r} collides with the host"
+                f"module {mod.module_id!r} plan {plan_id!r} collides with a host or module plan"
             )
-        staged_plans.append(_namespace_plan(plan, plan_id, renames))
+        staged_plans[plan_id] = _namespace_plan(plan, plan_id, renames)
 
     for key, value in mod.beliefs.items():
         cfg.beliefs.set(renames[key], value)  # registration-time merge, no events
-    for plan in staged_plans:
-        cfg.plans.add(plan)
+    if staged_plans:
+        cfg.plans = PlanLibrary([*cfg.plans.by_id.values(), *staged_plans.values()])
     if mod.mapping:
         cfg.mapping[mod.module_id] = tuple(mod.mapping)
         if _inject not in cfg.observation_hooks:

@@ -273,11 +273,13 @@ def attach_endpoint(
 ) -> CoordinationEndpoint:
     """Register a declaration's module on the host and return the host's endpoint.
 
-    Reactions stay on the endpoint and are applied at delivery time.
+    Reactions stay on the endpoint and are applied at delivery time.  A
+    publishing host gets a new action set with the publish action; its old
+    one, which other hosts may share, stays as it was.
     """
     register_module(host_cfg, module)
     if decl.publications:
-        host_cfg.circumstance.actions.add(PUBLISH_ACTION)
+        host_cfg.circumstance.actions = host_cfg.circumstance.actions | {PUBLISH_ACTION}
     return CoordinationEndpoint(
         endpoint_id=_endpoint_id(host_cfg.agent_id, decl.process_id),
         host=host_cfg.agent_id,

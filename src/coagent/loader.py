@@ -81,8 +81,9 @@ def _strings(obj: Mapping[str, Any], key: str, path: str) -> tuple[str, ...]:
     return tuple(items)
 
 
-def _belief_key(key: str, path: str) -> str:
-    """``key``, if it may name a belief: not empty, not a reserved name."""
+def _belief_key(key: Any, path: str) -> str:
+    """``key``, if it may name a belief: a string, not empty, not a reserved name."""
+    _require(key, path, str, "belief key")
     if not key or key in RESERVED_NAMES:
         raise _fail(path, f"belief key {key!r} is empty or a reserved name")
     return key
@@ -189,13 +190,11 @@ def parse_body_step(obj: Any, path: str) -> BodyStep:
         return Subgoal(_require(obj["goal"], f"{path}.goal", str, "goal name"), _parse_args(obj, "args", path))
     if kind == "believe":
         _check_keys(obj, path, {"do", "key", "value"}, {"key", "value"})
-        return Believe(
-            _belief_key(_require(obj["key"], f"{path}.key", str, "belief key"), f"{path}.key"),
-            _parse_expr(obj["value"], f"{path}.value"),
-        )
+        key = _belief_key(obj["key"], f"{path}.key")
+        return Believe(key, _parse_expr(obj["value"], f"{path}.value"))
     if kind == "unbelieve":
         _check_keys(obj, path, {"do", "key"}, {"key"})
-        return Unbelieve(_require(obj["key"], f"{path}.key", str, "belief key"))
+        return Unbelieve(_belief_key(obj["key"], f"{path}.key"))
     if kind == "send":
         _check_keys(obj, path, {"do", "to", "payload"}, {"to"})
         return Send(
@@ -332,8 +331,8 @@ def build_agent(
     cfg = AgentConfiguration(
         agent_id or program.name,
         beliefs=BeliefBase(dict(program.beliefs)),
-        plans=PlanLibrary(list(program.plans)),
-        actions=set(program.actions),
+        plans=PlanLibrary(program.plans),
+        actions=program.actions,
         environment=environment,
     )
     for module in program.modules:

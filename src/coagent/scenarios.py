@@ -567,7 +567,10 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
     The initial placement is the one ``ScenarioConfig.validate`` returns.
     Each endpoint declaration -- the document's, or else the
     canonical ones -- is compiled once and attached to every agent of its
-    role.  Each server manager receives one bootstrap utilization reading so
+    role.  Every service starts with one plan library and one action set,
+    built per call so that no relevance index carries from one build to the
+    next; registration gives a host that gains plans or actions new ones.
+    Each server manager receives one bootstrap utilization reading so
     publication guards are evaluated against the initial state.
 
     Agents keep observation records only with ``agent_log`` set, for a run
@@ -600,6 +603,8 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
             topic=topic, latency=config.media.get(topic, 1), order=RELEASE_ORDER.get(topic)
         )
 
+    service_plans = PlanLibrary(_SERVICE_PLANS)
+    service_actions = frozenset({"relocate", "reallocate"})
     roles: dict[str, str] = {}
     for spec in config.servers:
         beliefs = {
@@ -623,8 +628,8 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
         state.agents[service.service_id] = AgentConfiguration(
             service.service_id,
             beliefs=BeliefBase(beliefs),
-            plans=PlanLibrary(list(_SERVICE_PLANS)),
-            actions={"relocate", "reallocate"},
+            plans=service_plans,
+            actions=service_actions,
             environment=env,
             record_observations=agent_log,
         )

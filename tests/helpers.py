@@ -42,7 +42,7 @@ def check_structural_invariants(cfg: AgentConfiguration) -> None:
     for intention in cfg.circumstance.intentions.values():
         assert intention.stack, "empty intention left in the circumstance"
         for record in intention.stack:
-            body = cfg.plans.get(record.plan_id).body
+            body = cfg.plans.by_id[record.plan_id].body
             assert 0 <= record.pc <= len(body), "program counter out of range"
     if cfg.step is Step.SEL_APPL:
         assert set(cfg.temp.applicable) <= set(cfg.temp.relevant), "Ap not within R"

@@ -17,7 +17,7 @@ from coagent.bdi.config import AgentConfiguration, Step
 from coagent.bdi.events import TOP, EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import post_external_event, reasoning_step
-from coagent.bdi.plans import Act, Plan, PlanRecord
+from coagent.bdi.plans import Act, Plan, PlanLibrary, PlanRecord
 from coagent.cli import main
 from coagent.coefficiency import (
     CoefficientModule,
@@ -66,8 +66,8 @@ class TestCriterion1SemanticsOracle:
         )
 
 
-def _observed_agent(guard, placement=Placement.NEW_INTENTION):
-    cfg = AgentConfiguration("a", actions=set())
+def _observed_agent(guard, placement=Placement.NEW_INTENTION, plans=()):
+    cfg = AgentConfiguration("a", plans=PlanLibrary(plans), actions=set())
     cfg.beliefs.set("deployed", 1)
     cfg.beliefs.set("capacity", 5)
     module = CoefficientModule(
@@ -110,8 +110,11 @@ class TestCriterion2SelectionRuleBranches:
         hit.add("observed-guard-true")
 
         # Placement: current-intention pairs with the selected event's intention.
-        cfg = _observed_agent(guard=None, placement=Placement.CURRENT_INTENTION)
-        cfg.plans.add(Plan("h", pattern("goal-added", "mapped"), (Act("noop", {}),)))
+        cfg = _observed_agent(
+            guard=None,
+            placement=Placement.CURRENT_INTENTION,
+            plans=[Plan("h", pattern("goal-added", "mapped"), (Act("noop", {}),))],
+        )
         intention = cfg.new_intention()
         intention.stack.append(
             PlanRecord("h", TriggeringEvent(EventCategory.GOAL_ADDED, "seed", {}))

@@ -249,6 +249,15 @@ class TestOracle:
         err = capsys.readouterr().err
         assert "body[0].key" in err and "reserved" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("key", ["payload", ""])
+    def test_unbelieve_key_that_names_no_belief_exit_2(self, program_path, key, capsys):
+        doc = json.loads(program_path.read_text())
+        doc["plans"][0]["body"][0] = {"do": "unbelieve", "key": key}
+        program_path.write_text(json.dumps(doc))
+        assert main(["oracle", str(program_path), "--compare"]) == 2
+        err = capsys.readouterr().err
+        assert "body[0].key" in err and "reserved" in err and "Traceback" not in err
+
     def test_module_programs_rejected(self, tmp_path, capsys):
         doc = {
             "name": "m",

@@ -75,6 +75,52 @@ class TestRegisterModule:
         with pytest.raises(ModuleRegistrationError):
             register_module(cfg, mod)
 
+    def test_a_plan_id_declared_twice_in_a_module_is_rejected_before_the_host_changes(self):
+        cfg = agent([Plan("host", pattern("goal-added", "h"), (Act("ping", {}),))])
+        library = cfg.plans
+        mod = CoefficientModule(
+            "m",
+            beliefs={"y": 1},
+            plans=[Plan("p", pattern("goal-added", "g"), (Act("ping", {}),))] * 2,
+        )
+        with pytest.raises(ModuleRegistrationError, match="'m.p' collides"):
+            register_module(cfg, mod)
+        assert cfg.plans is library and list(library.by_id) == ["host"]
+        assert "m__y" not in cfg.beliefs and not cfg.modules
+
+    def test_registration_leaves_a_shared_library_as_it_was(self):
+        library = PlanLibrary([Plan("work", pattern("goal-added", "g"), (Act("ping", {}),))])
+        actions = frozenset({"ping"})
+        first, second = (
+            AgentConfiguration(name, plans=library, actions=actions) for name in ("a", "b")
+        )
+        before = second.snapshot_json()
+        goal = TriggeringEvent(EventCategory.GOAL_ADDED, "g", {})
+        assert library.relevant(goal) == ["work"]  # an index entry to keep
+        module = CoefficientModule(
+            "m", plans=[Plan("extra", pattern("goal-added", "g"), (Act("ping", {}),))]
+        )
+        register_module(first, module)
+        assert list(first.plans.by_id) == ["work", "m.extra"]
+        assert first.plans.relevant(goal) == ["work", "m.extra"]
+        assert second.plans is library and list(library.by_id) == ["work"]
+        assert library.relevant(goal) == ["work"]
+        assert second.circumstance.actions is actions
+        # The unregistered host runs as it would have alone.
+        alone = AgentConfiguration("b", plans=PlanLibrary(library.by_id.values()), actions=actions)
+        assert second.snapshot_json() == before
+        for cfg in (second, alone):
+            post_external_event(cfg, goal)
+            for _ in range(3):
+                run_cycle(cfg)
+        assert second.snapshot_json() == alone.snapshot_json()
+
+    def test_a_module_without_plans_keeps_the_host_library(self):
+        cfg = agent([Plan("work", pattern("goal-added", "g"), (Act("ping", {}),))])
+        library = cfg.plans
+        register_module(cfg, CoefficientModule("m", mapping=[entry()]))
+        assert cfg.plans is library
+
     def test_two_modules_concatenate_mappings_in_registration_order(self):
         # Oracle: inspect the merged mapping directly.
         first = CoefficientModule("m1", mapping=[entry(observe_subject="a")])

@@ -236,6 +236,20 @@ class TestCompileEndpoint:
         assert PUBLISH_ACTION in cfg.circumstance.actions
         assert endpoint.subscriptions == frozenset()
 
+    def test_publishing_gives_the_host_its_own_action_set(self):
+        actions = frozenset({"ping"})
+        first, second = (
+            AgentConfiguration(name, plans=PlanLibrary(), actions=actions) for name in ("a", "b")
+        )
+        decl = capacity_server_decl()
+        attach_endpoint(decl, endpoint_module(decl), first)
+        assert first.circumstance.actions == {"ping", PUBLISH_ACTION}
+        assert second.circumstance.actions is actions and actions == {"ping"}
+        # A declaration without publications adds no action.
+        listener = EndpointDeclaration(process_id="listen", role="service")
+        attach_endpoint(listener, endpoint_module(listener), second)
+        assert second.circumstance.actions is actions
+
     def test_server_declaration_observes_deployed_updates_guarded(self):
         # The utilization publication: observe deployed updates, publish on
         # the capacity topic only while under the preferred level.
@@ -295,7 +309,7 @@ class TestCompileEndpoint:
         )
         second = attach_endpoint(second_decl, endpoint_module(second_decl), cfg)
         assert first.module.module_id != second.module.module_id
-        plan_ids = [p.plan_id for p in cfg.plans.in_order()]
+        plan_ids = list(cfg.plans.by_id)
         assert len(plan_ids) == 2 and len(set(plan_ids)) == 2
         first_entries = cfg.mapping[first.module.module_id]
         second_entries = cfg.mapping[second.module.module_id]

@@ -165,14 +165,19 @@ events = st.builds(
 @settings(max_examples=200, deadline=None)
 def test_indexed_relevance_equals_the_declaration_order_scan(operations):
     """Exact, prefix and any-subject triggers, payload constraints, and plans
-    added after a lookup: the index answers as a scan of every plan would."""
-    library = PlanLibrary()
+    added after a lookup: the index answers as a scan of every plan would.
+    Adding a plan builds a new library, as module registration does; the
+    old one, with its index, stays in use and keeps its answers."""
+    plans: list[Plan] = []
+    libraries = [PlanLibrary()]
     for index, (operation, value) in enumerate(operations):
         if operation == "add":
-            library.add(Plan(f"p{index}", value, (Act("ping"),)))
+            plans.append(Plan(f"p{index}", value, (Act("ping"),)))
+            libraries.append(PlanLibrary(plans))
         else:
-            scan = [plan.plan_id for plan in library.in_order() if plan.trigger.matches(value)]
-            assert library.relevant(value) == scan
+            for library in libraries:
+                scan = [p.plan_id for p in library.by_id.values() if p.trigger.matches(value)]
+                assert library.relevant(value) == scan
 
 
 # -- intention order and scheduling -------------------------------------------

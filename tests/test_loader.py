@@ -136,6 +136,15 @@ class TestAgentProgram:
             parse_agent_program(doc)
         assert "agent-program.plans[0].body[0].key" in str(raised.value)
 
+    @pytest.mark.parametrize("key", ["", "payload", "subject", "true", "max"])
+    def test_unbelieve_key_must_name_a_belief(self, key):
+        # Such a step could never drop a belief: it would be a silent no-op.
+        doc = minimal_program()
+        doc["plans"][0]["body"] = [{"do": "unbelieve", "key": key}]
+        with pytest.raises(ConfigError, match="empty or a reserved name") as raised:
+            parse_agent_program(doc)
+        assert "agent-program.plans[0].body[0].key" in str(raised.value)
+
     def test_module_id_must_prefix_identifiers(self):
         # Module beliefs are renamed "<prefix>__<key>" in the module's own
         # expressions; "1__y > 1" would not parse.
@@ -374,6 +383,12 @@ MALFORMED_SCENARIOS = {
     ),
 }
 
+MODULE_PLAN = {
+    "id": "p",
+    "trigger": {"category": "goal-added", "subject": "g"},
+    "body": [{"do": "act", "name": "ping"}],
+}
+
 MALFORMED_PROGRAMS = {
     "event-payload-list": minimal_program(events=[{"category": "goal-added", "subject": "g", "payload": [1]}]),
     "reserved-belief": minimal_program(beliefs={"subject": 1}),
@@ -381,6 +396,13 @@ MALFORMED_PROGRAMS = {
     "duplicate-module": minimal_program(modules=[{"id": "m"}, {"id": "m"}]),
     "module-belief-collision": minimal_program(
         modules=[{"id": "m", "beliefs": {"x": 1}, "exports": ["x"]}]
+    ),
+    "module-duplicate-plan": minimal_program(modules=[{"id": "m", "plans": [MODULE_PLAN] * 2}]),
+    "unbelieve-reserved-key": minimal_program(
+        plans=[{**minimal_program()["plans"][0], "body": [{"do": "unbelieve", "key": "payload"}]}]
+    ),
+    "unbelieve-empty-key": minimal_program(
+        plans=[{**minimal_program()["plans"][0], "body": [{"do": "unbelieve", "key": ""}]}]
     ),
 }
 
@@ -411,7 +433,9 @@ class TestMalformedDocuments:
         assert main([command, str(path)]) == 2
         assert f"{name}.json" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["duplicate-module", "module-belief-collision"])
+    @pytest.mark.parametrize(
+        "name", ["duplicate-module", "module-belief-collision", "module-duplicate-plan"]
+    )
     def test_module_registration_clash_names_the_modules_path(self, name):
         with pytest.raises(ConfigError, match=r"^agent-program\.modules: module 'm'"):
             parse_agent_program(MALFORMED_PROGRAMS[name])

@@ -14,9 +14,11 @@ import coagent.scenarios as scenarios
 from coagent.bdi.config import AgentConfiguration
 from coagent.bdi.expressions import Expr
 from coagent.cli import main
-from coagent.loader import load_scenario
+from coagent.coordination import PUBLISH_ACTION
+from coagent.loader import load_scenario, parse_scenario
 from coagent.scenarios import (
     MOVE_GOAL,
+    SWITCH_GOAL,
     UTILIZATION_PROCESS,
     DemandDelta,
     ScenarioConfig,
@@ -281,6 +283,38 @@ class TestEndpointDeclarations:
             "utilization": 2,
             "balancing": 2,
         }
+
+    def test_services_share_one_plan_library_and_action_set(self):
+        state = build_scenario(fleet_config(3))
+        services = [state.agents[service_id] for service_id in state.service_server]
+        library, actions = services[0].plans, services[0].circumstance.actions
+        assert all(cfg.plans is library for cfg in services)
+        assert all(cfg.circumstance.actions is actions for cfg in services)
+        assert all(state.agents[server].plans is not library for server in state.server_specs)
+        # Built per call: the next build's services share a new library.
+        assert build_scenario(fleet_config(3)).agents["svc-00-0"].plans is not library
+
+    def test_a_publishing_service_endpoint_gives_each_service_its_own_library(self):
+        # Each service announces where it moved: registration gives every
+        # service a library with its publish plan, and none of them may
+        # write it into a library the others share.
+        doc = json.loads(SCENARIO_B.read_text())
+        rule = {
+            "observe": {"category": "belief-updated", "subject": "current_server"},
+            "topic": "moved",
+            "extract": ["type", "current_server"],
+        }
+        moves = {"process-id": "moves", "role": "service", "publication-rules": [rule]}
+        doc["endpoints"] = [*CANONICAL_ENDPOINTS_B, moves]
+        state = build_scenario(parse_scenario(doc))
+        services = [state.agents[service_id] for service_id in state.service_server]
+        assert len({id(cfg.plans) for cfg in services}) == len(services)
+        for cfg in services:
+            assert list(cfg.plans.by_id) == [MOVE_GOAL, SWITCH_GOAL, "ep.moves.publish.0"]
+            assert cfg.circumstance.actions == {"relocate", "reallocate", PUBLISH_ACTION}
+        trace = run_simulation(state, state.config.ticks)
+        published = sum(record.publications["moved"] for record in trace)
+        assert 0 < published <= sum(record.moves for record in trace)
 
     def test_spelled_out_canonical_endpoints_give_identical_trace(self, tmp_path):
         doc = json.loads(SCENARIO_B.read_text())
