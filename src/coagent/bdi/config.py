@@ -109,7 +109,8 @@ class TempInfo:
     epsilon: Event | None = None
 
 
-#: The library of every agent built without plans.
+#: The library of every agent built without plans; its index only ever
+#: holds empty answers.
 _NO_PLANS = PlanLibrary()
 
 
