@@ -23,7 +23,6 @@ from coagent.coordination import (
     attach_endpoint,
     build_publication,
     endpoint_deliver,
-    endpoint_module,
     publish,
     tick_medium,
 )
@@ -67,10 +66,10 @@ sensor_decl = EndpointDeclaration(
         ),
     ),
 )
-sensor_endpoint = attach_endpoint(sensor_decl, endpoint_module(sensor_decl), sensor)
+sensor_endpoint = attach_endpoint(sensor_decl, sensor)
 env.endpoints[sensor_endpoint.endpoint_id] = sensor_endpoint
 
-# One declaration and one compiled module serve every display.
+# One declaration, which compiled its module when it was built, serves every display.
 display_decl = EndpointDeclaration(
     process_id="weather",
     role="service",
@@ -83,7 +82,6 @@ display_decl = EndpointDeclaration(
         ),
     ),
 )
-display_module = endpoint_module(display_decl)
 displays = {}
 for name in ("display-a", "display-b"):
     display = AgentConfiguration(
@@ -100,7 +98,7 @@ for name in ("display-a", "display-b"):
         ),
         environment=env,
     )
-    endpoint = attach_endpoint(display_decl, display_module, display)
+    endpoint = attach_endpoint(display_decl, display)
     medium.subscribe(endpoint.endpoint_id, name)
     displays[endpoint.endpoint_id] = (endpoint, display)
 

@@ -37,8 +37,10 @@ enter that code as constants, and the sentinel, the number types and the
 three functions by name.  Short-circuit operands and later comparison links
 run inside ``if`` blocks that follow one another, so the code nests only as
 deep as the source nests ``and``/``or`` and comparisons, and a long operand
-list or arithmetic chain stays flat.  A source nested too deeply for the
-parser or the walk is an ``ExpressionSyntaxError``.
+list or arithmetic chain stays flat.  A source tree deeper than
+``MAX_DEPTH`` levels, or too deep for the parser, is an
+``ExpressionSyntaxError``; so the first evaluation, which walks the tree
+again, has room for it even a few hundred frames down a call stack.
 """
 
 from __future__ import annotations
@@ -78,6 +80,10 @@ _ARITHMETIC = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 #: The operand types arithmetic and function calls take; any other operand
 #: (UNDEFINED, a bool, a str, a container) makes the result UNDEFINED.
 _NUMBERS = (int, float)
+#: The deepest source tree accepted, in levels: the walk enters one Python
+#: frame per level, and runs again at the first evaluation, which may come
+#: from a deep call stack.
+MAX_DEPTH = 500
 
 #: What generated code reads by name: its only globals.
 _BINDINGS = {
@@ -175,7 +181,8 @@ class _Writer:
     construct in pre-order is the one reported.  ``walk`` appends the
     statements a node needs to the block it is given and returns the node's
     value as an expression over names and constants, with the value's
-    kind; it enters one Python frame per level of the source tree.
+    kind; it enters one Python frame per level of the source tree, and
+    ``depth`` counts them.
     """
 
     def __init__(self, source: str):
@@ -199,8 +206,12 @@ class _Writer:
         """The run-time checks that every operand is a number."""
         return [_is_number(value) for value, kind in operands if kind not in _NUMBERS]
 
-    def walk(self, node: ast.AST, block: list[ast.stmt]) -> tuple[ast.expr, Any]:
+    def walk(self, node: ast.AST, block: list[ast.stmt], depth: int = 1) -> tuple[ast.expr, Any]:
         source, form = self.source, type(node)
+        if depth > MAX_DEPTH:
+            raise ExpressionSyntaxError(
+                f"expression nests too deeply (over {MAX_DEPTH} levels): {source!r}"
+            )
         if form is ast.Attribute:
             if not (isinstance(node.value, ast.Name) and node.value.id == "payload"):
                 raise ExpressionSyntaxError(
@@ -228,7 +239,7 @@ class _Writer:
                 if position:
                     block = []
                     outer.append(ast.If(test, block, _EMPTY))
-                value, kind = self.walk(operand, block)
+                value, kind = self.walk(operand, block, depth + 1)
                 if kind is not bool:
                     value = self.atom(value, block)
                 block.append(_set(result, _truth(value, kind)))
@@ -236,7 +247,7 @@ class _Writer:
         if form is ast.UnaryOp:
             if not isinstance(node.op, (ast.Not, ast.USub)):
                 raise ExpressionSyntaxError(f"unsupported unary operator in {source!r}")
-            value, kind = self.walk(node.operand, block)
+            value, kind = self.walk(node.operand, block, depth + 1)
             value = self.atom(value, block)
             if isinstance(node.op, ast.Not):
                 negation = ast.UnaryOp(_NOT, value)
@@ -255,7 +266,7 @@ class _Writer:
             # Each link: both sides defined, then the comparison itself, a
             # TypeError counting as false.  Later links run inside an ``if``
             # on the result so far.
-            left, left_kind = self.walk(node.left, block)
+            left, left_kind = self.walk(node.left, block, depth + 1)
             left = self.atom(left, block)
             result = self.temp()
             holds = [_set(result, _TRUE)]
@@ -264,7 +275,7 @@ class _Writer:
                 if position:
                     block = []
                     outer.append(ast.If(result, block, _EMPTY))
-                right, right_kind = self.walk(comparator, block)
+                right, right_kind = self.walk(comparator, block, depth + 1)
                 right = self.atom(right, block)
                 block.append(_set(result, _FALSE))
                 link = ast.If(ast.Compare(left, [op], [right]), holds, _EMPTY)
@@ -278,7 +289,7 @@ class _Writer:
                 raise ExpressionSyntaxError(f"unsupported arithmetic operator in {source!r}")
             operands = []
             for operand in (node.left, node.right):
-                value, kind = self.walk(operand, block)
+                value, kind = self.walk(operand, block, depth + 1)
                 operands.append((self.atom(value, block), kind))
             tests = self.numbers(operands)
             (left, left_kind), (right, right_kind) = operands
@@ -298,7 +309,7 @@ class _Writer:
                 raise ExpressionSyntaxError(f"keyword arguments not allowed in {source!r}")
             args = []
             for arg in node.args:
-                value, kind = self.walk(arg, block)
+                value, kind = self.walk(arg, block, depth + 1)
                 args.append((self.atom(value, block), kind))
             tests = self.numbers(args)
             # The wrong number of arguments is a TypeError: undefined.

@@ -208,10 +208,6 @@ class Intention:
     intention_id: int
     stack: list[PlanRecord] = field(default_factory=list)
 
-    @property
-    def top(self) -> PlanRecord:
-        return self.stack[-1]
-
     def to_json(self) -> dict[str, Any]:
         return {
             "id": self.intention_id,

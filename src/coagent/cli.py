@@ -23,7 +23,6 @@ from coagent.loader import (
     read_json,
 )
 from coagent.scenarios import (
-    ScenarioError,
     build_scenario,
     run_simulation,
     summary,
@@ -94,7 +93,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if ticks < 0:
             raise ConfigError(f"{args.scenario}: ticks must be >= 0")
         state = build_scenario(config, agent_log="agent-log" in emit)
-    except (ConfigError, ScenarioError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -118,7 +117,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: cannot prepare output directory: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    run_simulation(state, ticks, seed=config.seed)
+    run_simulation(state, ticks)
     run_summary = summary(state)
 
     try:

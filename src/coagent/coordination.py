@@ -9,16 +9,18 @@ information and injects adjustment events back into the host, through the
 co-efficient injection rule.  The host reasoner keeps authority over every
 injected event.
 
-This module owns the endpoint protocol: ``endpoint_module`` encodes which
-endpoint and rule a publish action comes from, ``build_publication`` decodes
-a performed publish action back into its publication, and endpoint ids are
-formed only here.  A host environment routes the action without knowing its
-argument format.
+A declaration checks itself and compiles its publication module when it is
+built, so a built declaration is always valid and complete.  This module owns
+the endpoint protocol: the compiled module encodes which endpoint and rule a
+publish action comes from, ``build_publication`` decodes a performed publish
+action back into its publication, and endpoint ids are formed only here.  A
+host environment routes the action without knowing its argument format.
 """
 
 from __future__ import annotations
 
 import ast
+import keyword
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Mapping
@@ -159,13 +161,37 @@ class PublicationRule:
 class EndpointDeclaration:
     """Declarative endpoint configuration, one per coordination process.
 
-    ``reactions`` are mapping entries on ``message-received``, one named topic each.
+    ``reactions`` are mapping entries on ``message-received``, one named topic
+    each.  Building a declaration checks it, raising
+    ``EndpointDeclarationError``, and derives ``topics``, the topics its
+    reactions subscribe to, and ``module``, the co-efficient module of its
+    publication side.  Both depend only on the declaration, so every host it
+    is attached to shares them.
     """
 
     process_id: str
     role: str = ""
     publications: tuple[PublicationRule, ...] = ()
     reactions: tuple[EventMappingEntry, ...] = ()
+    topics: frozenset[str] = field(init=False, repr=False, compare=False)
+    module: CoefficientModule = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.process_id:
+            raise EndpointDeclarationError("endpoint declaration needs a process-id")
+        for index, rule in enumerate(self.publications):
+            _check_publication(rule, index)
+        for index, entry in enumerate(self.reactions):
+            topic = entry.observe.subject
+            one_topic = topic is not None and not topic.endswith("*")
+            if entry.observe.categories != (MESSAGE_RECEIVED,) or not one_topic:
+                raise EndpointDeclarationError(
+                    f"reaction-rules[{index}]: a reaction must observe "
+                    "'message-received' on one named topic"
+                )
+        topics = frozenset(entry.observe.subject for entry in self.reactions)
+        object.__setattr__(self, "topics", topics)
+        object.__setattr__(self, "module", _publication_module(self))
 
 
 @dataclass
@@ -175,8 +201,6 @@ class CoordinationEndpoint:
     endpoint_id: str
     host: str
     decl: EndpointDeclaration
-    module: CoefficientModule
-    subscriptions: frozenset[str]
 
 
 def _payload_refs(expr: Expr) -> set[str]:
@@ -190,6 +214,8 @@ def _bare_subject_ref(expr: Expr) -> bool:
 def _check_publication(rule: PublicationRule, index: int) -> None:
     path = f"publication-rules[{index}]"
     for key in rule.extract_event:
+        if not key.isidentifier() or keyword.iskeyword(key):
+            raise EndpointDeclarationError(f"{path}: extract-event key {key!r} is not a name")
         if key.startswith("__"):
             raise EndpointDeclarationError(f"{path}: extract-event key {key!r} is reserved")
         if key in rule.extract:
@@ -210,32 +236,14 @@ def _check_publication(rule: PublicationRule, index: int) -> None:
             )
 
 
-def check_declaration(decl: EndpointDeclaration) -> None:
-    """Raise ``EndpointDeclarationError`` unless the declaration can be compiled."""
-    if not decl.process_id:
-        raise EndpointDeclarationError("endpoint declaration needs a process-id")
-    for index, rule in enumerate(decl.publications):
-        _check_publication(rule, index)
-    for index, entry in enumerate(decl.reactions):
-        topic = entry.observe.subject
-        one_topic = topic is not None and not topic.endswith("*")
-        if entry.observe.categories != (MESSAGE_RECEIVED,) or not one_topic:
-            raise EndpointDeclarationError(
-                f"reaction-rules[{index}]: a reaction must observe "
-                "'message-received' on one named topic"
-            )
-
-
-def endpoint_module(decl: EndpointDeclaration) -> CoefficientModule:
-    """Check a declaration and build the co-efficient module of its publication side.
+def _publication_module(decl: EndpointDeclaration) -> CoefficientModule:
+    """The co-efficient module of a declaration's publication side.
 
     Each publication rule becomes one event-mapping entry that injects an
     internal publish goal, plus one plan that performs the publish action;
     the rule guard is re-checked in the plan context so stale goals never
-    publish.  The module depends only on the declaration, so one module
-    serves every host the declaration is attached to.
+    publish.
     """
-    check_declaration(decl)
     module_id = f"ep.{decl.process_id}"
     mapping: list[EventMappingEntry] = []
     plans: list[Plan] = []
@@ -269,23 +277,22 @@ def endpoint_module(decl: EndpointDeclaration) -> CoefficientModule:
 
 
 def attach_endpoint(
-    decl: EndpointDeclaration, module: CoefficientModule, host_cfg: AgentConfiguration
+    decl: EndpointDeclaration, host_cfg: AgentConfiguration
 ) -> CoordinationEndpoint:
-    """Register a declaration's module on the host and return the host's endpoint.
+    """Register the declaration's compiled module on the host and return the
+    host's endpoint.
 
     Reactions stay on the endpoint and are applied at delivery time.  A
     publishing host gets a new action set with the publish action; its old
     one, which other hosts may share, stays as it was.
     """
-    register_module(host_cfg, module)
+    register_module(host_cfg, decl.module)
     if decl.publications:
         host_cfg.circumstance.actions = host_cfg.circumstance.actions | {PUBLISH_ACTION}
     return CoordinationEndpoint(
         endpoint_id=_endpoint_id(host_cfg.agent_id, decl.process_id),
         host=host_cfg.agent_id,
         decl=decl,
-        module=module,
-        subscriptions=frozenset(entry.observe.subject for entry in decl.reactions),
     )
 
 
@@ -328,7 +335,7 @@ def endpoint_deliver(
 ) -> AgentConfiguration:
     """Deliver perceived information: the endpoint's reactions observe it as
     ``message-received <topic>`` and inject a new course of action, or nothing."""
-    if info.topic not in endpoint.subscriptions:
+    if info.topic not in endpoint.decl.topics:
         raise RoutingError(
             f"endpoint {endpoint.endpoint_id!r} is not subscribed to {info.topic!r}"
         )

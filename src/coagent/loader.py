@@ -42,7 +42,6 @@ from coagent.coordination import (
     EndpointDeclaration,
     EndpointDeclarationError,
     PublicationRule,
-    check_declaration,
 )
 from coagent.scenarios import ROLES, DemandDelta, ScenarioConfig, ScenarioError, ServerSpec, ServiceSpec
 
@@ -398,17 +397,11 @@ def parse_endpoint_declaration(obj: Any, path: str) -> EndpointDeclaration:
     role = _require(obj["role"], f"{path}.role", str, "role")
     if role not in ROLES:
         raise _fail(f"{path}.role", f"role must be {'/'.join(ROLES)}, got {role!r}")
-    decl = EndpointDeclaration(
-        process_id=_require(obj["process-id"], f"{path}.process-id", str, "process id"),
-        role=role,
-        publications=publications,
-        reactions=reactions,
-    )
+    process_id = _require(obj["process-id"], f"{path}.process-id", str, "process id")
     try:
-        check_declaration(decl)
+        return EndpointDeclaration(process_id, role, publications, reactions)
     except EndpointDeclarationError as exc:
         raise _fail(path, str(exc)) from None
-    return decl
 
 
 _SCENARIO_KEYS = {
@@ -494,31 +487,29 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
 
     probability = _optional(doc, "move-acceptance-probability", path, (int, float), None)
 
-    config = ScenarioConfig(
-        name=str(doc.get("name") or "scenario"),
-        seed=_require(doc.get("seed", 0), f"{path}.seed", int, "seed"),
-        ticks=_require(doc.get("ticks", 100), f"{path}.ticks", int, "ticks"),
-        servers=servers,
-        services=services,
-        brokers=_require(doc.get("brokers", 0), f"{path}.brokers", int, "brokers"),
-        demand=demand,
-        demand_schedule=schedule,
-        media=media,
-        significance_threshold=float(
-            _optional(doc, "significance-threshold", path, (int, float), 0.5)
-        ),
-        uniqueness_constraint=_optional(doc, "uniqueness-constraint", path, bool, False),
-        publish_when_empty=_optional(doc, "publish-when-empty", path, bool, False),
-        move_acceptance_probability=(
-            float(probability) if probability is not None else None
-        ),
-        endpoints=endpoints,
-    )
     try:
-        config.validate()
+        return ScenarioConfig(
+            name=str(doc.get("name") or "scenario"),
+            seed=_require(doc.get("seed", 0), f"{path}.seed", int, "seed"),
+            ticks=_require(doc.get("ticks", 100), f"{path}.ticks", int, "ticks"),
+            servers=servers,
+            services=services,
+            brokers=_require(doc.get("brokers", 0), f"{path}.brokers", int, "brokers"),
+            demand=demand,
+            demand_schedule=schedule,
+            media=media,
+            significance_threshold=float(
+                _optional(doc, "significance-threshold", path, (int, float), 0.5)
+            ),
+            uniqueness_constraint=_optional(doc, "uniqueness-constraint", path, bool, False),
+            publish_when_empty=_optional(doc, "publish-when-empty", path, bool, False),
+            move_acceptance_probability=(
+                float(probability) if probability is not None else None
+            ),
+            endpoints=endpoints,
+        )
     except ScenarioError as exc:
         raise _fail(path, str(exc)) from None
-    return config
 
 
 def load_scenario(path: str | Path) -> ScenarioConfig:

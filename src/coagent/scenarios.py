@@ -47,7 +47,6 @@ from coagent.coordination import (
     attach_endpoint,
     build_publication,
     endpoint_deliver,
-    endpoint_module,
     publish,
     tick_medium,
 )
@@ -97,9 +96,18 @@ class DemandDelta:
     delta: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioConfig:
-    """Declarative simulation input; see the bundled scenario documents."""
+    """Declarative simulation input; see the bundled scenario documents.
+
+    Building a config checks the build invariants, raising ``ScenarioError``,
+    and computes ``placement``, the initial placement: each service id to
+    its server.  Services naming an initial server are placed first, then
+    the others, each group in document order; an unnamed service draws one
+    of the servers that ``admits`` it from ``random.Random(seed)``.  A config
+    is frozen: ``dataclasses.replace`` builds a changed one, checked and
+    placed again.
+    """
 
     name: str = "scenario"
     seed: int = 0
@@ -117,15 +125,9 @@ class ScenarioConfig:
     #: Endpoint declarations, each attached to every agent of its role.
     #: None selects ``canonical_endpoints(config)``.
     endpoints: list[EndpointDeclaration] | None = None
+    placement: dict[str, str] = field(init=False, repr=False, compare=False)
 
-    def validate(self) -> dict[str, str]:
-        """Check the build invariants; return the initial placement.
-
-        The placement maps each service id to its server.  Services naming an
-        initial server are placed first, then the others, each group in
-        document order; an unnamed service draws one of the servers that
-        ``admits`` it from ``random.Random(seed)``.
-        """
+    def __post_init__(self) -> None:
         if self.ticks < 0:
             raise ScenarioError("ticks must be >= 0")
         if self.brokers < 0:
@@ -201,7 +203,7 @@ class ScenarioConfig:
                 )
             types[target].append(service.service_type)
             placement[service.service_id] = target
-        return placement
+        object.__setattr__(self, "placement", placement)
 
     @property
     def broker_ids(self) -> list[str]:
@@ -562,21 +564,21 @@ RELEASE_ORDER = {
 
 
 def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> SimulationState:
-    """Construct agents, endpoints, and media for a validated configuration.
+    """Construct agents, endpoints, and media for a configuration.
 
-    The initial placement is the one ``ScenarioConfig.validate`` returns.
-    Each endpoint declaration -- the document's, or else the
-    canonical ones -- is compiled once and attached to every agent of its
-    role.  Every service starts with one plan library and one action set,
-    built per call so that no relevance index carries from one build to the
-    next; registration gives a host that gains plans or actions new ones.
+    The config was checked, and its initial placement computed, when it was
+    built.  Each endpoint declaration -- the document's, or else the
+    canonical ones -- compiled its module when it was built, and is attached
+    to every agent of its role; its hosts subscribe to its ``topics``.
+    Every service starts with one plan library and one action set, built
+    per call so that no relevance index carries from one build to the next;
+    registration gives a host that gains plans or actions new ones.
     Each server manager receives one bootstrap utilization reading so
     publication guards are evaluated against the initial state.
 
     Agents keep observation records only with ``agent_log`` set, for a run
     that writes ``agent-log.jsonl``; plan-lifecycle hooks fire either way.
     """
-    placement = config.validate()
     state = SimulationState(config)
     env = ScenarioEnvironment(state)
 
@@ -585,7 +587,7 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
         state.server_specs[spec.server_id] = spec
         types[spec.server_id] = []
     for service in config.services:
-        target = placement[service.service_id]
+        target = config.placement[service.service_id]
         types[target].append(service.service_type)
         state.service_server[service.service_id] = target
         state.service_type[service.service_id] = service.service_type
@@ -593,11 +595,10 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
         state.refresh_server(server_id, sorted(deployed))
 
     declarations = canonical_endpoints(config) if config.endpoints is None else config.endpoints
-    compiled = [(decl, endpoint_module(decl)) for decl in declarations]
     topics = {TOPIC_CAPACITY, TOPIC_DEMAND} | set(config.media)
     for decl in declarations:
         topics.update(rule.topic for rule in decl.publications)
-        topics.update(entry.observe.subject for entry in decl.reactions)
+        topics.update(decl.topics)
     for topic in sorted(topics):
         state.media[topic] = CoordinationMedium(
             topic=topic, latency=config.media.get(topic, 1), order=RELEASE_ORDER.get(topic)
@@ -645,12 +646,12 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
     state.agents = {agent_id: state.agents[agent_id] for agent_id in sorted(state.agents)}
 
     for agent_id in state.agent_order:
-        for decl, module in compiled:
+        for decl in declarations:
             if decl.role != roles[agent_id]:
                 continue
-            endpoint = attach_endpoint(decl, module, state.agents[agent_id])
+            endpoint = attach_endpoint(decl, state.agents[agent_id])
             state.endpoints[endpoint.endpoint_id] = endpoint
-            for topic in sorted(endpoint.subscriptions):
+            for topic in sorted(decl.topics):
                 state.media[topic].subscribe(endpoint.endpoint_id, agent_id)
 
     # Bootstrap utilization readings: the architecture reports each server's

@@ -31,7 +31,6 @@ from coagent.coordination import (
     CoordinationMedium,
     EndpointDeclaration,
     attach_endpoint,
-    endpoint_module,
     publish,
     tick_medium,
 )
@@ -176,7 +175,7 @@ class TestCriterion3BaselineBisimulation:
             bare = instantiate(*program)
             hosted = instantiate(*program)
             noop = EndpointDeclaration(process_id="noop", role="service")
-            attach_endpoint(noop, endpoint_module(noop), hosted)
+            attach_endpoint(noop, hosted)
             assert_lockstep(bare, hosted, 150, label=f"seed {seed}: ")
         report(
             "PASS criterion 3: empty-rule-set endpoints byte-identical to bare agents "
@@ -346,9 +345,9 @@ class TestCriterion7InvariantSuite:
                 PublicationRule(observe=pattern("belief-updated", "capacity"), topic="t2"),
             ),
         )
-        ep1 = attach_endpoint(decl1, endpoint_module(decl1), host)
-        ep2 = attach_endpoint(decl2, endpoint_module(decl2), host)
-        assert ep1.module.module_id != ep2.module.module_id
+        ep1 = attach_endpoint(decl1, host)
+        ep2 = attach_endpoint(decl2, host)
+        assert ep1.decl.module.module_id != ep2.decl.module.module_id
         assert set(host.mapping) == {"ep.p1", "ep.p2"}
         checks.append("coordination: process isolation")
 

@@ -422,7 +422,7 @@ class TestObservationStreamMatching:
 
         run_cycle(cfg)  # sub runs and finishes
         assert queue() == [("goal-added", "audit", 1), ("goal-succeeded", "h", 1)]
-        assert cfg.circumstance.intentions[1].top.waiting_on is None
+        assert cfg.circumstance.intentions[1].stack[-1].waiting_on is None
         run_cycle(cfg)  # audit is discarded; top runs ping and finishes
         assert queue() == [
             ("goal-succeeded", "h", TOP),

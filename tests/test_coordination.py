@@ -1,5 +1,6 @@
 """Media latency/fan-out semantics and endpoint compilation/delivery."""
 
+import inspect
 import random
 
 import pytest
@@ -27,7 +28,6 @@ from coagent.coordination import (
     attach_endpoint,
     build_publication,
     endpoint_deliver,
-    endpoint_module,
     publish,
     tick_medium,
 )
@@ -230,11 +230,15 @@ class TestCompileEndpoint:
     def test_one_publication_rule_one_mapping_entry_one_plan(self):
         cfg = host(beliefs={"server": "s1", "deployed": 1, "capacity": 5, "preferred_min": 3})
         decl = capacity_server_decl()
-        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
+        endpoint = attach_endpoint(decl, cfg)
         assert len(cfg.mapping["ep.utilization"]) == 1
         assert len(cfg.plans) == 1
         assert PUBLISH_ACTION in cfg.circumstance.actions
-        assert endpoint.subscriptions == frozenset()
+        assert endpoint.decl.topics == frozenset()
+
+    def test_attach_endpoint_takes_no_module(self):
+        # The module is the declaration's own, compiled when it was built.
+        assert list(inspect.signature(attach_endpoint).parameters) == ["decl", "host_cfg"]
 
     def test_publishing_gives_the_host_its_own_action_set(self):
         actions = frozenset({"ping"})
@@ -242,12 +246,12 @@ class TestCompileEndpoint:
             AgentConfiguration(name, plans=PlanLibrary(), actions=actions) for name in ("a", "b")
         )
         decl = capacity_server_decl()
-        attach_endpoint(decl, endpoint_module(decl), first)
+        attach_endpoint(decl, first)
         assert first.circumstance.actions == {"ping", PUBLISH_ACTION}
         assert second.circumstance.actions is actions and actions == {"ping"}
         # A declaration without publications adds no action.
         listener = EndpointDeclaration(process_id="listen", role="service")
-        attach_endpoint(listener, endpoint_module(listener), second)
+        attach_endpoint(listener, second)
         assert second.circumstance.actions is actions
 
     def test_server_declaration_observes_deployed_updates_guarded(self):
@@ -255,7 +259,7 @@ class TestCompileEndpoint:
         # the capacity topic only while under the preferred level.
         cfg = host(beliefs={"server": "s1", "deployed": 1, "capacity": 5, "preferred_min": 3})
         decl = capacity_server_decl()
-        attach_endpoint(decl, endpoint_module(decl), cfg)
+        attach_endpoint(decl, cfg)
         ((entry,),) = cfg.mapping.values()
         te = TriggeringEvent(EventCategory.BELIEF_UPDATED, "deployed", {"old": 1, "new": 1})
         assert entry.observe.matches(te)
@@ -273,30 +277,29 @@ class TestCompileEndpoint:
         bare = instantiate(*program)
         hosted = instantiate(*program)
         decl = EndpointDeclaration(process_id="noop", role="service")
-        attach_endpoint(decl, endpoint_module(decl), hosted)
+        attach_endpoint(decl, hosted)
         assert_lockstep(bare, hosted, 150)
 
     def test_publication_guard_event_refs_must_be_extracted(self):
-        decl = EndpointDeclaration(
-            process_id="p",
-            role="broker",
-            publications=(
-                PublicationRule(
-                    observe=pattern("belief-updated"),
-                    topic="demand-change",
-                    guard=Expr("payload.new > payload.old"),
-                    extract_event={"new": Expr("payload.new")},  # old missing
-                ),
-            ),
-        )
         with pytest.raises(EndpointDeclarationError):
-            attach_endpoint(decl, endpoint_module(decl), host())
+            EndpointDeclaration(
+                process_id="p",
+                role="broker",
+                publications=(
+                    PublicationRule(
+                        observe=pattern("belief-updated"),
+                        topic="demand-change",
+                        guard=Expr("payload.new > payload.old"),
+                        extract_event={"new": Expr("payload.new")},  # old missing
+                    ),
+                ),
+            )
 
     def test_process_isolation(self):
         # Distinct process ids compile to disjoint modules and plans.
         cfg = host(beliefs={"server": "s1", "deployed": 1, "capacity": 5, "preferred_min": 3})
         first_decl = capacity_server_decl()
-        first = attach_endpoint(first_decl, endpoint_module(first_decl), cfg)
+        first = attach_endpoint(first_decl, cfg)
         second_decl = EndpointDeclaration(
             process_id="audit",
             role="server",
@@ -307,12 +310,12 @@ class TestCompileEndpoint:
                 ),
             ),
         )
-        second = attach_endpoint(second_decl, endpoint_module(second_decl), cfg)
-        assert first.module.module_id != second.module.module_id
+        second = attach_endpoint(second_decl, cfg)
+        assert first.decl.module.module_id != second.decl.module.module_id
         plan_ids = list(cfg.plans.by_id)
         assert len(plan_ids) == 2 and len(set(plan_ids)) == 2
-        first_entries = cfg.mapping[first.module.module_id]
-        second_entries = cfg.mapping[second.module.module_id]
+        first_entries = cfg.mapping[first.decl.module.module_id]
+        second_entries = cfg.mapping[second.decl.module.module_id]
         assert len(first_entries) == 1 and len(second_entries) == 1
         assert first_entries[0] is not second_entries[0]
 
@@ -339,7 +342,7 @@ class TestEndpointDeliver:
     def test_matching_info_injects_goal(self):
         cfg = host(beliefs={"current_server": "s1"})
         decl = movable_decl()
-        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
+        endpoint = attach_endpoint(decl, cfg)
         endpoint_deliver(endpoint, info(payload={"server": "s2", "deployed": 1}), cfg)
         (event,) = cfg.circumstance.events
         assert event.te == TriggeringEvent(EventCategory.GOAL_ADDED, "move-to", {"server": "s2"})
@@ -348,7 +351,7 @@ class TestEndpointDeliver:
     def test_false_guard_leaves_host_unchanged(self):
         cfg = host(beliefs={"current_server": "s2"})
         decl = movable_decl()
-        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
+        endpoint = attach_endpoint(decl, cfg)
         before = cfg.snapshot_json()
         endpoint_deliver(endpoint, info(payload={"server": "s2"}), cfg)
         assert cfg.snapshot_json() == before
@@ -369,7 +372,7 @@ class TestEndpointDeliver:
             ),
         )
         cfg = host()
-        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
+        endpoint = attach_endpoint(decl, cfg)
         endpoint_deliver(endpoint, info(), cfg)
         subjects = [event.te.subject for event in cfg.circumstance.events]
         assert subjects == ["first"]
@@ -396,7 +399,7 @@ class TestEndpointDeliver:
             run_cycle(cfg)
         else:
             decl = EndpointDeclaration(process_id="p", role="service", reactions=entries)
-            endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
+            endpoint = attach_endpoint(decl, cfg)
             endpoint_deliver(endpoint, info(), cfg)
         subjects = [event.te.subject for event in cfg.circumstance.events]
         assert subjects == ["second"]
@@ -404,7 +407,7 @@ class TestEndpointDeliver:
     def test_unsubscribed_topic_is_routing_error(self):
         cfg = host()
         decl = movable_decl()
-        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
+        endpoint = attach_endpoint(decl, cfg)
         with pytest.raises(RoutingError):
             endpoint_deliver(endpoint, info(topic="demand-change"), cfg)
 
@@ -420,7 +423,7 @@ class TestEndpointDeliver:
             ),
         )
         cfg = host()
-        endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
+        endpoint = attach_endpoint(decl, cfg)
         endpoint_deliver(endpoint, info(payload={"kind": "alpha"}), cfg)
         assert cfg.circumstance.events == []
         endpoint_deliver(endpoint, info(payload={"kind": "beta"}), cfg)
@@ -439,9 +442,8 @@ class TestEndpointDeliver:
         reaction = EventMappingEntry(
             observe=observe, inject=EventTemplate(EventCategory.GOAL_ADDED, "hit", {})
         )
-        decl = EndpointDeclaration(process_id="p", role="service", reactions=(reaction,))
         with pytest.raises(EndpointDeclarationError, match="reaction-rules\\[0\\]"):
-            endpoint_module(decl)
+            EndpointDeclaration(process_id="p", role="service", reactions=(reaction,))
 
 
 class TestSharedInjection:
@@ -450,14 +452,13 @@ class TestSharedInjection:
 
     def test_one_publication_queues_one_event_on_every_subscriber(self):
         decl = movable_decl()
-        module = endpoint_module(decl)
         medium = CoordinationMedium("capacity")
         hosts, endpoints = {}, {}
         # svc-2 already sits on s2: its guard is false, and it queues nothing.
         currents = {"svc-1": "s1", "svc-2": "s2", "svc-3": "s1", "svc-4": "s3"}
         for name, current in currents.items():
             hosts[name] = host(name, beliefs={"current_server": current})
-            endpoint = attach_endpoint(decl, module, hosts[name])
+            endpoint = attach_endpoint(decl, hosts[name])
             medium.subscribe(endpoint.endpoint_id, name)
             endpoints[endpoint.endpoint_id] = endpoint
         publish(medium, info(payload={"server": "s2", "deployed": 1}), now=0)
@@ -511,7 +512,7 @@ class TestPublicationEndToEnd:
             environment=env,
         )
         decl = capacity_server_decl()
-        attach_endpoint(decl, endpoint_module(decl), cfg)
+        attach_endpoint(decl, cfg)
         post_external_event(
             cfg,
             TriggeringEvent(EventCategory.BELIEF_UPDATED, "deployed", {"old": 1, "new": 1}),
@@ -579,7 +580,7 @@ class TestBuildPublication:
             ),
         )
         for decl in (balancing, audit):
-            endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
+            endpoint = attach_endpoint(decl, cfg)
             env.endpoints[endpoint.endpoint_id] = endpoint
         for key, value in (("load", 5), ("region", "us")):
             cfg.write_belief(key, value)
@@ -622,7 +623,7 @@ class TestBuildPublication:
                     PublicationRule(observe=pattern("belief-updated", "load"), topic=process_id),
                 ),
             )
-            endpoint = attach_endpoint(decl, endpoint_module(decl), cfg)
+            endpoint = attach_endpoint(decl, cfg)
             env.endpoints[endpoint.endpoint_id] = endpoint
         cfg.write_belief("load", 5)
         for _ in range(10):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.events import EventCategory, TriggeringEvent
 from coagent.bdi.expressions import (
+    MAX_DEPTH,
     Expr,
     ExpressionEvalError,
     ExpressionSyntaxError,
@@ -236,6 +237,31 @@ class TestExtremeSources:
         for source in ("-" * 1100 + "1", "+".join(["1"] * 3000), "not " * 1100 + "x"):
             with pytest.raises(ExpressionSyntaxError, match="nests too deeply"):
                 Expr(source)
+
+    def test_a_700_term_sum_is_refused_at_load(self):
+        # It loads and evaluates at the top of a stack, but its first
+        # evaluation 300 frames down would overflow the walk.
+        with pytest.raises(ExpressionSyntaxError, match="nests too deeply"):
+            Expr(" + ".join(["1"] * 700))
+
+    @staticmethod
+    def levels_deep(form, levels):
+        """A source whose tree is ``levels`` deep.  Parentheses nest at most
+        200 deep, so the deepest sources are these unparenthesized forms."""
+        if form == "sum":
+            return " + ".join(["1"] * levels)
+        return {"minus": "-", "not": "not "}[form] * (levels - 1) + "1"
+
+    @pytest.mark.parametrize("form, expected", [("sum", MAX_DEPTH), ("minus", -1), ("not", False)])
+    def test_a_source_at_the_bound_first_evaluates_300_frames_down(self, form, expected):
+        expr = Expr(self.levels_deep(form, MAX_DEPTH))
+        with pytest.raises(ExpressionSyntaxError, match="nests too deeply"):
+            Expr(self.levels_deep(form, MAX_DEPTH + 1))
+
+        def down(frames):
+            return expr.evaluate({}, event()) if frames == 0 else down(frames - 1)
+
+        assert down(300) == expected
 
 
 # -- differential check against the reference oracle's evaluator ---------------

@@ -294,7 +294,7 @@ class TestExecuteIntention:
         assert event.te == goal("g2", {"v": 1})
         assert event.intention == iota
         (intention,) = cfg.circumstance.intentions.values()
-        assert intention.top.waiting_on == "g2"
+        assert intention.stack[-1].waiting_on == "g2"
 
     def test_unknown_action_fails_plan_and_propagates(self):
         # Oracle: two-plan program; the inner plan's action fault must fail
@@ -370,7 +370,7 @@ class TestClearIntention:
         post_external_event(cfg, goal("g1"))
         run_cycle(cfg)
         (intention,) = cfg.circumstance.intentions.values()
-        assert intention.top.pc == 1
+        assert intention.stack[-1].pc == 1
         before = cfg.snapshot()
         cfg.step = Step.CLR_INT
         clear_intention(cfg)
@@ -615,7 +615,7 @@ class TestSharedPayloads:
         step_to(cfg, Step.ADD_IM)
         add_intended_means(cfg)
         (intention,) = cfg.circumstance.intentions.values()
-        assert intention.top.trigger_te is te
+        assert intention.stack[-1].trigger_te is te
 
     def test_goal_succeeded_shares_the_goal_payload(self):
         cfg = agent([Plan("p", pattern("goal-added", "g1"), (Act("ping", {}),))])

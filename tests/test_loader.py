@@ -1,8 +1,11 @@
 """Document loading: schema checks, expression validation, error paths."""
 
+import copy
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coagent.bdi.events import EventCategory
 from coagent.loader import (
@@ -14,6 +17,10 @@ from coagent.loader import (
     parse_pattern,
     parse_scenario,
 )
+from coagent.scenarios import build_scenario, run_simulation
+
+from tests.conftest import SCENARIO_A, SCENARIO_B
+from tests.test_scenarios import CANONICAL_ENDPOINTS_B
 
 
 def minimal_program(**overrides):
@@ -66,6 +73,17 @@ class TestAgentProgram:
         doc = minimal_program()
         doc["plans"][0]["context"] = "x +"
         with pytest.raises(ConfigError, match="context"):
+            parse_agent_program(doc)
+
+    def test_a_guard_nested_too_deeply_is_rejected_at_its_path(self):
+        rule = {
+            "observe": {"category": "belief-updated", "subject": "x"},
+            "inject": {"category": "goal-added", "subject": "g"},
+            "guard": " + ".join(["1"] * 700),
+        }
+        doc = minimal_program(modules=[{"id": "m1", "mapping": [rule]}])
+        path = r"^agent-program\.modules\[0\]\.mapping\[0\]\.guard: "
+        with pytest.raises(ConfigError, match=path + ".*nests too deeply"):
             parse_agent_program(doc)
 
     def test_unknown_category_rejected(self):
@@ -375,6 +393,9 @@ MALFORMED_SCENARIOS = {
     "inject-payload-list": scenario_with_rules(
         reaction={**REACTION, "inject": {**REACTION["inject"], "payload": ["server"]}}
     ),
+    "extract-event-key-not-a-name": scenario_with_rules(
+        publication={**PUBLICATION, "extract-event": {"": "payload.new"}}
+    ),
     "guard-on-subject": scenario_with_rules(publication={**PUBLICATION, "guard": "subject == 'x'"}),
     "reaction-placement": scenario_with_rules(reaction={**REACTION, "placement": "current-intention"}),
     "reaction-topic-prefix": scenario_with_rules(reaction={**REACTION, "match": {"topic": "cap*"}}),
@@ -439,3 +460,125 @@ class TestMalformedDocuments:
     def test_module_registration_clash_names_the_modules_path(self, name):
         with pytest.raises(ConfigError, match=r"^agent-program\.modules: module 'm'"):
             parse_agent_program(MALFORMED_PROGRAMS[name])
+
+
+# -- loader fuzzing -------------------------------------------------------------
+
+
+_SCENARIO_B = json.loads(SCENARIO_B.read_text())
+
+#: The valid documents the fuzzer mutates.
+SEED_DOCUMENTS = {
+    "scenario-a": json.loads(SCENARIO_A.read_text()),
+    "scenario-b": _SCENARIO_B,
+    "scenario-b-endpoints": {**_SCENARIO_B, "endpoints": CANONICAL_ENDPOINTS_B},
+    "program": minimal_program(
+        modules=[
+            {
+                "id": "m1",
+                "beliefs": {"seen": 0},
+                "plans": [MODULE_PLAN],
+                "mapping": [
+                    {
+                        "observe": {"category": "belief-updated", "subject": "x"},
+                        "inject": {
+                            "category": "goal-added",
+                            "subject": "g",
+                            "payload": {"v": "payload.new"},
+                        },
+                        "placement": "new-intention",
+                        "guard": "x > 0",
+                    }
+                ],
+                "exports": ["seen"],
+            }
+        ]
+    ),
+}
+
+#: What a mutation may put in place of a value.  Integers stay in [-1, 3], so
+#: no mutation asks for a large fleet.
+MUTANT_VALUES = (None, True, 0, -1, 3, 2.5, "", "payload", [], {})
+
+
+def _paths(node, path=()):
+    """Every path into a document, the root's ``()`` first."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from _paths(child, (*path, key))
+
+
+def mutate(name, path, kind, value=None):
+    """Seed document ``name`` with one mutation: ``delete`` the key or item at
+    ``path``, ``replace`` it with ``value`` or ``rename`` its key to
+    ``value``; or ``add`` the unknown key ``"x"``, holding ``value``, to the
+    object at ``path``."""
+    doc = copy.deepcopy(SEED_DOCUMENTS[name])
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    if kind == "add":
+        (target[path[-1]] if path else target)["x"] = copy.deepcopy(value)
+    elif kind == "delete":
+        del target[path[-1]]
+    elif kind == "replace":
+        target[path[-1]] = copy.deepcopy(value)
+    else:
+        target[value] = target.pop(path[-1])
+    return name, doc
+
+
+@st.composite
+def mutated_documents(draw):
+    name = draw(st.sampled_from(sorted(SEED_DOCUMENTS)))
+    doc = SEED_DOCUMENTS[name]
+    path = draw(st.sampled_from(list(_paths(doc))))
+    node = doc
+    for key in path:
+        node = node[key]
+    kinds = ["delete", "replace"] if path else []
+    if path and isinstance(path[-1], str):
+        kinds.append("rename")
+    if isinstance(node, dict):
+        kinds.append("add")
+    kind = draw(st.sampled_from(kinds))
+    values = ("", "payload") if kind == "rename" else MUTANT_VALUES
+    return mutate(name, path, kind, draw(st.sampled_from(values)) if kind != "delete" else None)
+
+
+@pytest.mark.parametrize("name", sorted(SEED_DOCUMENTS))
+def test_the_seed_documents_load(name):
+    doc = SEED_DOCUMENTS[name]
+    (parse_agent_program if name == "program" else parse_scenario)(doc)
+
+
+# An extract-event key renamed to "" once gave a traceback when the scenario
+# was built: its publish plan read ``payload.``, a syntax error.
+@example(
+    mutate(
+        "scenario-b-endpoints",
+        ("endpoints", 3, "publication-rules", 0, "extract-event", "subject"),
+        "rename",
+        "",
+    )
+)
+@given(mutated_documents())
+@settings(max_examples=300, deadline=None)
+def test_a_mutated_document_loads_or_is_a_config_error(case):
+    """One mutation of a valid document either loads or raises ConfigError;
+    a scenario that loads builds and runs."""
+    name, doc = case
+    try:
+        if name == "program":
+            parse_agent_program(doc)
+            return
+        config = parse_scenario(doc)
+    except ConfigError:
+        return
+    run_simulation(build_scenario(config), 3)

@@ -3,7 +3,7 @@
 import copy
 import json
 from collections import deque
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 from hypothesis import given, settings
@@ -89,40 +89,50 @@ class TestBuildScenario:
         assert all(record.moves == 0 and record.switches == 0 for record in trace)
 
     def test_capacity_overflow_rejected(self):
-        config = two_server_config(deployments=(6, 0))
         with pytest.raises(ScenarioError, match="exceed capacity"):
-            build_scenario(config)
+            two_server_config(deployments=(6, 0))
 
     def test_initial_uniqueness_violation_rejected(self):
-        config = ScenarioConfig(
-            name="dup",
-            servers=[ServerSpec("server-01", 5, 3)],
-            services=[
-                ServiceSpec("svc-01", "web", "server-01"),
-                ServiceSpec("svc-02", "web", "server-01"),
-            ],
-            uniqueness_constraint=True,
-        )
         with pytest.raises(ScenarioError, match="uniqueness"):
-            build_scenario(config)
+            ScenarioConfig(
+                name="dup",
+                servers=[ServerSpec("server-01", 5, 3)],
+                services=[
+                    ServiceSpec("svc-01", "web", "server-01"),
+                    ServiceSpec("svc-02", "web", "server-01"),
+                ],
+                uniqueness_constraint=True,
+            )
 
     def test_unknown_initial_server_rejected(self):
-        config = ScenarioConfig(
-            name="missing",
-            servers=[ServerSpec("server-01", 5, 3)],
-            services=[ServiceSpec("svc-01", "web", "server-99")],
-        )
         with pytest.raises(ScenarioError, match="unknown initial-server"):
-            build_scenario(config)
+            ScenarioConfig(
+                name="missing",
+                servers=[ServerSpec("server-01", 5, 3)],
+                services=[ServiceSpec("svc-01", "web", "server-99")],
+            )
+
+    def test_a_built_config_is_frozen(self):
+        config = two_server_config()
+        with pytest.raises(FrozenInstanceError):
+            config.seed = 1
+
+    def test_building_a_scenario_draws_no_placement(self, monkeypatch):
+        config = fleet_config(3)
+
+        def admits(*args):
+            raise AssertionError("the placement was drawn when the config was built")
+
+        monkeypatch.setattr(scenarios, "admits", admits)
+        state = build_scenario(config)
+        assert state.service_server == config.placement
 
     def test_seeded_placement_is_deterministic_per_seed(self):
         config = load_scenario(SCENARIO_B)
         first = build_scenario(config)
         second = build_scenario(load_scenario(SCENARIO_B))
         assert first.service_server == second.service_server
-        different = load_scenario(SCENARIO_B)
-        different.seed = 99
-        third = build_scenario(different)
+        third = build_scenario(replace(load_scenario(SCENARIO_B), seed=99))
         assert third.service_server != first.service_server
 
     @pytest.mark.parametrize("seed", range(1, 5))
@@ -142,8 +152,9 @@ class TestBuildScenario:
 
 @st.composite
 def small_configs(draw):
-    """Configs of 1-4 servers and 0-7 services, named and unnamed placements
-    mixed; now and then a service id clashes with a server or a broker."""
+    """The fields of configs of 1-4 servers and 0-7 services, named and
+    unnamed placements mixed; now and then a service id clashes with a server
+    or a broker."""
     servers = []
     for index in range(draw(st.integers(1, 4))):
         capacity = draw(st.integers(1, 3))
@@ -152,7 +163,7 @@ def small_configs(draw):
     ids = draw(st.lists(st.sampled_from("abcdefg"), max_size=7, unique=True))
     if ids and draw(st.integers(0, 9)) == 0:
         ids[0] = draw(st.sampled_from(["s1", "broker-01"]))
-    return ScenarioConfig(
+    return dict(
         name="small",
         seed=draw(st.integers(0, 9)),
         servers=servers,
@@ -164,15 +175,13 @@ def small_configs(draw):
 
 @given(small_configs())
 @settings(max_examples=300, deadline=None)
-def test_validate_accepts_exactly_what_builds_and_the_build_is_legal(config):
+def test_a_config_that_builds_builds_a_legal_scenario(fields):
     try:
-        placement = config.validate()
+        config = ScenarioConfig(**fields)
     except ScenarioError:
-        with pytest.raises(ScenarioError):
-            build_scenario(config)
         return
     state = build_scenario(config)
-    assert state.service_server == placement
+    assert state.service_server == config.placement
     check_trace_safety([state.snapshot_record()], config)
 
 
@@ -276,13 +285,24 @@ class TestEndpointDeclarations:
         state = build_scenario(fleet_config(3))
         modules = {}
         for endpoint in state.endpoints.values():
-            modules.setdefault(endpoint.decl.process_id, set()).add(id(endpoint.module))
+            modules.setdefault(endpoint.decl.process_id, set()).add(id(endpoint.decl.module))
         # utilization: one server module and one service module; balancing:
         # one service module and one broker module.
         assert {process: len(ids) for process, ids in modules.items()} == {
             "utilization": 2,
             "balancing": 2,
         }
+
+    def test_hosts_of_one_declaration_share_its_topics(self):
+        state = build_scenario(fleet_config(3))
+        endpoints = list(state.endpoints.values())
+        # Four canonical declarations: four topic sets for all 17 endpoints.
+        assert len(endpoints) == 17
+        assert len({id(endpoint.decl) for endpoint in endpoints}) == 4
+        assert len({id(endpoint.decl.topics) for endpoint in endpoints}) == 4
+        services = sorted(state.service_server)
+        assert state.media["capacity"].subscribers == {f"{s}/utilization": s for s in services}
+        assert state.media["demand-change"].subscribers == {f"{s}/balancing": s for s in services}
 
     def test_services_share_one_plan_library_and_action_set(self):
         state = build_scenario(fleet_config(3))
@@ -347,7 +367,7 @@ def three_server_config(topic=None):
         media={topic or "capacity": 0},
     )
     if topic is not None:
-        config.endpoints = [
+        endpoints = [
             replace(
                 decl,
                 publications=tuple(replace(rule, topic=topic) for rule in decl.publications),
@@ -359,6 +379,7 @@ def three_server_config(topic=None):
             for decl in canonical_endpoints(config)
             if decl.process_id == UTILIZATION_PROCESS
         ]
+        config = replace(config, endpoints=endpoints)
     return config
 
 
@@ -663,11 +684,9 @@ class TestScenarioB:
 
 class TestStochasticMode:
     def test_seeded_acceptance_is_deterministic(self):
-        config = two_server_config()
-        config.move_acceptance_probability = 0.5
+        config = replace(two_server_config(), move_acceptance_probability=0.5)
         first = run_simulation(build_scenario(config), 40, seed=11)
-        config2 = two_server_config()
-        config2.move_acceptance_probability = 0.5
+        config2 = replace(two_server_config(), move_acceptance_probability=0.5)
         second = run_simulation(build_scenario(config2), 40, seed=11)
         assert first == second
 
