@@ -7,7 +7,7 @@ writing a value equal to the stored one is a no-op and yields no event.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 from coagent.bdi.events import BELIEF_ADDED, BELIEF_REMOVED, BELIEF_UPDATED, TriggeringEvent
 
@@ -29,17 +29,29 @@ def _check_key(key: str) -> None:
 
 
 class BeliefBase:
-    """Map from belief key to ground value, emitting change events on mutation."""
+    """Map from belief key to ground value, emitting change events on mutation.
+
+    ``get(key, default=None)`` is the facts dict's own ``get``, bound per
+    instance, so a read (every bare name an expression reads) enters no
+    Python frame.  Copies and unpickled instances bind it to their own facts.
+    """
 
     def __init__(self, facts: dict[str, BeliefValue] | None = None):
-        self._facts: dict[str, BeliefValue] = {}
+        self._bind({})
         if facts:
             for key, value in facts.items():
                 _check_key(key)
                 self._facts[key] = value
 
-    def get(self, key: str, default: Any = None) -> Any:
-        return self._facts.get(key, default)
+    def _bind(self, facts: dict[str, BeliefValue]) -> None:
+        self._facts = facts
+        self.get: Callable[..., Any] = facts.get
+
+    def __getstate__(self) -> dict[str, Any]:
+        return {"_facts": self._facts}
+
+    def __setstate__(self, state: dict[str, Any]) -> None:
+        self._bind(state["_facts"])
 
     def __contains__(self, key: str) -> bool:
         return key in self._facts

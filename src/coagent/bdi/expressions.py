@@ -28,8 +28,9 @@ Each expression is parsed and checked once, when configuration is loaded,
 by the walk that also writes it as one Python function, ``value(names,
 te)``: a tree of ``ast`` nodes, never source text.  The function reads the
 beliefs ``names`` in place, never a copy (any mapping with ``get(key,
-default)``, the host's ``BeliefBase`` included), and the triggering event
-``te``.  Loading keeps only the parsed tree; the expression's first
+default)``, the host's ``BeliefBase`` included, whose ``get`` is its facts
+dict's, so a bare-name read enters no Python frame), and the triggering
+event ``te``.  Loading keeps only the parsed tree; the expression's first
 evaluation runs the walk again and compiles what it writes.  Every
 evaluation after that is one call of straight-line code, and
 ``as_condition`` takes the truth of its result inline.  Literals
@@ -40,7 +41,9 @@ deep as the source nests ``and``/``or`` and comparisons, and a long operand
 list or arithmetic chain stays flat.  A source tree deeper than
 ``MAX_DEPTH`` levels, or too deep for the parser, is an
 ``ExpressionSyntaxError``; so the first evaluation, which walks the tree
-again, has room for it even a few hundred frames down a call stack.
+again, has room for it even a few hundred frames down a call stack.  A
+syntax error quotes at most the first ``QUOTED_CHARS`` characters of the
+source.
 """
 
 from __future__ import annotations
@@ -84,6 +87,18 @@ _NUMBERS = (int, float)
 #: frame per level, and runs again at the first evaluation, which may come
 #: from a deep call stack.
 MAX_DEPTH = 500
+
+#: The most of a source an error message quotes, in characters.
+QUOTED_CHARS = 60
+
+
+def _quote(source: str) -> str:
+    """The source as error messages quote it: its first ``QUOTED_CHARS``
+    characters, then ``...`` if it is longer."""
+    if len(source) <= QUOTED_CHARS:
+        return repr(source)
+    return repr(source[:QUOTED_CHARS]) + "..."
+
 
 #: What generated code reads by name: its only globals.
 _BINDINGS = {
@@ -186,7 +201,7 @@ class _Writer:
     """
 
     def __init__(self, source: str):
-        self.source = source
+        self.quoted = _quote(source)  # the source as error messages show it
         self.temps = 0
 
     def temp(self) -> ast.Name:
@@ -207,15 +222,15 @@ class _Writer:
         return [_is_number(value) for value, kind in operands if kind not in _NUMBERS]
 
     def walk(self, node: ast.AST, block: list[ast.stmt], depth: int = 1) -> tuple[ast.expr, Any]:
-        source, form = self.source, type(node)
+        quoted, form = self.quoted, type(node)
         if depth > MAX_DEPTH:
             raise ExpressionSyntaxError(
-                f"expression nests too deeply (over {MAX_DEPTH} levels): {source!r}"
+                f"expression nests too deeply (over {MAX_DEPTH} levels): {quoted}"
             )
         if form is ast.Attribute:
             if not (isinstance(node.value, ast.Name) and node.value.id == "payload"):
                 raise ExpressionSyntaxError(
-                    f"only payload.<key> attribute references allowed in {source!r}"
+                    f"only payload.<key> attribute references allowed in {quoted}"
                 )
             return _lookup("payload", node.attr), None
         if form is ast.Name:
@@ -227,7 +242,7 @@ class _Writer:
             return _lookup("names", name), None
         if form is ast.Constant:
             if not isinstance(node.value, (int, float, str, bool)):
-                raise ExpressionSyntaxError(f"unsupported literal in {source!r}")
+                raise ExpressionSyntaxError(f"unsupported literal in {quoted}")
             return ast.Constant(node.value), type(node.value)
         if form is ast.BoolOp:
             # One ``if`` per later operand, side by side: it runs while the
@@ -246,7 +261,7 @@ class _Writer:
             return result, bool
         if form is ast.UnaryOp:
             if not isinstance(node.op, (ast.Not, ast.USub)):
-                raise ExpressionSyntaxError(f"unsupported unary operator in {source!r}")
+                raise ExpressionSyntaxError(f"unsupported unary operator in {quoted}")
             value, kind = self.walk(node.operand, block, depth + 1)
             value = self.atom(value, block)
             if isinstance(node.op, ast.Not):
@@ -262,7 +277,7 @@ class _Writer:
             return ast.IfExp(tests[0], negative, _UNDEFINED), None
         if form is ast.Compare:
             if any(not isinstance(op, _COMPARISONS) for op in node.ops):
-                raise ExpressionSyntaxError(f"unsupported comparison in {source!r}")
+                raise ExpressionSyntaxError(f"unsupported comparison in {quoted}")
             # Each link: both sides defined, then the comparison itself, a
             # TypeError counting as false.  Later links run inside an ``if``
             # on the result so far.
@@ -286,7 +301,7 @@ class _Writer:
             return result, bool
         if form is ast.BinOp:
             if not isinstance(node.op, _ARITHMETIC):
-                raise ExpressionSyntaxError(f"unsupported arithmetic operator in {source!r}")
+                raise ExpressionSyntaxError(f"unsupported arithmetic operator in {quoted}")
             operands = []
             for operand in (node.left, node.right):
                 value, kind = self.walk(operand, block, depth + 1)
@@ -304,9 +319,9 @@ class _Writer:
             return combined, float if float in (left_kind, right_kind) else int
         if form is ast.Call:
             if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
-                raise ExpressionSyntaxError(f"unsupported function call in {source!r}")
+                raise ExpressionSyntaxError(f"unsupported function call in {quoted}")
             if node.keywords:
-                raise ExpressionSyntaxError(f"keyword arguments not allowed in {source!r}")
+                raise ExpressionSyntaxError(f"keyword arguments not allowed in {quoted}")
             args = []
             for arg in node.args:
                 value, kind = self.walk(arg, block, depth + 1)
@@ -318,7 +333,7 @@ class _Writer:
             block.append(_set(result, _UNDEFINED))
             _guarded(block, tests, _ignoring("TypeError", _set(result, call)))
             return result, None
-        raise ExpressionSyntaxError(f"unsupported syntax ({type(node).__name__}) in {source!r}")
+        raise ExpressionSyntaxError(f"unsupported syntax ({type(node).__name__}) in {quoted}")
 
     def module(self, tree: ast.Expression) -> ast.Module:
         """The module that defines ``value(names, te)``, at line 1."""
@@ -345,9 +360,11 @@ class Expr:
             tree = ast.parse(source, mode="eval")
             _Writer(source).walk(tree.body, [])  # for its checks; the code is dropped
         except SyntaxError as exc:
-            raise ExpressionSyntaxError(f"cannot parse expression {source!r}: {exc}") from None
+            raise ExpressionSyntaxError(
+                f"cannot parse expression {_quote(source)}: {exc}"
+            ) from None
         except RecursionError:
-            raise ExpressionSyntaxError(f"expression nests too deeply: {source!r}") from None
+            raise ExpressionSyntaxError(f"expression nests too deeply: {_quote(source)}") from None
         self.source = source
         self._tree = tree
         self._value = None

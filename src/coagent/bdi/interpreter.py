@@ -39,10 +39,12 @@ call costs one:
 
 * Step checks are inline (``if cfg.step is not X: _expect(cfg, X)``), so
   ``_expect`` runs only to raise.  ``run_cycle`` calls the SelEv entry's
-  selector itself and ProcMsg only for mail: an idle module host enters
-  ``run_cycle``, ``select_event_coefficient`` and ``select_event``, nothing
-  more, and a busy cycle with an empty inbox enters neither
-  ``process_messages`` nor ``_select``.
+  selector itself and ProcMsg only for mail, and the co-efficient selector
+  settles an empty queue at SelEv itself: an idle module host enters
+  ``run_cycle`` and ``select_event_coefficient``, two frames, nothing more
+  (quiet-fleet's median tick 0.54 -> 0.44 ms, ``BENCH_22.json``), and a
+  busy cycle with an empty inbox enters neither ``process_messages`` nor
+  ``_select``.
 * Intentions are never sorted: they iterate in ascending id order (see
   ``Circumstance``).  SelInt checks runnability inline and stops at the
   first runnable id after the cursor, and ExecInt checks the record it runs
@@ -53,7 +55,8 @@ call costs one:
   writes.
 * ApplPl evaluates no context that is literally ``TRUE`` (the default),
   and evaluates every other context over the host's beliefs and the
-  selected event as they are, building nothing for it.
+  selected event as they are, building nothing for it.  A belief read is
+  the facts dict's own ``get``, so it enters no frame.
 * Lifecycle events exist only where they are recorded or hooked: plan-started
   and plan-finished are built only when the host records observations or has
   a hook, which only a module with mapping entries installs; other

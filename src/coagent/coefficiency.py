@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from coagent.bdi.beliefs import BeliefValue
-from coagent.bdi.config import REL_PL, AgentConfiguration
+from coagent.bdi.config import REL_PL, SEL_EV, SEL_INT, AgentConfiguration
 from coagent.bdi.events import (
     INJECTABLE_CATEGORIES,
     TOP,
@@ -193,7 +193,15 @@ def _namespace_plan(plan: Plan, plan_id: str, renames: dict[str, str]) -> Plan:
 # -- operations ---------------------------------------------------------------
 
 
-def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentConfiguration:
+#: A memo of the libraries ``register_module`` built: (id of the host's
+#: library, id of the module) -> (that library, that module, the new library).
+#: Holding both keeps their ids from reuse while the memo lives.
+LibraryMemo = dict[tuple[int, int], tuple[PlanLibrary, CoefficientModule, PlanLibrary]]
+
+
+def register_module(
+    cfg: AgentConfiguration, mod: CoefficientModule, libraries: LibraryMemo | None = None
+) -> AgentConfiguration:
     """Merge a module into the host and activate its event mapping.
 
     Beliefs and plans are merged under the module namespace (export-listed
@@ -209,6 +217,11 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
     declares any, join the host's active mapping after earlier modules', and
     the first such module installs the plan-lifecycle hook; a host without
     one calls no hook.
+
+    The new library depends only on the old one and the module, so with a
+    ``libraries`` memo the hosts that held one library and register one
+    module all get one new library.  Keep a memo for one scenario build, so
+    that no relevance index carries into the next.
     """
     if mod.module_id in cfg.modules:
         raise ModuleRegistrationError(f"module {mod.module_id!r} already registered")
@@ -225,21 +238,19 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
             )
         renames[key] = target
 
-    staged_plans: dict[str, Plan] = {}
-    for plan in mod.plans:
-        plan_id = (
-            plan.plan_id if plan.plan_id in mod.exports else f"{mod.module_id}.{plan.plan_id}"
-        )
-        if plan_id in cfg.plans or plan_id in staged_plans:
-            raise ModuleRegistrationError(
-                f"module {mod.module_id!r} plan {plan_id!r} collides with a host or module plan"
-            )
-        staged_plans[plan_id] = _namespace_plan(plan, plan_id, renames)
+    pair = (id(cfg.plans), id(mod))
+    if libraries is not None and pair in libraries:
+        plans = libraries[pair][2]
+    elif mod.plans:
+        plans = _merge_plans(cfg.plans, mod, renames)
+        if libraries is not None:
+            libraries[pair] = (cfg.plans, mod, plans)
+    else:
+        plans = cfg.plans
 
     for key, value in mod.beliefs.items():
         cfg.beliefs.set(renames[key], value)  # registration-time merge, no events
-    if staged_plans:
-        cfg.plans = PlanLibrary([*cfg.plans.by_id.values(), *staged_plans.values()])
+    cfg.plans = plans
     if mod.mapping:
         cfg.mapping[mod.module_id] = tuple(mod.mapping)
         if _inject not in cfg.observation_hooks:
@@ -248,6 +259,23 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
     if cfg.select_event_override is None:
         cfg.select_event_override = select_event_coefficient
     return cfg
+
+
+def _merge_plans(
+    library: PlanLibrary, mod: CoefficientModule, renames: dict[str, str]
+) -> PlanLibrary:
+    """A new library: ``library``'s plans, then the module's, namespaced."""
+    staged_plans: dict[str, Plan] = {}
+    for plan in mod.plans:
+        plan_id = (
+            plan.plan_id if plan.plan_id in mod.exports else f"{mod.module_id}.{plan.plan_id}"
+        )
+        if plan_id in library or plan_id in staged_plans:
+            raise ModuleRegistrationError(
+                f"module {mod.module_id!r} plan {plan_id!r} collides with a host or module plan"
+            )
+        staged_plans[plan_id] = _namespace_plan(plan, plan_id, renames)
+    return PlanLibrary([*library.by_id.values(), *staged_plans.values()])
 
 
 def resolve_mapping(
@@ -274,8 +302,13 @@ def select_event_coefficient(cfg: AgentConfiguration) -> AgentConfiguration:
 
     Plain selection, after which an observed selected event may inject its
     mapped event (see ``_inject``).  The selected event itself still goes to
-    the temporary structure for normal processing.
+    the temporary structure for normal processing.  An empty queue at SelEv
+    only moves the step to SelInt, as ``select_event`` would, without the
+    call; at any other step ``select_event`` checks the step and raises.
     """
+    if cfg.step is SEL_EV and not cfg.circumstance.events:
+        cfg.step = SEL_INT
+        return cfg
     select_event(cfg)
     if cfg.step is REL_PL and cfg.mapping:
         epsilon = cfg.temp.epsilon

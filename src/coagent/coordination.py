@@ -33,6 +33,7 @@ from coagent.coefficiency import (
     CoefficientModule,
     EventMappingEntry,
     EventTemplate,
+    LibraryMemo,
     NEW_INTENTION,
     apply_mapping,
     register_module,
@@ -277,16 +278,17 @@ def _publication_module(decl: EndpointDeclaration) -> CoefficientModule:
 
 
 def attach_endpoint(
-    decl: EndpointDeclaration, host_cfg: AgentConfiguration
+    decl: EndpointDeclaration, host_cfg: AgentConfiguration, libraries: LibraryMemo | None = None
 ) -> CoordinationEndpoint:
     """Register the declaration's compiled module on the host and return the
     host's endpoint.
 
     Reactions stay on the endpoint and are applied at delivery time.  A
     publishing host gets a new action set with the publish action; its old
-    one, which other hosts may share, stays as it was.
+    one, which other hosts may share, stays as it was.  ``libraries`` is
+    ``register_module``'s memo.
     """
-    register_module(host_cfg, decl.module)
+    register_module(host_cfg, decl.module, libraries)
     if decl.publications:
         host_cfg.circumstance.actions = host_cfg.circumstance.actions | {PUBLISH_ACTION}
     return CoordinationEndpoint(

@@ -29,7 +29,8 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Iterable
+from types import MappingProxyType
+from typing import Any, Iterable, Mapping, Sequence
 
 from coagent.bdi.beliefs import RESERVED_NAMES, BeliefBase
 from coagent.bdi.config import ActionFault, AgentConfiguration
@@ -37,7 +38,7 @@ from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import post_external_event, run_cycle
 from coagent.bdi.plans import Act, Plan, PlanLibrary
-from coagent.coefficiency import EventMappingEntry, EventTemplate
+from coagent.coefficiency import EventMappingEntry, EventTemplate, LibraryMemo
 from coagent.coordination import (
     PUBLISH_ACTION,
     CoordinationEndpoint,
@@ -105,29 +106,37 @@ class ScenarioConfig:
     its server.  Services naming an initial server are placed first, then
     the others, each group in document order; an unnamed service draws one
     of the servers that ``admits`` it from ``random.Random(seed)``.  A config
-    is frozen: ``dataclasses.replace`` builds a changed one, checked and
-    placed again.
+    cannot be changed: building it stores each sequence field as a tuple
+    and ``demand``, ``media`` and ``placement`` as read-only mappings, so
+    ``dataclasses.replace`` is the way to a changed one, checked and placed
+    again.
     """
 
     name: str = "scenario"
     seed: int = 0
     ticks: int = 100
-    servers: list[ServerSpec] = field(default_factory=list)
-    services: list[ServiceSpec] = field(default_factory=list)
+    servers: Sequence[ServerSpec] = ()
+    services: Sequence[ServiceSpec] = ()
     brokers: int = 0
-    demand: dict[str, int] = field(default_factory=dict)
-    demand_schedule: list[DemandDelta] = field(default_factory=list)
-    media: dict[str, int] = field(default_factory=dict)  # topic -> latency
+    demand: Mapping[str, int] = field(default_factory=dict)
+    demand_schedule: Sequence[DemandDelta] = ()
+    media: Mapping[str, int] = field(default_factory=dict)  # topic -> latency
     significance_threshold: float = 0.5
     uniqueness_constraint: bool = False
     publish_when_empty: bool = False
     move_acceptance_probability: float | None = None
     #: Endpoint declarations, each attached to every agent of its role.
     #: None selects ``canonical_endpoints(config)``.
-    endpoints: list[EndpointDeclaration] | None = None
-    placement: dict[str, str] = field(init=False, repr=False, compare=False)
+    endpoints: Sequence[EndpointDeclaration] | None = None
+    placement: Mapping[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("servers", "services", "demand_schedule"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        for name in ("demand", "media"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        if self.endpoints is not None:
+            object.__setattr__(self, "endpoints", tuple(self.endpoints))
         if self.ticks < 0:
             raise ScenarioError("ticks must be >= 0")
         if self.brokers < 0:
@@ -203,7 +212,7 @@ class ScenarioConfig:
                 )
             types[target].append(service.service_type)
             placement[service.service_id] = target
-        object.__setattr__(self, "placement", placement)
+        object.__setattr__(self, "placement", MappingProxyType(placement))
 
     @property
     def broker_ids(self) -> list[str]:
@@ -478,8 +487,8 @@ _SERVICE_PLANS = (
 )
 
 
-def canonical_endpoints(config: ScenarioConfig) -> list[EndpointDeclaration]:
-    """The two canonical coordination processes: the default ``endpoints`` list.
+def canonical_endpoints(config: ScenarioConfig) -> tuple[EndpointDeclaration, ...]:
+    """The two canonical coordination processes: the default ``endpoints``.
 
     Server utilization: servers below their preferred level publish capacity,
     and services elsewhere react with a ``move-to`` goal.  Demand balancing:
@@ -491,7 +500,7 @@ def canonical_endpoints(config: ScenarioConfig) -> list[EndpointDeclaration]:
     else:
         capacity_guard = Expr("deployed > 0 and deployed < preferred_min")
     threshold = config.significance_threshold
-    return [
+    return (
         EndpointDeclaration(
             process_id=UTILIZATION_PROCESS,
             role="server",
@@ -548,7 +557,7 @@ def canonical_endpoints(config: ScenarioConfig) -> list[EndpointDeclaration]:
                 ),
             ),
         ),
-    ]
+    )
 
 
 #: Per topic, the order in which its medium releases the publications due
@@ -572,7 +581,8 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
     to every agent of its role; its hosts subscribe to its ``topics``.
     Every service starts with one plan library and one action set, built
     per call so that no relevance index carries from one build to the next;
-    registration gives a host that gains plans or actions new ones.
+    registration gives a host that gains plans or actions new ones, one
+    library per (old library, module) pair within the call.
     Each server manager receives one bootstrap utilization reading so
     publication guards are evaluated against the initial state.
 
@@ -645,11 +655,12 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
         roles[broker_id] = "broker"
     state.agents = {agent_id: state.agents[agent_id] for agent_id in sorted(state.agents)}
 
+    libraries: LibraryMemo = {}
     for agent_id in state.agent_order:
         for decl in declarations:
             if decl.role != roles[agent_id]:
                 continue
-            endpoint = attach_endpoint(decl, state.agents[agent_id])
+            endpoint = attach_endpoint(decl, state.agents[agent_id], libraries)
             state.endpoints[endpoint.endpoint_id] = endpoint
             for topic in sorted(decl.topics):
                 state.media[topic].subscribe(endpoint.endpoint_id, agent_id)
@@ -694,11 +705,12 @@ def run_simulation(
         raise ScenarioError("ticks must be >= 0")
     if seed is not None:
         state.rng = random.Random(seed)
+    cycle = run_cycle  # read per call, so a wrapper installed on the module is seen
     for _ in range(ticks):
         state.reset_tick_counters()
         apply_demand(state, state.tick)
         for cfg in state.agents.values():
-            run_cycle(cfg)
+            cycle(cfg)
         _deliver_media(state)
         state.trace.append(state.snapshot_record())
         state.tick += 1

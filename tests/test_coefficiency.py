@@ -5,7 +5,7 @@ import random
 import pytest
 
 from coagent.bdi.beliefs import BeliefBase
-from coagent.bdi.config import AgentConfiguration, Step
+from coagent.bdi.config import AgentConfiguration, ConfigurationCorruption, Step
 from coagent.bdi.events import TOP, EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import post_external_event, run_cycle, select_event
@@ -114,6 +114,24 @@ class TestRegisterModule:
             for _ in range(3):
                 run_cycle(cfg)
         assert second.snapshot_json() == alone.snapshot_json()
+
+    def test_a_memo_gives_one_new_library_per_library_and_module(self):
+        library = PlanLibrary([Plan("work", pattern("goal-added", "g"), (Act("ping", {}),))])
+        hosts = [AgentConfiguration(name, plans=library) for name in "abcd"]
+        plan = Plan("extra", pattern("goal-added", "g"), (Act("ping", {}),))
+        module, twin = (CoefficientModule("m", beliefs={"y": 1}, plans=[plan]) for _ in "12")
+        libraries = {}
+        for host in hosts[:2]:
+            register_module(host, module, libraries)
+        register_module(hosts[2], twin, libraries)  # an equal module, not this one
+        assert hosts[0].plans is hosts[1].plans is not hosts[2].plans
+        assert list(hosts[1].plans.by_id) == list(hosts[2].plans.by_id) == ["work", "m.extra"]
+        assert list(library.by_id) == ["work"]
+        # A belief clash is the host's own: refused with the library memoized.
+        hosts[3].beliefs.set("m__y", 0)
+        with pytest.raises(ModuleRegistrationError, match="'m__y' collides"):
+            register_module(hosts[3], module, libraries)
+        assert hosts[3].plans is library and not hosts[3].modules
 
     def test_a_module_without_plans_keeps_the_host_library(self):
         cfg = agent([Plan("work", pattern("goal-added", "g"), (Act("ping", {}),))])
@@ -315,6 +333,16 @@ class TestSelectEventCoefficient:
         cfg.step = Step.SEL_EV
         select_event_coefficient(cfg)
         assert cfg.step is Step.SEL_INT
+
+    @pytest.mark.parametrize("step", [Step.PROC_MSG, Step.SEL_INT, Step.CLR_INT])
+    def test_empty_queue_at_another_step_is_corruption(self, step):
+        # The empty-queue shortcut is taken at SelEv only; elsewhere plain
+        # selection's step check raises.
+        cfg = observed_agent()
+        cfg.step = step
+        with pytest.raises(ConfigurationCorruption, match="expected step SelEv"):
+            select_event_coefficient(cfg)
+        assert cfg.step is step
 
     def test_injected_event_waits_in_queue_not_processed_immediately(self):
         cfg = observed_agent()

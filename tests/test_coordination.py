@@ -237,8 +237,11 @@ class TestCompileEndpoint:
         assert endpoint.decl.topics == frozenset()
 
     def test_attach_endpoint_takes_no_module(self):
-        # The module is the declaration's own, compiled when it was built.
-        assert list(inspect.signature(attach_endpoint).parameters) == ["decl", "host_cfg"]
+        # The module is the declaration's own, compiled when it was built;
+        # the optional third parameter is register_module's library memo.
+        parameters = inspect.signature(attach_endpoint).parameters
+        assert list(parameters) == ["decl", "host_cfg", "libraries"]
+        assert parameters["libraries"].default is None
 
     def test_publishing_gives_the_host_its_own_action_set(self):
         actions = frozenset({"ping"})

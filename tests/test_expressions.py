@@ -11,6 +11,7 @@ from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.events import EventCategory, TriggeringEvent
 from coagent.bdi.expressions import (
     MAX_DEPTH,
+    QUOTED_CHARS,
     Expr,
     ExpressionEvalError,
     ExpressionSyntaxError,
@@ -243,6 +244,21 @@ class TestExtremeSources:
         # evaluation 300 frames down would overflow the walk.
         with pytest.raises(ExpressionSyntaxError, match="nests too deeply"):
             Expr(" + ".join(["1"] * 700))
+
+    @pytest.mark.parametrize(
+        "source, quoted",
+        [
+            ("x" * QUOTED_CHARS + " +", repr("x" * QUOTED_CHARS) + "..."),
+            ("x" * (QUOTED_CHARS - 2) + " +", repr("x" * (QUOTED_CHARS - 2) + " +")),
+            ("x < 1 if y else 2" + " " * QUOTED_CHARS, repr("x < 1 if y else 2" + " " * 43) + "..."),
+        ],
+        ids=["parse-long", "parse-at-bound", "walk-long"],
+    )
+    def test_a_syntax_error_quotes_at_most_the_start_of_the_source(self, source, quoted):
+        with pytest.raises(ExpressionSyntaxError) as raised:
+            Expr(source)
+        message = str(raised.value)
+        assert quoted in message and (quoted == repr(source)) is (repr(source) in message)
 
     @staticmethod
     def levels_deep(form, levels):

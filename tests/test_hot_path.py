@@ -38,6 +38,14 @@ from coagent.bdi.interpreter import (
 )
 from coagent.bdi.plans import Act, Plan, PlanLibrary
 from coagent.coefficiency import CoefficientModule, Placement, register_module
+from coagent.scenarios import (
+    ScenarioConfig,
+    ServerSpec,
+    ServiceSpec,
+    SimulationState,
+    build_scenario,
+    run_simulation,
+)
 
 #: The modules whose functions run every reasoning cycle.
 RUNTIME_MODULES = (interpreter, beliefs, config, coefficiency, coordination, plans)
@@ -135,7 +143,39 @@ def module_host(record_observations: bool) -> AgentConfiguration:
 
 def test_an_idle_cycle_enters_only_the_selector():
     cfg = module_host(record_observations=True)
-    assert entered(run_cycle, cfg) == ["run_cycle", "select_event_coefficient", "select_event"]
+    assert entered(run_cycle, cfg) == ["run_cycle", "select_event_coefficient"]
+    assert cfg.step is Step.PROC_MSG and cfg.temp.iota is None
+
+
+def idle_fleet(servers: int) -> SimulationState:
+    """A scenario of ``servers`` full servers, two services each and one
+    broker, run past its bootstrap tick: every host is idle."""
+    config = ScenarioConfig(
+        name="idle",
+        servers=[ServerSpec(f"s{i}", 2, 2) for i in range(servers)],
+        services=[ServiceSpec(f"v{i}-{j}", f"t{j}", f"s{i}") for i in range(servers) for j in (0, 1)],
+        brokers=1,
+        demand={"t0": 10, "t1": 10},
+    )
+    state = build_scenario(config)
+    run_simulation(state, 1)
+    assert not any(
+        cfg.circumstance.events or cfg.circumstance.intentions for cfg in state.agents.values()
+    )
+    return state
+
+
+def test_an_idle_tick_enters_two_frames_per_module_host():
+    # Each host is a module host; the rest of the tick (media, trace
+    # record, counters) does not depend on the fleet size.
+    rest = set()
+    for servers in (3, 12):
+        state = idle_fleet(servers)
+        names = entered(run_simulation, state, 1)
+        hosts = len(state.agents)
+        assert names.count("run_cycle") == names.count("select_event_coefficient") == hosts
+        rest.add(len(names) - 2 * hosts)
+    assert len(rest) == 1
 
 
 @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
@@ -213,7 +253,7 @@ def test_other_contexts_are_evaluated_once_per_relevant_plan_building_nothing():
     cfg = at_applicable_plans(contexts)
     for context in contexts:  # compiled before the profile
         context.evaluate(cfg.beliefs, cfg.temp.epsilon.te)
-    reads_x = ["as_condition", "value", "get"]
+    reads_x = ["as_condition", "value"]  # the belief read enters no frame
     assert entered(compute_applicable_plans, cfg) == [
         "compute_applicable_plans", *reads_x, *reads_x, "as_condition", "value"
     ]
@@ -223,10 +263,11 @@ def test_other_contexts_are_evaluated_once_per_relevant_plan_building_nothing():
 @pytest.mark.parametrize("position", ["evaluate", "as_condition", "as_value"])
 def test_an_expression_evaluates_in_one_generated_function(position):
     # A guard over two payload entries and a belief: once compiled, the
-    # entry point calls one function, which enters only the belief base's
-    # get.  The tree of closures it replaced entered fifteen frames here.
+    # entry point calls one function, which enters no other: the belief
+    # base's get is its dict's.  The tree of closures it replaced entered
+    # fifteen frames here.
     guard = Expr("payload.new > payload.old and payload.subject != type")
     beliefs = BeliefBase({"type": "a"})
     te = TriggeringEvent(EventCategory.BELIEF_UPDATED, "load", {"new": 2, "old": 1, "subject": "b"})
     assert getattr(guard, position)(beliefs, te) is True  # the first evaluation compiles
-    assert entered(getattr(guard, position), beliefs, te) == [position, "value", "get"]
+    assert entered(getattr(guard, position), beliefs, te) == [position, "value"]

@@ -83,8 +83,11 @@ class TestAgentProgram:
         }
         doc = minimal_program(modules=[{"id": "m1", "mapping": [rule]}])
         path = r"^agent-program\.modules\[0\]\.mapping\[0\]\.guard: "
-        with pytest.raises(ConfigError, match=path + ".*nests too deeply"):
+        with pytest.raises(ConfigError, match=path + ".*nests too deeply") as raised:
             parse_agent_program(doc)
+        # The message quotes only the start of the 2,799-character source.
+        assert len(str(raised.value)) < 200
+        assert str(raised.value).endswith("'1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + 1 + '...")
 
     def test_unknown_category_rejected(self):
         doc = minimal_program()

@@ -117,6 +117,30 @@ class TestBuildScenario:
         with pytest.raises(FrozenInstanceError):
             config.seed = 1
 
+    def test_a_built_config_cannot_be_changed_in_place(self):
+        # Once a list, appending a service here made build_scenario fail
+        # with a KeyError on the unplaced service.
+        placed = ServiceSpec("a", "x", "s1")
+        config = ScenarioConfig(name="one", servers=[ServerSpec("s1", 2, 1)], services=[placed])
+        with pytest.raises(AttributeError):
+            config.services.append(ServiceSpec("b", "x", "s9"))
+        with pytest.raises(TypeError):
+            config.media["capacity"] = 5
+        with pytest.raises(TypeError):
+            config.demand["x"] = 1
+        with pytest.raises(TypeError):
+            two_server_config().placement["svc-01"] = "server-02"
+        assert config.services == (placed,) and config.demand == {}
+
+    def test_a_config_keeps_no_reference_to_its_arguments(self):
+        servers, demand = [ServerSpec("s1", 2, 1)], {"x": 1}
+        config = ScenarioConfig(name="one", servers=servers, demand=demand)
+        servers.append(ServerSpec("s2", 2, 1))
+        demand["x"] = 2
+        assert config.servers == (ServerSpec("s1", 2, 1),) and config.demand == {"x": 1}
+        # replace() hands the stored values back, and they build the same config.
+        assert replace(config) == config
+
     def test_building_a_scenario_draws_no_placement(self, monkeypatch):
         config = fleet_config(3)
 
@@ -314,10 +338,26 @@ class TestEndpointDeclarations:
         # Built per call: the next build's services share a new library.
         assert build_scenario(fleet_config(3)).agents["svc-00-0"].plans is not library
 
-    def test_a_publishing_service_endpoint_gives_each_service_its_own_library(self):
-        # Each service announces where it moved: registration gives every
-        # service a library with its publish plan, and none of them may
-        # write it into a library the others share.
+    def test_hosts_of_one_library_and_module_share_one_new_library_per_build(self):
+        # The capacity-storm shape: every server registers the one publishing
+        # module on the library it was built with.
+        first, second = build_scenario(fleet_config(20)), build_scenario(fleet_config(20))
+        for state in (first, second):
+            for role in (list(state.server_specs), state.config.broker_ids):
+                libraries = {id(state.agents[agent_id].plans) for agent_id in role}
+                assert len(libraries) == 1
+        server = first.agents["server-00"].plans
+        assert list(server.by_id) == ["ep.utilization.publish.0"]
+        run_simulation(first, 3)
+        # Two builds share no library, so no relevance index carries over.
+        assert not {id(cfg.plans) for cfg in first.agents.values()} & {
+            id(cfg.plans) for cfg in second.agents.values()
+        }
+
+    def test_a_publishing_service_endpoint_gives_the_services_one_new_library(self):
+        # Each service announces where it moved: registration gives the
+        # services, which shared one library, one new library with the
+        # publish plan, built once, and writes nothing into the old one.
         doc = json.loads(SCENARIO_B.read_text())
         rule = {
             "observe": {"category": "belief-updated", "subject": "current_server"},
@@ -328,7 +368,7 @@ class TestEndpointDeclarations:
         doc["endpoints"] = [*CANONICAL_ENDPOINTS_B, moves]
         state = build_scenario(parse_scenario(doc))
         services = [state.agents[service_id] for service_id in state.service_server]
-        assert len({id(cfg.plans) for cfg in services}) == len(services)
+        assert len({id(cfg.plans) for cfg in services}) == 1
         for cfg in services:
             assert list(cfg.plans.by_id) == [MOVE_GOAL, SWITCH_GOAL, "ep.moves.publish.0"]
             assert cfg.circumstance.actions == {"relocate", "reallocate", PUBLISH_ACTION}
