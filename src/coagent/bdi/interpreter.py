@@ -42,7 +42,7 @@ call costs one:
   selector itself and ProcMsg only for mail, and the co-efficient selector
   settles an empty queue at SelEv itself: an idle module host enters
   ``run_cycle`` and ``select_event_coefficient``, two frames, nothing more
-  (quiet-fleet's median tick 0.54 -> 0.44 ms, ``BENCH_22.json``), and a
+  (quiet-fleet's median tick 0.54 -> 0.45 ms, ``BENCH_22.json``), and a
   busy cycle with an empty inbox enters neither ``process_messages`` nor
   ``_select``.
 * Intentions are never sorted: they iterate in ascending id order (see

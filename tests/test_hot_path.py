@@ -8,10 +8,12 @@ Class-level defaults and other module-level code run once and are exempt.
 
 A Python call costs a frame.  So a cycle enters only the functions that do
 its work: step checks are inline, every cycle goes straight to the
-selector and runs ProcMsg only for mail, intention scheduling and plan
-lookups make no method call, ApplPl evaluates no context that is literally
-``TRUE``, an expression runs as one generated function, and a host that neither records observations nor declares mapping
-entries builds no lifecycle event and calls no hook.
+selector and runs ProcMsg only for mail, the co-efficient selector settles
+an empty queue itself, intention scheduling and plan lookups make no method
+call, ApplPl evaluates no context that is literally ``TRUE``, an expression
+runs as one generated function whose belief reads are C calls, and a host
+that neither records observations nor declares mapping entries builds no
+lifecycle event and calls no hook.
 """
 
 from __future__ import annotations
