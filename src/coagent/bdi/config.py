@@ -155,16 +155,24 @@ class AgentConfiguration:
         self._next_seq = 0
         self._next_intention = 1
         self.last_intention_run: int | None = None
+        #: While a scheduler lets the agent sleep, the callable that wakes
+        #: it, called with the agent; otherwise None.  ``coagent.scenarios``
+        #: sets and clears it.
+        self.wake: Callable[["AgentConfiguration"], None] | None = None
 
     # -- event plumbing -----------------------------------------------------
 
     def append_event(self, te: TriggeringEvent, intention: int | _Top) -> Event:
+        """Queue an event; the one funnel for belief writes, injections,
+        deliveries and goal outcomes, so it also wakes a sleeping agent."""
         event = Event(te=te, intention=intention, seq=self._next_seq)
         self._next_seq += 1
         self.circumstance.events.append(event)
         if intention is not TOP:
             pending = self.circumstance.pending
             pending[intention] = pending.get(intention, 0) + 1  # type: ignore[index]
+        if self.wake is not None:
+            self.wake(self)
         return event
 
     def new_intention(self) -> Intention:

@@ -49,6 +49,7 @@ source.
 from __future__ import annotations
 
 import ast
+from types import SimpleNamespace
 from typing import TYPE_CHECKING, Any
 
 if TYPE_CHECKING:
@@ -117,6 +118,30 @@ _BINDINGS = {
 #: UNDEFINED, else ``None``.
 _DEFINED = object
 
+
+class _OnLine1:
+    """The position of every written node that has one, as class attributes:
+    ``compile`` needs one and the written code is all on line 1, so each
+    node takes it from its class, and nothing sets it node by node."""
+
+    lineno = end_lineno = 1
+    col_offset = end_col_offset = 0
+
+
+#: The node classes the writer builds that carry a position, each one a
+#: subclass of ``_OnLine1`` and of the ``ast`` class of its name, which
+#: ``compile`` takes it for.  The source tree ``walk`` reads is plain ``ast``.
+_node = SimpleNamespace(
+    **{
+        name: type(name, (_OnLine1, getattr(ast, name)), {})
+        for name in (
+            "Assign", "Attribute", "BinOp", "BoolOp", "Call", "Compare", "Constant",
+            "ExceptHandler", "FunctionDef", "If", "IfExp", "Name", "Pass", "Return",
+            "Try", "UnaryOp", "arg",
+        )
+    }
+)
+
 # Nodes and field lists that every written function may share: ``compile``
 # only reads its tree, so one node may stand at many places in it, and
 # nothing appends to a shared list.  Node classes take their fields
@@ -124,45 +149,45 @@ _DEFINED = object
 _EMPTY: list = []
 _LOAD, _STORE, _NOT = ast.Load(), ast.Store(), ast.Not()
 _IS, _IS_NOT, _IN = [ast.Is()], [ast.IsNot()], [ast.In()]  # one-operator lists
-_UNDEFINED = ast.Name("UNDEFINED", _LOAD)
+_UNDEFINED = _node.Name("UNDEFINED", _LOAD)
 _UNDEFINED_ONLY = [_UNDEFINED]
-_FALSE, _TRUE = ast.Constant(False), ast.Constant(True)
-_TE = ast.Name("te", _LOAD)
-_TYPE, _NUMBERS_ONLY = ast.Name("type", _LOAD), [ast.Name("NUMBERS", _LOAD)]
-_SUBJECT = ast.Attribute(_TE, "subject", _LOAD)
+_FALSE, _TRUE = _node.Constant(False), _node.Constant(True)
+_TE = _node.Name("te", _LOAD)
+_TYPE, _NUMBERS_ONLY = _node.Name("type", _LOAD), [_node.Name("NUMBERS", _LOAD)]
+_SUBJECT = _node.Attribute(_TE, "subject", _LOAD)
 _GET = {
-    "names": ast.Attribute(ast.Name("names", _LOAD), "get", _LOAD),
-    "payload": ast.Attribute(ast.Attribute(_TE, "payload", _LOAD), "get", _LOAD),
+    "names": _node.Attribute(_node.Name("names", _LOAD), "get", _LOAD),
+    "payload": _node.Attribute(_node.Attribute(_TE, "payload", _LOAD), "get", _LOAD),
 }
 _IGNORE = {
-    error: [ast.ExceptHandler(ast.Name(error, _LOAD), None, [ast.Pass()])]
+    error: [_node.ExceptHandler(_node.Name(error, _LOAD), None, [_node.Pass()])]
     for error in ("TypeError", "ZeroDivisionError")
 }
 _ARGUMENTS = ast.arguments(
-    _EMPTY, [ast.arg("names"), ast.arg("te")], None, _EMPTY, _EMPTY, None, _EMPTY
+    _EMPTY, [_node.arg("names"), _node.arg("te")], None, _EMPTY, _EMPTY, None, _EMPTY
 )
 
 
 def _lookup(mapping: str, key: str) -> ast.expr:
     """``names.get(key, UNDEFINED)`` or ``te.payload.get(key, UNDEFINED)``."""
-    return ast.Call(_GET[mapping], [ast.Constant(key), _UNDEFINED], _EMPTY)
+    return _node.Call(_GET[mapping], [_node.Constant(key), _UNDEFINED], _EMPTY)
 
 
 def _is_number(value: ast.expr) -> ast.expr:
-    return ast.Compare(ast.Call(_TYPE, [value], _EMPTY), _IN, _NUMBERS_ONLY)
+    return _node.Compare(_node.Call(_TYPE, [value], _EMPTY), _IN, _NUMBERS_ONLY)
 
 
 def _defined(value: ast.expr) -> ast.expr:
-    return ast.Compare(value, _IS_NOT, _UNDEFINED_ONLY)
+    return _node.Compare(value, _IS_NOT, _UNDEFINED_ONLY)
 
 
 def _all(tests: list[ast.expr]) -> ast.expr:
-    return tests[0] if len(tests) == 1 else ast.BoolOp(ast.And(), tests)
+    return tests[0] if len(tests) == 1 else _node.BoolOp(ast.And(), tests)
 
 
 def _guarded(block: list[ast.stmt], tests: list[ast.expr], statement: ast.stmt) -> None:
     """Append ``statement`` to ``block``, run only if every test holds."""
-    block.append(ast.If(_all(tests), [statement], _EMPTY) if tests else statement)
+    block.append(_node.If(_all(tests), [statement], _EMPTY) if tests else statement)
 
 
 def _truth(value: ast.expr, kind: Any) -> ast.expr:
@@ -170,22 +195,22 @@ def _truth(value: ast.expr, kind: Any) -> ast.expr:
     ``value`` is a name or constant unless it is always a bool."""
     if kind is bool:
         return value
-    if type(value) is ast.Constant:
-        return ast.Constant(bool(value.value))
-    as_bool = ast.UnaryOp(_NOT, ast.UnaryOp(_NOT, value))
+    if type(value) is _node.Constant:
+        return _node.Constant(bool(value.value))
+    as_bool = _node.UnaryOp(_NOT, _node.UnaryOp(_NOT, value))
     if kind is not None:
         return as_bool
-    return ast.BoolOp(ast.And(), [_defined(value), as_bool])
+    return _node.BoolOp(ast.And(), [_defined(value), as_bool])
 
 
 def _ignoring(error: str, statement: ast.stmt) -> ast.stmt:
     """``statement``, with ``error`` raised by it ignored."""
-    return ast.Try([statement], _IGNORE[error], _EMPTY, _EMPTY)
+    return _node.Try([statement], _IGNORE[error], _EMPTY, _EMPTY)
 
 
 def _set(local: ast.Name, value: ast.expr) -> ast.stmt:
     """``local = value``, for the node ``local`` that reads a local."""
-    return ast.Assign([ast.Name(local.id, _STORE)], value)
+    return _node.Assign([_node.Name(local.id, _STORE)], value)
 
 
 class _Writer:
@@ -207,11 +232,11 @@ class _Writer:
     def temp(self) -> ast.Name:
         """A new local of the written function, as the node that reads it."""
         self.temps += 1
-        return ast.Name(f"t{self.temps}", _LOAD)
+        return _node.Name(f"t{self.temps}", _LOAD)
 
     def atom(self, value: ast.expr, block: list[ast.stmt]) -> ast.expr:
         """The value as a name or constant, so it may be read twice."""
-        if type(value) is ast.Name or type(value) is ast.Constant:
+        if type(value) is _node.Name or type(value) is _node.Constant:
             return value
         temp = self.temp()
         block.append(_set(temp, value))
@@ -243,17 +268,17 @@ class _Writer:
         if form is ast.Constant:
             if not isinstance(node.value, (int, float, str, bool)):
                 raise ExpressionSyntaxError(f"unsupported literal in {quoted}")
-            return ast.Constant(node.value), type(node.value)
+            return _node.Constant(node.value), type(node.value)
         if form is ast.BoolOp:
             # One ``if`` per later operand, side by side: it runs while the
             # result so far is true (``and``) or false (``or``).
             result = self.temp()
-            test = result if isinstance(node.op, ast.And) else ast.UnaryOp(_NOT, result)
+            test = result if isinstance(node.op, ast.And) else _node.UnaryOp(_NOT, result)
             outer = block
             for position, operand in enumerate(node.values):
                 if position:
                     block = []
-                    outer.append(ast.If(test, block, _EMPTY))
+                    outer.append(_node.If(test, block, _EMPTY))
                 value, kind = self.walk(operand, block, depth + 1)
                 if kind is not bool:
                     value = self.atom(value, block)
@@ -265,16 +290,16 @@ class _Writer:
             value, kind = self.walk(node.operand, block, depth + 1)
             value = self.atom(value, block)
             if isinstance(node.op, ast.Not):
-                negation = ast.UnaryOp(_NOT, value)
+                negation = _node.UnaryOp(_NOT, value)
                 if kind is None:  # UNDEFINED is false, so its negation is true
-                    undefined = ast.Compare(value, _IS, _UNDEFINED_ONLY)
-                    return ast.BoolOp(ast.Or(), [undefined, negation]), bool
+                    undefined = _node.Compare(value, _IS, _UNDEFINED_ONLY)
+                    return _node.BoolOp(ast.Or(), [undefined, negation]), bool
                 return negation, bool
             tests = self.numbers([(value, kind)])
-            negative = ast.UnaryOp(node.op, value)
+            negative = _node.UnaryOp(node.op, value)
             if not tests:
                 return negative, kind
-            return ast.IfExp(tests[0], negative, _UNDEFINED), None
+            return _node.IfExp(tests[0], negative, _UNDEFINED), None
         if form is ast.Compare:
             if any(not isinstance(op, _COMPARISONS) for op in node.ops):
                 raise ExpressionSyntaxError(f"unsupported comparison in {quoted}")
@@ -289,11 +314,11 @@ class _Writer:
             for position, (op, comparator) in enumerate(zip(node.ops, node.comparators)):
                 if position:
                     block = []
-                    outer.append(ast.If(result, block, _EMPTY))
+                    outer.append(_node.If(result, block, _EMPTY))
                 right, right_kind = self.walk(comparator, block, depth + 1)
                 right = self.atom(right, block)
                 block.append(_set(result, _FALSE))
-                link = ast.If(ast.Compare(left, [op], [right]), holds, _EMPTY)
+                link = _node.If(_node.Compare(left, [op], [right]), holds, _EMPTY)
                 sides = ((left, left_kind), (right, right_kind))
                 tests = [_defined(side) for side, kind in sides if kind is None]
                 _guarded(block, tests, _ignoring("TypeError", link))
@@ -308,14 +333,14 @@ class _Writer:
                 operands.append((self.atom(value, block), kind))
             tests = self.numbers(operands)
             (left, left_kind), (right, right_kind) = operands
-            combined = ast.BinOp(left, node.op, right)
+            combined = _node.BinOp(left, node.op, right)
             if isinstance(node.op, ast.Div):  # a division by zero is undefined
                 result = self.temp()
                 block.append(_set(result, _UNDEFINED))
                 _guarded(block, tests, _ignoring("ZeroDivisionError", _set(result, combined)))
                 return result, None
             if tests:
-                return ast.IfExp(_all(tests), combined, _UNDEFINED), None
+                return _node.IfExp(_all(tests), combined, _UNDEFINED), None
             return combined, float if float in (left_kind, right_kind) else int
         if form is ast.Call:
             if not isinstance(node.func, ast.Name) or node.func.id not in _FUNCTIONS:
@@ -329,7 +354,7 @@ class _Writer:
             tests = self.numbers(args)
             # The wrong number of arguments is a TypeError: undefined.
             result = self.temp()
-            call = ast.Call(ast.Name(node.func.id, _LOAD), [value for value, _ in args], _EMPTY)
+            call = _node.Call(_node.Name(node.func.id, _LOAD), [value for value, _ in args], _EMPTY)
             block.append(_set(result, _UNDEFINED))
             _guarded(block, tests, _ignoring("TypeError", _set(result, call)))
             return result, None
@@ -339,13 +364,8 @@ class _Writer:
         """The module that defines ``value(names, te)``, at line 1."""
         body: list[ast.stmt] = []
         value, _ = self.walk(tree.body, body)
-        body.append(ast.Return(value))
-        module = ast.Module([ast.FunctionDef("value", _ARGUMENTS, body, _EMPTY)], _EMPTY)
-        for node in ast.walk(module):  # iterative, unlike ast.fix_missing_locations
-            if "lineno" in node._attributes:
-                node.lineno = node.end_lineno = 1
-                node.col_offset = node.end_col_offset = 0
-        return module
+        body.append(_node.Return(value))
+        return ast.Module([_node.FunctionDef("value", _ARGUMENTS, body, _EMPTY)], _EMPTY)
 
 
 class Expr:

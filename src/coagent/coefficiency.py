@@ -316,6 +316,12 @@ def select_event_coefficient(cfg: AgentConfiguration) -> AgentConfiguration:
     return cfg
 
 
+# The sleep declaration, as on ``select_event``: an empty queue only moves
+# the step on.  A wrapper that should keep it copies it (``functools.wraps``
+# does); the tracer's wrappers do not, so in a traced run no agent sleeps.
+select_event_coefficient.inert_on_empty_queue = True  # type: ignore[attr-defined]
+
+
 def apply_mapping(
     cfg: AgentConfiguration,
     entries: Iterable[EventMappingEntry],

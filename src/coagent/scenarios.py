@@ -18,15 +18,31 @@ id order, the sorted types it runs.  Each change to a server replaces its
 list at once, so a trace record is a copy of the record.
 
 The simulation loop is single-threaded and owns all agents and media.  Each
-tick applies scheduled demand deltas, runs one full reasoning cycle per agent
-in stable agent-id order, ticks all media, delivers due publications, and
-emits one trace record.  Agents coordinate only through media: no scenario
-agent has a plan that sends a message.
+tick applies scheduled demand deltas, runs one full reasoning cycle per awake
+agent in stable agent-id order, ticks all media, delivers due publications,
+and emits one trace record.  Agents coordinate only through media: no
+scenario agent has a plan that sends a message.
+
+An idle agent costs nothing per tick: it sleeps, and no loop visits it.  An
+agent sleeps after a cycle that leaves its inbox, event queue and intentions
+empty, if its selector declares itself inert on an empty queue: the selector
+function carries ``inert_on_empty_queue = True``.  ``select_event`` and
+``select_event_coefficient`` carry it; any other selector runs every tick.
+A wrapper made with ``functools.wraps`` copies the declaration; perfbench's
+tracer and the accounting tests wrap the co-efficient selector without it,
+so in their runs no agent sleeps and ``run_cycle`` runs once per agent per
+tick.  ``AgentConfiguration.append_event`` is the one funnel for belief
+writes, injections, deliveries and goal outcomes, and it wakes a sleeping
+agent.  A sleeping agent's next cycle would only move its step round, so
+sleeping changes no output (see ``WakeSet``).  The simulator writes no
+inbox; a caller that queues a message for a sleeping agent also appends an
+event to wake it.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import insort
 from collections import Counter
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -36,7 +52,7 @@ from coagent.bdi.beliefs import RESERVED_NAMES, BeliefBase
 from coagent.bdi.config import ActionFault, AgentConfiguration
 from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
-from coagent.bdi.interpreter import post_external_event, run_cycle
+from coagent.bdi.interpreter import post_external_event, run_cycle, select_event
 from coagent.bdi.plans import Act, Plan, PlanLibrary
 from coagent.coefficiency import EventMappingEntry, EventTemplate, LibraryMemo
 from coagent.coordination import (
@@ -247,8 +263,42 @@ class TraceRecord:
         return {service_type: counts[service_type] for service_type in types}
 
 
+class WakeSet:
+    """The tick loop's agenda: which agents a tick runs, and in what order.
+
+    ``agents`` holds the agents in id order; a position is an index into
+    it.  ``due`` holds the positions the current tick still runs, in
+    ascending order, and ``later`` those of the next tick.  Every agent
+    starts awake.  After its cycle an agent sleeps when its inbox, event
+    queue and intentions are empty and its selector is declared inert on an
+    empty queue, since its next cycle could only move its step round; its
+    ``wake`` is then this set's bound ``wake``, one object for all the
+    agents a ``run_simulation`` call puts to sleep.  The first
+    ``append_event`` that reaches a sleeping agent calls it: the agent runs
+    in the current tick if its position comes after the running agent's,
+    else in the next, as when every agent ran every tick.  Such a wake
+    inserts into a sorted list, and a tick costs a few attribute reads per
+    awake agent and nothing per sleeping one.
+    """
+
+    def __init__(self, agents: Iterable[AgentConfiguration]):
+        self.agents = list(agents)
+        self.positions = {cfg.agent_id: position for position, cfg in enumerate(self.agents)}
+        self.due: list[int] = []
+        self.later = list(range(len(self.agents)))
+        #: The running agent's position; between ticks, past every position.
+        self.running = len(self.agents)
+
+    def wake(self, cfg: AgentConfiguration) -> None:
+        """Put a sleeping agent back on the agenda."""
+        cfg.wake = None
+        position = self.positions[cfg.agent_id]
+        insort(self.due if position > self.running else self.later, position)
+
+
 class SimulationState:
-    """Everything the scheduler owns: agents, endpoints, media, and tables."""
+    """Everything the scheduler owns: agents, their wake set, endpoints,
+    media, and tables."""
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
@@ -280,6 +330,8 @@ class SimulationState:
         self.rejected_switches = 0
         self.publications: dict[str, int] = {}
         self.trace: list[TraceRecord] = []
+        #: Set by ``build_scenario`` once the agents are in id order.
+        self.wake_set = WakeSet(())
 
     @property
     def agent_order(self) -> list[str]:
@@ -654,6 +706,7 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
         )
         roles[broker_id] = "broker"
     state.agents = {agent_id: state.agents[agent_id] for agent_id in sorted(state.agents)}
+    state.wake_set = WakeSet(state.agents.values())
 
     libraries: LibraryMemo = {}
     for agent_id in state.agent_order:
@@ -698,19 +751,44 @@ def run_simulation(
 ) -> list[TraceRecord]:
     """Run the scheduler for a number of ticks, returning the trace.
 
-    Agent-level action faults fail the agent's plan (a ``plan-failed``
-    observation, when the agent records them) and never abort the run.
+    Each tick runs the awake agents of ``state.wake_set`` in agent-id order
+    and puts to sleep those that may sleep (see ``WakeSet``); the wake set
+    carries over from call to call, so one call per tick gives the trace of
+    one call for all ticks.  Agent-level action faults fail the agent's
+    plan (a ``plan-failed`` observation, when the agent records them) and
+    never abort the run.
     """
     if ticks < 0:
         raise ScenarioError("ticks must be >= 0")
     if seed is not None:
         state.rng = random.Random(seed)
     cycle = run_cycle  # read per call, so a wrapper installed on the module is seen
+    wake_set = state.wake_set
+    agents, wake = wake_set.agents, wake_set.wake
     for _ in range(ticks):
         state.reset_tick_counters()
         apply_demand(state, state.tick)
-        for cfg in state.agents.values():
+        due = wake_set.due = wake_set.later
+        later = wake_set.later = []
+        # A wake inserts a position after the running one into ``due``; the
+        # list iterator still reaches it.
+        for position in due:
+            wake_set.running = position
+            cfg = agents[position]
             cycle(cfg)
+            circumstance = cfg.circumstance
+            if (
+                circumstance.events
+                or circumstance.intentions
+                or cfg.mail.inbox
+                or not getattr(
+                    cfg.select_event_override or select_event, "inert_on_empty_queue", False
+                )
+            ):
+                later.append(position)
+            else:
+                cfg.wake = wake
+        wake_set.running = len(agents)
         _deliver_media(state)
         state.trace.append(state.snapshot_record())
         state.tick += 1

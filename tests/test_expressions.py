@@ -1,5 +1,6 @@
 """Expression language: parsing, evaluation, and totality rules."""
 
+import ast
 import math
 import warnings
 
@@ -16,6 +17,7 @@ from coagent.bdi.expressions import (
     ExpressionEvalError,
     ExpressionSyntaxError,
     UNDEFINED,
+    _Writer,
 )
 from coagent.bdi.reference import (
     expression_holds,
@@ -194,6 +196,18 @@ class TestInputs:
         assert ev("subject", names={"subject": "from-names"}, subject="given") == "given"
         assert ev("subject == 'given'", names={"subject": "x"}, subject="given") is True
         assert ev("payload.subject", payload={"subject": "p"}, subject="given") == "p"
+
+
+def test_every_written_node_that_has_a_position_is_on_line_1():
+    # The writer's node classes carry the position, so no walk sets it; a
+    # plain ast node built by mistake would have none and fail compile.
+    source = "not (payload.a + -x) / 2 < abs(y, 1) <= subject and true or min(b)"
+    module = _Writer(source).module(Expr(source).tree)
+    positioned = [node for node in ast.walk(module) if "lineno" in node._attributes]
+    assert {type(node).__name__ for node in positioned} >= {"ExceptHandler", "Try", "arg"}
+    for node in positioned:
+        assert (node.lineno, node.col_offset, node.end_lineno, node.end_col_offset) == (1, 0, 1, 0)
+    compile(module, "<expression>", "exec")
 
 
 class TestExtremeSources:

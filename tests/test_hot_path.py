@@ -7,9 +7,9 @@ constants bound once, by name, in the module that defines the enum.
 Class-level defaults and other module-level code run once and are exempt.
 
 A Python call costs a frame.  So a cycle enters only the functions that do
-its work: step checks are inline, every cycle goes straight to the
-selector and runs ProcMsg only for mail, the co-efficient selector settles
-an empty queue itself, intention scheduling and plan lookups make no method
+its work: an idle tick runs no cycle at all, step checks are inline,
+every cycle goes straight to the selector and runs ProcMsg only for mail,
+the co-efficient selector settles an empty queue itself, intention scheduling and plan lookups make no method
 call, ApplPl evaluates no context that is literally ``TRUE``, an expression
 runs as one generated function whose belief reads are C calls, and a host
 that neither records observations nor declares mapping entries builds no
@@ -167,17 +167,17 @@ def idle_fleet(servers: int) -> SimulationState:
     return state
 
 
-def test_an_idle_tick_enters_two_frames_per_module_host():
-    # Each host is a module host; the rest of the tick (media, trace
-    # record, counters) does not depend on the fleet size.
-    rest = set()
+def test_an_idle_tick_enters_no_reasoning_cycle():
+    # Every host sleeps after the bootstrap tick, so an idle tick runs no
+    # cycle; the rest of the tick (media, trace record, counters) does not
+    # depend on the fleet size.
+    entries = set()
     for servers in (3, 12):
         state = idle_fleet(servers)
         names = entered(run_simulation, state, 1)
-        hosts = len(state.agents)
-        assert names.count("run_cycle") == names.count("select_event_coefficient") == hosts
-        rest.add(len(names) - 2 * hosts)
-    assert len(rest) == 1
+        assert "run_cycle" not in names and "select_event_coefficient" not in names
+        entries.add(len(names))
+    assert len(entries) == 1
 
 
 @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])

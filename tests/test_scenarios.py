@@ -1,8 +1,10 @@
 """Scenario construction, the mechanism operations, and both scenario runs."""
 
 import copy
+import functools
 import json
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -12,7 +14,10 @@ from hypothesis import strategies as st
 import coagent.coefficiency as coefficiency
 import coagent.scenarios as scenarios
 from coagent.bdi.config import AgentConfiguration
+from coagent.bdi.events import TOP, EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
+from coagent.bdi.interpreter import post_external_event, select_event
+from coagent.bdi.plans import Act, Plan, PlanLibrary
 from coagent.cli import main
 from coagent.coordination import PUBLISH_ACTION
 from coagent.loader import load_scenario, parse_scenario
@@ -25,6 +30,7 @@ from coagent.scenarios import (
     ScenarioError,
     ServerSpec,
     ServiceSpec,
+    SimulationState,
     apply_demand,
     build_scenario,
     canonical_endpoints,
@@ -207,6 +213,57 @@ def test_a_config_that_builds_builds_a_legal_scenario(fields):
     state = build_scenario(config)
     assert state.service_server == config.placement
     check_trace_safety([state.snapshot_record()], config)
+
+
+@contextmanager
+def every_agent_every_tick():
+    """Wrap the co-efficient selector for the builds inside, as perfbench's
+    tracer does: the wrapper carries no sleep declaration, so no agent of
+    those builds sleeps and each runs a cycle every tick."""
+    select = coefficiency.select_event_coefficient
+    coefficiency.select_event_coefficient = lambda cfg: select(cfg)
+    try:
+        yield
+    finally:
+        coefficiency.select_event_coefficient = select
+
+
+@st.composite
+def running_configs(draw):
+    """``small_configs`` with demand for every type, a drawn demand schedule
+    over the first twelve ticks, and drawn publication and acceptance rules."""
+    fields = draw(small_configs())
+    deltas = st.builds(
+        DemandDelta, st.integers(0, 11), st.sampled_from("xyz"), st.integers(-15, 30)
+    )
+    return dict(
+        fields,
+        demand={service_type: draw(st.integers(1, 20)) for service_type in "xyz"},
+        demand_schedule=draw(st.lists(deltas, max_size=6)),
+        publish_when_empty=draw(st.booleans()),
+        move_acceptance_probability=draw(st.sampled_from([None, 0.5])),
+    )
+
+
+@given(running_configs())
+@settings(max_examples=200, deadline=None)
+def test_sleeping_agents_change_no_output(fields):
+    # Service ids a-g sort before the servers that a move wakes mid-tick,
+    # so a woken server must still run in the tick of the move.
+    try:
+        config = ScenarioConfig(**fields)
+    except ScenarioError:
+        return
+
+    def outputs(state):
+        run_simulation(state, 12)
+        observations = {agent_id: cfg.observations for agent_id, cfg in state.agents.items()}
+        return trace_rows(state), summary(state), observations
+
+    scheduled = build_scenario(config, agent_log=True)
+    with every_agent_every_tick():
+        every_agent = build_scenario(config, agent_log=True)
+    assert outputs(scheduled) == outputs(every_agent)
 
 
 #: ``canonical_endpoints`` for scenario B (threshold 0.5), spelled out as a
@@ -887,16 +944,45 @@ def quiet_fleet_config():
     )
 
 
-class TestCycleAccounting:
-    """The scheduler runs one cycle, and so one event selection, per agent
-    per tick: ``perfbench``'s structural count, held over full runs.  A
-    scheduler that skips idle agents has to change this test on purpose."""
+ACCOUNTED_CONFIGS = pytest.mark.parametrize(
+    "config",
+    [load_scenario(SCENARIO_B), quiet_fleet_config()],
+    ids=["scenario-b", "quiet-fleet"],
+)
 
-    @pytest.mark.parametrize(
-        "config",
-        [load_scenario(SCENARIO_B), quiet_fleet_config()],
-        ids=["scenario-b", "quiet-fleet"],
-    )
+
+def cycles_run(monkeypatch, state, ticks) -> list[tuple[int, str, bool]]:
+    """Run ``ticks`` ticks.  Per ``run_cycle`` call, in order: the tick, the
+    agent id, and whether the agent started the cycle idle (inbox, queue and
+    intentions empty)."""
+    cycles = []
+    run_cycle = scenarios.run_cycle
+
+    def recording_cycle(cfg):
+        circumstance = cfg.circumstance
+        idle = not (cfg.mail.inbox or circumstance.events or circumstance.intentions)
+        cycles.append((state.tick, cfg.agent_id, idle))
+        return run_cycle(cfg)
+
+    monkeypatch.setattr(scenarios, "run_cycle", recording_cycle)
+    run_simulation(state, ticks)
+    monkeypatch.setattr(scenarios, "run_cycle", run_cycle)
+    return cycles
+
+
+def cycled_agents(monkeypatch, state, ticks) -> list[str]:
+    """Run ``ticks`` ticks; the id of each agent ``run_cycle`` ran, in order."""
+    return [agent_id for _, agent_id, _ in cycles_run(monkeypatch, state, ticks)]
+
+
+class TestCycleAccounting:
+    """Wrapped, the co-efficient selector carries no sleep declaration, so
+    no agent sleeps and the scheduler runs one cycle, and so one event
+    selection, per agent per tick: ``perfbench``'s structural count, held
+    over full runs.  The tracer wraps the selector the same way, so its
+    count stays exact too."""
+
+    @ACCOUNTED_CONFIGS
     def test_one_cycle_and_one_selection_per_agent_per_tick(self, monkeypatch, config):
         calls = {"run_cycle": 0, "select": 0}
         run_cycle, select = scenarios.run_cycle, coefficiency.select_event_coefficient
@@ -916,6 +1002,112 @@ class TestCycleAccounting:
         run_simulation(state, config.ticks, seed=config.seed)
         expected = len(state.agents) * config.ticks
         assert calls == {"run_cycle": expected, "select": expected}
+
+    @ACCOUNTED_CONFIGS
+    def test_sleeping_skips_exactly_the_idle_cycles_after_bootstrap(self, monkeypatch, config):
+        # Unwrapped, every agent may sleep: every agent runs the bootstrap
+        # tick, and after it each cycle that would start idle is skipped.
+        sleeping = cycles_run(monkeypatch, build_scenario(config), config.ticks)
+        with every_agent_every_tick():
+            every_agent = build_scenario(config)
+        every = cycles_run(monkeypatch, every_agent, config.ticks)
+        assert len(every) == len(every_agent.agents) * config.ticks
+        skipped = {(tick, agent_id) for tick, agent_id, idle in every if tick and idle}
+        assert skipped
+        assert sleeping == [cycle for cycle in every if cycle[:2] not in skipped]
+
+    def test_a_wrapper_made_with_functools_wraps_keeps_the_declaration(self, monkeypatch):
+        select = coefficiency.select_event_coefficient
+        monkeypatch.setattr(
+            coefficiency,
+            "select_event_coefficient",
+            functools.wraps(select)(lambda cfg: select(cfg)),
+        )
+        config = quiet_fleet_config()
+        state = build_scenario(config)
+        ticks = [tick for tick, _, _ in cycles_run(monkeypatch, state, config.ticks)]
+        assert ticks == [0] * len(state.agents)
+
+
+def asleep_quiet_fleet() -> SimulationState:
+    """The small quiet fleet after two ticks: every agent sleeps."""
+    state = build_scenario(quiet_fleet_config(), agent_log=True)
+    run_simulation(state, 2)
+    assert all(cfg.wake is not None for cfg in state.agents.values())
+    return state
+
+
+class TestWakeSet:
+    def test_appending_to_a_sleeping_agent_wakes_it_once(self, monkeypatch):
+        state = asleep_quiet_fleet()
+        cfg = state.agents["srv-01"]
+        for _ in range(2):  # no plan handles either goal: each is discarded
+            post_external_event(cfg, TriggeringEvent(EventCategory.GOAL_ADDED, "noop", {}))
+        assert cfg.wake is None
+        assert cycled_agents(monkeypatch, state, 1) == ["srv-01"]
+        assert cycled_agents(monkeypatch, state, 2) == ["srv-01"]  # the second goal
+        assert cfg.wake is not None
+        noops = [o for o in cfg.observations if o.get("te", {}).get("subject") == "noop"]
+        assert [o["kind"] for o in noops] == ["event-discarded"] * 2
+
+    def test_an_unchanged_belief_write_does_not_wake(self, monkeypatch):
+        state = asleep_quiet_fleet()
+        cfg = state.agents["svc-000"]
+        assert cfg.write_belief("current_server", cfg.beliefs.get("current_server")) is None
+        assert cfg.wake is not None
+        assert cycled_agents(monkeypatch, state, 1) == []
+        # The control: a changed value queues its event and wakes the agent.
+        assert cfg.write_belief("current_server", "srv-05") is not None
+        assert cycled_agents(monkeypatch, state, 1) == ["svc-000"]
+
+    def test_an_agent_with_a_live_intention_stays_awake(self, monkeypatch):
+        # A two-step plan leaves its intention live, and the queue empty,
+        # after the first step's cycle; the second step runs the next tick.
+        state = asleep_quiet_fleet()
+        cfg = state.agents["svc-000"]
+        same_type = {"type": Expr("type")}  # a same-type switch is a no-op
+        twice = Plan(
+            "twice",
+            pattern(EventCategory.GOAL_ADDED, "twice"),
+            (Act("reallocate", same_type), Act("reallocate", same_type)),
+        )
+        cfg.plans = PlanLibrary([*cfg.plans.by_id.values(), twice])
+        post_external_event(cfg, TriggeringEvent(EventCategory.GOAL_ADDED, "twice", {}))
+        assert cycled_agents(monkeypatch, state, 1) == ["svc-000"]
+        assert cfg.circumstance.intentions and not cfg.circumstance.events
+        assert cycled_agents(monkeypatch, state, 3) == ["svc-000"] * 2
+        finished = [o["te"]["subject"] for o in cfg.observations if o["kind"] == "plan-finished"]
+        assert finished == ["twice"]
+
+    def test_an_agent_with_an_undeclared_selector_runs_every_tick(self, monkeypatch):
+        # The selector queues a goal before it selects, so it is not inert on
+        # an empty queue; no plan handles the goal, so every cycle ends idle.
+        calls = []
+
+        def appending(cfg):
+            calls.append(cfg.agent_id)
+            cfg.append_event(TriggeringEvent(EventCategory.GOAL_ADDED, "g1", {}), TOP)
+            return select_event(cfg)
+
+        state = build_scenario(quiet_fleet_config())
+        cfg = state.agents["svc-001"]
+        cfg.select_event_override = appending
+        ran = cycled_agents(monkeypatch, state, 6)
+        assert calls == ["svc-001"] * 6 and not cfg.circumstance.events
+        assert ran[len(state.agents) :] == ["svc-001"] * 5
+        assert cfg.wake is None
+
+    def test_one_tick_per_call_gives_the_trace_of_one_call(self):
+        config = churn_config()
+        whole = build_scenario(config, agent_log=True)
+        run_simulation(whole, config.ticks, seed=config.seed)
+        ticked = build_scenario(config, agent_log=True)
+        for tick in range(config.ticks):
+            run_simulation(ticked, 1, seed=config.seed if tick == 0 else None)
+        assert trace_rows(ticked) == trace_rows(whole)
+        assert summary(ticked) == summary(whole)
+        for agent_id, cfg in whole.agents.items():
+            assert ticked.agents[agent_id].observations == cfg.observations
 
 
 class TestTraceOutputs:
