@@ -51,7 +51,7 @@ call costs one:
   declares that at SelEv on an empty queue it only moves the step to
   SelInt.  ``select_event`` and ``select_event_coefficient`` carry it, and
   ``functools.wraps`` copies it onto a wrapper; any other selector runs
-  every tick (quiet-fleet's median tick 0.44 -> 0.01 ms, ``BENCH_23.json``).
+  every tick (quiet-fleet's median tick 0.45 -> 0.010 ms, ``BENCH_23.json``).
 * Intentions are never sorted: they iterate in ascending id order (see
   ``Circumstance``).  SelInt checks runnability inline and stops at the
   first runnable id after the cursor, and ExecInt checks the record it runs

@@ -269,15 +269,12 @@ class WakeSet:
     ``agents`` holds the agents in id order; a position is an index into
     it.  ``due`` holds the positions the current tick still runs, in
     ascending order, and ``later`` those of the next tick.  Every agent
-    starts awake.  After its cycle an agent sleeps when its inbox, event
-    queue and intentions are empty and its selector is declared inert on an
-    empty queue, since its next cycle could only move its step round; its
-    ``wake`` is then this set's bound ``wake``, one object for all the
-    agents a ``run_simulation`` call puts to sleep.  The first
-    ``append_event`` that reaches a sleeping agent calls it: the agent runs
-    in the current tick if its position comes after the running agent's,
-    else in the next, as when every agent ran every tick.  Such a wake
-    inserts into a sorted list, and a tick costs a few attribute reads per
+    starts awake.  An agent put to sleep (see the module docstring) holds
+    this set's bound ``wake`` as its own ``wake``, one object for all the
+    agents a ``run_simulation`` call puts to sleep, and its next
+    ``append_event`` calls it: the agent runs in the current tick if its
+    position comes after the running agent's, else in the next, as when
+    every agent ran every tick.  A tick costs a few attribute reads per
     awake agent and nothing per sleeping one.
     """
 
