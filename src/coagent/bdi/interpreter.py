@@ -39,12 +39,10 @@ call costs one:
 
 * Step checks are inline (``if cfg.step is not X: _expect(cfg, X)``), so
   ``_expect`` runs only to raise.  ``run_cycle`` calls the SelEv entry's
-  selector itself and ProcMsg only for mail, and the co-efficient selector
-  settles an empty queue at SelEv itself: an idle module host enters
-  ``run_cycle`` and ``select_event_coefficient``, two frames, nothing more
-  (quiet-fleet's median tick 0.54 -> 0.45 ms, ``BENCH_22.json``), and a
-  busy cycle with an empty inbox enters neither ``process_messages`` nor
-  ``_select``.
+  selector itself and ProcMsg only for mail: an idle module host enters
+  ``run_cycle``, ``select_event_coefficient`` and ``select_event``, three
+  frames, nothing more, and a busy cycle with an empty inbox enters neither
+  ``process_messages`` nor ``_select``.
 * In the simulator an idle agent enters no frame at all: it sleeps until an
   ``append_event`` wakes it (see ``coagent.scenarios``).  Only a selector
   that carries ``inert_on_empty_queue = True`` lets its agent sleep: it

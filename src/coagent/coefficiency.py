@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from coagent.bdi.beliefs import BeliefValue
-from coagent.bdi.config import REL_PL, SEL_EV, SEL_INT, AgentConfiguration
+from coagent.bdi.config import REL_PL, AgentConfiguration
 from coagent.bdi.events import (
     INJECTABLE_CATEGORIES,
     TOP,
@@ -127,13 +127,23 @@ class EventMappingEntry:
 
 @dataclass
 class CoefficientModule:
-    """A namespaced element container carrying an event mapping."""
+    """A namespaced element container carrying an event mapping.
+
+    Registration treats a module as a value and remembers on it the last
+    library it gave (see ``register_module``), so a module's plans are not
+    changed once it is registered.
+    """
 
     module_id: str
     beliefs: dict[str, BeliefValue] = field(default_factory=dict)
     plans: list[Plan] = field(default_factory=list)
     mapping: list[EventMappingEntry] = field(default_factory=list)
     exports: frozenset[str] = frozenset()
+    #: The last host library this module's plans were merged into and the
+    #: library that gave, matched by identity.
+    _last: tuple[PlanLibrary, PlanLibrary] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 # -- namespacing -------------------------------------------------------------
@@ -193,15 +203,7 @@ def _namespace_plan(plan: Plan, plan_id: str, renames: dict[str, str]) -> Plan:
 # -- operations ---------------------------------------------------------------
 
 
-#: A memo of the libraries ``register_module`` built: (id of the host's
-#: library, id of the module) -> (that library, that module, the new library).
-#: Holding both keeps their ids from reuse while the memo lives.
-LibraryMemo = dict[tuple[int, int], tuple[PlanLibrary, CoefficientModule, PlanLibrary]]
-
-
-def register_module(
-    cfg: AgentConfiguration, mod: CoefficientModule, libraries: LibraryMemo | None = None
-) -> AgentConfiguration:
+def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentConfiguration:
     """Merge a module into the host and activate its event mapping.
 
     Beliefs and plans are merged under the module namespace (export-listed
@@ -218,10 +220,10 @@ def register_module(
     the first such module installs the plan-lifecycle hook; a host without
     one calls no hook.
 
-    The new library depends only on the old one and the module, so with a
-    ``libraries`` memo the hosts that held one library and register one
-    module all get one new library.  Keep a memo for one scenario build, so
-    that no relevance index carries into the next.
+    The new library depends only on the old one and the module, and the
+    module remembers the last pair: hosts that hold one library and register
+    one module in a row all get one new library.  A caller that builds its
+    hosts' libraries afresh keeps those hosts apart from earlier ones.
     """
     if mod.module_id in cfg.modules:
         raise ModuleRegistrationError(f"module {mod.module_id!r} already registered")
@@ -238,13 +240,12 @@ def register_module(
             )
         renames[key] = target
 
-    pair = (id(cfg.plans), id(mod))
-    if libraries is not None and pair in libraries:
-        plans = libraries[pair][2]
+    last = mod._last
+    if last is not None and last[0] is cfg.plans:
+        plans = last[1]
     elif mod.plans:
         plans = _merge_plans(cfg.plans, mod, renames)
-        if libraries is not None:
-            libraries[pair] = (cfg.plans, mod, plans)
+        mod._last = (cfg.plans, plans)
     else:
         plans = cfg.plans
 
@@ -302,13 +303,8 @@ def select_event_coefficient(cfg: AgentConfiguration) -> AgentConfiguration:
 
     Plain selection, after which an observed selected event may inject its
     mapped event (see ``_inject``).  The selected event itself still goes to
-    the temporary structure for normal processing.  An empty queue at SelEv
-    only moves the step to SelInt, as ``select_event`` would, without the
-    call; at any other step ``select_event`` checks the step and raises.
+    the temporary structure for normal processing.
     """
-    if cfg.step is SEL_EV and not cfg.circumstance.events:
-        cfg.step = SEL_INT
-        return cfg
     select_event(cfg)
     if cfg.step is REL_PL and cfg.mapping:
         epsilon = cfg.temp.epsilon

@@ -33,7 +33,6 @@ from coagent.coefficiency import (
     CoefficientModule,
     EventMappingEntry,
     EventTemplate,
-    LibraryMemo,
     NEW_INTENTION,
     apply_mapping,
     register_module,
@@ -278,17 +277,18 @@ def _publication_module(decl: EndpointDeclaration) -> CoefficientModule:
 
 
 def attach_endpoint(
-    decl: EndpointDeclaration, host_cfg: AgentConfiguration, libraries: LibraryMemo | None = None
+    decl: EndpointDeclaration, host_cfg: AgentConfiguration
 ) -> CoordinationEndpoint:
     """Register the declaration's compiled module on the host and return the
     host's endpoint.
 
-    Reactions stay on the endpoint and are applied at delivery time.  A
-    publishing host gets a new action set with the publish action; its old
-    one, which other hosts may share, stays as it was.  ``libraries`` is
-    ``register_module``'s memo.
+    Reactions stay on the endpoint and are applied at delivery time.  The
+    hosts of one library that attach one declaration in a row share the new
+    library ``register_module`` gives them.  A publishing host gets a new
+    action set with the publish action; its old one, which other hosts may
+    share, stays as it was.
     """
-    register_module(host_cfg, decl.module, libraries)
+    register_module(host_cfg, decl.module)
     if decl.publications:
         host_cfg.circumstance.actions = host_cfg.circumstance.actions | {PUBLISH_ACTION}
     return CoordinationEndpoint(

@@ -43,7 +43,7 @@ from coagent.coordination import (
     EndpointDeclarationError,
     PublicationRule,
 )
-from coagent.scenarios import ROLES, DemandDelta, ScenarioConfig, ScenarioError, ServerSpec, ServiceSpec
+from coagent.scenarios import DemandDelta, ScenarioConfig, ScenarioError, ServerSpec, ServiceSpec
 
 
 class ConfigError(ValueError):
@@ -395,8 +395,6 @@ def parse_endpoint_declaration(obj: Any, path: str) -> EndpointDeclaration:
         for index, rule in enumerate(_optional(obj, "reaction-rules", path, list, []))
     )
     role = _require(obj["role"], f"{path}.role", str, "role")
-    if role not in ROLES:
-        raise _fail(f"{path}.role", f"role must be {'/'.join(ROLES)}, got {role!r}")
     process_id = _require(obj["process-id"], f"{path}.process-id", str, "process id")
     try:
         return EndpointDeclaration(process_id, role, publications, reactions)

@@ -44,6 +44,7 @@ from __future__ import annotations
 import random
 from bisect import insort
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
@@ -54,7 +55,7 @@ from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import post_external_event, run_cycle, select_event
 from coagent.bdi.plans import Act, Plan, PlanLibrary
-from coagent.coefficiency import EventMappingEntry, EventTemplate, LibraryMemo
+from coagent.coefficiency import EventMappingEntry, EventTemplate
 from coagent.coordination import (
     PUBLISH_ACTION,
     CoordinationEndpoint,
@@ -191,6 +192,11 @@ class ScenarioConfig:
         for topic, latency in self.media.items():
             if latency < 0:
                 raise ScenarioError(f"medium {topic!r}: latency must be >= 0")
+        for index, decl in enumerate(self.endpoints or ()):
+            if decl.role not in ROLES:
+                raise ScenarioError(
+                    f"endpoints[{index}]: role must be {'/'.join(ROLES)}, got {decl.role!r}"
+                )
         # Both copies of a (role, process-id) would register one module twice.
         keys = [(decl.role, decl.process_id) for decl in self.endpoints or ()]
         duplicates = sorted({key for key in keys if keys.count(key) > 1})
@@ -626,14 +632,17 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
 
     The config was checked, and its initial placement computed, when it was
     built.  Each endpoint declaration -- the document's, or else the
-    canonical ones -- compiled its module when it was built, and is attached
-    to every agent of its role; its hosts subscribe to its ``topics``.
-    Every service starts with one plan library and one action set, built
-    per call so that no relevance index carries from one build to the next;
-    registration gives a host that gains plans or actions new ones, one
-    library per (old library, module) pair within the call.
-    Each server manager receives one bootstrap utilization reading so
-    publication guards are evaluated against the initial state.
+    canonical ones -- compiled its module when it was built.  One loop
+    builds the members, servers then services then brokers, each in
+    document order.  A member starts from its role's plan library and
+    action set, gets an endpoint for each declaration of its role, whose
+    hosts subscribe to its ``topics``, and then reports the role's bootstrap
+    readings: each server manager's current utilization, once, so that
+    publication guards are evaluated against the initial state.  The base
+    libraries and action sets are built per call, so that no relevance
+    index carries from one build to the next; registration gives the
+    members of a role that gain plans one new library per declaration (see
+    ``register_module``), and each publishing member its own action set.
 
     Agents keep observation records only with ``agent_log`` set, for a run
     that writes ``agent-log.jsonl``; plan-lifecycle hooks fire either way.
@@ -663,70 +672,58 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
             topic=topic, latency=config.media.get(topic, 1), order=RELEASE_ORDER.get(topic)
         )
 
-    service_plans = PlanLibrary(_SERVICE_PLANS)
-    service_actions = frozenset({"relocate", "reallocate"})
-    roles: dict[str, str] = {}
-    for spec in config.servers:
-        beliefs = {
-            "server": spec.server_id,
-            "capacity": spec.capacity,
-            "preferred_min": spec.preferred_min,
-            "deployed": len(state.deployments[spec.server_id]),
-        }
-        state.agents[spec.server_id] = AgentConfiguration(
-            spec.server_id,
-            beliefs=BeliefBase(beliefs),
-            environment=env,
-            record_observations=agent_log,
+    # Per role: plan library, action set, and the beliefs the architecture
+    # reports once at bootstrap, as external belief-update events.
+    programs = {
+        "server": (PlanLibrary(), frozenset(), ("deployed",)),
+        "service": (PlanLibrary(_SERVICE_PLANS), frozenset({"relocate", "reallocate"}), ()),
+        "broker": (PlanLibrary(), frozenset(), ()),
+    }
+    # Lazily, so that each belief dict lives only until its agent copies it.
+    members = chain(
+        (
+            (
+                "server",
+                spec.server_id,
+                {
+                    "server": spec.server_id,
+                    "capacity": spec.capacity,
+                    "preferred_min": spec.preferred_min,
+                    "deployed": len(state.deployments[spec.server_id]),
+                },
+            )
+            for spec in config.servers
+        ),
+        (
+            (
+                "service",
+                service.service_id,
+                {
+                    "type": service.service_type,
+                    "current_server": state.service_server[service.service_id],
+                },
+            )
+            for service in config.services
+        ),
+        (("broker", broker_id, dict(state.demand)) for broker_id in config.broker_ids),
+    )
+    for role, agent_id, beliefs in members:
+        plans, actions, readings = programs[role]
+        cfg = state.agents[agent_id] = AgentConfiguration(
+            agent_id, BeliefBase(beliefs), plans, actions, env, record_observations=agent_log
         )
-        roles[spec.server_id] = "server"
-    for service in config.services:
-        beliefs = {
-            "type": service.service_type,
-            "current_server": state.service_server[service.service_id],
-        }
-        state.agents[service.service_id] = AgentConfiguration(
-            service.service_id,
-            beliefs=BeliefBase(beliefs),
-            plans=service_plans,
-            actions=service_actions,
-            environment=env,
-            record_observations=agent_log,
-        )
-        roles[service.service_id] = "service"
-    for broker_id in config.broker_ids:
-        state.agents[broker_id] = AgentConfiguration(
-            broker_id,
-            beliefs=BeliefBase(dict(state.demand)),
-            environment=env,
-            record_observations=agent_log,
-        )
-        roles[broker_id] = "broker"
-    state.agents = {agent_id: state.agents[agent_id] for agent_id in sorted(state.agents)}
-    state.wake_set = WakeSet(state.agents.values())
-
-    libraries: LibraryMemo = {}
-    for agent_id in state.agent_order:
         for decl in declarations:
-            if decl.role != roles[agent_id]:
-                continue
-            endpoint = attach_endpoint(decl, state.agents[agent_id], libraries)
-            state.endpoints[endpoint.endpoint_id] = endpoint
-            for topic in sorted(decl.topics):
-                state.media[topic].subscribe(endpoint.endpoint_id, agent_id)
-
-    # Bootstrap utilization readings: the architecture reports each server's
-    # current deployment level once, as an external belief-update event.
-    for spec in config.servers:
-        deployed = len(state.deployments[spec.server_id])
-        post_external_event(
-            state.agents[spec.server_id],
-            TriggeringEvent(
-                EventCategory.BELIEF_UPDATED,
-                "deployed",
-                {"old": deployed, "new": deployed},
-            ),
-        )
+            if decl.role == role:
+                endpoint = attach_endpoint(decl, cfg)
+                state.endpoints[endpoint.endpoint_id] = endpoint
+                for topic in sorted(decl.topics):
+                    state.media[topic].subscribe(endpoint.endpoint_id, agent_id)
+        for key in readings:
+            value = cfg.beliefs.get(key)
+            reading = {"old": value, "new": value}
+            post_external_event(cfg, TriggeringEvent(EventCategory.BELIEF_UPDATED, key, reading))
+    state.agents = dict(sorted(state.agents.items()))
+    state.wake_set = WakeSet(state.agents.values())
 
     state.reset_tick_counters()
     return state

@@ -115,22 +115,30 @@ class TestRegisterModule:
                 run_cycle(cfg)
         assert second.snapshot_json() == alone.snapshot_json()
 
-    def test_a_memo_gives_one_new_library_per_library_and_module(self):
+    def test_hosts_of_one_library_share_one_new_library_per_module(self):
         library = PlanLibrary([Plan("work", pattern("goal-added", "g"), (Act("ping", {}),))])
+        other = PlanLibrary(library.by_id.values())
         hosts = [AgentConfiguration(name, plans=library) for name in "abcd"]
+        elsewhere = AgentConfiguration("e", plans=other)
         plan = Plan("extra", pattern("goal-added", "g"), (Act("ping", {}),))
         module, twin = (CoefficientModule("m", beliefs={"y": 1}, plans=[plan]) for _ in "12")
-        libraries = {}
         for host in hosts[:2]:
-            register_module(host, module, libraries)
-        register_module(hosts[2], twin, libraries)  # an equal module, not this one
-        assert hosts[0].plans is hosts[1].plans is not hosts[2].plans
-        assert list(hosts[1].plans.by_id) == list(hosts[2].plans.by_id) == ["work", "m.extra"]
-        assert list(library.by_id) == ["work"]
-        # A belief clash is the host's own: refused with the library memoized.
+            register_module(host, module)
+        shared = hosts[0].plans
+        assert hosts[1].plans is shared
+        # A host on another library gets its own.
+        register_module(elsewhere, module)
+        assert elsewhere.plans is not shared
+        assert list(elsewhere.plans.by_id) == list(shared.by_id) == ["work", "m.extra"]
+        register_module(hosts[2], twin)  # an equal module, not this one
+        assert hosts[2].plans is not shared and list(hosts[2].plans.by_id) == ["work", "m.extra"]
+        assert list(library.by_id) == ["work"] and list(other.by_id) == ["work"]
+        # A belief clash is the host's own: refused before the host changes,
+        # also right after the module gave a library for the host's.
+        register_module(AgentConfiguration("f", plans=library), module)
         hosts[3].beliefs.set("m__y", 0)
         with pytest.raises(ModuleRegistrationError, match="'m__y' collides"):
-            register_module(hosts[3], module, libraries)
+            register_module(hosts[3], module)
         assert hosts[3].plans is library and not hosts[3].modules
 
     def test_a_module_without_plans_keeps_the_host_library(self):

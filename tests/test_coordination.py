@@ -237,11 +237,9 @@ class TestCompileEndpoint:
         assert endpoint.decl.topics == frozenset()
 
     def test_attach_endpoint_takes_no_module(self):
-        # The module is the declaration's own, compiled when it was built;
-        # the optional third parameter is register_module's library memo.
+        # The module is the declaration's own, compiled when it was built.
         parameters = inspect.signature(attach_endpoint).parameters
-        assert list(parameters) == ["decl", "host_cfg", "libraries"]
-        assert parameters["libraries"].default is None
+        assert list(parameters) == ["decl", "host_cfg"]
 
     def test_publishing_gives_the_host_its_own_action_set(self):
         actions = frozenset({"ping"})

@@ -9,11 +9,11 @@ Class-level defaults and other module-level code run once and are exempt.
 A Python call costs a frame.  So a cycle enters only the functions that do
 its work: an idle tick runs no cycle at all, step checks are inline,
 every cycle goes straight to the selector and runs ProcMsg only for mail,
-the co-efficient selector settles an empty queue itself, intention scheduling and plan lookups make no method
-call, ApplPl evaluates no context that is literally ``TRUE``, an expression
-runs as one generated function whose belief reads are C calls, and a host
-that neither records observations nor declares mapping entries builds no
-lifecycle event and calls no hook.
+intention scheduling and plan lookups make no method call, ApplPl
+evaluates no context that is literally ``TRUE``, an expression runs as one
+generated function whose belief reads are C calls, and a host that neither
+records observations nor declares mapping entries builds no lifecycle event
+and calls no hook.
 """
 
 from __future__ import annotations
@@ -145,7 +145,7 @@ def module_host(record_observations: bool) -> AgentConfiguration:
 
 def test_an_idle_cycle_enters_only_the_selector():
     cfg = module_host(record_observations=True)
-    assert entered(run_cycle, cfg) == ["run_cycle", "select_event_coefficient"]
+    assert entered(run_cycle, cfg) == ["run_cycle", "select_event_coefficient", "select_event"]
     assert cfg.step is Step.PROC_MSG and cfg.temp.iota is None
 
 

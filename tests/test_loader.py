@@ -283,10 +283,10 @@ class TestEndpointSection:
         assert decl.publications[0].topic == "capacity"
 
     def test_bad_role_rejected(self):
-        with pytest.raises(ConfigError, match="role"):
-            parse_endpoint_declaration(
-                {"process-id": "p", "role": "sidecar"}, "endpoints[0]"
-            )
+        # The config checks roles; the loader names the document's path.
+        doc = minimal_scenario(endpoints=[{"process-id": "p", "role": "sidecar"}])
+        with pytest.raises(ConfigError, match=r"scenario: endpoints\[0\]: role must be .*'sidecar'"):
+            parse_scenario(doc)
 
     def test_custom_endpoints_replace_canonical_processes(self):
         from coagent.scenarios import build_scenario, run_simulation

@@ -19,7 +19,7 @@ from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import post_external_event, select_event
 from coagent.bdi.plans import Act, Plan, PlanLibrary
 from coagent.cli import main
-from coagent.coordination import PUBLISH_ACTION
+from coagent.coordination import PUBLISH_ACTION, EndpointDeclaration
 from coagent.loader import load_scenario, parse_scenario
 from coagent.scenarios import (
     MOVE_GOAL,
@@ -117,6 +117,14 @@ class TestBuildScenario:
                 servers=[ServerSpec("server-01", 5, 3)],
                 services=[ServiceSpec("svc-01", "web", "server-99")],
             )
+
+    @pytest.mark.parametrize("role", ["sidecar", ""])
+    def test_an_endpoint_of_no_role_is_rejected(self, role):
+        # Attached to no agent, it would be silently ignored.
+        config = two_server_config()
+        endpoints = [*canonical_endpoints(config), EndpointDeclaration("p", role=role)]
+        with pytest.raises(ScenarioError, match=rf"endpoints\[4\]: role must be .*{role!r}"):
+            replace(config, endpoints=endpoints)
 
     def test_a_built_config_is_frozen(self):
         config = two_server_config()
@@ -410,6 +418,21 @@ class TestEndpointDeclarations:
         assert not {id(cfg.plans) for cfg in first.agents.values()} & {
             id(cfg.plans) for cfg in second.agents.values()
         }
+
+    def test_one_config_built_twice_shares_no_library(self):
+        # The document's declarations, and so their modules, serve both
+        # builds; each build's base libraries keep the builds apart.
+        doc = json.loads(SCENARIO_B.read_text())
+        doc["endpoints"] = CANONICAL_ENDPOINTS_B
+        config = parse_scenario(doc)
+        first, second = build_scenario(config), build_scenario(config)
+        assert not {id(cfg.plans) for cfg in first.agents.values()} & {
+            id(cfg.plans) for cfg in second.agents.values()
+        }
+        for state in (first, second):
+            run_simulation(state, config.ticks)
+        assert trace_rows(first) == trace_rows(second)
+        assert summary(first) == summary(second)
 
     def test_a_publishing_service_endpoint_gives_the_services_one_new_library(self):
         # Each service announces where it moved: registration gives the
