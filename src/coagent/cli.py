@@ -83,15 +83,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    """Run a scenario and write its outputs.
+
+    ``--seed`` and ``--ticks`` are written into the document before it is
+    parsed, so the config checks them and places its services with that
+    seed; a document it refuses writes no file.
+    """
     emit = tuple(args.emit) if args.emit else ("trace-csv", "summary-json")
     try:
         doc = read_json(args.scenario)
-        if args.seed is not None and isinstance(doc, dict):
-            doc = {**doc, "seed": args.seed}  # validated, and placed, with this seed
+        if isinstance(doc, dict):
+            given = {"seed": args.seed, "ticks": args.ticks}
+            doc = {**doc, **{key: value for key, value in given.items() if value is not None}}
         config = parse_scenario(doc, args.scenario)
-        ticks = args.ticks if args.ticks is not None else config.ticks
-        if ticks < 0:
-            raise ConfigError(f"{args.scenario}: ticks must be >= 0")
         state = build_scenario(config, agent_log="agent-log" in emit)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -117,7 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         print(f"error: cannot prepare output directory: {exc}", file=sys.stderr)
         return EXIT_IO
 
-    run_simulation(state, ticks)
+    run_simulation(state, config.ticks)
     run_summary = summary(state)
 
     try:

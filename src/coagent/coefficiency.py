@@ -3,7 +3,8 @@
 A co-efficient module is a namespaced container of beliefs and plans plus an
 ordered event mapping.  Each mapping entry names an observed event pattern,
 an event template to inject when the pattern fires, a placement (current or
-new intention), and an optional guard condition over the host state.
+new intention), and a guard condition over the host state, ``TRUE`` unless
+declared.
 
 One rule, ``apply_mapping``, injects: within one module's entries, the first
 entry whose pattern matches the observed event and whose guard holds has its
@@ -33,7 +34,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
-from coagent.bdi.beliefs import BeliefValue
+from coagent.bdi.beliefs import RESERVED_NAMES, BeliefValue
 from coagent.bdi.config import REL_PL, AgentConfiguration
 from coagent.bdi.events import (
     INJECTABLE_CATEGORIES,
@@ -43,7 +44,7 @@ from coagent.bdi.events import (
     TriggeringEvent,
     _Top,
 )
-from coagent.bdi.expressions import UNDEFINED, Expr
+from coagent.bdi.expressions import TRUE, UNDEFINED, Expr
 from coagent.bdi.interpreter import select_event
 from coagent.bdi.plans import Act, Believe, Plan, PlanLibrary, Send, Subgoal, Unbelieve
 
@@ -117,12 +118,16 @@ class EventTemplate:
 
 @dataclass(frozen=True)
 class EventMappingEntry:
-    """One mapping tuple: observed pattern, injected template, placement, guard."""
+    """One mapping tuple: observed pattern, injected template, placement, guard.
+
+    A guard left out is ``TRUE``, as a plan's context is, and is never
+    evaluated (see ``eval_guard``).
+    """
 
     observe: EventPattern
     inject: EventTemplate
     placement: Placement = Placement.NEW_INTENTION
-    guard: Expr | None = None
+    guard: Expr = TRUE
 
 
 @dataclass
@@ -210,15 +215,15 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
     names stay unprefixed); belief references inside the module's own plans
     are rewritten to the namespaced keys.  A module that declares plans gives
     the host a new library, the host's plans then its own, and leaves the
-    old one, which other hosts may share, as it was.  Every clash -- a belief
-    or plan id taken by the host, or a plan id the module declares twice --
-    is refused before the host changes.  The namespace prefix is the module
-    id, each character outside ``[0-9A-Za-z_]`` made ``_``, then ``__``; an id
-    that starts with a digit is refused, since its names would not parse as
-    expression names.  A module's mapping entries, if it
-    declares any, join the host's active mapping after earlier modules', and
-    the first such module installs the plan-lifecycle hook; a host without
-    one calls no hook.
+    old one, which other hosts may share, as it was.  Every refusal -- a
+    belief key that is empty or reserved, a belief or plan id taken by the
+    host, or a plan id the module declares twice -- comes before the host
+    changes.  The namespace prefix is the module id, each character outside
+    ``[0-9A-Za-z_]`` made ``_``, then ``__``; an id that starts with a digit
+    is refused, since its names would not parse as expression names.  A
+    module's mapping entries, if it declares any, join the host's active
+    mapping after earlier modules', and the first such module installs the
+    plan-lifecycle hook; a host without one calls no hook.
 
     The new library depends only on the old one and the module, and the
     module remembers the last pair: hosts that hold one library and register
@@ -234,6 +239,10 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
     renames: dict[str, str] = {}
     for key in mod.beliefs:
         target = key if key in mod.exports else prefix + key
+        if not target or target in RESERVED_NAMES:
+            raise ModuleRegistrationError(
+                f"module {mod.module_id!r} belief {target!r} is empty or a reserved name"
+            )
         if target in cfg.beliefs:
             raise ModuleRegistrationError(
                 f"module {mod.module_id!r} belief {target!r} collides with the host"
@@ -289,13 +298,13 @@ def resolve_mapping(
     return None
 
 
-def eval_guard(
-    guard: Expr | None, te: TriggeringEvent, cfg: AgentConfiguration
-) -> bool:
-    """Evaluate an entry guard against host beliefs and the observed event."""
-    if guard is None:
-        return True
-    return guard.as_condition(cfg.beliefs, te)
+def eval_guard(guard: Expr, te: TriggeringEvent, cfg: AgentConfiguration) -> bool:
+    """Evaluate an entry guard against host beliefs and the observed event.
+
+    ``TRUE`` holds without an evaluation, the rule ApplPl applies to plan
+    contexts.
+    """
+    return guard is TRUE or guard.as_condition(cfg.beliefs, te)
 
 
 def select_event_coefficient(cfg: AgentConfiguration) -> AgentConfiguration:

@@ -82,15 +82,16 @@ class _InFlight:
 class CoordinationMedium:
     """Broadcast-with-latency conduit for one topic.
 
-    Deliveries happen at exactly ``publish tick + latency``; the publishing
-    agent's endpoints never receive their own publication.  The publications
-    released together by one ``tick_medium`` call go out in due-tick, then
-    publication order, unless ``order`` is set: then they go out sorted by
-    ``order(info)``, with that order kept on ties.
+    Deliveries happen at exactly ``publish tick + latency``, and a medium
+    names its latency: it has no default.  The publishing agent's endpoints
+    never receive their own publication.  The publications released together
+    by one ``tick_medium`` call go out in due-tick, then publication order,
+    unless ``order`` is set: then they go out sorted by ``order(info)``, with
+    that order kept on ties.
     """
 
     topic: str
-    latency: int = 0
+    latency: int
     subscribers: dict[str, str] = field(default_factory=dict)  # endpoint id -> host agent
     in_flight: list[_InFlight] = field(default_factory=list)
     order: Callable[[CoordinationInformation], Any] | None = None
@@ -145,14 +146,15 @@ def tick_medium(
 class PublicationRule:
     """When to publish: observed host event, guard, topic, and payload spec.
 
-    ``extract`` names host beliefs copied into the publication payload;
-    ``extract_event`` maps payload keys to expressions over the observed
-    event (``subject``, ``payload.<key>``).
+    A guard left out is ``TRUE``, which always holds and is never
+    evaluated.  ``extract`` names host beliefs copied into the publication
+    payload; ``extract_event`` maps payload keys to expressions over the
+    observed event (``subject``, ``payload.<key>``).
     """
 
     observe: EventPattern
     topic: str
-    guard: Expr | None = None
+    guard: Expr = TRUE
     extract: tuple[str, ...] = ()
     extract_event: Mapping[str, Expr] = field(default_factory=dict)
 
@@ -161,16 +163,17 @@ class PublicationRule:
 class EndpointDeclaration:
     """Declarative endpoint configuration, one per coordination process.
 
-    ``reactions`` are mapping entries on ``message-received``, one named topic
-    each.  Building a declaration checks it, raising
-    ``EndpointDeclarationError``, and derives ``topics``, the topics its
-    reactions subscribe to, and ``module``, the co-efficient module of its
-    publication side.  Both depend only on the declaration, so every host it
-    is attached to shares them.
+    A declaration names its ``role``, the kind of agent it is attached to;
+    it has no default.  ``reactions`` are mapping entries on
+    ``message-received``, one named topic each.  Building a declaration
+    checks it, raising ``EndpointDeclarationError``, and derives ``topics``,
+    the topics its reactions subscribe to, and ``module``, the co-efficient
+    module of its publication side.  Both depend only on the declaration, so
+    every host it is attached to shares them.
     """
 
     process_id: str
-    role: str = ""
+    role: str
     publications: tuple[PublicationRule, ...] = ()
     reactions: tuple[EventMappingEntry, ...] = ()
     topics: frozenset[str] = field(init=False, repr=False, compare=False)
@@ -222,18 +225,17 @@ def _check_publication(rule: PublicationRule, index: int) -> None:
             raise EndpointDeclarationError(
                 f"{path}: payload key {key!r} declared in both extract and extract-event"
             )
-    if rule.guard is not None:
-        if _bare_subject_ref(rule.guard):
-            raise EndpointDeclarationError(
-                f"{path}: publication guards may not reference 'subject'; "
-                "carry it through extract-event instead"
-            )
-        missing = _payload_refs(rule.guard) - set(rule.extract_event)
-        if missing:
-            raise EndpointDeclarationError(
-                f"{path}: guard references event fields {sorted(missing)} "
-                "not named in extract-event"
-            )
+    if _bare_subject_ref(rule.guard):
+        raise EndpointDeclarationError(
+            f"{path}: publication guards may not reference 'subject'; "
+            "carry it through extract-event instead"
+        )
+    missing = _payload_refs(rule.guard) - set(rule.extract_event)
+    if missing:
+        raise EndpointDeclarationError(
+            f"{path}: guard references event fields {sorted(missing)} "
+            "not named in extract-event"
+        )
 
 
 def _publication_module(decl: EndpointDeclaration) -> CoefficientModule:
@@ -269,7 +271,7 @@ def _publication_module(decl: EndpointDeclaration) -> CoefficientModule:
                 trigger=EventPattern(
                     categories=(GOAL_ADDED,), subject=goal
                 ),
-                context=rule.guard if rule.guard is not None else TRUE,
+                context=rule.guard,
                 body=(Act(PUBLISH_ACTION, args),),
             )
         )

@@ -113,9 +113,10 @@ def _parse_expr(source: Any, path: str) -> Expr:
         raise _fail(path, str(exc)) from None
 
 
-def _parse_optional_expr(obj: Mapping[str, Any], key: str, path: str) -> Expr | None:
-    if key not in obj or obj[key] is None:
-        return None
+def _parse_optional_expr(obj: Mapping[str, Any], key: str, path: str) -> Expr:
+    """The expression under ``key``; ``TRUE`` when absent or null."""
+    if obj.get(key) is None:
+        return TRUE
     return _parse_expr(obj[key], f"{path}.{key}")
 
 
@@ -208,7 +209,7 @@ def parse_plan(obj: Any, path: str) -> Plan:
     _check_keys(obj, path, {"id", "trigger", "context", "body"}, {"id", "trigger", "body"})
     plan_id = _require(obj["id"], f"{path}.id", str, "plan id")
     trigger = parse_pattern(obj["trigger"], f"{path}.trigger")
-    context = _parse_optional_expr(obj, "context", path) or TRUE
+    context = _parse_optional_expr(obj, "context", path)
     body_obj = _require(obj["body"], f"{path}.body", list, "plan body")
     if not body_obj:
         raise _fail(f"{path}.body", "plan body must be non-empty")
@@ -483,8 +484,6 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
             for index, obj in enumerate(_require(doc["endpoints"], f"{path}.endpoints", list, "endpoints"))
         ]
 
-    probability = _optional(doc, "move-acceptance-probability", path, (int, float), None)
-
     try:
         return ScenarioConfig(
             name=str(doc.get("name") or "scenario"),
@@ -501,8 +500,8 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
             ),
             uniqueness_constraint=_optional(doc, "uniqueness-constraint", path, bool, False),
             publish_when_empty=_optional(doc, "publish-when-empty", path, bool, False),
-            move_acceptance_probability=(
-                float(probability) if probability is not None else None
+            move_acceptance_probability=float(
+                _optional(doc, "move-acceptance-probability", path, (int, float), 1.0)
             ),
             endpoints=endpoints,
         )

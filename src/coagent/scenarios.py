@@ -122,11 +122,15 @@ class ScenarioConfig:
     and computes ``placement``, the initial placement: each service id to
     its server.  Services naming an initial server are placed first, then
     the others, each group in document order; an unnamed service draws one
-    of the servers that ``admits`` it from ``random.Random(seed)``.  A config
-    cannot be changed: building it stores each sequence field as a tuple
-    and ``demand``, ``media`` and ``placement`` as read-only mappings, so
-    ``dataclasses.replace`` is the way to a changed one, checked and placed
-    again.
+    of the servers that ``admits`` it from ``random.Random(seed)``.  Building
+    it also computes ``declarations``, the endpoint declarations a build
+    attaches: ``endpoints``, or ``canonical_endpoints(config)`` when
+    ``endpoints`` is None.  Only the canonical declarations read
+    ``significance_threshold`` and ``publish_when_empty``.  A config cannot
+    be changed: building it stores each sequence field as a tuple and
+    ``demand``, ``media`` and ``placement`` as read-only mappings, so
+    ``dataclasses.replace`` is the way to a changed one, checked, placed and
+    declared again.
     """
 
     name: str = "scenario"
@@ -141,11 +145,13 @@ class ScenarioConfig:
     significance_threshold: float = 0.5
     uniqueness_constraint: bool = False
     publish_when_empty: bool = False
-    move_acceptance_probability: float | None = None
+    #: The chance that a server manager accepts a move or a switch.
+    move_acceptance_probability: float = 1.0
     #: Endpoint declarations, each attached to every agent of its role.
     #: None selects ``canonical_endpoints(config)``.
     endpoints: Sequence[EndpointDeclaration] | None = None
     placement: Mapping[str, str] = field(init=False, repr=False, compare=False)
+    declarations: tuple[EndpointDeclaration, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name in ("servers", "services", "demand_schedule"):
@@ -154,15 +160,15 @@ class ScenarioConfig:
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         if self.endpoints is not None:
             object.__setattr__(self, "endpoints", tuple(self.endpoints))
+        declarations = canonical_endpoints(self) if self.endpoints is None else self.endpoints
+        object.__setattr__(self, "declarations", declarations)
         if self.ticks < 0:
             raise ScenarioError("ticks must be >= 0")
         if self.brokers < 0:
             raise ScenarioError("brokers must be >= 0")
         if not (0 <= self.significance_threshold):
             raise ScenarioError("significance-threshold must be >= 0")
-        if self.move_acceptance_probability is not None and not (
-            0 <= self.move_acceptance_probability <= 1
-        ):
+        if not (0 <= self.move_acceptance_probability <= 1):
             raise ScenarioError("move-acceptance-probability must be in [0, 1]")
         seen: set[str] = set()
         for server in self.servers:
@@ -192,13 +198,13 @@ class ScenarioConfig:
         for topic, latency in self.media.items():
             if latency < 0:
                 raise ScenarioError(f"medium {topic!r}: latency must be >= 0")
-        for index, decl in enumerate(self.endpoints or ()):
+        for index, decl in enumerate(declarations):
             if decl.role not in ROLES:
                 raise ScenarioError(
                     f"endpoints[{index}]: role must be {'/'.join(ROLES)}, got {decl.role!r}"
                 )
         # Both copies of a (role, process-id) would register one module twice.
-        keys = [(decl.role, decl.process_id) for decl in self.endpoints or ()]
+        keys = [(decl.role, decl.process_id) for decl in declarations]
         duplicates = sorted({key for key in keys if keys.count(key) > 1})
         if duplicates:
             raise ScenarioError(f"duplicate endpoint declarations (role, process-id): {duplicates}")
@@ -397,10 +403,7 @@ class ScenarioEnvironment:
             raise ActionFault(f"unknown action {action!r}")
 
     def _accepts(self) -> bool:
-        probability = self.state.config.move_acceptance_probability
-        if probability is None:
-            return True
-        return self.state.rng.random() < probability
+        return self.state.rng.random() < self.state.config.move_acceptance_probability
 
     def _relocate(self, cfg: AgentConfiguration, args: dict[str, Any]) -> None:
         state = self.state
@@ -543,7 +546,8 @@ _SERVICE_PLANS = (
 
 
 def canonical_endpoints(config: ScenarioConfig) -> tuple[EndpointDeclaration, ...]:
-    """The two canonical coordination processes: the default ``endpoints``.
+    """The two canonical coordination processes: the ``declarations`` of a
+    config without ``endpoints``.
 
     Server utilization: servers below their preferred level publish capacity,
     and services elsewhere react with a ``move-to`` goal.  Demand balancing:
@@ -630,19 +634,20 @@ RELEASE_ORDER = {
 def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> SimulationState:
     """Construct agents, endpoints, and media for a configuration.
 
-    The config was checked, and its initial placement computed, when it was
-    built.  Each endpoint declaration -- the document's, or else the
-    canonical ones -- compiled its module when it was built.  One loop
-    builds the members, servers then services then brokers, each in
-    document order.  A member starts from its role's plan library and
-    action set, gets an endpoint for each declaration of its role, whose
-    hosts subscribe to its ``topics``, and then reports the role's bootstrap
-    readings: each server manager's current utilization, once, so that
-    publication guards are evaluated against the initial state.  The base
-    libraries and action sets are built per call, so that no relevance
-    index carries from one build to the next; registration gives the
-    members of a role that gain plans one new library per declaration (see
-    ``register_module``), and each publishing member its own action set.
+    The config was checked, and its initial placement and its
+    ``declarations`` computed, when it was built; each declaration compiled
+    its module when it was built.  A topic that no ``media`` entry names has
+    latency 1.  One loop builds the members, servers then services then
+    brokers, each in document order.  A member starts from its role's plan
+    library and action set, gets an endpoint for each declaration of its
+    role, whose hosts subscribe to its ``topics``, and then reports the
+    role's bootstrap readings: each server manager's current utilization,
+    once, so that publication guards are evaluated against the initial
+    state.  The base libraries and action sets are built per call, so that
+    no relevance index carries from one build to the next; registration
+    gives the members of a role that gain plans one new library per
+    declaration (see ``register_module``), and each publishing member its
+    own action set.
 
     Agents keep observation records only with ``agent_log`` set, for a run
     that writes ``agent-log.jsonl``; plan-lifecycle hooks fire either way.
@@ -662,9 +667,8 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
     for server_id, deployed in types.items():
         state.refresh_server(server_id, sorted(deployed))
 
-    declarations = canonical_endpoints(config) if config.endpoints is None else config.endpoints
     topics = {TOPIC_CAPACITY, TOPIC_DEMAND} | set(config.media)
-    for decl in declarations:
+    for decl in config.declarations:
         topics.update(rule.topic for rule in decl.publications)
         topics.update(decl.topics)
     for topic in sorted(topics):
@@ -712,7 +716,7 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
         cfg = state.agents[agent_id] = AgentConfiguration(
             agent_id, BeliefBase(beliefs), plans, actions, env, record_observations=agent_log
         )
-        for decl in declarations:
+        for decl in config.declarations:
             if decl.role == role:
                 endpoint = attach_endpoint(decl, cfg)
                 state.endpoints[endpoint.endpoint_id] = endpoint

@@ -15,7 +15,7 @@ import pytest
 
 from coagent.bdi.config import AgentConfiguration, Step
 from coagent.bdi.events import TOP, EventCategory, TriggeringEvent, pattern
-from coagent.bdi.expressions import Expr
+from coagent.bdi.expressions import TRUE, Expr
 from coagent.bdi.interpreter import post_external_event, reasoning_step
 from coagent.bdi.plans import Act, Plan, PlanLibrary, PlanRecord
 from coagent.cli import main
@@ -90,7 +90,7 @@ class TestCriterion2SelectionRuleBranches:
         hit = set()
 
         # Branch: empty queue behaves as the skip rule.
-        cfg = _observed_agent(guard=None)
+        cfg = _observed_agent(guard=TRUE)
         cfg.step = Step.SEL_EV
         select_event_coefficient(cfg)
         assert cfg.step is Step.SEL_INT
@@ -110,7 +110,7 @@ class TestCriterion2SelectionRuleBranches:
 
         # Placement: current-intention pairs with the selected event's intention.
         cfg = _observed_agent(
-            guard=None,
+            guard=TRUE,
             placement=Placement.CURRENT_INTENTION,
             plans=[Plan("h", pattern("goal-added", "mapped"), (Act("noop", {}),))],
         )
@@ -139,8 +139,8 @@ class TestCriterion2SelectionRuleBranches:
         # Branch: unobserved event is step-identical to plain selection.
         from coagent.bdi.interpreter import select_event
 
-        observed = _observed_agent(guard=None)
-        plain = _observed_agent(guard=None)
+        observed = _observed_agent(guard=TRUE)
+        plain = _observed_agent(guard=TRUE)
         plain.select_event_override = None
         plain.mapping.clear()
         plain.modules.clear()
@@ -293,7 +293,7 @@ class TestCriterion7InvariantSuite:
         assert_lockstep(bare, hosted, 150)
         checks.append("coefficiency: empty-mapping bisimulation")
 
-        cfg = _observed_agent(guard=None)
+        cfg = _observed_agent(guard=TRUE)
         post_external_event(cfg, TriggeringEvent(EventCategory.BELIEF_UPDATED, "load", {}))
         before = len(cfg.circumstance.events)
         cfg.step = Step.SEL_EV

@@ -111,6 +111,15 @@ class TestRun:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["quiescence-tick"] is None
 
+    def test_negative_ticks_option_is_a_config_error(self, tmp_path, capsys):
+        # Written into the document, so the config checks it as it checks
+        # the document's own ticks.
+        out = tmp_path / "out"
+        args = ["run", "--scenario", str(SCENARIO_A), "--ticks", "-1", "--out", str(out)]
+        assert main(args) == 2
+        assert f"{SCENARIO_A}: ticks must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_refuses_overwrite_without_flag(self, tmp_path, capsys):
         out = tmp_path / "out"
         assert main(["run", "--scenario", str(SCENARIO_A), "--out", str(out)]) == 0

@@ -7,7 +7,7 @@ import pytest
 from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.config import AgentConfiguration, ConfigurationCorruption, Step
 from coagent.bdi.events import TOP, EventCategory, TriggeringEvent, pattern
-from coagent.bdi.expressions import Expr
+from coagent.bdi.expressions import TRUE, Expr
 from coagent.bdi.interpreter import post_external_event, run_cycle, select_event
 from coagent.bdi.plans import Act, Believe, Plan, PlanLibrary, Subgoal
 from coagent.coefficiency import (
@@ -32,7 +32,7 @@ def entry(
     observe_category="belief-updated",
     inject_subject="publishCapacity",
     placement=Placement.NEW_INTENTION,
-    guard=None,
+    guard=TRUE,
     payload=None,
 ):
     return EventMappingEntry(
@@ -87,6 +87,23 @@ class TestRegisterModule:
             register_module(cfg, mod)
         assert cfg.plans is library and list(library.by_id) == ["host"]
         assert "m__y" not in cfg.beliefs and not cfg.modules
+
+    @pytest.mark.parametrize("exported", ["subject", ""])
+    def test_an_empty_or_reserved_belief_key_is_refused_before_the_host_changes(self, exported):
+        cfg = agent([Plan("host", pattern("goal-added", "h"), (Act("ping", {}),))])
+        library = cfg.plans
+        mod = CoefficientModule(
+            "m",
+            beliefs={"a": 1, exported: 2},
+            plans=[Plan("p", pattern("goal-added", "g"), (Act("ping", {}),))],
+            mapping=[entry()],
+            exports=frozenset({exported}),
+        )
+        with pytest.raises(ModuleRegistrationError, match="empty or a reserved name"):
+            register_module(cfg, mod)
+        assert cfg.beliefs.as_dict() == {}
+        assert cfg.plans is library and list(library.by_id) == ["host"]
+        assert not cfg.modules and not cfg.mapping and cfg.select_event_override is None
 
     def test_registration_leaves_a_shared_library_as_it_was(self):
         library = PlanLibrary([Plan("work", pattern("goal-added", "g"), (Act("ping", {}),))])
@@ -233,7 +250,7 @@ class TestEvalGuard:
     def test_absent_guard_is_true(self):
         cfg = agent()
         te = TriggeringEvent(EventCategory.BELIEF_UPDATED, "load", {})
-        assert eval_guard(None, te, cfg) is True
+        assert eval_guard(TRUE, te, cfg) is True
 
     def test_guard_over_beliefs(self):
         cfg = agent(beliefs={"deployed": 3, "capacity": 5})
@@ -255,7 +272,7 @@ class TestEvalGuard:
         assert eval_guard(guard, te, cfg) is True
 
 
-def observed_agent(guard=None, placement=Placement.NEW_INTENTION):
+def observed_agent(guard=TRUE, placement=Placement.NEW_INTENTION):
     """Agent with one mapping entry observing belief-updated(load)."""
     cfg = agent(
         plans=[Plan("h", pattern("goal-added", "publishCapacity"), (Act("ping", {}),))],

@@ -8,7 +8,7 @@ import pytest
 from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.config import AgentConfiguration
 from coagent.bdi.events import EventCategory, TOP, TriggeringEvent, pattern
-from coagent.bdi.expressions import Expr
+from coagent.bdi.expressions import TRUE, Expr
 from coagent.bdi.interpreter import post_external_event, run_cycle
 from coagent.bdi.plans import Plan, PlanLibrary
 from coagent.coefficiency import (
@@ -58,7 +58,7 @@ class TestMediumPublish:
         assert medium.in_flight[0].due_tick == 7
 
     def test_topic_mismatch_is_routing_error(self):
-        medium = CoordinationMedium("capacity")
+        medium = CoordinationMedium("capacity", latency=0)
         with pytest.raises(RoutingError):
             publish(medium, info(topic="demand-change"), now=0)
 
@@ -281,6 +281,19 @@ class TestCompileEndpoint:
         attach_endpoint(decl, hosted)
         assert_lockstep(bare, hosted, 150)
 
+    def test_a_publication_rule_without_a_guard_compiles_a_true_context(self):
+        rule = PublicationRule(observe=pattern("belief-updated", "deployed"), topic="capacity")
+        assert rule.guard is TRUE
+        decl = EndpointDeclaration(process_id="p", role="server", publications=(rule,))
+        ((entry,), (plan,)) = decl.module.mapping, decl.module.plans
+        assert entry.guard is TRUE and plan.context is TRUE
+
+    def test_a_declaration_names_its_role_and_a_medium_its_latency(self):
+        with pytest.raises(TypeError):
+            EndpointDeclaration("p")
+        with pytest.raises(TypeError):
+            CoordinationMedium("t")
+
     def test_publication_guard_event_refs_must_be_extracted(self):
         with pytest.raises(EndpointDeclarationError):
             EndpointDeclaration(
@@ -453,7 +466,7 @@ class TestSharedInjection:
 
     def test_one_publication_queues_one_event_on_every_subscriber(self):
         decl = movable_decl()
-        medium = CoordinationMedium("capacity")
+        medium = CoordinationMedium("capacity", latency=0)
         hosts, endpoints = {}, {}
         # svc-2 already sits on s2: its guard is false, and it queues nothing.
         currents = {"svc-1": "s1", "svc-2": "s2", "svc-3": "s1", "svc-4": "s3"}

@@ -30,7 +30,7 @@ from coagent import coefficiency, coordination
 from coagent.bdi import beliefs, config, events, interpreter, plans
 from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.config import AgentConfiguration, Message, Step
-from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
+from coagent.bdi.events import TOP, EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import TRUE, Expr
 from coagent.bdi.interpreter import (
     compute_applicable_plans,
@@ -39,7 +39,13 @@ from coagent.bdi.interpreter import (
     run_cycle,
 )
 from coagent.bdi.plans import Act, Plan, PlanLibrary
-from coagent.coefficiency import CoefficientModule, Placement, register_module
+from coagent.coefficiency import (
+    CoefficientModule,
+    EventMappingEntry,
+    EventTemplate,
+    Placement,
+    register_module,
+)
 from coagent.scenarios import (
     ScenarioConfig,
     ServerSpec,
@@ -247,6 +253,19 @@ def test_a_true_context_evaluates_no_expression():
     cfg = at_applicable_plans([TRUE, TRUE])
     assert entered(compute_applicable_plans, cfg) == ["compute_applicable_plans"]
     assert cfg.temp.applicable == ["p0", "p1"]
+
+
+def test_a_mapping_entry_without_a_guard_evaluates_no_expression():
+    # Its guard is TRUE, as a plan's context is, and TRUE is not evaluated.
+    entry = EventMappingEntry(
+        pattern("belief-updated", "load"), EventTemplate(EventCategory.GOAL_ADDED, "g")
+    )
+    assert entry.guard is TRUE
+    cfg = AgentConfiguration("a")
+    te = TriggeringEvent(EventCategory.BELIEF_UPDATED, "load", {})
+    names = entered(coefficiency.apply_mapping, cfg, [entry], te, TOP)
+    assert "eval_guard" in names and "as_condition" not in names and "value" not in names
+    assert [event.te.subject for event in cfg.circumstance.events] == ["g"]
 
 
 def test_other_contexts_are_evaluated_once_per_relevant_plan_building_nothing():

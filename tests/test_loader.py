@@ -2,9 +2,11 @@
 
 import copy
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coagent.bdi.events import EventCategory
@@ -256,6 +258,12 @@ class TestScenarioDocuments:
     def test_unknown_scenario_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown keys"):
             parse_scenario(minimal_scenario(topology="ring"))
+
+    def test_move_acceptance_probability_absent_or_null_is_one(self):
+        key = "move-acceptance-probability"
+        for written in ({}, {key: None}, {key: 1.0}):
+            config = parse_scenario(minimal_scenario(**written))
+            assert config.move_acceptance_probability == 1.0
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigError, match="latency"):
@@ -517,12 +525,12 @@ def _paths(node, path=()):
         yield from _paths(child, (*path, key))
 
 
-def mutate(name, path, kind, value=None):
-    """Seed document ``name`` with one mutation: ``delete`` the key or item at
+def mutate(doc, path, kind, value=None):
+    """A copy of ``doc`` with one mutation: ``delete`` the key or item at
     ``path``, ``replace`` it with ``value`` or ``rename`` its key to
     ``value``; or ``add`` the unknown key ``"x"``, holding ``value``, to the
     object at ``path``."""
-    doc = copy.deepcopy(SEED_DOCUMENTS[name])
+    doc = copy.deepcopy(doc)
     target = doc
     for key in path[:-1]:
         target = target[key]
@@ -534,25 +542,30 @@ def mutate(name, path, kind, value=None):
         target[path[-1]] = copy.deepcopy(value)
     else:
         target[value] = target.pop(path[-1])
-    return name, doc
+    return doc
 
 
 @st.composite
-def mutated_documents(draw):
-    name = draw(st.sampled_from(sorted(SEED_DOCUMENTS)))
+def mutated_documents(draw, names=tuple(sorted(SEED_DOCUMENTS))):
+    """The name of one of the seed documents ``names`` and that document
+    after one to three mutations, each drawn on the document the one before
+    it left."""
+    name = draw(st.sampled_from(names))
     doc = SEED_DOCUMENTS[name]
-    path = draw(st.sampled_from(list(_paths(doc))))
-    node = doc
-    for key in path:
-        node = node[key]
-    kinds = ["delete", "replace"] if path else []
-    if path and isinstance(path[-1], str):
-        kinds.append("rename")
-    if isinstance(node, dict):
-        kinds.append("add")
-    kind = draw(st.sampled_from(kinds))
-    values = ("", "payload") if kind == "rename" else MUTANT_VALUES
-    return mutate(name, path, kind, draw(st.sampled_from(values)) if kind != "delete" else None)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        node = doc
+        for key in path:
+            node = node[key]
+        kinds = ["delete", "replace"] if path else []
+        if path and isinstance(path[-1], str):
+            kinds.append("rename")
+        if isinstance(node, dict):
+            kinds.append("add")
+        kind = draw(st.sampled_from(kinds))
+        values = ("", "payload") if kind == "rename" else MUTANT_VALUES
+        doc = mutate(doc, path, kind, draw(st.sampled_from(values)) if kind != "delete" else None)
+    return name, doc
 
 
 @pytest.mark.parametrize("name", sorted(SEED_DOCUMENTS))
@@ -564,18 +577,21 @@ def test_the_seed_documents_load(name):
 # An extract-event key renamed to "" once gave a traceback when the scenario
 # was built: its publish plan read ``payload.``, a syntax error.
 @example(
-    mutate(
+    (
         "scenario-b-endpoints",
-        ("endpoints", 3, "publication-rules", 0, "extract-event", "subject"),
-        "rename",
-        "",
+        mutate(
+            SEED_DOCUMENTS["scenario-b-endpoints"],
+            ("endpoints", 3, "publication-rules", 0, "extract-event", "subject"),
+            "rename",
+            "",
+        ),
     )
 )
 @given(mutated_documents())
 @settings(max_examples=300, deadline=None)
 def test_a_mutated_document_loads_or_is_a_config_error(case):
-    """One mutation of a valid document either loads or raises ConfigError;
-    a scenario that loads builds and runs."""
+    """A mutated valid document either loads or raises ConfigError; a
+    scenario that loads builds and runs."""
     name, doc = case
     try:
         if name == "program":
@@ -585,3 +601,23 @@ def test_a_mutated_document_loads_or_is_a_config_error(case):
     except ConfigError:
         return
     run_simulation(build_scenario(config), 3)
+
+
+@given(mutated_documents([name for name in sorted(SEED_DOCUMENTS) if name != "program"]))
+@settings(max_examples=10, deadline=None)
+def test_a_refused_mutated_scenario_exits_2_through_the_cli(case):
+    """``coagent validate`` refuses what ``parse_scenario`` refuses, with
+    exit code 2."""
+    from coagent.cli import main
+
+    name, doc = case
+    try:
+        parse_scenario(doc)
+    except ConfigError:
+        pass
+    else:
+        assume(False)
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        assert main(["validate", str(path)]) == 2

@@ -249,7 +249,7 @@ def running_configs(draw):
         demand={service_type: draw(st.integers(1, 20)) for service_type in "xyz"},
         demand_schedule=draw(st.lists(deltas, max_size=6)),
         publish_when_empty=draw(st.booleans()),
-        move_acceptance_probability=draw(st.sampled_from([None, 0.5])),
+        move_acceptance_probability=draw(st.sampled_from([1.0, 0.5])),
     )
 
 
@@ -455,6 +455,18 @@ class TestEndpointDeclarations:
         trace = run_simulation(state, state.config.ticks)
         published = sum(record.publications["moved"] for record in trace)
         assert 0 < published <= sum(record.moves for record in trace)
+
+    def test_a_config_holds_the_declarations_its_builds_use(self):
+        config = fleet_config(2)
+        assert config.endpoints is None
+        assert config.declarations == canonical_endpoints(config)
+        changed = replace(config, significance_threshold=0.8)
+        assert changed.declarations == canonical_endpoints(changed) != config.declarations
+        declared = replace(config, endpoints=list(config.declarations[:2]))
+        assert declared.declarations == declared.endpoints == config.declarations[:2]
+        state = build_scenario(config)
+        attached = {id(endpoint.decl) for endpoint in state.endpoints.values()}
+        assert attached == {id(decl) for decl in config.declarations}
 
     def test_spelled_out_canonical_endpoints_give_identical_trace(self, tmp_path):
         doc = json.loads(SCENARIO_B.read_text())
@@ -803,6 +815,19 @@ class TestScenarioB:
 
 
 class TestStochasticMode:
+    def test_a_probability_of_one_written_out_gives_the_default_bytes(self, tmp_path):
+        doc = json.loads(SCENARIO_A.read_text())
+        assert "move-acceptance-probability" not in doc
+        written = tmp_path / "written.json"
+        written.write_text(json.dumps({**doc, "move-acceptance-probability": 1.0}))
+        emit = ["--emit", "trace-csv", "--emit", "summary-json", "--emit", "agent-log"]
+        for name, scenario in (("default", SCENARIO_A), ("written", written)):
+            args = ["run", "--scenario", str(scenario), "--out", str(tmp_path / name), *emit]
+            assert main(args) == 0
+        for output in ("trace.csv", "summary.json", "agent-log.jsonl"):
+            default_bytes = (tmp_path / "default" / output).read_bytes()
+            assert (tmp_path / "written" / output).read_bytes() == default_bytes
+
     def test_seeded_acceptance_is_deterministic(self):
         config = replace(two_server_config(), move_acceptance_probability=0.5)
         first = run_simulation(build_scenario(config), 40, seed=11)
