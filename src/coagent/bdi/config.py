@@ -165,7 +165,7 @@ class AgentConfiguration:
     def append_event(self, te: TriggeringEvent, intention: int | _Top) -> Event:
         """Queue an event; the one funnel for belief writes, injections,
         deliveries and goal outcomes, so it also wakes a sleeping agent."""
-        event = Event(te=te, intention=intention, seq=self._next_seq)
+        event = Event(te, intention, self._next_seq)
         self._next_seq += 1
         self.circumstance.events.append(event)
         if intention is not TOP:
@@ -176,7 +176,7 @@ class AgentConfiguration:
         return event
 
     def new_intention(self) -> Intention:
-        intention = Intention(intention_id=self._next_intention)
+        intention = Intention(self._next_intention)
         self._next_intention += 1
         self.circumstance.intentions[intention.intention_id] = intention
         return intention

@@ -63,13 +63,23 @@ class _Top:
 TOP = _Top()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TriggeringEvent:
-    """One reasoning event: a category, the identifier it concerns, and bindings."""
+    """One reasoning event: a category, the identifier it concerns, and bindings.
+
+    Built without a payload (or with ``None``), it gets a fresh ``{}``.
+    """
 
     category: EventCategory
     subject: str
     payload: Mapping[str, Any] = field(default_factory=dict)
+
+    def __init__(
+        self, category: EventCategory, subject: str, payload: Mapping[str, Any] | None = None
+    ) -> None:
+        _set_category(self, category)
+        _set_subject(self, subject)
+        _set_payload(self, {} if payload is None else payload)
 
     def to_json(self) -> dict[str, Any]:
         return {
@@ -79,7 +89,7 @@ class TriggeringEvent:
         }
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     """A queued event: the triggering event paired with an intention id (or TOP)."""
 
@@ -87,9 +97,27 @@ class Event:
     intention: int | _Top
     seq: int
 
+    def __init__(self, te: TriggeringEvent, intention: int | _Top, seq: int) -> None:
+        _set_te(self, te)
+        _set_intention(self, intention)
+        _set_seq(self, seq)
+
     def to_json(self) -> dict[str, Any]:
         iid = None if self.intention is TOP else self.intention
         return {"te": self.te.to_json(), "intention": iid, "seq": self.seq}
+
+
+# The slots' own setters, which the ``__init__``s above call: a frozen
+# dataclass's generated ``__init__`` sets each field through
+# ``object.__setattr__``, at about twice the cost (see
+# ``coagent.bdi.interpreter``).  Bound from the final classes, since
+# ``slots=True`` makes the decorator return a new class.
+_set_category = TriggeringEvent.__dict__["category"].__set__
+_set_subject = TriggeringEvent.__dict__["subject"].__set__
+_set_payload = TriggeringEvent.__dict__["payload"].__set__
+_set_te = Event.__dict__["te"].__set__
+_set_intention = Event.__dict__["intention"].__set__
+_set_seq = Event.__dict__["seq"].__set__
 
 
 @dataclass(frozen=True)

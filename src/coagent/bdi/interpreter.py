@@ -71,6 +71,17 @@ call costs one:
   library.  Libraries are read-only values, so agents with one program
   share one library and fill its index once.  Each body step runs itself,
   so ExecInt has no type dispatch.
+* The records built once per event are built positionally and cheaply.
+  A delivered goal costs two ``Event``s (its queueing and its outcome's),
+  a ``TriggeringEvent`` (the outcome), an ``Intention`` and a
+  ``PlanRecord``.  ``Event`` and ``TriggeringEvent`` stay frozen, slotted
+  dataclasses, but their ``__init__``s are written in
+  ``coagent.bdi.events`` and set each slot through its own descriptor;
+  ``PlanRecord`` and ``Intention`` are slotted.  On CPython 3.11.7 (best
+  of 7 x 500,000) a keyword ``Event(te=..., intention=..., seq=...)`` with
+  the generated ``__init__`` cost 0.95 µs, a positional one 0.56 µs, and
+  now 0.35 µs; ``TriggeringEvent`` 0.61 -> 0.35 µs, ``PlanRecord`` by
+  keyword 0.43 -> positionally 0.19 µs and ``Intention`` 0.50 -> 0.24 µs.
 
 ``tests/test_hot_path.py`` checks the rule.
 """
@@ -214,7 +225,7 @@ def add_intended_means(cfg: AgentConfiguration) -> AgentConfiguration:
             raise ConfigurationCorruption(
                 f"event references missing intention {epsilon.intention!r}"
             )
-    record = PlanRecord(plan_id=rho, trigger_te=epsilon.te)
+    record = PlanRecord(rho, epsilon.te)
     intention.stack.append(record)
     if cfg.record_observations or cfg.observation_hooks:
         started = TriggeringEvent(PLAN_STARTED, rho, {})

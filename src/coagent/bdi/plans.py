@@ -178,7 +178,7 @@ class PlanLibrary:
         return entry
 
 
-@dataclass
+@dataclass(slots=True)
 class PlanRecord:
     """One partially executed plan instance on an intention stack: its plan
     and the triggering event it handles, whose payload and subject its
@@ -201,7 +201,7 @@ class PlanRecord:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Intention:
     """A stack of plan records representing one course of action."""
 

@@ -171,7 +171,9 @@ class _Renamer(ast.NodeTransformer):
 
 
 def _rename_expr(expr: Expr, renames: dict[str, str]) -> Expr:
-    if not renames:
+    """``expr`` with renamed belief names; ``expr`` itself if it names none,
+    so ``TRUE`` stays ``TRUE``."""
+    if not any(isinstance(node, ast.Name) and node.id in renames for node in ast.walk(expr.tree)):
         return expr
     tree = _Renamer(renames).visit(copy.deepcopy(expr.tree))
     ast.fix_missing_locations(tree)

@@ -41,6 +41,7 @@ event to wake it.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import insort
 from collections import Counter
@@ -160,14 +161,14 @@ class ScenarioConfig:
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
         if self.endpoints is not None:
             object.__setattr__(self, "endpoints", tuple(self.endpoints))
-        declarations = canonical_endpoints(self) if self.endpoints is None else self.endpoints
-        object.__setattr__(self, "declarations", declarations)
         if self.ticks < 0:
             raise ScenarioError("ticks must be >= 0")
         if self.brokers < 0:
             raise ScenarioError("brokers must be >= 0")
-        if not (0 <= self.significance_threshold):
-            raise ScenarioError("significance-threshold must be >= 0")
+        # The canonical broker guard spells the threshold out, and an
+        # infinite one would read as a belief named ``inf``.
+        if not (0 <= self.significance_threshold < math.inf):
+            raise ScenarioError("significance-threshold must be finite and >= 0")
         if not (0 <= self.move_acceptance_probability <= 1):
             raise ScenarioError("move-acceptance-probability must be in [0, 1]")
         seen: set[str] = set()
@@ -198,6 +199,8 @@ class ScenarioConfig:
         for topic, latency in self.media.items():
             if latency < 0:
                 raise ScenarioError(f"medium {topic!r}: latency must be >= 0")
+        declarations = canonical_endpoints(self) if self.endpoints is None else self.endpoints
+        object.__setattr__(self, "declarations", declarations)
         for index, decl in enumerate(declarations):
             if decl.role not in ROLES:
                 raise ScenarioError(

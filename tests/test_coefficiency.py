@@ -60,6 +60,29 @@ class TestRegisterModule:
         assert "m1.react" in cfg.plans
         assert len(cfg.plans) == 1
 
+    def test_plans_spell_module_beliefs_bare_and_mapping_guards_prefixed(self):
+        # Today's rule: registration renames a module's beliefs in its plans,
+        # not in its mapping guards, which read the host's keys as they are.
+        cfg = agent()
+        register_module(
+            cfg,
+            CoefficientModule(
+                "m",
+                beliefs={"on": True},
+                plans=[Plan("p", pattern("goal-added", "g"), (Act("ping", {}),), Expr("on"))],
+                mapping=[
+                    entry(inject_subject="bare", guard=Expr("on")),
+                    entry(inject_subject="prefixed", guard=Expr("m__on")),
+                ],
+            ),
+        )
+        assert cfg.beliefs.get("m__on") is True and cfg.beliefs.get("on") is None
+        assert cfg.plans.by_id["m.p"].context.source == "m__on"
+        post_external_event(cfg, TriggeringEvent(EventCategory.BELIEF_UPDATED, "load", {}))
+        cfg.step = Step.SEL_EV
+        select_event_coefficient(cfg)
+        assert [event.te.subject for event in cfg.circumstance.events] == ["prefixed"]
+
     def test_duplicate_module_id_rejected(self):
         cfg = agent()
         register_module(cfg, CoefficientModule("m1"))

@@ -255,6 +255,34 @@ def test_a_true_context_evaluates_no_expression():
     assert cfg.temp.applicable == ["p0", "p1"]
 
 
+def test_a_namespaced_module_plan_keeps_its_true_context():
+    # Registration renames the module's beliefs in its plans' expressions;
+    # an expression that names none of them is kept as it is, so a default
+    # context stays TRUE and ApplPl evaluates nothing for it.
+    kept = Expr("x > 1")
+    cfg = AgentConfiguration("a", actions={"ping"})
+    register_module(
+        cfg,
+        CoefficientModule(
+            "m",
+            beliefs={"y": 1},
+            plans=[
+                Plan("p", pattern("goal-added", "g"), (Act("ping"),)),
+                Plan("q", pattern("goal-added", "h"), (Act("ping"),), kept),
+                Plan("r", pattern("goal-added", "h"), (Act("ping"),), Expr("y > 0")),
+            ],
+        ),
+    )
+    contexts = {plan_id: plan.context for plan_id, plan in cfg.plans.by_id.items()}
+    assert contexts["m.p"] is TRUE and contexts["m.q"] is kept
+    assert contexts["m.r"].source == "m__y > 0"
+    post_external_event(cfg, TriggeringEvent(EventCategory.GOAL_ADDED, "g", {}))
+    while cfg.step is not Step.APPL_PL:
+        reasoning_step(cfg)
+    assert entered(compute_applicable_plans, cfg) == ["compute_applicable_plans"]
+    assert cfg.temp.applicable == ["m.p"]
+
+
 def test_a_mapping_entry_without_a_guard_evaluates_no_expression():
     # Its guard is TRUE, as a plan's context is, and TRUE is not evaluated.
     entry = EventMappingEntry(

@@ -3,10 +3,12 @@
 import copy
 import dataclasses
 import itertools
+import pickle
 
 import pytest
 
 from coagent.bdi.beliefs import BeliefBase
+from coagent.bdi import events
 from coagent.bdi.config import AgentConfiguration, Message, Step
 from coagent.bdi.events import TOP, Event, EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
@@ -25,7 +27,7 @@ from coagent.bdi.interpreter import (
     select_event,
     select_intention,
 )
-from coagent.bdi.plans import Act, Believe, Plan, PlanLibrary, Subgoal
+from coagent.bdi.plans import Act, Believe, Intention, Plan, PlanLibrary, PlanRecord, Subgoal
 
 
 def agent(plans=(), beliefs=None, actions=("ping",)) -> AgentConfiguration:
@@ -656,3 +658,59 @@ class TestSharedPayloads:
                     setattr(record, name, None)
         clone = copy.deepcopy(event)
         assert clone == event and clone.te.payload is not te.payload
+
+    def test_event_records_compare_hash_and_print_by_their_fields(self):
+        te = goal("g1", {"k": 1})
+        event = Event(te, TOP, 0)
+        assert te == TriggeringEvent(category=EventCategory.GOAL_ADDED, subject="g1", payload={"k": 1})
+        assert te != goal("g1", {"k": 2}) and te != goal("g2", {"k": 1})
+        assert event == Event(te=goal("g1", {"k": 1}), intention=TOP, seq=0)
+        assert event != Event(te, 1, 0) and event != Event(te, TOP, 1)
+        assert event != (te, TOP, 0)
+        for record in (te, event):  # a dict payload is unhashable
+            with pytest.raises(TypeError):
+                hash(record)
+        frozen = TriggeringEvent(EventCategory.GOAL_ADDED, "g1", ())
+        assert hash(frozen) == hash((EventCategory.GOAL_ADDED, "g1", ()))
+        assert hash(Event(frozen, 3, 4)) == hash((frozen, 3, 4))
+        assert repr(te) == (
+            f"TriggeringEvent(category={EventCategory.GOAL_ADDED!r}, subject='g1', payload={{'k': 1}})"
+        )
+        assert repr(event) == f"Event(te={te!r}, intention=TOP, seq=0)"
+
+    def test_event_records_replace_copy_and_pickle_as_dataclasses(self):
+        te = goal("g1", {"k": 1})
+        event = Event(te, TOP, 0)
+        renamed = dataclasses.replace(te, subject="g2")
+        assert renamed == goal("g2", {"k": 1}) and renamed.payload is te.payload
+        assert dataclasses.replace(event, seq=5) == Event(te, TOP, 5)
+        for record in (te, event):
+            for clone in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+                assert clone == record and clone is not record
+                assert type(clone) is type(record)
+            for name in (f.name for f in dataclasses.fields(record)):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(record, name)
+        assert pickle.loads(pickle.dumps(event)).intention is TOP
+
+    def test_a_payload_less_triggering_event_gets_its_own_empty_payload(self):
+        first = TriggeringEvent(EventCategory.GOAL_ADDED, "g")
+        second = TriggeringEvent(EventCategory.GOAL_ADDED, "g")
+        assert first.payload == {} and first.payload is not second.payload
+        assert first == second
+
+    def test_event_records_build_through_their_own_init(self):
+        # A return to the dataclass-generated __init__ (compiled from a
+        # string, about twice the cost) shows here.
+        for cls in (TriggeringEvent, Event):
+            assert cls.__init__.__code__.co_filename == events.__file__, cls.__name__
+
+    def test_plan_records_and_intentions_are_slotted(self):
+        record = PlanRecord("p", goal("g1"))
+        intention = Intention(1)
+        assert intention.stack == [] and intention.stack is not Intention(2).stack
+        intention.stack.append(record)
+        for value in (record, intention):
+            assert not hasattr(value, "__dict__")
+            with pytest.raises(AttributeError):
+                value.extra = 1

@@ -265,6 +265,19 @@ class TestScenarioDocuments:
             config = parse_scenario(minimal_scenario(**written))
             assert config.move_acceptance_probability == 1.0
 
+    def test_a_threshold_that_is_not_finite_is_refused(self, tmp_path):
+        # JSON 1e999 loads as inf, which the canonical broker guard would
+        # spell as a belief name.
+        path = tmp_path / "threshold.json"
+        path.write_text(json.dumps(minimal_scenario(brokers=1))[:-1] + ', "significance-threshold": 1e999}')
+        with pytest.raises(ConfigError, match="significance-threshold must be finite"):
+            load_scenario(path)
+        with pytest.raises(ConfigError, match="significance-threshold must be finite"):
+            parse_scenario(minimal_scenario(**{"significance-threshold": float("nan")}))
+        from coagent.cli import main
+
+        assert main(["validate", str(path)]) == 2
+
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigError, match="latency"):
             parse_scenario(minimal_scenario(media={"capacity": -1}))
