@@ -82,6 +82,8 @@ call costs one:
   the generated ``__init__`` cost 0.95 µs, a positional one 0.56 µs, and
   now 0.35 µs; ``TriggeringEvent`` 0.61 -> 0.35 µs, ``PlanRecord`` by
   keyword 0.43 -> positionally 0.19 µs and ``Intention`` 0.50 -> 0.24 µs.
+  Capacity-storm went from 232k to 268k agent-cycles/s and demand-churn
+  from 269k to 298k (``BENCH_26.json``).
 
 ``tests/test_hot_path.py`` checks the rule.
 """
