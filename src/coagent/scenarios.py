@@ -15,7 +15,11 @@ One deployment rule, ``admits`` (capacity, and uniqueness under the
 constraint), settles the initial placement, every move and every switch.
 ``SimulationState.deployments`` is the one per-server record: per server, in
 id order, the sorted types it runs.  Each change to a server replaces its
-list at once, so a trace record is a copy of the record.
+list at once, and trace records are read-only, so records share what did not
+change: a record holds the previous record's map while no server changed
+since, and the first record after a change copies the map once, keeping the
+lists of the servers that did not change.  Recording and rendering a trace
+cost per change, not per server per tick.
 
 The simulation loop is single-threaded and owns all agents and media.  Each
 tick applies scheduled demand deltas, runs one full reasoning cycle per awake
@@ -94,6 +98,100 @@ def admits(types: list[str], capacity: int, service_type: str, uniqueness: bool)
     return len(types) < capacity and not (uniqueness and service_type in types)
 
 
+def _draw_placement(
+    services: list[ServiceSpec],
+    types: dict[str, list[str]],
+    capacity: dict[str, int],
+    uniqueness: bool,
+    rng: random.Random,
+) -> dict[str, str] | None:
+    """Place ``services`` one seeded draw at a time among the servers that
+    ``admits`` them, given the types already on each server; None when a
+    service finds no such server."""
+    deployed = {server_id: list(listed) for server_id, listed in types.items()}
+    placement = {}
+    for service in services:
+        eligible = [
+            server_id
+            for server_id, listed in deployed.items()
+            if admits(listed, capacity[server_id], service.service_type, uniqueness)
+        ]
+        if not eligible:
+            return None
+        target = rng.choice(eligible)
+        deployed[target].append(service.service_type)
+        placement[service.service_id] = target
+    return placement
+
+
+def _search_placement(
+    services: list[ServiceSpec],
+    types: dict[str, list[str]],
+    capacity: dict[str, int],
+    uniqueness: bool,
+) -> dict[str, str] | None:
+    """Place ``services`` exactly, given the types already on each server;
+    None when no legal placement exists.
+
+    A maximum flow runs from each type (as many units as services of that
+    type) to each server with room that ``admits`` it (one unit under the
+    uniqueness constraint) and on to the sink (the server's free slots).
+    Breadth-first augmenting paths over nodes in document order make the
+    result deterministic.  The services of a type then take the servers its
+    flow reached, in document order.
+    """
+    source, sink = ("source",), ("sink",)
+    residual: dict[tuple, dict[tuple, int]] = {}
+
+    def edge(start: tuple, end: tuple, units: int) -> None:
+        residual.setdefault(start, {})[end] = units
+        residual.setdefault(end, {})[start] = 0
+
+    demanded = Counter(service.service_type for service in services)
+    for service_type, count in demanded.items():
+        edge(source, ("type", service_type), count)
+        for server_id, listed in types.items():
+            if admits(listed, capacity[server_id], service_type, uniqueness):
+                free = capacity[server_id] - len(listed)
+                edge(("type", service_type), ("server", server_id), 1 if uniqueness else free)
+    for server_id, listed in types.items():
+        edge(("server", server_id), sink, capacity[server_id] - len(listed))
+    placed = 0
+    while placed < len(services):
+        parents: dict[tuple, tuple | None] = {source: None}
+        frontier = [source]
+        while frontier and sink not in parents:
+            reached = []
+            for node in frontier:
+                for neighbour, units in residual[node].items():
+                    if units > 0 and neighbour not in parents:
+                        parents[neighbour] = node
+                        reached.append(neighbour)
+            frontier = reached
+        if sink not in parents:
+            return None
+        path = []
+        node = sink
+        while (parent := parents[node]) is not None:
+            path.append((parent, node))
+            node = parent
+        units = min(residual[start][end] for start, end in path)
+        for start, end in path:
+            residual[start][end] -= units
+            residual[end][start] += units
+        placed += units
+    placement = {}
+    for service in services:
+        node = ("type", service.service_type)
+        # The flow a type sent to a server is that edge's reverse residual.
+        target = next(
+            server_id for server_id in types if residual[("server", server_id)].get(node)
+        )
+        residual[("server", target)][node] -= 1
+        placement[service.service_id] = target
+    return placement
+
+
 @dataclass(frozen=True)
 class ServerSpec:
     server_id: str
@@ -123,7 +221,10 @@ class ScenarioConfig:
     and computes ``placement``, the initial placement: each service id to
     its server.  Services naming an initial server are placed first, then
     the others, each group in document order; an unnamed service draws one
-    of the servers that ``admits`` it from ``random.Random(seed)``.  Building
+    of the servers that ``admits`` it from ``random.Random(seed)``.  When a
+    draw finds no such server, an exact search places the unnamed services
+    instead (see ``_search_placement``), so "no legal placement" is raised
+    only when none exists, whatever the seed.  Building
     it also computes ``declarations``, the endpoint declarations a build
     attaches: ``endpoints``, or ``canonical_endpoints(config)`` when
     ``endpoints`` is None.  Only the canonical declarations read
@@ -215,34 +316,34 @@ class ScenarioConfig:
         uniqueness = self.uniqueness_constraint
         types: dict[str, list[str]] = {server.server_id: [] for server in self.servers}
         capacity = {server.server_id: server.capacity for server in self.servers}
-        rng = random.Random(self.seed)
         placement: dict[str, str] = {}
         rule = "capacity or break the uniqueness constraint" if uniqueness else "capacity"
-        for service in sorted(self.services, key=lambda service: service.initial_server is None):
+        unnamed = []
+        for service in self.services:
             target = service.initial_server
             if target is None:
-                eligible = [
-                    server_id
-                    for server_id, deployed in types.items()
-                    if admits(deployed, capacity[server_id], service.service_type, uniqueness)
-                ]
-                if not eligible:
-                    raise ScenarioError(
-                        f"no legal placement for service {service.service_id!r}: "
-                        f"every server would exceed {rule}"
-                    )
-                target = rng.choice(eligible)
-            elif target not in types:
+                unnamed.append(service)
+                continue
+            if target not in types:
                 raise ScenarioError(
                     f"service {service.service_id!r}: unknown initial-server {target!r}"
                 )
-            elif not admits(types[target], capacity[target], service.service_type, uniqueness):
+            if not admits(types[target], capacity[target], service.service_type, uniqueness):
                 raise ScenarioError(
                     f"service {service.service_id!r}: initial deployments on {target!r} "
                     f"would exceed {rule}"
                 )
             types[target].append(service.service_type)
             placement[service.service_id] = target
+        drawn = _draw_placement(unnamed, types, capacity, uniqueness, random.Random(self.seed))
+        if drawn is None:
+            drawn = _search_placement(unnamed, types, capacity, uniqueness)
+        if drawn is None:
+            raise ScenarioError(
+                f"no legal placement for the services without an initial-server: "
+                f"placing all {len(unnamed)} would exceed {rule}"
+            )
+        placement.update(drawn)
         object.__setattr__(self, "placement", MappingProxyType(placement))
 
     @property
@@ -259,7 +360,11 @@ class ScenarioConfig:
 
 @dataclass
 class TraceRecord:
-    """Per-tick metrics: deployment map, loop variables, and activity counts."""
+    """Per-tick metrics: deployment map, loop variables, and activity counts.
+
+    A record is read-only.  Its deployment map is shared with the previous
+    record while no server changes, and its lists with the servers' own.
+    """
 
     tick: int
     deployments: dict[str, list[str]]
@@ -335,6 +440,9 @@ class SimulationState:
         #: their preferred utilization.  ``refresh_server`` writes both.
         self.deployments: dict[str, list[str]] = {}
         self.underloaded_servers: set[str] = set()
+        #: The last record's copy of ``deployments``, while no server has
+        #: changed since; the next record shares it.
+        self.recorded_deployments: dict[str, list[str]] | None = None
         # Per-tick activity counters, reset by the scheduler.
         self.moves = 0
         self.switches = 0
@@ -352,10 +460,13 @@ class SimulationState:
     def refresh_server(self, server_id: str, types: list[str]) -> None:
         """Store a server's new sorted type list and update its underload.
 
-        The stored list is replaced, never mutated, so trace records can
-        share the lists of the servers that did not change.
+        This is the one writer of ``deployments``.  The stored list is
+        replaced, never mutated, so trace records can share the lists of the
+        servers that did not change; the map itself changes, so the next
+        record copies it.
         """
         self.deployments[server_id] = types
+        self.recorded_deployments = None
         if 0 < len(types) < self.server_specs[server_id].preferred_min:
             self.underloaded_servers.add(server_id)
         else:
@@ -369,10 +480,17 @@ class SimulationState:
         self.publications = {topic: 0 for topic in self.media}
 
     def snapshot_record(self) -> TraceRecord:
-        """The trace record of the current tick."""
+        """The trace record of the current tick.
+
+        Its deployment map is the previous record's when no server changed
+        since that record (see ``refresh_server``), else a new copy.
+        """
+        deployments = self.recorded_deployments
+        if deployments is None:
+            deployments = self.recorded_deployments = dict(self.deployments)
         return TraceRecord(
             tick=self.tick,
-            deployments=dict(self.deployments),
+            deployments=deployments,
             underloaded=len(self.underloaded_servers),
             publications=dict(self.publications),
             moves=self.moves,
@@ -829,26 +947,30 @@ def trace_columns(state: SimulationState) -> list[str]:
 def trace_rows(state: SimulationState) -> list[list[Any]]:
     """One row per trace record, in ``trace_columns`` order.
 
-    The type counts carry from record to record: a server's list is
-    replaced, never mutated, so only the servers whose list object changed
-    are recounted.
+    The server-count and type-count cells are built once per deployment map:
+    records that hold the previous record's map object reuse its cells.  The
+    type counts carry from map to map: a server's list is replaced, never
+    mutated, so only the servers whose list object changed are recounted.
     """
     demand_types = sorted(state.demand)
     counts: Counter[str] = Counter()
     counted: dict[str, list[str]] = {}
+    rendered: dict[str, list[str]] | None = None
+    cells: list[int] = []
     rows = []
     for record in state.trace:
-        for server_id, deployed in record.deployments.items():
-            before = counted.get(server_id)
-            if deployed is not before:
-                if before is not None:
-                    counts.subtract(before)
-                counts.update(deployed)
-                counted[server_id] = deployed
-        row: list[Any] = [record.tick]
-        row += [len(deployed) for deployed in record.deployments.values()]
-        row += [counts[service_type] for service_type in state.types]
-        row += [record.underloaded, record.moves]
+        if record.deployments is not rendered:
+            rendered = record.deployments
+            for server_id, deployed in rendered.items():
+                before = counted.get(server_id)
+                if deployed is not before:
+                    if before is not None:
+                        counts.subtract(before)
+                    counts.update(deployed)
+                    counted[server_id] = deployed
+            cells = [len(deployed) for deployed in rendered.values()]
+            cells += [counts[service_type] for service_type in state.types]
+        row: list[Any] = [record.tick, *cells, record.underloaded, record.moves]
         row += [record.publications.get(topic, 0) for topic in state.media]
         row += [record.switches, record.rejected_moves, record.rejected_switches]
         row += [record.demand.get(service_type, 0) for service_type in demand_types]

@@ -186,6 +186,18 @@ def test_an_idle_tick_enters_no_reasoning_cycle():
     assert len(entries) == 1
 
 
+@pytest.mark.parametrize("servers", [3, 12])
+def test_an_idle_tick_records_the_previous_map(servers):
+    # No server changes, so each idle tick's record holds the previous
+    # record's deployment map instead of copying it per server.
+    state = idle_fleet(servers)
+    trace = run_simulation(state, 5)
+    for before, after in zip(trace, trace[1:]):
+        assert after.deployments is before.deployments
+    changed = sum(1 for record in trace[1:] if record.moves or record.switches)
+    assert len({id(record.deployments) for record in trace}) == 1 + changed
+
+
 @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
 def test_a_busy_cycle_without_entries_enters_no_check_or_hook(record):
     # The first cycle adopts and runs the plan, which finishes; the second

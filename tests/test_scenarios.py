@@ -3,6 +3,7 @@
 import copy
 import functools
 import json
+import random
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import FrozenInstanceError, replace
@@ -223,6 +224,127 @@ def test_a_config_that_builds_builds_a_legal_scenario(fields):
     check_trace_safety([state.snapshot_record()], config)
 
 
+def greedy_placement(fields):
+    """The seeded greedy draw alone, written out: named services first, then
+    each unnamed one draws among the servers that take it; None when one
+    finds none, or when a named service does not fit."""
+    uniqueness = fields["uniqueness_constraint"]
+    capacity = {server.server_id: server.capacity for server in fields["servers"]}
+    types = {server_id: [] for server_id in capacity}
+    rng = random.Random(fields["seed"])
+    placement = {}
+    for service in sorted(fields["services"], key=lambda service: service.initial_server is None):
+        eligible = [service.initial_server] if service.initial_server else list(types)
+        eligible = [
+            server_id
+            for server_id in eligible
+            if server_id in types
+            and len(types[server_id]) < capacity[server_id]
+            and not (uniqueness and service.service_type in types[server_id])
+        ]
+        if not eligible:
+            return None
+        target = eligible[0] if service.initial_server else rng.choice(eligible)
+        types[target].append(service.service_type)
+        placement[service.service_id] = target
+    return placement
+
+
+def has_legal_placement(fields):
+    """Whether any placement of the unnamed services fits, by backtracking
+    over every server for each; the named services must fit where named."""
+    uniqueness = fields["uniqueness_constraint"]
+    capacity = {server.server_id: server.capacity for server in fields["servers"]}
+    types = {server_id: [] for server_id in capacity}
+
+    def fits(server_id, service):
+        return len(types[server_id]) < capacity[server_id] and not (
+            uniqueness and service.service_type in types[server_id]
+        )
+
+    unnamed = []
+    for service in fields["services"]:
+        if service.initial_server is None:
+            unnamed.append(service)
+        elif service.initial_server in types and fits(service.initial_server, service):
+            types[service.initial_server].append(service.service_type)
+        else:
+            return False
+
+    def place(index):
+        if index == len(unnamed):
+            return True
+        for server_id in types:
+            if fits(server_id, unnamed[index]):
+                types[server_id].append(unnamed[index].service_type)
+                if place(index + 1):
+                    return True
+                types[server_id].pop()
+        return False
+
+    return place(0)
+
+
+#: Two unnamed ``y`` services and one ``x`` on a two-slot and a one-slot
+#: server, under uniqueness: the greedy draw refuses five of seeds 0-11.
+TIGHT_FIELDS = dict(
+    name="tight",
+    servers=[ServerSpec("s1", 2, 1), ServerSpec("s2", 1, 1)],
+    services=[ServiceSpec("a", "x"), ServiceSpec("b", "y"), ServiceSpec("c", "y")],
+    uniqueness_constraint=True,
+)
+
+
+class TestPlacementSearch:
+    def test_every_seed_of_a_placeable_document_is_placed(self):
+        refused = []
+        for seed in range(12):
+            fields = dict(TIGHT_FIELDS, seed=seed)
+            config = ScenarioConfig(**fields)
+            drawn = greedy_placement(fields)
+            if drawn is None:
+                refused.append(seed)
+                assert config.placement == {"a": "s1", "b": "s1", "c": "s2"}
+            else:
+                assert config.placement == drawn
+            check_trace_safety([build_scenario(config).snapshot_record()], config)
+        assert refused == [0, 5, 7, 9, 11]
+
+    def test_the_search_places_twenty_copies_of_the_document(self):
+        # Every y needs a server without one, so an x drawn onto any
+        # one-slot server strands a y: the greedy draw fails.
+        servers = [
+            ServerSpec(f"{kind}{index:02d}", slots, 1)
+            for index in range(20)
+            for kind, slots in (("big", 2), ("small", 1))
+        ]
+        services = [ServiceSpec(f"x{index:02d}", "x") for index in range(20)]
+        services += [ServiceSpec(f"y{index:02d}", "y") for index in range(40)]
+        fields = dict(
+            TIGHT_FIELDS, name="tight-fleet", seed=3, servers=servers, services=services
+        )
+        assert greedy_placement(fields) is None
+        config = ScenarioConfig(**fields)
+        assert all(config.placement[f"x{index:02d}"].startswith("big") for index in range(20))
+        check_trace_safety([build_scenario(config).snapshot_record()], config)
+
+
+@given(small_configs())
+@settings(max_examples=300, deadline=None)
+def test_no_legal_placement_is_raised_only_when_none_exists(fields):
+    # And a document the greedy draw places keeps the draw's placement.
+    try:
+        config = ScenarioConfig(**fields)
+    except ScenarioError as error:
+        if "no legal placement" in str(error):
+            assert not has_legal_placement(fields)
+        return
+    assert has_legal_placement(fields)
+    drawn = greedy_placement(fields)
+    if drawn is not None:
+        assert config.placement == drawn
+
+
 @contextmanager
 def every_agent_every_tick():
     """Wrap the co-efficient selector for the builds inside, as perfbench's
@@ -272,6 +394,46 @@ def test_sleeping_agents_change_no_output(fields):
     with every_agent_every_tick():
         every_agent = build_scenario(config, agent_log=True)
     assert outputs(scheduled) == outputs(every_agent)
+
+
+def naive_rows(state):
+    """``trace_rows`` written out: every cell of a row recounted from that
+    row's own record, sharing nothing with other rows."""
+    preferred = {server_id: spec.preferred_min for server_id, spec in state.server_specs.items()}
+    rows = []
+    for record in state.trace:
+        deployments = record.deployments
+        underloaded = sum(
+            0 < len(listed) < preferred[server_id] for server_id, listed in deployments.items()
+        )
+        assert underloaded == record.underloaded
+        rows.append(
+            [
+                record.tick,
+                *(len(listed) for listed in deployments.values()),
+                *record.type_counts(state.types).values(),
+                underloaded,
+                record.moves,
+                *(record.publications.get(topic, 0) for topic in state.media),
+                record.switches,
+                record.rejected_moves,
+                record.rejected_switches,
+                *(record.demand.get(service_type, 0) for service_type in sorted(state.demand)),
+            ]
+        )
+    return rows
+
+
+@given(running_configs())
+@settings(max_examples=100, deadline=None)
+def test_trace_rows_equal_a_renderer_that_recounts_every_record(fields):
+    try:
+        config = ScenarioConfig(**fields)
+    except ScenarioError:
+        return
+    state = build_scenario(config)
+    run_simulation(state, 12)
+    assert trace_rows(state) == naive_rows(state)
 
 
 #: ``canonical_endpoints`` for scenario B (threshold 0.5), spelled out as a
@@ -885,13 +1047,54 @@ class TestSnapshotRecord:
         assert [record.deployments for record in state.trace] == recorded
 
     def test_unchanged_servers_share_the_previous_list(self):
+        # A tick without a move or a switch holds the previous record's map;
+        # a tick with one holds a new map, in which every server it did not
+        # touch keeps the previous record's list.
         state = build_scenario(churn_config())
-        trace = run_simulation(state, state.config.ticks)
-        for before, after in zip(trace, trace[1:]):
-            assert after.deployments is not before.deployments
-            if not (after.moves or after.switches):
-                for server_id, types in after.deployments.items():
-                    assert types is before.deployments[server_id]
+        before = run_simulation(state, 1)[-1]
+        for _ in range(state.config.ticks - 1):
+            servers, types = dict(state.service_server), dict(state.service_type)
+            after = run_simulation(state, 1)[-1]
+            touched = set()
+            for service_id, server_id in servers.items():
+                if state.service_server[service_id] != server_id:
+                    touched |= {server_id, state.service_server[service_id]}
+                elif state.service_type[service_id] != types[service_id]:
+                    touched.add(server_id)
+            if after.moves or after.switches:
+                assert after.deployments is not before.deployments
+            else:
+                assert after.deployments is before.deployments
+            assert bool(touched) == bool(after.moves or after.switches)
+            for server_id, listed in after.deployments.items():
+                assert (listed is before.deployments[server_id]) == (server_id not in touched)
+            before = after
+        assert sum(record.moves for record in state.trace) > 0
+        assert sum(record.switches for record in state.trace) > 0
+
+    def test_a_change_between_ticks_leaves_earlier_records_as_they_were(self):
+        # Both servers sit at their preferred level, so the ticks are quiet
+        # and their records share one map until a direct move or switch.
+        state = build_scenario(two_server_config(deployments=(3, 3)))
+        recorded = []
+
+        def tick():
+            record = run_simulation(state, 1)[-1]
+            recorded.append(copy.deepcopy(record.deployments))
+            return record
+
+        quiet = [tick() for _ in range(4)]
+        assert all(record.deployments is quiet[0].deployments for record in quiet)
+        assert move_service(state, "svc-01", "server-02")
+        moved = tick()
+        assert moved.deployments is not quiet[-1].deployments
+        assert [len(moved.deployments[server]) for server in ("server-01", "server-02")] == [2, 4]
+        assert moved.deployments["server-01"] is state.deployments["server-01"]
+        assert switch_type(state, "svc-06", "db")
+        switched = tick()
+        assert switched.deployments is not moved.deployments
+        assert "db" in switched.deployments["server-02"]
+        assert [record.deployments for record in state.trace] == recorded
 
     def test_underloaded_count_follows_moves_before_the_next_record(self):
         state = build_scenario(two_server_config())
