@@ -37,11 +37,14 @@ class BeliefBase:
     """
 
     def __init__(self, facts: dict[str, BeliefValue] | None = None):
-        self._bind({})
+        self._facts = own = {}
+        self.get = own.get
         if facts:
             for key, value in facts.items():
-                _check_key(key)
-                self._facts[key] = value
+                # ``_check_key``'s test, inline: its frame only for a refusal.
+                if not key or not isinstance(key, str) or key in RESERVED_NAMES:
+                    _check_key(key)
+                own[key] = value
 
     def _bind(self, facts: dict[str, BeliefValue]) -> None:
         self._facts = facts

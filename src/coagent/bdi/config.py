@@ -63,7 +63,7 @@ class InertEnvironment:
         pass
 
 
-@dataclass
+@dataclass(slots=True)
 class MailState:
     """Minimal agent communication state: FIFO inbox and outbox."""
 
@@ -71,7 +71,7 @@ class MailState:
     outbox: list[Message] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Circumstance:
     """Execution context: intentions, pending events, available actions.
 
@@ -95,7 +95,7 @@ class Circumstance:
     pending: dict[int, int] = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class TempInfo:
     """Volatile per-cycle data used between reasoning steps.
 
@@ -136,13 +136,16 @@ class AgentConfiguration:
         record_observations: bool = True,
     ):
         self.agent_id = agent_id
-        self.beliefs = beliefs or BeliefBase()
+        # ``is None``, not truthiness: an empty belief base passed in is kept.
+        self.beliefs = BeliefBase() if beliefs is None else beliefs
         self.plans = plans
-        self.circumstance = Circumstance(actions=frozenset(actions))
-        self.mail = MailState()
-        self.temp = TempInfo()
+        self.circumstance = Circumstance({}, [], frozenset(actions), {})
+        self.mail = MailState([], [])
+        self.temp = TempInfo([], [], None, None, None)
         self.step: Step = PROC_MSG
-        self.environment: EnvironmentAdapter = environment or InertEnvironment()
+        self.environment: EnvironmentAdapter = (
+            InertEnvironment() if environment is None else environment
+        )
         #: Whether ``observe`` keeps a record; ``observations`` stays empty when not.
         self.record_observations = record_observations
         self.observations: list[dict[str, Any]] = []

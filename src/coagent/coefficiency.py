@@ -134,9 +134,10 @@ class EventMappingEntry:
 class CoefficientModule:
     """A namespaced element container carrying an event mapping.
 
-    Registration treats a module as a value and remembers on it the last
-    library it gave (see ``register_module``), so a module's plans are not
-    changed once it is registered.
+    Registration treats a module as a value and remembers on it its belief
+    renames and the last library it gave (see ``register_module``), so a
+    module's id, beliefs, exports and plans are not changed once it is
+    registered.
     """
 
     module_id: str
@@ -149,6 +150,8 @@ class CoefficientModule:
     _last: tuple[PlanLibrary, PlanLibrary] | None = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: Each belief key -> the host key it merges under, once computed.
+    _renames: dict[str, str] | None = field(default=None, init=False, repr=False, compare=False)
 
 
 # -- namespacing -------------------------------------------------------------
@@ -156,8 +159,21 @@ class CoefficientModule:
 _IDENT = re.compile(r"[^0-9A-Za-z_]")
 
 
-def _belief_prefix(module_id: str) -> str:
-    return _IDENT.sub("_", module_id) + "__"
+def _belief_renames(mod: CoefficientModule) -> dict[str, str]:
+    """Each of the module's belief keys -> its host key; the refusals that
+    depend on the module alone."""
+    prefix = _IDENT.sub("_", mod.module_id) + "__"
+    if not prefix.isidentifier():
+        raise ModuleRegistrationError(f"module id {mod.module_id!r} starts with a digit")
+    renames: dict[str, str] = {}
+    for key in mod.beliefs:
+        target = key if key in mod.exports else prefix + key
+        if not target or target in RESERVED_NAMES:
+            raise ModuleRegistrationError(
+                f"module {mod.module_id!r} belief {target!r} is empty or a reserved name"
+            )
+        renames[key] = target
+    return renames
 
 
 class _Renamer(ast.NodeTransformer):
@@ -220,36 +236,32 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
     old one, which other hosts may share, as it was.  Every refusal -- a
     belief key that is empty or reserved, a belief or plan id taken by the
     host, or a plan id the module declares twice -- comes before the host
-    changes.  The namespace prefix is the module id, each character outside
-    ``[0-9A-Za-z_]`` made ``_``, then ``__``; an id that starts with a digit
-    is refused, since its names would not parse as expression names.  A
-    module's mapping entries, if it declares any, join the host's active
-    mapping after earlier modules', and the first such module installs the
-    plan-lifecycle hook; a host without one calls no hook.
+    changes, and the refusals that depend on the module alone come before
+    those that depend on the host.  The namespace prefix is the module id,
+    each character outside ``[0-9A-Za-z_]`` made ``_``, then ``__``; an id
+    that starts with a digit is refused, since its names would not parse as
+    expression names.  A module's mapping entries, if it declares any, join
+    the host's active mapping after earlier modules', and the first such
+    module installs the plan-lifecycle hook; a host without one calls no hook.
 
-    The new library depends only on the old one and the module, and the
-    module remembers the last pair: hosts that hold one library and register
-    one module in a row all get one new library.  A caller that builds its
-    hosts' libraries afresh keeps those hosts apart from earlier ones.
+    What depends only on the module is computed once, on its first
+    registration, and remembered on it: its belief renames.  The new library
+    depends only on the old one and the module, and the module remembers the
+    last pair: hosts that hold one library and register one module in a row
+    all get one new library.  A caller that builds its hosts' libraries
+    afresh keeps those hosts apart from earlier ones.
     """
     if mod.module_id in cfg.modules:
         raise ModuleRegistrationError(f"module {mod.module_id!r} already registered")
 
-    prefix = _belief_prefix(mod.module_id)
-    if not prefix.isidentifier():
-        raise ModuleRegistrationError(f"module id {mod.module_id!r} starts with a digit")
-    renames: dict[str, str] = {}
-    for key in mod.beliefs:
-        target = key if key in mod.exports else prefix + key
-        if not target or target in RESERVED_NAMES:
-            raise ModuleRegistrationError(
-                f"module {mod.module_id!r} belief {target!r} is empty or a reserved name"
-            )
+    renames = mod._renames
+    if renames is None:
+        renames = mod._renames = _belief_renames(mod)
+    for target in renames.values():
         if target in cfg.beliefs:
             raise ModuleRegistrationError(
                 f"module {mod.module_id!r} belief {target!r} collides with the host"
             )
-        renames[key] = target
 
     last = mod._last
     if last is not None and last[0] is cfg.plans:

@@ -421,38 +421,66 @@ _SCENARIO_KEYS = {
 }
 
 
+_SERVER_KEYS = {"id", "capacity", "preferred-min"}
+_SERVICE_KEYS = {"id", "type", "initial-server"}
+_NAME_OR_NULL = (str, type(None))
+
+
+def _check_server(obj: Any, path: str) -> None:
+    _require(obj, path, dict, "server")
+    _check_keys(obj, path, _SERVER_KEYS, _SERVER_KEYS)
+    _require(obj["id"], f"{path}.id", str, "server id")
+    _require(obj["capacity"], f"{path}.capacity", int, "capacity")
+    _require(obj["preferred-min"], f"{path}.preferred-min", int, "preferred-min")
+
+
+def _check_service(obj: Any, path: str) -> None:
+    _require(obj, path, dict, "service")
+    _check_keys(obj, path, _SERVICE_KEYS, {"id", "type"})
+    if obj.get("initial-server") is not None:
+        _require(obj["initial-server"], f"{path}.initial-server", str, "initial-server")
+    _require(obj["id"], f"{path}.id", str, "service id")
+    _require(obj["type"], f"{path}.type", str, "type")
+
+
 def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
     _require(doc, path, dict, "scenario document")
     _check_keys(doc, path, _SCENARIO_KEYS, {"servers", "services"})
 
+    # A well-formed entry passes the checks below with no path text; any
+    # other runs the full checks, which build the path and refuse its first
+    # fault.
     servers = []
     for index, obj in enumerate(_require(doc["servers"], f"{path}.servers", list, "servers")):
-        server_path = f"{path}.servers[{index}]"
-        _require(obj, server_path, dict, "server")
-        _check_keys(obj, server_path, {"id", "capacity", "preferred-min"}, {"id", "capacity", "preferred-min"})
+        if not (
+            isinstance(obj, dict)
+            and obj.keys() == _SERVER_KEYS
+            and type(obj["id"]) is str
+            and type(obj["capacity"]) is int
+            and type(obj["preferred-min"]) is int
+        ):
+            _check_server(obj, f"{path}.servers[{index}]")
         servers.append(
             ServerSpec(
-                server_id=_require(obj["id"], f"{server_path}.id", str, "server id"),
-                capacity=_require(obj["capacity"], f"{server_path}.capacity", int, "capacity"),
-                preferred_min=_require(
-                    obj["preferred-min"], f"{server_path}.preferred-min", int, "preferred-min"
-                ),
+                server_id=obj["id"], capacity=obj["capacity"], preferred_min=obj["preferred-min"]
             )
         )
 
     services = []
     for index, obj in enumerate(_require(doc["services"], f"{path}.services", list, "services")):
-        service_path = f"{path}.services[{index}]"
-        _require(obj, service_path, dict, "service")
-        _check_keys(obj, service_path, {"id", "type", "initial-server"}, {"id", "type"})
-        initial = obj.get("initial-server")
-        if initial is not None:
-            _require(initial, f"{service_path}.initial-server", str, "initial-server")
+        if not (
+            isinstance(obj, dict)
+            and obj.keys() <= _SERVICE_KEYS
+            and type(obj.get("id")) is str
+            and type(obj.get("type")) is str
+            and type(obj.get("initial-server")) in _NAME_OR_NULL
+        ):
+            _check_service(obj, f"{path}.services[{index}]")
         services.append(
             ServiceSpec(
-                service_id=_require(obj["id"], f"{service_path}.id", str, "service id"),
-                service_type=_require(obj["type"], f"{service_path}.type", str, "type"),
-                initial_server=initial,
+                service_id=obj["id"],
+                service_type=obj["type"],
+                initial_server=obj.get("initial-server"),
             )
         )
 

@@ -764,11 +764,13 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
     role, whose hosts subscribe to its ``topics``, and then reports the
     role's bootstrap readings: each server manager's current utilization,
     once, so that publication guards are evaluated against the initial
-    state.  The base libraries and action sets are built per call, so that
-    no relevance index carries from one build to the next; registration
-    gives the members of a role that gain plans one new library per
-    declaration (see ``register_module``), and each publishing member its
-    own action set.
+    state.  What depends only on a role, its declarations and the media of
+    their sorted topics, is resolved once, before the members; each member
+    pays only for its own state.  The base libraries and action sets are
+    built per call, so that no relevance index carries from one build to
+    the next; registration gives the members of a role that gain plans one
+    new library per declaration (see ``register_module``), and each
+    publishing member its own action set.
 
     Agents keep observation records only with ``agent_log`` set, for a run
     that writes ``agent-log.jsonl``; plan-lifecycle hooks fire either way.
@@ -797,13 +799,16 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
             topic=topic, latency=config.media.get(topic, 1), order=RELEASE_ORDER.get(topic)
         )
 
-    # Per role: plan library, action set, and the beliefs the architecture
-    # reports once at bootstrap, as external belief-update events.
+    # Per role: plan library, action set, the beliefs the architecture
+    # reports once at bootstrap, as external belief-update events, and the
+    # role's declarations, each with the media of its sorted topics.
     programs = {
-        "server": (PlanLibrary(), frozenset(), ("deployed",)),
-        "service": (PlanLibrary(_SERVICE_PLANS), frozenset({"relocate", "reallocate"}), ()),
-        "broker": (PlanLibrary(), frozenset(), ()),
+        "server": (PlanLibrary(), frozenset(), ("deployed",), []),
+        "service": (PlanLibrary(_SERVICE_PLANS), frozenset({"relocate", "reallocate"}), (), []),
+        "broker": (PlanLibrary(), frozenset(), (), []),
     }
+    for decl in config.declarations:
+        programs[decl.role][3].append((decl, [state.media[topic] for topic in sorted(decl.topics)]))
     # Lazily, so that each belief dict lives only until its agent copies it.
     members = chain(
         (
@@ -833,16 +838,15 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
         (("broker", broker_id, dict(state.demand)) for broker_id in config.broker_ids),
     )
     for role, agent_id, beliefs in members:
-        plans, actions, readings = programs[role]
+        plans, actions, readings, decls = programs[role]
         cfg = state.agents[agent_id] = AgentConfiguration(
             agent_id, BeliefBase(beliefs), plans, actions, env, record_observations=agent_log
         )
-        for decl in config.declarations:
-            if decl.role == role:
-                endpoint = attach_endpoint(decl, cfg)
-                state.endpoints[endpoint.endpoint_id] = endpoint
-                for topic in sorted(decl.topics):
-                    state.media[topic].subscribe(endpoint.endpoint_id, agent_id)
+        for decl, media in decls:
+            endpoint = attach_endpoint(decl, cfg)
+            state.endpoints[endpoint.endpoint_id] = endpoint
+            for medium in media:
+                medium.subscribe(endpoint.endpoint_id, agent_id)
         for key in readings:
             value = cfg.beliefs.get(key)
             reading = {"old": value, "new": value}

@@ -45,6 +45,30 @@ class TestBeliefBase:
         with pytest.raises(BeliefError):
             BeliefBase().set("subject", 1)
 
+    @pytest.mark.parametrize(
+        "key, message",
+        [
+            ("", "belief key must be a non-empty string, got ''"),
+            (3, "belief key must be a non-empty string, got 3"),
+            (None, "belief key must be a non-empty string, got None"),
+            ("not", "belief key 'not' collides with a reserved expression name"),
+        ],
+    )
+    def test_a_base_built_from_facts_refuses_a_key_as_set_does(self, key, message):
+        # The constructor tests its keys inline and refuses through the
+        # one check ``set`` uses, so both give the same message.
+        for build in (lambda: BeliefBase({"x": 1, key: 2}), lambda: BeliefBase().set(key, 2)):
+            with pytest.raises(BeliefError) as excinfo:
+                build()
+            assert str(excinfo.value) == message
+
+    def test_a_base_built_from_facts_copies_them(self):
+        facts = {"x": 1, "y": "a"}
+        base = BeliefBase(facts)
+        base.set("x", 2)
+        assert facts == {"x": 1, "y": "a"} and base.as_dict() == {"x": 2, "y": "a"}
+        assert base.get("y") == "a" and base.get("z") is None
+
 
 class TestEventPattern:
     def test_category_and_subject_match(self):

@@ -1,9 +1,19 @@
 """Edge cases of the configuration machinery and the public import surface."""
 
+import dataclasses
+
 import pytest
 
 import coagent
-from coagent.bdi.config import AgentConfiguration, ConfigurationCorruption, Step
+from coagent.bdi.beliefs import BeliefBase
+from coagent.bdi.config import (
+    AgentConfiguration,
+    Circumstance,
+    ConfigurationCorruption,
+    MailState,
+    Step,
+    TempInfo,
+)
 from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
 from coagent.bdi.interpreter import (
     add_intended_means,
@@ -78,3 +88,50 @@ def test_environment_fault_fails_plan_but_not_the_agent():
     run_cycle(cfg)  # must not raise
     assert cfg.circumstance.intentions == {}
     assert any(o["kind"] == "plan-failed" for o in cfg.observations)
+
+
+def test_an_empty_belief_base_passed_in_is_kept():
+    # An empty base is falsy; the configuration keeps it all the same, so
+    # the caller's base sees the agent's later writes.
+    base = BeliefBase()
+    cfg = AgentConfiguration("a", beliefs=base)
+    assert cfg.beliefs is base
+    cfg.write_belief("x", 1)
+    assert base.as_dict() == {"x": 1}
+
+
+def test_a_falsy_environment_passed_in_is_kept():
+    class Recorder(list):  # empty, so falsy
+        def perform(self, cfg, action, args):
+            self.append(action)
+
+    env = Recorder()
+    cfg = AgentConfiguration(
+        "a",
+        plans=PlanLibrary([Plan("p", pattern("goal-added", "g"), (Act("x", {}),))]),
+        actions={"x"},
+        environment=env,
+    )
+    assert cfg.environment is env
+    from coagent.bdi.interpreter import post_external_event
+
+    post_external_event(cfg, TriggeringEvent(EventCategory.GOAL_ADDED, "g", {}))
+    run_cycle(cfg)
+    assert env == ["x"]
+
+
+def test_per_agent_records_are_slotted_and_start_empty():
+    cfg = AgentConfiguration("a", actions=["x"])
+    other = AgentConfiguration("b")
+    records = {"circumstance": Circumstance, "mail": MailState, "temp": TempInfo}
+    for name, kind in records.items():
+        record = getattr(cfg, name)
+        assert type(record) is kind and not hasattr(record, "__dict__")
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        # As built by keyword, with the declared defaults.
+        assert record == (kind(actions=frozenset({"x"})) if kind is Circumstance else kind())
+        for field in dataclasses.fields(kind):
+            value = getattr(record, field.name)
+            if isinstance(value, (list, dict)):
+                assert value is not getattr(getattr(other, name), field.name)

@@ -19,7 +19,9 @@ and calls no hook.
 from __future__ import annotations
 
 import ast
+import gc
 import sys
+from collections import Counter
 from enum import Enum
 from pathlib import Path
 from types import CodeType, FunctionType
@@ -39,6 +41,7 @@ from coagent.bdi.interpreter import (
     run_cycle,
 )
 from coagent.bdi.plans import Act, Plan, PlanLibrary
+from coagent.loader import ConfigError, parse_scenario
 from coagent.coefficiency import (
     CoefficientModule,
     EventMappingEntry,
@@ -155,17 +158,25 @@ def test_an_idle_cycle_enters_only_the_selector():
     assert cfg.step is Step.PROC_MSG and cfg.temp.iota is None
 
 
+def idle_fleet_document(servers: int) -> dict:
+    """A scenario of ``servers`` full servers, two services each and one broker."""
+    return {
+        "name": "idle",
+        "servers": [{"id": f"s{i}", "capacity": 2, "preferred-min": 2} for i in range(servers)],
+        "services": [
+            {"id": f"v{i}-{j}", "type": f"t{j}", "initial-server": f"s{i}"}
+            for i in range(servers)
+            for j in (0, 1)
+        ],
+        "brokers": 1,
+        "demand": {"t0": 10, "t1": 10},
+    }
+
+
 def idle_fleet(servers: int) -> SimulationState:
-    """A scenario of ``servers`` full servers, two services each and one
-    broker, run past its bootstrap tick: every host is idle."""
-    config = ScenarioConfig(
-        name="idle",
-        servers=[ServerSpec(f"s{i}", 2, 2) for i in range(servers)],
-        services=[ServiceSpec(f"v{i}-{j}", f"t{j}", f"s{i}") for i in range(servers) for j in (0, 1)],
-        brokers=1,
-        demand={"t0": 10, "t1": 10},
-    )
-    state = build_scenario(config)
+    """``idle_fleet_document``'s scenario, run past its bootstrap tick:
+    every host is idle."""
+    state = build_scenario(parse_scenario(idle_fleet_document(servers)))
     run_simulation(state, 1)
     assert not any(
         cfg.circumstance.events or cfg.circumstance.intentions for cfg in state.agents.values()
@@ -196,6 +207,79 @@ def test_an_idle_tick_records_the_previous_map(servers):
         assert after.deployments is before.deployments
     changed = sum(1 for record in trace[1:] if record.moves or record.switches)
     assert len({id(record.deployments) for record in trace}) == 1 + changed
+
+
+def added_frames(fn, make) -> Counter:
+    """The frames ``fn(make(12))`` enters beyond ``fn(make(3))``'s: what
+    nine more servers, with their eighteen services, cost.  The collector
+    is off, since a callback other code hangs on it would enter frames."""
+    gc.disable()
+    try:
+        small, large = Counter(entered(fn, make(3))), Counter(entered(fn, make(12)))
+    finally:
+        gc.enable()
+    assert not small - large
+    return large - small
+
+
+def test_parsing_a_well_formed_entry_builds_no_path():
+    # A well-formed server or service entry is checked inline: no path
+    # text, no check function.  Each adds its record and each service one
+    # placement test.
+    added = added_frames(parse_scenario, idle_fleet_document)
+    assert added == Counter({"__init__": 9 + 18, "admits": 18})
+
+
+def test_parsing_a_malformed_entry_runs_the_full_checks():
+    # The control: the profile sees the full checks once an entry is refused.
+    doc = idle_fleet_document(3)
+    doc["services"][1]["initial-server"] = 3
+
+    def refused():
+        with pytest.raises(ConfigError, match=r"services\[1\]\.initial-server"):
+            parse_scenario(doc)
+
+    names = entered(refused)
+    assert "_check_service" in names and "_require" in names
+
+
+def test_set_up_pays_per_agent_only_for_its_own_state():
+    # What depends only on a role, a declaration or a module is done once
+    # per build: each added agent enters a fixed list of frames, its own
+    # records and its endpoints, and nothing that recomputes a module's
+    # namespace, re-checks its belief keys or scans the declarations.
+    server = Counter(
+        {
+            "<genexpr>": 1,  # the lazy member list
+            "<lambda>": 1,  # sorting the server specs
+            "refresh_server": 1,
+            # configuration, beliefs, circumstance, mail, temp; one endpoint;
+            # the bootstrap reading's triggering event and queued event
+            "__init__": 5 + 1 + 2,
+            "attach_endpoint": 1,
+            "register_module": 1,
+            "_endpoint_id": 1,
+            "post_external_event": 1,
+            "append_event": 1,
+        }
+    )
+    service = Counter(
+        {
+            "<genexpr>": 1,
+            "__init__": 5 + 2,  # the agent's five records, two endpoints
+            "attach_endpoint": 2,
+            "register_module": 2,
+            "_endpoint_id": 2,
+            "subscribe": 2,  # one topic per declaration
+        }
+    )
+    expected = Counter()
+    for _ in range(9):
+        expected.update(server)
+        expected.update(service)
+        expected.update(service)
+    added = added_frames(build_scenario, lambda servers: parse_scenario(idle_fleet_document(servers)))
+    assert added == expected
 
 
 @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])

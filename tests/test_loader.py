@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from coagent.bdi.events import EventCategory
 from coagent.loader import (
     ConfigError,
+    _check_server,
+    _check_service,
     build_agent,
     load_scenario,
     parse_agent_program,
@@ -19,7 +21,7 @@ from coagent.loader import (
     parse_pattern,
     parse_scenario,
 )
-from coagent.scenarios import build_scenario, run_simulation
+from coagent.scenarios import ServerSpec, ServiceSpec, build_scenario, run_simulation
 
 from tests.conftest import SCENARIO_A, SCENARIO_B
 from tests.test_scenarios import CANONICAL_ENDPOINTS_B
@@ -310,7 +312,7 @@ class TestEndpointSection:
             parse_scenario(doc)
 
     def test_custom_endpoints_replace_canonical_processes(self):
-        from coagent.scenarios import build_scenario, run_simulation
+        from coagent.scenarios import ServerSpec, ServiceSpec, build_scenario, run_simulation
 
         doc = minimal_scenario(
             servers=[
@@ -331,7 +333,7 @@ class TestEndpointSection:
         )
 
     def test_custom_reaction_endpoint_in_document(self):
-        from coagent.scenarios import build_scenario, run_simulation
+        from coagent.scenarios import ServerSpec, ServiceSpec, build_scenario, run_simulation
 
         doc = minimal_scenario(
             servers=[
@@ -383,7 +385,7 @@ class TestEndpointSection:
         assert trace[-1].underloaded == 0
 
     def test_declared_topics_get_a_medium(self):
-        from coagent.scenarios import build_scenario, run_simulation
+        from coagent.scenarios import ServerSpec, ServiceSpec, build_scenario, run_simulation
 
         state = build_scenario(parse_scenario(scenario_with_rules()))
         assert sorted(state.media) == ["alerts", "capacity", "demand-change"]
@@ -634,3 +636,160 @@ def test_a_refused_mutated_scenario_exits_2_through_the_cli(case):
         path = Path(directory) / f"{name}.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
+
+
+SERVER = {"id": "server-01", "capacity": 5, "preferred-min": 3}
+SERVICE = {"id": "svc-01", "type": "web", "initial-server": "server-01"}
+
+
+class TestEntryRefusals:
+    """A refused server or service entry names its path and first fault;
+    the texts are those of the loader before well-formed entries were
+    checked inline."""
+
+    @pytest.mark.parametrize(
+        "servers, message",
+        [
+            ([SERVER, ["server-02"]], "scenario.servers[1]: server must be dict, got list"),
+            (
+                [{"id": "server-01", "capacity": 5}],
+                "scenario.servers[0]: missing required keys ['preferred-min']",
+            ),
+            (
+                [{**SERVER, "memory": 4}],
+                "scenario.servers[0]: unknown keys ['memory']; "
+                "allowed: ['capacity', 'id', 'preferred-min']",
+            ),
+            (
+                [{**SERVER, "capacity": True}],
+                "scenario.servers[0].capacity: capacity must be int, got bool",
+            ),
+            (
+                [{**SERVER, "preferred-min": 1.5}],
+                "scenario.servers[0].preferred-min: preferred-min must be int, got float",
+            ),
+            ([{**SERVER, "id": 7}], "scenario.servers[0].id: server id must be str, got int"),
+            # Two faults: the keys are checked before the values, and the
+            # values in the order id, capacity, preferred-min.
+            (
+                [{"id": "server-01", "capacity": 5, "memory": 4}],
+                "scenario.servers[0]: unknown keys ['memory']; "
+                "allowed: ['capacity', 'id', 'preferred-min']",
+            ),
+            (
+                [{**SERVER, "capacity": False, "preferred-min": 0.5}],
+                "scenario.servers[0].capacity: capacity must be int, got bool",
+            ),
+            (
+                [{**SERVER, "id": 3, "capacity": True}],
+                "scenario.servers[0].id: server id must be str, got int",
+            ),
+        ],
+    )
+    def test_a_refused_server_entry(self, servers, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_scenario(minimal_scenario(servers=servers))
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize(
+        "services, message",
+        [
+            (["svc-01"], "scenario.services[0]: service must be dict, got str"),
+            ([{"id": "svc-01"}], "scenario.services[0]: missing required keys ['type']"),
+            (
+                [{**SERVICE, "weight": 1}],
+                "scenario.services[0]: unknown keys ['weight']; "
+                "allowed: ['id', 'initial-server', 'type']",
+            ),
+            (
+                [{**SERVICE, "initial-server": 3}],
+                "scenario.services[0].initial-server: initial-server must be str, got int",
+            ),
+            (
+                [{**SERVICE, "initial-server": True}],
+                "scenario.services[0].initial-server: initial-server must be str, got bool",
+            ),
+            ([{**SERVICE, "type": ["web"]}], "scenario.services[0].type: type must be str, got list"),
+            # Two faults: initial-server is checked before id, and id before type.
+            (
+                [{"id": 1, "type": "web", "initial-server": 3}],
+                "scenario.services[0].initial-server: initial-server must be str, got int",
+            ),
+            (
+                [{"id": 1, "type": 2}],
+                "scenario.services[0].id: service id must be str, got int",
+            ),
+            (
+                [{"id": "svc-01", "weight": 1}],
+                "scenario.services[0]: unknown keys ['weight']; "
+                "allowed: ['id', 'initial-server', 'type']",
+            ),
+        ],
+    )
+    def test_a_refused_service_entry(self, services, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_scenario(minimal_scenario(services=services))
+        assert str(excinfo.value) == message
+
+    def test_the_first_refused_entry_is_reported(self):
+        doc = minimal_scenario(
+            servers=[SERVER, {**SERVER, "id": "server-02", "capacity": "5"}],
+            services=[{**SERVICE, "type": None}],
+        )
+        with pytest.raises(ConfigError) as excinfo:
+            parse_scenario(doc)
+        assert str(excinfo.value) == "scenario.servers[1].capacity: capacity must be int, got str"
+
+    def test_values_the_full_checks_accept_are_accepted(self):
+        # An int or str subclass, which JSON never gives, fails the inline
+        # test and passes the full checks; a null initial-server is absent.
+        class Count(int):
+            pass
+
+        class Name(str):
+            pass
+
+        config = parse_scenario(
+            minimal_scenario(
+                servers=[{**SERVER, "capacity": Count(5)}],
+                services=[{"id": Name("svc-01"), "type": "web", "initial-server": None}],
+            )
+        )
+        assert config.servers[0].capacity == 5 and config.services[0].service_id == "svc-01"
+        assert config.services[0].initial_server is None
+
+    @given(
+        st.sampled_from(["servers", "services"]),
+        st.one_of(
+            st.sampled_from(MUTANT_VALUES),
+            st.dictionaries(
+                st.sampled_from(["id", "type", "capacity", "preferred-min", "initial-server", "x"]),
+                st.sampled_from((*MUTANT_VALUES, 5, "server-01", "web")),
+                max_size=4,
+            ),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_an_entry_is_refused_as_the_full_checks_refuse(self, kind, entry):
+        """The inline test lets through only what the full checks accept,
+        and a refused entry gets the full checks' message."""
+        path = f"scenario.{kind}[0]"
+        try:
+            (_check_server if kind == "servers" else _check_service)(entry, path)
+            expected = None
+        except ConfigError as exc:
+            expected = str(exc)
+        try:
+            config = parse_scenario(minimal_scenario(**{kind: [entry]}))
+            refused = None
+        except ConfigError as exc:
+            refused = str(exc)
+        if expected is not None:
+            assert refused == expected
+        elif refused is not None:
+            assert not refused.startswith(path)  # a fault of the document, not the entry
+        elif kind == "servers":
+            assert config.servers[0] == ServerSpec(entry["id"], entry["capacity"], entry["preferred-min"])
+        else:
+            spec = ServiceSpec(entry["id"], entry["type"], entry.get("initial-server"))
+            assert config.services[0] == spec
