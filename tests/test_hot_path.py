@@ -14,6 +14,11 @@ evaluates no context that is literally ``TRUE``, an expression runs as one
 generated function whose belief reads are C calls, and a host that neither
 records observations nor declares mapping entries builds no lifecycle event
 and calls no hook.
+
+Set-up does each piece of work once for everything it depends on: what
+depends on a role, a declaration or a module is done once per build, so
+each added agent enters a fixed list of frames for its own state, and
+parsing a well-formed server or service entry builds no path text.
 """
 
 from __future__ import annotations
@@ -41,7 +46,6 @@ from coagent.bdi.interpreter import (
     run_cycle,
 )
 from coagent.bdi.plans import Act, Plan, PlanLibrary
-from coagent.loader import ConfigError, parse_scenario
 from coagent.coefficiency import (
     CoefficientModule,
     EventMappingEntry,
@@ -49,10 +53,8 @@ from coagent.coefficiency import (
     Placement,
     register_module,
 )
+from coagent.loader import ConfigError, parse_scenario
 from coagent.scenarios import (
-    ScenarioConfig,
-    ServerSpec,
-    ServiceSpec,
     SimulationState,
     build_scenario,
     run_simulation,

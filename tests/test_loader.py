@@ -643,9 +643,8 @@ SERVICE = {"id": "svc-01", "type": "web", "initial-server": "server-01"}
 
 
 class TestEntryRefusals:
-    """A refused server or service entry names its path and first fault;
-    the texts are those of the loader before well-formed entries were
-    checked inline."""
+    """A refused server or service entry names its path and its first
+    fault, in exactly these texts, whether or not an inline test ran first."""
 
     @pytest.mark.parametrize(
         "servers, message",
