@@ -423,6 +423,7 @@ _SCENARIO_KEYS = {
 
 _SERVER_KEYS = {"id", "capacity", "preferred-min"}
 _SERVICE_KEYS = {"id", "type", "initial-server"}
+_DEMAND_DELTA_KEYS = {"tick", "type", "delta"}
 _NAME_OR_NULL = (str, type(None))
 
 
@@ -443,13 +444,22 @@ def _check_service(obj: Any, path: str) -> None:
     _require(obj["type"], f"{path}.type", str, "type")
 
 
+def _check_demand_delta(obj: Any, path: str) -> None:
+    _require(obj, path, dict, "demand delta")
+    _check_keys(obj, path, _DEMAND_DELTA_KEYS, _DEMAND_DELTA_KEYS)
+    _require(obj["tick"], f"{path}.tick", int, "tick")
+    _require(obj["type"], f"{path}.type", str, "type")
+    _require(obj["delta"], f"{path}.delta", int, "delta")
+
+
 def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
     _require(doc, path, dict, "scenario document")
     _check_keys(doc, path, _SCENARIO_KEYS, {"servers", "services"})
 
-    # A well-formed entry passes the checks below with no path text; any
-    # other runs the full checks, which build the path and refuse its first
-    # fault.
+    # A well-formed server, service or demand-schedule entry passes the
+    # checks below with no path text; any other runs the full checks, which
+    # build the path and refuse its first fault.  Specs are built by
+    # position.
     servers = []
     for index, obj in enumerate(_require(doc["servers"], f"{path}.servers", list, "servers")):
         if not (
@@ -460,11 +470,7 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
             and type(obj["preferred-min"]) is int
         ):
             _check_server(obj, f"{path}.servers[{index}]")
-        servers.append(
-            ServerSpec(
-                server_id=obj["id"], capacity=obj["capacity"], preferred_min=obj["preferred-min"]
-            )
-        )
+        servers.append(ServerSpec(obj["id"], obj["capacity"], obj["preferred-min"]))
 
     services = []
     for index, obj in enumerate(_require(doc["services"], f"{path}.services", list, "services")):
@@ -476,26 +482,19 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
             and type(obj.get("initial-server")) in _NAME_OR_NULL
         ):
             _check_service(obj, f"{path}.services[{index}]")
-        services.append(
-            ServiceSpec(
-                service_id=obj["id"],
-                service_type=obj["type"],
-                initial_server=obj.get("initial-server"),
-            )
-        )
+        services.append(ServiceSpec(obj["id"], obj["type"], obj.get("initial-server")))
 
     schedule = []
     for index, obj in enumerate(_optional(doc, "demand-schedule", path, list, [])):
-        entry_path = f"{path}.demand-schedule[{index}]"
-        _require(obj, entry_path, dict, "demand delta")
-        _check_keys(obj, entry_path, {"tick", "type", "delta"}, {"tick", "type", "delta"})
-        schedule.append(
-            DemandDelta(
-                tick=_require(obj["tick"], f"{entry_path}.tick", int, "tick"),
-                service_type=_require(obj["type"], f"{entry_path}.type", str, "type"),
-                delta=_require(obj["delta"], f"{entry_path}.delta", int, "delta"),
-            )
-        )
+        if not (
+            isinstance(obj, dict)
+            and obj.keys() == _DEMAND_DELTA_KEYS
+            and type(obj["tick"]) is int
+            and type(obj["type"]) is str
+            and type(obj["delta"]) is int
+        ):
+            _check_demand_delta(obj, f"{path}.demand-schedule[{index}]")
+        schedule.append(DemandDelta(obj["tick"], obj["type"], obj["delta"]))
 
     media = {}
     for topic, latency in _optional(doc, "media", path, dict, {}).items():

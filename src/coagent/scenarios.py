@@ -948,19 +948,21 @@ def trace_columns(state: SimulationState) -> list[str]:
     return columns
 
 
-def trace_rows(state: SimulationState) -> list[list[Any]]:
-    """One row per trace record, in ``trace_columns`` order.
+def trace_rows(state: SimulationState) -> list[list[str]]:
+    """One row per trace record, in ``trace_columns`` order, as cell text.
 
-    The server-count and type-count cells are built once per deployment map:
-    records that hold the previous record's map object reuse its cells.  The
-    type counts carry from map to map: a server's list is replaced, never
-    mutated, so only the servers whose list object changed are recounted.
+    Each cell is ``str`` of its integer, the text ``trace.csv`` holds, so a
+    CSV writer converts nothing.  The server-count and type-count text is
+    made once per deployment map: records that hold the previous record's
+    map object reuse its cells.  The type counts carry from map to map: a
+    server's list is replaced, never mutated, so only the servers whose list
+    object changed are recounted.
     """
     demand_types = sorted(state.demand)
     counts: Counter[str] = Counter()
     counted: dict[str, list[str]] = {}
     rendered: dict[str, list[str]] | None = None
-    cells: list[int] = []
+    cells: list[str] = []
     rows = []
     for record in state.trace:
         if record.deployments is not rendered:
@@ -972,12 +974,12 @@ def trace_rows(state: SimulationState) -> list[list[Any]]:
                         counts.subtract(before)
                     counts.update(deployed)
                     counted[server_id] = deployed
-            cells = [len(deployed) for deployed in rendered.values()]
-            cells += [counts[service_type] for service_type in state.types]
-        row: list[Any] = [record.tick, *cells, record.underloaded, record.moves]
-        row += [record.publications.get(topic, 0) for topic in state.media]
-        row += [record.switches, record.rejected_moves, record.rejected_switches]
-        row += [record.demand.get(service_type, 0) for service_type in demand_types]
+            cells = [str(len(deployed)) for deployed in rendered.values()]
+            cells += [str(counts[service_type]) for service_type in state.types]
+        row = [str(record.tick), *cells, str(record.underloaded), str(record.moves)]
+        row += [str(record.publications.get(topic, 0)) for topic in state.media]
+        row += [str(record.switches), str(record.rejected_moves), str(record.rejected_switches)]
+        row += [str(record.demand.get(service_type, 0)) for service_type in demand_types]
         rows.append(row)
     return rows
 

@@ -245,6 +245,30 @@ def test_parsing_a_malformed_entry_runs_the_full_checks():
     assert "_check_service" in names and "_require" in names
 
 
+def scheduled_document(entries: int) -> dict:
+    """``idle_fleet_document(3)`` with ``entries`` demand-schedule entries."""
+    doc = idle_fleet_document(3)
+    doc["demand-schedule"] = [{"tick": i, "type": "t0", "delta": 1} for i in range(entries)]
+    return doc
+
+
+def test_parsing_a_well_formed_demand_delta_builds_no_path():
+    # Each added entry builds its record and feeds the config's type set
+    # (the generator), with no path text and no check function; a malformed
+    # entry runs the full checks.
+    added = added_frames(parse_scenario, scheduled_document)
+    assert added == Counter({"__init__": 9, "<genexpr>": 9})
+    doc = scheduled_document(3)
+    doc["demand-schedule"][1]["delta"] = True
+
+    def refused():
+        with pytest.raises(ConfigError, match=r"demand-schedule\[1\]\.delta"):
+            parse_scenario(doc)
+
+    names = entered(refused)
+    assert "_check_demand_delta" in names and "_require" in names
+
+
 def test_set_up_pays_per_agent_only_for_its_own_state():
     # What depends only on a role, a declaration or a module is done once
     # per build: each added agent enters a fixed list of frames, its own

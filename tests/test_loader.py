@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from coagent.bdi.events import EventCategory
 from coagent.loader import (
     ConfigError,
+    _check_demand_delta,
     _check_server,
     _check_service,
     build_agent,
@@ -21,7 +22,13 @@ from coagent.loader import (
     parse_pattern,
     parse_scenario,
 )
-from coagent.scenarios import ServerSpec, ServiceSpec, build_scenario, run_simulation
+from coagent.scenarios import (
+    DemandDelta,
+    ServerSpec,
+    ServiceSpec,
+    build_scenario,
+    run_simulation,
+)
 
 from tests.conftest import SCENARIO_A, SCENARIO_B
 from tests.test_scenarios import CANONICAL_ENDPOINTS_B
@@ -312,7 +319,13 @@ class TestEndpointSection:
             parse_scenario(doc)
 
     def test_custom_endpoints_replace_canonical_processes(self):
-        from coagent.scenarios import ServerSpec, ServiceSpec, build_scenario, run_simulation
+        from coagent.scenarios import (
+    DemandDelta,
+    ServerSpec,
+    ServiceSpec,
+    build_scenario,
+    run_simulation,
+)
 
         doc = minimal_scenario(
             servers=[
@@ -333,7 +346,13 @@ class TestEndpointSection:
         )
 
     def test_custom_reaction_endpoint_in_document(self):
-        from coagent.scenarios import ServerSpec, ServiceSpec, build_scenario, run_simulation
+        from coagent.scenarios import (
+    DemandDelta,
+    ServerSpec,
+    ServiceSpec,
+    build_scenario,
+    run_simulation,
+)
 
         doc = minimal_scenario(
             servers=[
@@ -385,7 +404,13 @@ class TestEndpointSection:
         assert trace[-1].underloaded == 0
 
     def test_declared_topics_get_a_medium(self):
-        from coagent.scenarios import ServerSpec, ServiceSpec, build_scenario, run_simulation
+        from coagent.scenarios import (
+    DemandDelta,
+    ServerSpec,
+    ServiceSpec,
+    build_scenario,
+    run_simulation,
+)
 
         state = build_scenario(parse_scenario(scenario_with_rules()))
         assert sorted(state.media) == ["alerts", "capacity", "demand-change"]
@@ -640,11 +665,13 @@ def test_a_refused_mutated_scenario_exits_2_through_the_cli(case):
 
 SERVER = {"id": "server-01", "capacity": 5, "preferred-min": 3}
 SERVICE = {"id": "svc-01", "type": "web", "initial-server": "server-01"}
+DELTA = {"tick": 2, "type": "web", "delta": 5}
 
 
 class TestEntryRefusals:
-    """A refused server or service entry names its path and its first
-    fault, in exactly these texts, whether or not an inline test ran first."""
+    """A refused server, service or demand-schedule entry names its path and
+    its first fault, in exactly these texts, whether or not an inline test
+    ran first."""
 
     @pytest.mark.parametrize(
         "servers, message",
@@ -730,6 +757,58 @@ class TestEntryRefusals:
             parse_scenario(minimal_scenario(services=services))
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize(
+        "schedule, message",
+        [
+            ([DELTA, ["web"]], "scenario.demand-schedule[1]: demand delta must be dict, got list"),
+            (
+                [{"tick": 2, "type": "web"}],
+                "scenario.demand-schedule[0]: missing required keys ['delta']",
+            ),
+            (
+                [{**DELTA, "rate": 1}],
+                "scenario.demand-schedule[0]: unknown keys ['rate']; "
+                "allowed: ['delta', 'tick', 'type']",
+            ),
+            (
+                [{**DELTA, "tick": True}],
+                "scenario.demand-schedule[0].tick: tick must be int, got bool",
+            ),
+            (
+                [{**DELTA, "tick": 1.5}],
+                "scenario.demand-schedule[0].tick: tick must be int, got float",
+            ),
+            ([{**DELTA, "type": 3}], "scenario.demand-schedule[0].type: type must be str, got int"),
+            (
+                [{**DELTA, "delta": None}],
+                "scenario.demand-schedule[0].delta: delta must be int, got NoneType",
+            ),
+            (
+                [{**DELTA, "delta": False}],
+                "scenario.demand-schedule[0].delta: delta must be int, got bool",
+            ),
+            # Two faults: the keys are checked before the values, and the
+            # values in the order tick, type, delta.
+            (
+                [{"tick": 2, "delta": 5, "rate": 1}],
+                "scenario.demand-schedule[0]: unknown keys ['rate']; "
+                "allowed: ['delta', 'tick', 'type']",
+            ),
+            (
+                [{**DELTA, "tick": "2", "type": 7}],
+                "scenario.demand-schedule[0].tick: tick must be int, got str",
+            ),
+            (
+                [{**DELTA, "type": None, "delta": 2.5}],
+                "scenario.demand-schedule[0].type: type must be str, got NoneType",
+            ),
+        ],
+    )
+    def test_a_refused_demand_schedule_entry(self, schedule, message):
+        with pytest.raises(ConfigError) as excinfo:
+            parse_scenario(minimal_scenario(**{"demand-schedule": schedule}))
+        assert str(excinfo.value) == message
+
     def test_the_first_refused_entry_is_reported(self):
         doc = minimal_scenario(
             servers=[SERVER, {**SERVER, "id": "server-02", "capacity": "5"}],
@@ -752,29 +831,39 @@ class TestEntryRefusals:
             minimal_scenario(
                 servers=[{**SERVER, "capacity": Count(5)}],
                 services=[{"id": Name("svc-01"), "type": "web", "initial-server": None}],
+                **{"demand-schedule": [{**DELTA, "tick": Count(2), "type": Name("web")}]},
             )
         )
         assert config.servers[0].capacity == 5 and config.services[0].service_id == "svc-01"
         assert config.services[0].initial_server is None
+        assert config.demand_schedule == (DemandDelta(2, "web", 5),)
 
     @given(
-        st.sampled_from(["servers", "services"]),
+        st.sampled_from(["servers", "services", "demand-schedule"]),
         st.one_of(
             st.sampled_from(MUTANT_VALUES),
             st.dictionaries(
-                st.sampled_from(["id", "type", "capacity", "preferred-min", "initial-server", "x"]),
+                st.sampled_from(
+                    ["id", "type", "capacity", "preferred-min", "initial-server", "tick", "delta", "x"]
+                ),
                 st.sampled_from((*MUTANT_VALUES, 5, "server-01", "web")),
                 max_size=4,
             ),
         ),
     )
+    @example("demand-schedule", DELTA)
     @settings(max_examples=300, deadline=None)
     def test_an_entry_is_refused_as_the_full_checks_refuse(self, kind, entry):
         """The inline test lets through only what the full checks accept,
         and a refused entry gets the full checks' message."""
         path = f"scenario.{kind}[0]"
+        check = {
+            "servers": _check_server,
+            "services": _check_service,
+            "demand-schedule": _check_demand_delta,
+        }[kind]
         try:
-            (_check_server if kind == "servers" else _check_service)(entry, path)
+            check(entry, path)
             expected = None
         except ConfigError as exc:
             expected = str(exc)
@@ -789,6 +878,8 @@ class TestEntryRefusals:
             assert not refused.startswith(path)  # a fault of the document, not the entry
         elif kind == "servers":
             assert config.servers[0] == ServerSpec(entry["id"], entry["capacity"], entry["preferred-min"])
-        else:
+        elif kind == "services":
             spec = ServiceSpec(entry["id"], entry["type"], entry.get("initial-server"))
             assert config.services[0] == spec
+        else:
+            assert config.demand_schedule == (DemandDelta(entry["tick"], entry["type"], entry["delta"]),)

@@ -1,7 +1,9 @@
 """Scenario construction, the mechanism operations, and both scenario runs."""
 
 import copy
+import csv
 import functools
+import io
 import json
 import random
 from collections import deque
@@ -396,9 +398,9 @@ def test_sleeping_agents_change_no_output(fields):
     assert outputs(scheduled) == outputs(every_agent)
 
 
-def naive_rows(state):
-    """``trace_rows`` written out: every cell of a row recounted from that
-    row's own record, sharing nothing with other rows."""
+def naive_int_rows(state):
+    """``trace_rows``' values written out: every cell of a row recounted from
+    that row's own record, sharing nothing with other rows, as integers."""
     preferred = {server_id: spec.preferred_min for server_id, spec in state.server_specs.items()}
     rows = []
     for record in state.trace:
@@ -424,6 +426,11 @@ def naive_rows(state):
     return rows
 
 
+def naive_rows(state):
+    """``trace_rows`` written out: ``str`` of each recounted value."""
+    return [[str(value) for value in row] for row in naive_int_rows(state)]
+
+
 @given(running_configs())
 @settings(max_examples=100, deadline=None)
 def test_trace_rows_equal_a_renderer_that_recounts_every_record(fields):
@@ -434,6 +441,30 @@ def test_trace_rows_equal_a_renderer_that_recounts_every_record(fields):
     state = build_scenario(config)
     run_simulation(state, 12)
     assert trace_rows(state) == naive_rows(state)
+
+
+@given(running_configs())
+@settings(max_examples=100, deadline=None)
+def test_trace_rows_are_text_that_writes_as_the_integer_rows(fields):
+    # Every cell is already text, so a CSV writer converts nothing, and the
+    # bytes it writes are those it writes for the recounted integer rows.
+    try:
+        config = ScenarioConfig(**fields)
+    except ScenarioError:
+        return
+    state = build_scenario(config)
+    run_simulation(state, 12)
+    rows = trace_rows(state)
+    assert all(type(cell) is str for row in rows for cell in row)
+
+    def written(rows):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(trace_columns(state))
+        writer.writerows(rows)
+        return buffer.getvalue()
+
+    assert written(rows) == written(naive_int_rows(state))
 
 
 #: ``canonical_endpoints`` for scenario B (threshold 0.5), spelled out as a
@@ -1399,9 +1430,9 @@ class TestTraceOutputs:
         for record, row in zip(trace, rows):
             values = dict(zip(columns, row, strict=True))
             for server_id, types in record.deployments.items():
-                assert values[f"server:{server_id}"] == len(types)
+                assert values[f"server:{server_id}"] == str(len(types))
             for topic, count in record.publications.items():
-                assert values[f"pub:{topic}"] == count
+                assert values[f"pub:{topic}"] == str(count)
         assert any(row[1] != row[2] for row in rows)
         assert sum(record.publications["capacity"] for record in trace) > 0
         assert sum(record.publications["demand-change"] for record in trace) > 0
@@ -1416,7 +1447,9 @@ class TestTraceOutputs:
         for record, row in zip(trace, trace_rows(state), strict=True):
             values = dict(zip(columns, row, strict=True))
             recount = record.type_counts(state.types)
-            assert {t: values[f"type:{t}"] for t in state.types} == recount
+            assert {t: values[f"type:{t}"] for t in state.types} == {
+                t: str(count) for t, count in recount.items()
+            }
 
     def test_summary_contents(self):
         config = load_scenario(SCENARIO_A)
