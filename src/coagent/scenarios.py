@@ -51,6 +51,7 @@ from bisect import insort
 from collections import Counter
 from itertools import chain
 from dataclasses import dataclass, field
+from functools import cache
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -956,7 +957,8 @@ def trace_rows(state: SimulationState) -> list[list[str]]:
     made once per deployment map: records that hold the previous record's
     map object reuse its cells.  The type counts carry from map to map: a
     server's list is replaced, never mutated, so only the servers whose list
-    object changed are recounted.
+    object changed are recounted.  Cells that show one value share one text
+    object, so the rows hold no more objects than integer rows would.
     """
     demand_types = sorted(state.demand)
     counts: Counter[str] = Counter()
@@ -964,6 +966,7 @@ def trace_rows(state: SimulationState) -> list[list[str]]:
     rendered: dict[str, list[str]] | None = None
     cells: list[str] = []
     rows = []
+    text = cache(str)  # the tick, unique per row, is rendered directly
     for record in state.trace:
         if record.deployments is not rendered:
             rendered = record.deployments
@@ -974,12 +977,12 @@ def trace_rows(state: SimulationState) -> list[list[str]]:
                         counts.subtract(before)
                     counts.update(deployed)
                     counted[server_id] = deployed
-            cells = [str(len(deployed)) for deployed in rendered.values()]
-            cells += [str(counts[service_type]) for service_type in state.types]
-        row = [str(record.tick), *cells, str(record.underloaded), str(record.moves)]
-        row += [str(record.publications.get(topic, 0)) for topic in state.media]
-        row += [str(record.switches), str(record.rejected_moves), str(record.rejected_switches)]
-        row += [str(record.demand.get(service_type, 0)) for service_type in demand_types]
+            cells = [text(len(deployed)) for deployed in rendered.values()]
+            cells += [text(counts[service_type]) for service_type in state.types]
+        row = [str(record.tick), *cells, text(record.underloaded), text(record.moves)]
+        row += [text(record.publications.get(topic, 0)) for topic in state.media]
+        row += [text(record.switches), text(record.rejected_moves), text(record.rejected_switches)]
+        row += [text(record.demand.get(service_type, 0)) for service_type in demand_types]
         rows.append(row)
     return rows
 

@@ -448,6 +448,7 @@ def test_trace_rows_equal_a_renderer_that_recounts_every_record(fields):
 def test_trace_rows_are_text_that_writes_as_the_integer_rows(fields):
     # Every cell is already text, so a CSV writer converts nothing, and the
     # bytes it writes are those it writes for the recounted integer rows.
+    # Past the tick, the cells that show one value share one text object.
     try:
         config = ScenarioConfig(**fields)
     except ScenarioError:
@@ -456,6 +457,8 @@ def test_trace_rows_are_text_that_writes_as_the_integer_rows(fields):
     run_simulation(state, 12)
     rows = trace_rows(state)
     assert all(type(cell) is str for row in rows for cell in row)
+    shown = [cell for row in rows for cell in row[1:]]
+    assert len({id(cell) for cell in shown}) == len(set(shown))
 
     def written(rows):
         buffer = io.StringIO()
