@@ -458,8 +458,8 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
 
     # A well-formed server, service or demand-schedule entry passes the
     # checks below with no path text; any other runs the full checks, which
-    # build the path and refuse its first fault.  Specs are built by
-    # position.
+    # build the path and refuse its first fault.  Specs are built
+    # positionally, which costs less per entry than by keyword.
     servers = []
     for index, obj in enumerate(_require(doc["servers"], f"{path}.servers", list, "servers")):
         if not (
