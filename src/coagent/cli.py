@@ -136,11 +136,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             )
         if "agent-log" in emit:
             with targets["agent-log"].open("w", encoding="utf-8") as handle:
-                for agent_id in state.agent_order:
-                    record = {
-                        "agent": agent_id,
-                        "observations": state.agents[agent_id].observations,
-                    }
+                for agent_id, cfg in state.agents.items():
+                    record = {"agent": agent_id, "observations": cfg.observations}
                     handle.write(json.dumps(record, sort_keys=True) + "\n")
     except OSError as exc:
         print(f"error: cannot write outputs: {exc}", file=sys.stderr)

@@ -9,12 +9,13 @@ information and injects adjustment events back into the host, through the
 co-efficient injection rule.  The host reasoner keeps authority over every
 injected event.
 
-A declaration checks itself and compiles its publication module when it is
-built, so a built declaration is always valid and complete.  This module owns
-the endpoint protocol: the compiled module encodes which endpoint and rule a
-publish action comes from, ``build_publication`` decodes a performed publish
-action back into its publication, and endpoint ids are formed only here.  A
-host environment routes the action without knowing its argument format.
+A declaration checks itself and compiles its module, its publication side
+and the plans it declares, when it is built, so a built declaration is always
+valid and complete.  This module owns the endpoint protocol: the compiled
+module encodes which endpoint and rule a publish action comes from,
+``build_publication`` decodes a performed publish action back into its
+publication, and endpoint ids are formed only here.  A host environment
+routes the action without knowing its argument format.
 """
 
 from __future__ import annotations
@@ -165,10 +166,13 @@ class EndpointDeclaration:
 
     A declaration names its ``role``, the kind of agent it is attached to;
     it has no default.  ``reactions`` are mapping entries on
-    ``message-received``, one named topic each.  Building a declaration
-    checks it, raising ``EndpointDeclarationError``, and derives ``topics``,
-    the topics its reactions subscribe to, and ``module``, the co-efficient
-    module of its publication side.  Both depend only on the declaration, so
+    ``message-received``, one named topic each.  ``plans`` are the plans
+    that pursue what the process asks of its hosts, such as the goals its
+    reactions inject; they reach a host only through the declaration's
+    module, under their own ids.  Building a declaration checks it, raising
+    ``EndpointDeclarationError``, and derives ``topics``, the topics its
+    reactions subscribe to, and ``module``, the co-efficient module of its
+    publication side and its plans.  Both depend only on the declaration, so
     every host it is attached to shares them.
     """
 
@@ -176,6 +180,7 @@ class EndpointDeclaration:
     role: str
     publications: tuple[PublicationRule, ...] = ()
     reactions: tuple[EventMappingEntry, ...] = ()
+    plans: tuple[Plan, ...] = ()
     topics: frozenset[str] = field(init=False, repr=False, compare=False)
     module: CoefficientModule = field(init=False, repr=False, compare=False)
 
@@ -194,7 +199,7 @@ class EndpointDeclaration:
                 )
         topics = frozenset(entry.observe.subject for entry in self.reactions)
         object.__setattr__(self, "topics", topics)
-        object.__setattr__(self, "module", _publication_module(self))
+        object.__setattr__(self, "module", _declaration_module(self))
 
 
 @dataclass
@@ -238,13 +243,15 @@ def _check_publication(rule: PublicationRule, index: int) -> None:
         )
 
 
-def _publication_module(decl: EndpointDeclaration) -> CoefficientModule:
-    """The co-efficient module of a declaration's publication side.
+def _declaration_module(decl: EndpointDeclaration) -> CoefficientModule:
+    """The co-efficient module of a declaration: its publication side, then
+    its declared plans.
 
     Each publication rule becomes one event-mapping entry that injects an
     internal publish goal, plus one plan that performs the publish action;
     the rule guard is re-checked in the plan context so stale goals never
-    publish.
+    publish.  The declared plans are exported, so they keep their ids on
+    the host.
     """
     module_id = f"ep.{decl.process_id}"
     mapping: list[EventMappingEntry] = []
@@ -275,7 +282,12 @@ def _publication_module(decl: EndpointDeclaration) -> CoefficientModule:
                 body=(Act(PUBLISH_ACTION, args),),
             )
         )
-    return CoefficientModule(module_id=module_id, plans=plans, mapping=mapping)
+    return CoefficientModule(
+        module_id=module_id,
+        plans=[*plans, *decl.plans],
+        mapping=mapping,
+        exports=frozenset(plan.plan_id for plan in decl.plans),
+    )
 
 
 def attach_endpoint(

@@ -384,7 +384,7 @@ def parse_endpoint_declaration(obj: Any, path: str) -> EndpointDeclaration:
     _check_keys(
         obj,
         path,
-        {"process-id", "role", "publication-rules", "reaction-rules"},
+        {"process-id", "role", "publication-rules", "reaction-rules", "plans"},
         {"process-id", "role"},
     )
     publications = tuple(
@@ -395,10 +395,14 @@ def parse_endpoint_declaration(obj: Any, path: str) -> EndpointDeclaration:
         parse_reaction_rule(rule, f"{path}.reaction-rules[{index}]")
         for index, rule in enumerate(_optional(obj, "reaction-rules", path, list, []))
     )
+    plans = tuple(
+        parse_plan(plan, f"{path}.plans[{index}]")
+        for index, plan in enumerate(_optional(obj, "plans", path, list, []))
+    )
     role = _require(obj["role"], f"{path}.role", str, "role")
     process_id = _require(obj["process-id"], f"{path}.process-id", str, "process id")
     try:
-        return EndpointDeclaration(process_id, role, publications, reactions)
+        return EndpointDeclaration(process_id, role, publications, reactions, plans)
     except EndpointDeclarationError as exc:
         raise _fail(path, str(exc)) from None
 

@@ -61,7 +61,12 @@ from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import post_external_event, run_cycle, select_event
 from coagent.bdi.plans import Act, Plan, PlanLibrary
-from coagent.coefficiency import EventMappingEntry, EventTemplate
+from coagent.coefficiency import (
+    EventMappingEntry,
+    EventTemplate,
+    ModuleRegistrationError,
+    register_module,
+)
 from coagent.coordination import (
     PUBLISH_ACTION,
     CoordinationEndpoint,
@@ -84,8 +89,14 @@ BALANCING_PROCESS = "balancing"
 MOVE_GOAL = "move-to"
 SWITCH_GOAL = "switch-to"
 
-#: The agent roles an endpoint declaration can name.
-ROLES = ("server", "service", "broker")
+#: The agent roles an endpoint declaration can name, each with the actions
+#: its agents may perform and the beliefs the architecture reports once at
+#: bootstrap, as external belief-update events.
+ROLES = {
+    "server": (frozenset(), ("deployed",)),
+    "service": (frozenset({"relocate", "reallocate"}), ()),
+    "broker": (frozenset(), ()),
+}
 
 
 class ScenarioError(ValueError):
@@ -229,7 +240,10 @@ class ScenarioConfig:
     it also computes ``declarations``, the endpoint declarations a build
     attaches: ``endpoints``, or ``canonical_endpoints(config)`` when
     ``endpoints`` is None.  Only the canonical declarations read
-    ``significance_threshold`` and ``publish_when_empty``.  A config cannot
+    ``significance_threshold`` and ``publish_when_empty``.  A declaration's
+    plans may act only in its role's action set (see ``ROLES``), and the
+    declarations of a role must register together, each once, on one agent
+    of that role: a config refuses what a build would.  A config cannot
     be changed: building it stores each sequence field as a tuple and
     ``demand``, ``media`` and ``placement`` as read-only mappings, so
     ``dataclasses.replace`` is the way to a changed one, checked, placed and
@@ -303,16 +317,30 @@ class ScenarioConfig:
                 raise ScenarioError(f"medium {topic!r}: latency must be >= 0")
         declarations = canonical_endpoints(self) if self.endpoints is None else self.endpoints
         object.__setattr__(self, "declarations", declarations)
+        # A build registers a role's declarations on each of its agents, so
+        # one probe agent per role refuses what any build would: registration
+        # alone rules on module and plan ids.
+        probes = {role: AgentConfiguration(role, plans=PlanLibrary()) for role in ROLES}
         for index, decl in enumerate(declarations):
             if decl.role not in ROLES:
                 raise ScenarioError(
                     f"endpoints[{index}]: role must be {'/'.join(ROLES)}, got {decl.role!r}"
                 )
-        # Both copies of a (role, process-id) would register one module twice.
-        keys = [(decl.role, decl.process_id) for decl in declarations]
-        duplicates = sorted({key for key in keys if keys.count(key) > 1})
-        if duplicates:
-            raise ScenarioError(f"duplicate endpoint declarations (role, process-id): {duplicates}")
+            actions = ROLES[decl.role][0]
+            for plan_index, plan in enumerate(decl.plans):
+                for step_index, step in enumerate(plan.body):
+                    if isinstance(step, Act) and step.name not in actions:
+                        raise ScenarioError(
+                            f"endpoints[{index}].plans[{plan_index}].body[{step_index}]: "
+                            f"action {step.name!r} is not in the {decl.role} action set "
+                            f"{sorted(actions)}"
+                        )
+            try:
+                register_module(probes[decl.role], decl.module)
+            except ModuleRegistrationError as exc:
+                raise ScenarioError(
+                    f"endpoints[{index}]: a {decl.role} cannot register it: {exc}"
+                ) from None
 
         uniqueness = self.uniqueness_constraint
         types: dict[str, list[str]] = {server.server_id: [] for server in self.servers}
@@ -456,6 +484,8 @@ class SimulationState:
 
     @property
     def agent_order(self) -> list[str]:
+        """The agent ids in id order.  ``agents`` holds them in that order;
+        this list stays only for ``perfbench/repetition.py``, which reads it."""
         return list(self.agents)
 
     def refresh_server(self, server_id: str, types: list[str]) -> None:
@@ -651,19 +681,17 @@ def apply_demand(state: SimulationState, tick: int) -> SimulationState:
 # -- scenario construction ----------------------------------------------------
 
 
-#: The service plans the canonical reactions' goals trigger, shared by every service.
-_SERVICE_PLANS = (
-    Plan(
-        plan_id=MOVE_GOAL,
-        trigger=pattern(EventCategory.GOAL_ADDED, MOVE_GOAL),
-        body=(Act("relocate", {"server": Expr("payload.server")}),),
-    ),
-    Plan(
-        plan_id=SWITCH_GOAL,
-        trigger=pattern(EventCategory.GOAL_ADDED, SWITCH_GOAL),
-        context=Expr("type != payload.type"),
-        body=(Act("reallocate", {"type": Expr("payload.type")}),),
-    ),
+#: The goal plans of the canonical service declarations, built once.
+_MOVE_PLAN = Plan(
+    plan_id=MOVE_GOAL,
+    trigger=pattern(EventCategory.GOAL_ADDED, MOVE_GOAL),
+    body=(Act("relocate", {"server": Expr("payload.server")}),),
+)
+_SWITCH_PLAN = Plan(
+    plan_id=SWITCH_GOAL,
+    trigger=pattern(EventCategory.GOAL_ADDED, SWITCH_GOAL),
+    context=Expr("type != payload.type"),
+    body=(Act("reallocate", {"type": Expr("payload.type")}),),
 )
 
 
@@ -672,9 +700,12 @@ def canonical_endpoints(config: ScenarioConfig) -> tuple[EndpointDeclaration, ..
     config without ``endpoints``.
 
     Server utilization: servers below their preferred level publish capacity,
-    and services elsewhere react with a ``move-to`` goal.  Demand balancing:
+    and services elsewhere react with a ``move-to`` goal, which their
+    declaration's ``move-to`` plan pursues by relocating.  Demand balancing:
     brokers publish significant demand changes, and services of another type
-    react to a rise with a ``switch-to`` goal.
+    react to a rise with a ``switch-to`` goal, which their declaration's
+    ``switch-to`` plan pursues by reallocating.  The two plans are built
+    once, not per config.
     """
     if config.publish_when_empty:
         capacity_guard = Expr("deployed < preferred_min")
@@ -708,6 +739,7 @@ def canonical_endpoints(config: ScenarioConfig) -> tuple[EndpointDeclaration, ..
                     ),
                 ),
             ),
+            plans=(_MOVE_PLAN,),
         ),
         EndpointDeclaration(
             process_id=BALANCING_PROCESS,
@@ -721,6 +753,7 @@ def canonical_endpoints(config: ScenarioConfig) -> tuple[EndpointDeclaration, ..
                     ),
                 ),
             ),
+            plans=(_SWITCH_PLAN,),
         ),
         EndpointDeclaration(
             process_id=BALANCING_PROCESS,
@@ -760,18 +793,19 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
     ``declarations`` computed, when it was built; each declaration compiled
     its module when it was built.  A topic that no ``media`` entry names has
     latency 1.  One loop builds the members, servers then services then
-    brokers, each in document order.  A member starts from its role's plan
-    library and action set, gets an endpoint for each declaration of its
-    role, whose hosts subscribe to its ``topics``, and then reports the
-    role's bootstrap readings: each server manager's current utilization,
-    once, so that publication guards are evaluated against the initial
-    state.  What depends only on a role, its declarations and the media of
-    their sorted topics, is resolved once, before the members; each member
-    pays only for its own state.  The base libraries and action sets are
-    built per call, so that no relevance index carries from one build to
-    the next; registration gives the members of a role that gain plans one
-    new library per declaration (see ``register_module``), and each
-    publishing member its own action set.
+    brokers, each in document order.  A member starts from one empty plan
+    library and its role's action set (see ``ROLES``), gets an endpoint for
+    each declaration of its role, whose hosts subscribe to its ``topics``,
+    and then reports the role's bootstrap readings: each server manager's
+    current utilization, once, so that publication guards are evaluated
+    against the initial state.  A member's plans are those its declarations
+    carry: every plan reaches it through module registration.  What depends
+    only on a role, its declarations and the media of their sorted topics,
+    is resolved once, before the members; each member pays only for its own
+    state.  The empty library is made per call, so that no relevance index
+    carries from one build to the next; registration gives the members of a
+    role one new library per declaration that carries plans (see
+    ``register_module``), and each publishing member its own action set.
 
     Agents keep observation records only with ``agent_log`` set, for a run
     that writes ``agent-log.jsonl``; plan-lifecycle hooks fire either way.
@@ -800,16 +834,11 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
             topic=topic, latency=config.media.get(topic, 1), order=RELEASE_ORDER.get(topic)
         )
 
-    # Per role: plan library, action set, the beliefs the architecture
-    # reports once at bootstrap, as external belief-update events, and the
-    # role's declarations, each with the media of its sorted topics.
-    programs = {
-        "server": (PlanLibrary(), frozenset(), ("deployed",), []),
-        "service": (PlanLibrary(_SERVICE_PLANS), frozenset({"relocate", "reallocate"}), (), []),
-        "broker": (PlanLibrary(), frozenset(), (), []),
-    }
+    library = PlanLibrary()
+    # Per role: its declarations, each with the media of its sorted topics.
+    declared: dict[str, list] = {role: [] for role in ROLES}
     for decl in config.declarations:
-        programs[decl.role][3].append((decl, [state.media[topic] for topic in sorted(decl.topics)]))
+        declared[decl.role].append((decl, [state.media[topic] for topic in sorted(decl.topics)]))
     # Lazily, so that each belief dict lives only until its agent copies it.
     members = chain(
         (
@@ -839,11 +868,11 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
         (("broker", broker_id, dict(state.demand)) for broker_id in config.broker_ids),
     )
     for role, agent_id, beliefs in members:
-        plans, actions, readings, decls = programs[role]
+        actions, readings = ROLES[role]
         cfg = state.agents[agent_id] = AgentConfiguration(
-            agent_id, BeliefBase(beliefs), plans, actions, env, record_observations=agent_log
+            agent_id, BeliefBase(beliefs), library, actions, env, record_observations=agent_log
         )
-        for decl, media in decls:
+        for decl, media in declared[role]:
             endpoint = attach_endpoint(decl, cfg)
             state.endpoints[endpoint.endpoint_id] = endpoint
             for medium in media:

@@ -10,6 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from coagent.bdi.events import EventCategory
+from coagent.coordination import PUBLISH_ACTION
 from coagent.loader import (
     ConfigError,
     _check_demand_delta,
@@ -23,6 +24,7 @@ from coagent.loader import (
     parse_scenario,
 )
 from coagent.scenarios import (
+    ROLES,
     DemandDelta,
     ServerSpec,
     ServiceSpec,
@@ -319,14 +321,6 @@ class TestEndpointSection:
             parse_scenario(doc)
 
     def test_custom_endpoints_replace_canonical_processes(self):
-        from coagent.scenarios import (
-    DemandDelta,
-    ServerSpec,
-    ServiceSpec,
-    build_scenario,
-    run_simulation,
-)
-
         doc = minimal_scenario(
             servers=[
                 {"id": "server-01", "capacity": 5, "preferred-min": 3},
@@ -346,75 +340,85 @@ class TestEndpointSection:
         )
 
     def test_custom_reaction_endpoint_in_document(self):
-        from coagent.scenarios import (
-    DemandDelta,
-    ServerSpec,
-    ServiceSpec,
-    build_scenario,
-    run_simulation,
-)
-
-        doc = minimal_scenario(
-            servers=[
-                {"id": "server-01", "capacity": 5, "preferred-min": 3},
-                {"id": "server-02", "capacity": 5, "preferred-min": 3},
-            ],
-            services=[
-                {"id": "svc-01", "type": "web", "initial-server": "server-01"},
-                {"id": "svc-02", "type": "web", "initial-server": "server-01"},
-                {"id": "svc-03", "type": "web", "initial-server": "server-01"},
-                {"id": "svc-04", "type": "web", "initial-server": "server-01"},
-                {"id": "svc-05", "type": "web", "initial-server": "server-01"},
-                {"id": "svc-06", "type": "web", "initial-server": "server-02"},
-            ],
-            endpoints=[
-                {
-                    "process-id": "utilization",
-                    "role": "server",
-                    "publication-rules": [
-                        {
-                            "observe": {"category": "belief-updated", "subject": "deployed"},
-                            "guard": "deployed > 0 and deployed < preferred_min",
-                            "topic": "capacity",
-                            "extract": ["server", "deployed", "capacity"],
-                        }
-                    ],
-                },
-                {
-                    "process-id": "utilization",
-                    "role": "service",
-                    "reaction-rules": [
-                        {
-                            "match": {"topic": "capacity"},
-                            "guard": "payload.server != current_server",
-                            "inject": {
-                                "category": "goal-added",
-                                "subject": "move-to",
-                                "payload": {"server": "payload.server"},
-                            },
-                        }
-                    ],
-                },
-            ],
-        )
-        config = parse_scenario(doc)
+        config = parse_scenario(utilization_document(service_plans=[MOVE_PLAN]))
         state = build_scenario(config)
         trace = run_simulation(state, 30, seed=0)
         assert sum(record.moves for record in trace) > 0
         assert trace[-1].underloaded == 0
 
-    def test_declared_topics_get_a_medium(self):
-        from coagent.scenarios import (
-    DemandDelta,
-    ServerSpec,
-    ServiceSpec,
-    build_scenario,
-    run_simulation,
-)
+    def test_a_reaction_goal_without_a_declared_plan_makes_no_move(self):
+        # Services hold only the plans their declarations carry: the
+        # reaction injects move-to goals, and nothing pursues them.
+        config = parse_scenario(utilization_document(service_plans=[]))
+        state = build_scenario(config)
+        assert len(state.agents["svc-01"].plans) == 0
+        trace = run_simulation(state, 30, seed=0)
+        assert sum(record.publications["capacity"] for record in trace) > 0
+        assert sum(record.moves for record in trace) == 0
+        assert trace[-1].underloaded == 1
 
+    def test_declared_topics_get_a_medium(self):
         state = build_scenario(parse_scenario(scenario_with_rules()))
         assert sorted(state.media) == ["alerts", "capacity", "demand-change"]
         run_simulation(state, 3, seed=0)
+
+
+#: The canonical service plan for the ``move-to`` goal, as a document declares it.
+MOVE_PLAN = {
+    "id": "move-to",
+    "trigger": {"category": "goal-added", "subject": "move-to"},
+    "body": [{"do": "act", "name": "relocate", "args": {"server": "payload.server"}}],
+}
+
+
+def utilization_document(service_plans):
+    """Five services on server-01 and one on server-02, under a document's
+    own utilization process; its service declaration carries
+    ``service_plans``."""
+    return minimal_scenario(
+        servers=[
+            {"id": "server-01", "capacity": 5, "preferred-min": 3},
+            {"id": "server-02", "capacity": 5, "preferred-min": 3},
+        ],
+        services=[
+            {"id": "svc-01", "type": "web", "initial-server": "server-01"},
+            {"id": "svc-02", "type": "web", "initial-server": "server-01"},
+            {"id": "svc-03", "type": "web", "initial-server": "server-01"},
+            {"id": "svc-04", "type": "web", "initial-server": "server-01"},
+            {"id": "svc-05", "type": "web", "initial-server": "server-01"},
+            {"id": "svc-06", "type": "web", "initial-server": "server-02"},
+        ],
+        endpoints=[
+            {
+                "process-id": "utilization",
+                "role": "server",
+                "publication-rules": [
+                    {
+                        "observe": {"category": "belief-updated", "subject": "deployed"},
+                        "guard": "deployed > 0 and deployed < preferred_min",
+                        "topic": "capacity",
+                        "extract": ["server", "deployed", "capacity"],
+                    }
+                ],
+            },
+            {
+                "process-id": "utilization",
+                "role": "service",
+                "reaction-rules": [
+                    {
+                        "match": {"topic": "capacity"},
+                        "guard": "payload.server != current_server",
+                        "inject": {
+                            "category": "goal-added",
+                            "subject": "move-to",
+                            "payload": {"server": "payload.server"},
+                        },
+                    }
+                ],
+                "plans": service_plans,
+            },
+        ],
+    )
 
 
 REACTION = {"match": {"topic": "capacity"}, "inject": {"category": "goal-added", "subject": "move-to"}}
@@ -511,6 +515,118 @@ class TestMalformedDocuments:
     def test_module_registration_clash_names_the_modules_path(self, name):
         with pytest.raises(ConfigError, match=r"^agent-program\.modules: module 'm'"):
             parse_agent_program(MALFORMED_PROGRAMS[name])
+
+
+def _refused_b(edit):
+    """Scenario B with its canonical endpoints spelled out, after ``edit``."""
+    endpoints = copy.deepcopy(CANONICAL_ENDPOINTS_B)
+    edit(endpoints)
+    return {**json.loads(SCENARIO_B.read_text()), "endpoints": endpoints}
+
+
+#: Declared plans a config refuses, each with its exact ConfigError text.
+REFUSED_PLANS = {
+    "undeclared-action": (
+        _refused_b(lambda endpoints: endpoints[1]["plans"][0]["body"][0].update(name="fly")),
+        "scenario: endpoints[1].plans[0].body[0]: action 'fly' is not in the service "
+        "action set ['reallocate', 'relocate']",
+    ),
+    "colliding-plan-id": (
+        _refused_b(lambda endpoints: endpoints[2]["plans"][0].update(id="move-to")),
+        "scenario: endpoints[2]: a service cannot register it: module 'ep.balancing' "
+        "plan 'move-to' collides with a host or module plan",
+    ),
+}
+
+
+class TestDeclaredPlanRefusals:
+    """A declared plan must act in its role's action set and register with
+    the role's other declarations; a config refuses it otherwise, so the CLI
+    exits 2 and writes nothing."""
+
+    @pytest.mark.parametrize("name", sorted(REFUSED_PLANS))
+    def test_the_refusal_text_through_validate_and_run(self, name, tmp_path, capsys):
+        from coagent.cli import main
+
+        doc, text = REFUSED_PLANS[name]
+        with pytest.raises(ConfigError) as refused:
+            parse_scenario(doc)
+        assert str(refused.value) == text
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        printed = f"error: {path}" + text.removeprefix("scenario") + "\n"
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == printed
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == printed
+        assert not out.exists()
+
+
+def declared_plan_document(role, action, other_role, plan_id):
+    """One server and one service under two declarations: process ``a`` on
+    ``role`` with a plan ``plan_id`` that acts ``action``, and process ``b``
+    on ``other_role`` with a plan ``plan_id`` that acts nothing."""
+    plan = {"id": plan_id, "trigger": {"category": "goal-added", "subject": "g"}}
+    return minimal_scenario(
+        endpoints=[
+            {
+                "process-id": "a",
+                "role": role,
+                "plans": [{**plan, "body": [{"do": "act", "name": action}]}],
+            },
+            {
+                "process-id": "b",
+                "role": other_role,
+                "plans": [{**plan, "body": [{"do": "subgoal", "goal": "h"}]}],
+            },
+        ]
+    )
+
+
+@given(
+    st.sampled_from(sorted(ROLES)),
+    st.sampled_from(["relocate", "reallocate", PUBLISH_ACTION, "fly", ""]),
+    st.sampled_from(sorted(ROLES)),
+    st.sampled_from(["move-to", "g", "publish.0"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_a_declared_plan_is_refused_when_its_role_cannot_act_or_register_it(
+    role, action, other_role, plan_id
+):
+    """The act check comes first, then registration; a refused document
+    exits 2 through ``validate`` and ``run`` and writes no file, and an
+    accepted one runs."""
+    from coagent.cli import main
+
+    doc = declared_plan_document(role, action, other_role, plan_id)
+    actions = ROLES[role][0]
+    if action not in actions:
+        text = (
+            f"scenario: endpoints[0].plans[0].body[0]: action {action!r} is not in the "
+            f"{role} action set {sorted(actions)}"
+        )
+    elif role == other_role:
+        text = (
+            f"scenario: endpoints[1]: a {role} cannot register it: module 'ep.b' "
+            f"plan {plan_id!r} collides with a host or module plan"
+        )
+    else:
+        text = None
+    try:
+        parse_scenario(doc)
+    except ConfigError as exc:
+        assert str(exc) == text
+    else:
+        assert text is None
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "declared.json"
+        path.write_text(json.dumps(doc))
+        out = Path(directory) / "out"
+        expected = 0 if text is None else 2
+        assert main(["validate", str(path)]) == expected
+        assert main(["run", "--scenario", str(path), "--out", str(out)]) == expected
+        assert out.exists() is (text is None)
 
 
 # -- loader fuzzing -------------------------------------------------------------

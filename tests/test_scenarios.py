@@ -46,7 +46,7 @@ from coagent.scenarios import (
     trace_rows,
 )
 
-from tests.conftest import SCENARIO_A, SCENARIO_B
+from tests.conftest import REPO_ROOT, SCENARIO_A, SCENARIO_B
 from tests.helpers import check_trace_safety, first_capacity_delivery_tick
 
 
@@ -470,64 +470,128 @@ def test_trace_rows_are_text_that_writes_as_the_integer_rows(fields):
     assert written(rows) == written(naive_int_rows(state))
 
 
-#: ``canonical_endpoints`` for scenario B (threshold 0.5), spelled out as a
-#: document's ``endpoints`` section.
-CANONICAL_ENDPOINTS_B = [
+def canonical_endpoints_document(publish_when_empty=False, threshold=0.5):
+    """``canonical_endpoints`` of a config with these parameters, spelled out
+    as a document's ``endpoints`` section."""
+    capacity_guard = "deployed < preferred_min"
+    if not publish_when_empty:
+        capacity_guard = "deployed > 0 and " + capacity_guard
+    return [
+        {
+            "process-id": "utilization",
+            "role": "server",
+            "publication-rules": [
+                {
+                    "observe": {"category": "belief-updated", "subject": "deployed"},
+                    "guard": capacity_guard,
+                    "topic": "capacity",
+                    "extract": ["server", "deployed", "capacity"],
+                }
+            ],
+        },
+        {
+            "process-id": "utilization",
+            "role": "service",
+            "reaction-rules": [
+                {
+                    "match": {"topic": "capacity"},
+                    "guard": "payload.server != current_server",
+                    "inject": {
+                        "category": "goal-added",
+                        "subject": "move-to",
+                        "payload": {"server": "payload.server", "deployed": "payload.deployed"},
+                    },
+                }
+            ],
+            "plans": [
+                {
+                    "id": "move-to",
+                    "trigger": {"category": "goal-added", "subject": "move-to"},
+                    "body": [{"do": "act", "name": "relocate", "args": {"server": "payload.server"}}],
+                }
+            ],
+        },
+        {
+            "process-id": "balancing",
+            "role": "service",
+            "reaction-rules": [
+                {
+                    "match": {"topic": "demand-change"},
+                    "guard": "payload.new > payload.old and payload.subject != type",
+                    "inject": {
+                        "category": "goal-added",
+                        "subject": "switch-to",
+                        "payload": {"type": "payload.subject"},
+                    },
+                }
+            ],
+            "plans": [
+                {
+                    "id": "switch-to",
+                    "trigger": {"category": "goal-added", "subject": "switch-to"},
+                    "context": "type != payload.type",
+                    "body": [{"do": "act", "name": "reallocate", "args": {"type": "payload.type"}}],
+                }
+            ],
+        },
+        {
+            "process-id": "balancing",
+            "role": "broker",
+            "publication-rules": [
+                {
+                    "observe": {"category": "belief-updated"},
+                    "guard": f"abs(payload.new - payload.old) / payload.old >= {float(threshold)!r}",
+                    "topic": "demand-change",
+                    "extract-event": {
+                        "subject": "subject",
+                        "old": "payload.old",
+                        "new": "payload.new",
+                    },
+                }
+            ],
+        },
+    ]
+
+
+#: ``canonical_endpoints`` for scenario B (threshold 0.5).
+CANONICAL_ENDPOINTS_B = canonical_endpoints_document()
+
+#: A third coordination process, declared in the document alone: servers
+#: below their preferred level announce themselves on ``spare``, and
+#: services elsewhere react with a ``go-to`` goal that their declaration's
+#: own plan pursues by relocating.
+SPARE_ROOM_PROCESS = [
     {
-        "process-id": "utilization",
+        "process-id": "spare-room",
         "role": "server",
         "publication-rules": [
             {
                 "observe": {"category": "belief-updated", "subject": "deployed"},
                 "guard": "deployed > 0 and deployed < preferred_min",
-                "topic": "capacity",
-                "extract": ["server", "deployed", "capacity"],
+                "topic": "spare",
+                "extract": ["server"],
             }
         ],
     },
     {
-        "process-id": "utilization",
+        "process-id": "spare-room",
         "role": "service",
         "reaction-rules": [
             {
-                "match": {"topic": "capacity"},
+                "match": {"topic": "spare"},
                 "guard": "payload.server != current_server",
                 "inject": {
                     "category": "goal-added",
-                    "subject": "move-to",
-                    "payload": {"server": "payload.server", "deployed": "payload.deployed"},
+                    "subject": "go-to",
+                    "payload": {"server": "payload.server"},
                 },
             }
         ],
-    },
-    {
-        "process-id": "balancing",
-        "role": "service",
-        "reaction-rules": [
+        "plans": [
             {
-                "match": {"topic": "demand-change"},
-                "guard": "payload.new > payload.old and payload.subject != type",
-                "inject": {
-                    "category": "goal-added",
-                    "subject": "switch-to",
-                    "payload": {"type": "payload.subject"},
-                },
-            }
-        ],
-    },
-    {
-        "process-id": "balancing",
-        "role": "broker",
-        "publication-rules": [
-            {
-                "observe": {"category": "belief-updated"},
-                "guard": "abs(payload.new - payload.old) / payload.old >= 0.5",
-                "topic": "demand-change",
-                "extract-event": {
-                    "subject": "subject",
-                    "old": "payload.old",
-                    "new": "payload.new",
-                },
+                "id": "go-to",
+                "trigger": {"category": "goal-added", "subject": "go-to"},
+                "body": [{"do": "act", "name": "relocate", "args": {"server": "payload.server"}}],
             }
         ],
     },
@@ -664,17 +728,49 @@ class TestEndpointDeclarations:
         attached = {id(endpoint.decl) for endpoint in state.endpoints.values()}
         assert attached == {id(decl) for decl in config.declarations}
 
-    def test_spelled_out_canonical_endpoints_give_identical_trace(self, tmp_path):
+    @pytest.mark.parametrize("threshold", [0.5, 0.25])
+    @pytest.mark.parametrize("publish_when_empty", [False, True])
+    def test_spelled_out_canonical_endpoints_give_identical_trace(
+        self, tmp_path, publish_when_empty, threshold
+    ):
         doc = json.loads(SCENARIO_B.read_text())
-        doc["endpoints"] = CANONICAL_ENDPOINTS_B
+        doc.update({"publish-when-empty": publish_when_empty, "significance-threshold": threshold})
+        default = tmp_path / "default.json"
+        default.write_text(json.dumps(doc))
         explicit = tmp_path / "explicit.json"
-        explicit.write_text(json.dumps(doc))
+        spelled_out = canonical_endpoints_document(publish_when_empty, threshold)
+        explicit.write_text(json.dumps({**doc, "endpoints": spelled_out}))
         config = load_scenario(explicit)
         assert config.endpoints == canonical_endpoints(config)
-        for name, scenario in (("default", SCENARIO_B), ("explicit", explicit)):
-            assert main(["run", "--scenario", str(scenario), "--out", str(tmp_path / name)]) == 0
-        default_bytes = (tmp_path / "default" / "trace.csv").read_bytes()
-        assert (tmp_path / "explicit" / "trace.csv").read_bytes() == default_bytes
+        outputs = {}
+        for scenario in (default, explicit):
+            out = tmp_path / scenario.stem
+            emit = ["--emit", "trace-csv", "--emit", "agent-log"]
+            assert main(["run", "--scenario", str(scenario), "--out", str(out), *emit]) == 0
+            outputs[scenario.stem] = [
+                (out / name).read_bytes() for name in ("trace.csv", "agent-log.jsonl")
+            ]
+        assert outputs["explicit"] == outputs["default"]
+
+    def test_a_process_declared_in_the_document_alone_runs(self):
+        # Scenario A under SPARE_ROOM_PROCESS instead of the canonical
+        # declarations: no Python file names its topic, goal or process.
+        doc = json.loads(SCENARIO_A.read_text())
+        doc["endpoints"] = SPARE_ROOM_PROCESS
+        config = parse_scenario(doc)
+        state = build_scenario(config)
+        assert list(state.agents["svc-01"].plans.by_id) == ["go-to"]
+        trace = run_simulation(state, config.ticks)
+        check_trace_safety(trace, config)
+        assert sum(record.publications["spare"] for record in trace) > 0
+        assert sum(record.moves for record in trace) > 0
+        assert quiescence_tick(trace) is not None
+        assert trace[-1].underloaded == 0
+        sources = [path for path in (REPO_ROOT / "src" / "coagent").rglob("*") if path.is_file()]
+        assert sources
+        for path in sources:
+            for name in (b"spare", b"go-to", b"spare-room"):
+                assert name not in path.read_bytes(), f"{path} names {name!r}"
 
 
 def three_server_config(topic=None):
