@@ -188,8 +188,10 @@ class _Renamer(ast.NodeTransformer):
 
 def _rename_expr(expr: Expr, renames: dict[str, str]) -> Expr:
     """``expr`` with renamed belief names; ``expr`` itself if it names none,
-    so ``TRUE`` stays ``TRUE``."""
-    if not any(isinstance(node, ast.Name) and node.id in renames for node in ast.walk(expr.tree)):
+    so ``TRUE`` stays ``TRUE``.  Without renames the tree is not walked."""
+    if not renames or not any(
+        isinstance(node, ast.Name) and node.id in renames for node in ast.walk(expr.tree)
+    ):
         return expr
     tree = _Renamer(renames).visit(copy.deepcopy(expr.tree))
     ast.fix_missing_locations(tree)

@@ -308,6 +308,25 @@ def test_set_up_pays_per_agent_only_for_its_own_state():
     assert added == expected
 
 
+def test_merging_plans_of_a_module_without_beliefs_walks_no_expression():
+    # Endpoint modules declare no beliefs, so nothing in their plans is
+    # renamed: the merge keeps each expression without walking its tree.
+    # A config registers every declaration once on a probe agent, so this
+    # is part of every parse.
+    plan = Plan(
+        "go",
+        pattern("goal-added", "go"),
+        (Act("ping", {"to": Expr("payload.to")}),),
+        context=Expr("x != payload.to"),
+    )
+    cfg = AgentConfiguration("a", plans=PlanLibrary(), actions={"ping"})
+    names = entered(register_module, cfg, CoefficientModule("m", plans=[plan]))
+    assert "_merge_plans" in names
+    assert "walk" not in names
+    merged = cfg.plans.by_id["m.go"]
+    assert merged.context is plan.context and merged.body[0].args["to"] is plan.body[0].args["to"]
+
+
 @pytest.mark.parametrize("record", [False, True], ids=["unrecorded", "recorded"])
 def test_a_busy_cycle_without_entries_enters_no_check_or_hook(record):
     # The first cycle adopts and runs the plan, which finishes; the second
