@@ -364,11 +364,7 @@ class TestEndpointSection:
 
 
 #: The canonical service plan for the ``move-to`` goal, as a document declares it.
-MOVE_PLAN = {
-    "id": "move-to",
-    "trigger": {"category": "goal-added", "subject": "move-to"},
-    "body": [{"do": "act", "name": "relocate", "args": {"server": "payload.server"}}],
-}
+MOVE_PLAN = CANONICAL_ENDPOINTS_B[1]["plans"][0]
 
 
 def utilization_document(service_plans):
