@@ -119,11 +119,13 @@ class AgentConfiguration:
 
     Configurations are mutated only by their own reasoning steps (and by
     architecture-level writers such as external belief updates).  Their plan
-    library and action set are read-only values that other configurations
-    may share.  A shared library's relevance index still fills lazily, but
-    each entry is a deterministic function of immutable plans, stored by one
-    dict assignment; so configurations are safe to hand between threads as
-    long as a single thread drives each one.
+    library, action set, module table, mapping and observation hooks are
+    read-only values that other configurations may share: module
+    registration replaces them, never writes them.  A shared library's
+    relevance index still fills lazily, but each entry is a deterministic
+    function of immutable plans, stored by one dict assignment; so
+    configurations are safe to hand between threads as long as a single
+    thread drives each one.
     """
 
     def __init__(

@@ -234,8 +234,7 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
     Beliefs and plans are merged under the module namespace (export-listed
     names stay unprefixed); belief references inside the module's own plans
     are rewritten to the namespaced keys.  A module that declares plans gives
-    the host a new library, the host's plans then its own, and leaves the
-    old one, which other hosts may share, as it was.  Every refusal -- a
+    the host a new library, the host's plans then its own.  Every refusal -- a
     belief key that is empty or reserved, a belief or plan id taken by the
     host, or a plan id the module declares twice -- comes before the host
     changes, and the refusals that depend on the module alone come before
@@ -245,6 +244,12 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
     expression names.  A module's mapping entries, if it declares any, join
     the host's active mapping after earlier modules', and the first such
     module installs the plan-lifecycle hook; a host without one calls no hook.
+
+    Registration gives the host new values and never writes into the old
+    ones: a new library, module table, mapping and hook list.  So hosts may
+    share all of them, as the members of one role in a scenario build do,
+    and registering a further module on one host changes no other.  Only
+    the module's beliefs are written into the host's own belief base.
 
     What depends only on the module is computed once, on its first
     registration, and remembered on it: its belief renames.  The new library
@@ -278,10 +283,10 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
         cfg.beliefs.set(renames[key], value)  # registration-time merge, no events
     cfg.plans = plans
     if mod.mapping:
-        cfg.mapping[mod.module_id] = tuple(mod.mapping)
+        cfg.mapping = {**cfg.mapping, mod.module_id: tuple(mod.mapping)}
         if _inject not in cfg.observation_hooks:
-            cfg.observation_hooks.append(_inject)
-    cfg.modules[mod.module_id] = mod
+            cfg.observation_hooks = [*cfg.observation_hooks, _inject]
+    cfg.modules = {**cfg.modules, mod.module_id: mod}
     if cfg.select_event_override is None:
         cfg.select_event_override = select_event_coefficient
     return cfg

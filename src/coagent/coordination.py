@@ -202,13 +202,24 @@ class EndpointDeclaration:
         object.__setattr__(self, "module", _declaration_module(self))
 
 
-@dataclass
+@dataclass(slots=True, init=False)
 class CoordinationEndpoint:
-    """Per-agent middleware actor for one coordination process."""
+    """Per-agent middleware actor for one coordination process: the host's
+    endpoint of ``decl``, whose id is ``<host>/<process id>``."""
 
     endpoint_id: str
     host: str
     decl: EndpointDeclaration
+
+    def __init__(self, host: str, decl: EndpointDeclaration) -> None:
+        self.endpoint_id = _endpoint_id(host, decl.process_id)
+        self.host = host
+        self.decl = decl
+
+
+#: An endpoint id from its host and process id.  A bound C method, so
+#: forming an id enters no Python frame.
+_endpoint_id = "{}/{}".format
 
 
 def _payload_refs(expr: Expr) -> set[str]:
@@ -290,30 +301,36 @@ def _declaration_module(decl: EndpointDeclaration) -> CoefficientModule:
     )
 
 
-def attach_endpoint(
-    decl: EndpointDeclaration, host_cfg: AgentConfiguration
-) -> CoordinationEndpoint:
-    """Register the declaration's compiled module on the host and return the
-    host's endpoint.
+def register_declaration(decl: EndpointDeclaration, host_cfg: AgentConfiguration) -> None:
+    """Register the declaration's compiled module on the host, and give a
+    publishing host a new action set with the publish action.
 
-    Reactions stay on the endpoint and are applied at delivery time.  The
-    hosts of one library that attach one declaration in a row share the new
-    library ``register_module`` gives them.  A publishing host gets a new
-    action set with the publish action; its old one, which other hosts may
-    share, stays as it was.
+    Like ``register_module``, this writes into none of the host's old
+    values, which other hosts may share.  The module declares no beliefs, so
+    what a host gets depends only on the values it held: hosts that share
+    them may register a declaration once, on one of them, and take the
+    results (see ``build_scenario``).
     """
     register_module(host_cfg, decl.module)
     if decl.publications:
         host_cfg.circumstance.actions = host_cfg.circumstance.actions | {PUBLISH_ACTION}
-    return CoordinationEndpoint(
-        endpoint_id=_endpoint_id(host_cfg.agent_id, decl.process_id),
-        host=host_cfg.agent_id,
-        decl=decl,
-    )
 
 
-def _endpoint_id(host: str, process_id: str) -> str:
-    return f"{host}/{process_id}"
+def attach_endpoint(
+    decl: EndpointDeclaration, host_cfg: AgentConfiguration
+) -> CoordinationEndpoint:
+    """Register the declaration on the host (see ``register_declaration``)
+    and return the host's endpoint.
+
+    Reactions stay on the endpoint and are applied at delivery time.  The
+    hosts of one library that attach one declaration in a row share the new
+    library ``register_module`` gives them, but each gets its own module
+    table, mapping, hook list and, when the declaration publishes, action
+    set.  A build registers each declaration once per role instead, and
+    its members share all of these.
+    """
+    register_declaration(decl, host_cfg)
+    return CoordinationEndpoint(host_cfg.agent_id, decl)
 
 
 def build_publication(

@@ -73,10 +73,10 @@ from coagent.coordination import (
     CoordinationMedium,
     EndpointDeclaration,
     PublicationRule,
-    attach_endpoint,
     build_publication,
     endpoint_deliver,
     publish,
+    register_declaration,
     tick_medium,
 )
 
@@ -791,21 +791,30 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
 
     The config was checked, and its initial placement and its
     ``declarations`` computed, when it was built; each declaration compiled
-    its module when it was built.  A topic that no ``media`` entry names has
-    latency 1.  One loop builds the members, servers then services then
-    brokers, each in document order.  A member starts from one empty plan
-    library and its role's action set (see ``ROLES``), gets an endpoint for
-    each declaration of its role, whose hosts subscribe to its ``topics``,
+    its module when it was built.  A medium is made for each topic that a
+    ``media`` entry or a declaration names, and a topic that no ``media``
+    entry names has latency 1.
+
+    A role's declarations are registered once per build, in document order,
+    on one configuration of that role, its program: it starts from one
+    empty plan library and the role's action set (see ``ROLES``), and
+    ``register_declaration`` gives it new values for each declaration.
+    Every member of the role then takes the registered values as shared,
+    read-only ones: plan library, action set, module table, mapping,
+    lifecycle hooks and selector.  Registration never writes into a value it
+    replaces, so registering a further module on one member changes no
+    other.  A member's plans are those its declarations carry: every plan
+    reaches it through module registration.  The empty library is made per
+    call, so that no relevance index carries from one build to the next.
+
+    One loop builds the members, servers then services then brokers, each
+    in document order.  Each member gets its own beliefs, an endpoint for
+    each declaration of its role, whose host subscribes to its ``topics``,
     and then reports the role's bootstrap readings: each server manager's
     current utilization, once, so that publication guards are evaluated
-    against the initial state.  A member's plans are those its declarations
-    carry: every plan reaches it through module registration.  What depends
-    only on a role, its declarations and the media of their sorted topics,
-    is resolved once, before the members; each member pays only for its own
-    state.  The empty library is made per call, so that no relevance index
-    carries from one build to the next; registration gives the members of a
-    role one new library per declaration that carries plans (see
-    ``register_module``), and each publishing member its own action set.
+    against the initial state.  What depends only on a role, its program
+    and the media of its declarations' sorted topics, is resolved before the
+    members; each member pays only for its own state.
 
     Agents keep observation records only with ``agent_log`` set, for a run
     that writes ``agent-log.jsonl``; plan-lifecycle hooks fire either way.
@@ -825,7 +834,7 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
     for server_id, deployed in types.items():
         state.refresh_server(server_id, sorted(deployed))
 
-    topics = {TOPIC_CAPACITY, TOPIC_DEMAND} | set(config.media)
+    topics = set(config.media)
     for decl in config.declarations:
         topics.update(rule.topic for rule in decl.publications)
         topics.update(decl.topics)
@@ -835,10 +844,16 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
         )
 
     library = PlanLibrary()
-    # Per role: its declarations, each with the media of its sorted topics.
-    declared: dict[str, list] = {role: [] for role in ROLES}
+    # Per role: the program its declarations register on, the declarations,
+    # each with the media of its sorted topics, and the bootstrap readings.
+    programs = {
+        role: (AgentConfiguration(role, plans=library, actions=actions), [], readings)
+        for role, (actions, readings) in ROLES.items()
+    }
     for decl in config.declarations:
-        declared[decl.role].append((decl, [state.media[topic] for topic in sorted(decl.topics)]))
+        program, declared, _ = programs[decl.role]
+        register_declaration(decl, program)
+        declared.append((decl, [state.media[topic] for topic in sorted(decl.topics)]))
     # Lazily, so that each belief dict lives only until its agent copies it.
     members = chain(
         (
@@ -868,12 +883,21 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
         (("broker", broker_id, dict(state.demand)) for broker_id in config.broker_ids),
     )
     for role, agent_id, beliefs in members:
-        actions, readings = ROLES[role]
+        program, declared, readings = programs[role]
         cfg = state.agents[agent_id] = AgentConfiguration(
-            agent_id, BeliefBase(beliefs), library, actions, env, record_observations=agent_log
+            agent_id,
+            BeliefBase(beliefs),
+            program.plans,
+            program.circumstance.actions,
+            env,
+            record_observations=agent_log,
         )
-        for decl, media in declared[role]:
-            endpoint = attach_endpoint(decl, cfg)
+        cfg.modules = program.modules
+        cfg.mapping = program.mapping
+        cfg.observation_hooks = program.observation_hooks
+        cfg.select_event_override = program.select_event_override
+        for decl, media in declared:
+            endpoint = CoordinationEndpoint(agent_id, decl)
             state.endpoints[endpoint.endpoint_id] = endpoint
             for medium in media:
                 medium.subscribe(endpoint.endpoint_id, agent_id)

@@ -271,9 +271,11 @@ def test_parsing_a_well_formed_demand_delta_builds_no_path():
 
 def test_set_up_pays_per_agent_only_for_its_own_state():
     # What depends only on a role, a declaration or a module is done once
-    # per build: each added agent enters a fixed list of frames, its own
-    # records and its endpoints, and nothing that recomputes a module's
-    # namespace, re-checks its belief keys or scans the declarations.
+    # per build: a role's declarations are registered once, on its program,
+    # and its members share the result.  Each added agent enters a fixed
+    # list of frames, its own records and its endpoints, and no
+    # registration, and nothing that recomputes a module's namespace,
+    # re-checks its belief keys or scans the declarations.
     server = Counter(
         {
             "<genexpr>": 1,  # the lazy member list
@@ -282,9 +284,6 @@ def test_set_up_pays_per_agent_only_for_its_own_state():
             # configuration, beliefs, circumstance, mail, temp; one endpoint;
             # the bootstrap reading's triggering event and queued event
             "__init__": 5 + 1 + 2,
-            "attach_endpoint": 1,
-            "register_module": 1,
-            "_endpoint_id": 1,
             "post_external_event": 1,
             "append_event": 1,
         }
@@ -293,9 +292,6 @@ def test_set_up_pays_per_agent_only_for_its_own_state():
         {
             "<genexpr>": 1,
             "__init__": 5 + 2,  # the agent's five records, two endpoints
-            "attach_endpoint": 2,
-            "register_module": 2,
-            "_endpoint_id": 2,
             "subscribe": 2,  # one topic per declaration
         }
     )

@@ -359,7 +359,7 @@ class TestEndpointSection:
 
     def test_declared_topics_get_a_medium(self):
         state = build_scenario(parse_scenario(scenario_with_rules()))
-        assert sorted(state.media) == ["alerts", "capacity", "demand-change"]
+        assert sorted(state.media) == ["alerts", "capacity"]
         run_simulation(state, 3, seed=0)
 
 

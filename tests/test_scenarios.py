@@ -20,13 +20,28 @@ from coagent.bdi.config import AgentConfiguration
 from coagent.bdi.events import TOP, EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
 from coagent.bdi.interpreter import post_external_event, select_event
-from coagent.bdi.plans import Act, Plan, PlanLibrary
+from coagent.bdi.plans import Act, Believe, Plan, PlanLibrary
 from coagent.cli import main
-from coagent.coordination import PUBLISH_ACTION, EndpointDeclaration
+from coagent.coefficiency import (
+    CoefficientModule,
+    EventMappingEntry,
+    EventTemplate,
+    register_module,
+)
+from coagent.coordination import (
+    PUBLISH_ACTION,
+    EndpointDeclaration,
+    PublicationRule,
+    attach_endpoint,
+)
 from coagent.loader import load_scenario, parse_scenario
 from coagent.scenarios import (
+    BALANCING_PROCESS,
     MOVE_GOAL,
+    ROLES,
     SWITCH_GOAL,
+    TOPIC_CAPACITY,
+    TOPIC_DEMAND,
     UTILIZATION_PROCESS,
     DemandDelta,
     ScenarioConfig,
@@ -396,6 +411,192 @@ def test_sleeping_agents_change_no_output(fields):
     with every_agent_every_tick():
         every_agent = build_scenario(config, agent_log=True)
     assert outputs(scheduled) == outputs(every_agent)
+
+
+#: The process ids a drawn declaration may take besides the canonical two:
+#: processes that only a document declares.
+DOCUMENT_PROCESS_IDS = ("audit", "alerts", "watch")
+TOPICS = (TOPIC_CAPACITY, TOPIC_DEMAND, "alerts")
+#: Per role, beliefs its agents hold from the start.
+ROLE_BELIEFS = {
+    "server": ("server", "capacity", "preferred_min", "deployed"),
+    "service": ("type", "current_server"),
+    "broker": ("x", "y", "z"),
+}
+CANONICAL = {(decl.process_id, decl.role): decl for decl in canonical_endpoints(ScenarioConfig())}
+
+
+@st.composite
+def drawn_declaration(draw, process_id, role):
+    """A declaration of ``process_id`` for ``role``: mostly the canonical
+    one, when there is one, else drawn publication and reaction rules, each
+    reaction with a plan that notes what it heard."""
+    canonical = CANONICAL.get((process_id, role))
+    if canonical is not None and draw(st.integers(0, 3)):
+        return canonical
+    publications = [
+        PublicationRule(
+            observe=pattern(
+                draw(st.sampled_from([EventCategory.BELIEF_UPDATED, EventCategory.BELIEF_ADDED])),
+                draw(st.sampled_from([None, *ROLE_BELIEFS[role]])),
+            ),
+            topic=draw(st.sampled_from(TOPICS)),
+            extract=tuple(draw(st.lists(st.sampled_from(ROLE_BELIEFS[role]), unique=True))),
+        )
+        for _ in range(draw(st.integers(0, 2)))
+    ]
+    reactions, plans = [], []
+    for topic in draw(st.lists(st.sampled_from(TOPICS), max_size=2, unique=True)):
+        goal = f"{process_id}-heard-{topic}"
+        reactions.append(
+            EventMappingEntry(
+                observe=pattern(EventCategory.MESSAGE_RECEIVED, topic),
+                inject=EventTemplate(EventCategory.GOAL_ADDED, goal, {"at": Expr("subject")}),
+            )
+        )
+        plans.append(
+            Plan(goal, pattern(EventCategory.GOAL_ADDED, goal), (Believe(goal.replace("-", "_"), Expr("payload.at")),))
+        )
+    return EndpointDeclaration(
+        process_id=process_id,
+        role=role,
+        publications=tuple(publications),
+        reactions=tuple(reactions),
+        plans=tuple(plans),
+    )
+
+
+@st.composite
+def declared_configs(draw):
+    """``running_configs`` under drawn endpoint declarations, and drawn
+    latencies for some topics.  A role mostly takes each canonical process,
+    mostly as its canonical declaration, and up to two processes that only
+    a document declares; it may take none."""
+    fields = draw(running_configs())
+    endpoints = []
+    for role in ROLES:
+        process_ids = [pid for pid, of in CANONICAL if of == role and draw(st.integers(0, 3))]
+        process_ids += draw(st.lists(st.sampled_from(DOCUMENT_PROCESS_IDS), max_size=2, unique=True))
+        for process_id in process_ids:
+            endpoints.append(draw(drawn_declaration(process_id, role)))
+    media = draw(st.dictionaries(st.sampled_from(TOPICS), st.integers(0, 2)))
+    return dict(fields, endpoints=draw(st.permutations(endpoints)), media=media)
+
+
+def per_member_build(config, agent_log):
+    """The reference side of the test below: ``build_scenario``'s agents,
+    media and bootstrap readings, with each member's co-efficient state,
+    endpoints and subscriptions built again by the member itself, each
+    declaration of its role through ``attach_endpoint``, from one empty
+    library per build."""
+    state = build_scenario(config, agent_log=agent_log)
+    roles = dict.fromkeys(state.server_specs, "server")
+    roles.update(dict.fromkeys(state.service_server, "service"))
+    roles.update(dict.fromkeys(config.broker_ids, "broker"))
+    library = PlanLibrary()
+    state.endpoints = {}
+    for medium in state.media.values():
+        medium.subscribers = {}
+    for agent_id, cfg in state.agents.items():
+        role = roles[agent_id]
+        cfg.plans, cfg.circumstance.actions = library, ROLES[role][0]
+        cfg.modules, cfg.mapping, cfg.observation_hooks = {}, {}, []
+        cfg.select_event_override = None
+        for decl in config.declarations:
+            if decl.role == role:
+                endpoint = attach_endpoint(decl, cfg)
+                state.endpoints[endpoint.endpoint_id] = endpoint
+                for topic in sorted(decl.topics):
+                    state.media[topic].subscribe(endpoint.endpoint_id, agent_id)
+    return state, roles
+
+
+def output_texts(state):
+    """What ``coagent run`` writes for a run of the state: ``trace.csv``,
+    ``summary.json`` and ``agent-log.jsonl``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(trace_columns(state))
+    writer.writerows(trace_rows(state))
+    log = "".join(
+        json.dumps({"agent": agent_id, "observations": cfg.observations}, sort_keys=True) + "\n"
+        for agent_id, cfg in state.agents.items()
+    )
+    return buffer.getvalue(), json.dumps(summary(state), indent=2, sort_keys=True) + "\n", log
+
+
+def member_program(cfg):
+    """A copy of what registration gives a host."""
+    return (
+        list(cfg.plans.by_id.items()),
+        cfg.circumstance.actions,
+        dict(cfg.mapping),
+        dict(cfg.modules),
+        list(cfg.observation_hooks),
+        cfg.select_event_override,
+    )
+
+
+@given(declared_configs())
+@settings(max_examples=150, deadline=None)
+def test_role_programs_build_what_per_member_registration_builds(fields):
+    # A build registers each role's declarations once and its members
+    # share the result; registering them on every member instead must
+    # give each member the same program, endpoints and subscriptions, and
+    # the run the same output bytes.
+    try:
+        config = ScenarioConfig(**fields)
+    except ScenarioError:
+        return
+    shared = build_scenario(config, agent_log=True)
+    reference, roles = per_member_build(config, agent_log=True)
+    for agent_id, cfg in shared.agents.items():
+        assert member_program(cfg) == member_program(reference.agents[agent_id])
+    # One library per role within a build, on either side.
+    for state in (shared, reference):
+        for role in ROLES:
+            members = [cfg for agent_id, cfg in state.agents.items() if roles[agent_id] == role]
+            assert len({id(cfg.plans) for cfg in members}) <= 1
+    assert shared.endpoints == reference.endpoints
+    assert {topic: medium.subscribers for topic, medium in shared.media.items()} == {
+        topic: medium.subscribers for topic, medium in reference.media.items()
+    }
+    for state in (shared, reference):
+        run_simulation(state, 12)
+    assert output_texts(shared) == output_texts(reference)
+
+
+@pytest.mark.parametrize("declared", [True, False], ids=["canonical", "no-declarations"])
+def test_registering_a_module_on_one_member_changes_no_other(declared):
+    # Members of a role share their registered program; registration gives
+    # the host new values, so the others keep theirs, also where a role
+    # shares the empty values of no declaration.
+    config = load_scenario(SCENARIO_B)
+    if not declared:
+        config = replace(config, endpoints=())
+    state = build_scenario(config)
+    first, *others = (state.agents[service_id] for service_id in state.service_server)
+    before = [member_program(cfg) for cfg in others]
+    held = [(cfg.plans, cfg.modules, cfg.mapping, cfg.observation_hooks) for cfg in others]
+    extra = CoefficientModule(
+        "extra",
+        beliefs={"seen": 0},
+        plans=[Plan("note", pattern(EventCategory.GOAL_ADDED, "note"), (Believe("seen", Expr("1")),))],
+        mapping=[
+            EventMappingEntry(
+                observe=pattern(EventCategory.GOAL_ADDED, MOVE_GOAL),
+                inject=EventTemplate(EventCategory.GOAL_ADDED, "note"),
+            )
+        ],
+    )
+    register_module(first, extra)
+    moved = PublicationRule(observe=pattern(EventCategory.BELIEF_UPDATED, "current_server"), topic="moved")
+    attach_endpoint(EndpointDeclaration(process_id="moves", role="service", publications=(moved,)), first)
+    assert "extra" in first.modules and "extra" in first.mapping and PUBLISH_ACTION in first.circumstance.actions
+    assert [member_program(cfg) for cfg in others] == before
+    for cfg, values in zip(others, held):
+        assert all(new is old for new, old in zip((cfg.plans, cfg.modules, cfg.mapping, cfg.observation_hooks), values))
+        assert "extra__seen" not in cfg.beliefs
 
 
 def naive_int_rows(state):
