@@ -273,9 +273,9 @@ def test_set_up_pays_per_agent_only_for_its_own_state():
     # What depends only on a role, a declaration or a module is done once
     # per build: a role's declarations are registered once, on its program,
     # and its members share the result.  Each added agent enters a fixed
-    # list of frames, its own records and its endpoints, and no
-    # registration, and nothing that recomputes a module's namespace,
-    # re-checks its belief keys or scans the declarations.
+    # list of frames, its own records and its endpoints: no registration,
+    # and nothing that recomputes a module's namespace, re-checks its
+    # belief keys or scans the declarations.
     server = Counter(
         {
             "<genexpr>": 1,  # the lazy member list

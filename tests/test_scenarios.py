@@ -423,7 +423,9 @@ ROLE_BELIEFS = {
     "service": ("type", "current_server"),
     "broker": ("x", "y", "z"),
 }
-CANONICAL = {(decl.process_id, decl.role): decl for decl in canonical_endpoints(ScenarioConfig())}
+CANONICAL = {
+    (decl.process_id, decl.role): decl for decl in canonical_endpoints(ScenarioConfig())
+}
 
 
 @st.composite
@@ -434,14 +436,15 @@ def drawn_declaration(draw, process_id, role):
     canonical = CANONICAL.get((process_id, role))
     if canonical is not None and draw(st.integers(0, 3)):
         return canonical
+    beliefs = ROLE_BELIEFS[role]
+    categories = [EventCategory.BELIEF_UPDATED, EventCategory.BELIEF_ADDED]
     publications = [
         PublicationRule(
             observe=pattern(
-                draw(st.sampled_from([EventCategory.BELIEF_UPDATED, EventCategory.BELIEF_ADDED])),
-                draw(st.sampled_from([None, *ROLE_BELIEFS[role]])),
+                draw(st.sampled_from(categories)), draw(st.sampled_from([None, *beliefs]))
             ),
             topic=draw(st.sampled_from(TOPICS)),
-            extract=tuple(draw(st.lists(st.sampled_from(ROLE_BELIEFS[role]), unique=True))),
+            extract=tuple(draw(st.lists(st.sampled_from(beliefs), unique=True))),
         )
         for _ in range(draw(st.integers(0, 2)))
     ]
@@ -454,9 +457,8 @@ def drawn_declaration(draw, process_id, role):
                 inject=EventTemplate(EventCategory.GOAL_ADDED, goal, {"at": Expr("subject")}),
             )
         )
-        plans.append(
-            Plan(goal, pattern(EventCategory.GOAL_ADDED, goal), (Believe(goal.replace("-", "_"), Expr("payload.at")),))
-        )
+        note = Believe(goal.replace("-", "_"), Expr("payload.at"))
+        plans.append(Plan(goal, pattern(EventCategory.GOAL_ADDED, goal), (note,)))
     return EndpointDeclaration(
         process_id=process_id,
         role=role,
@@ -476,7 +478,9 @@ def declared_configs(draw):
     endpoints = []
     for role in ROLES:
         process_ids = [pid for pid, of in CANONICAL if of == role and draw(st.integers(0, 3))]
-        process_ids += draw(st.lists(st.sampled_from(DOCUMENT_PROCESS_IDS), max_size=2, unique=True))
+        process_ids += draw(
+            st.lists(st.sampled_from(DOCUMENT_PROCESS_IDS), max_size=2, unique=True)
+        )
         for process_id in process_ids:
             endpoints.append(draw(drawn_declaration(process_id, role)))
     media = draw(st.dictionaries(st.sampled_from(TOPICS), st.integers(0, 2)))
@@ -576,26 +580,25 @@ def test_registering_a_module_on_one_member_changes_no_other(declared):
         config = replace(config, endpoints=())
     state = build_scenario(config)
     first, *others = (state.agents[service_id] for service_id in state.service_server)
+
+    def held(cfg):
+        return cfg.plans, cfg.circumstance.actions, cfg.modules, cfg.mapping, cfg.observation_hooks
+
     before = [member_program(cfg) for cfg in others]
-    held = [(cfg.plans, cfg.modules, cfg.mapping, cfg.observation_hooks) for cfg in others]
-    extra = CoefficientModule(
-        "extra",
-        beliefs={"seen": 0},
-        plans=[Plan("note", pattern(EventCategory.GOAL_ADDED, "note"), (Believe("seen", Expr("1")),))],
-        mapping=[
-            EventMappingEntry(
-                observe=pattern(EventCategory.GOAL_ADDED, MOVE_GOAL),
-                inject=EventTemplate(EventCategory.GOAL_ADDED, "note"),
-            )
-        ],
+    values = [held(cfg) for cfg in others]
+    note = Plan("note", pattern(EventCategory.GOAL_ADDED, "note"), (Believe("seen", Expr("1")),))
+    noting = EventMappingEntry(
+        observe=pattern(EventCategory.GOAL_ADDED, MOVE_GOAL),
+        inject=EventTemplate(EventCategory.GOAL_ADDED, "note"),
     )
-    register_module(first, extra)
-    moved = PublicationRule(observe=pattern(EventCategory.BELIEF_UPDATED, "current_server"), topic="moved")
-    attach_endpoint(EndpointDeclaration(process_id="moves", role="service", publications=(moved,)), first)
-    assert "extra" in first.modules and "extra" in first.mapping and PUBLISH_ACTION in first.circumstance.actions
+    register_module(first, CoefficientModule("extra", {"seen": 0}, [note], [noting]))
+    moved = PublicationRule(pattern(EventCategory.BELIEF_UPDATED, "current_server"), "moved")
+    attach_endpoint(EndpointDeclaration("moves", "service", publications=(moved,)), first)
+    assert {"extra", "ep.moves"} <= first.modules.keys() and "extra" in first.mapping
+    assert PUBLISH_ACTION in first.circumstance.actions
     assert [member_program(cfg) for cfg in others] == before
-    for cfg, values in zip(others, held):
-        assert all(new is old for new, old in zip((cfg.plans, cfg.modules, cfg.mapping, cfg.observation_hooks), values))
+    for cfg, old in zip(others, values):
+        assert all(new is value for new, value in zip(held(cfg), old))
         assert "extra__seen" not in cfg.beliefs
 
 
