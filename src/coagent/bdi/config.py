@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, Protocol
+from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
 from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.events import TOP, Event, TriggeringEvent, _Top
@@ -99,11 +99,12 @@ class Circumstance:
 class TempInfo:
     """Volatile per-cycle data used between reasoning steps.
 
-    ``relevant`` may be the plan library's own indexed list: read-only.
+    ``relevant`` and ``applicable`` are read-only: ``relevant`` may be the
+    plan library's own indexed list, and both start, and are reset to, ``()``.
     """
 
-    relevant: list[str] = field(default_factory=list)
-    applicable: list[str] = field(default_factory=list)
+    relevant: Sequence[str] = ()
+    applicable: Sequence[str] = ()
     iota: int | None = None
     rho: str | None = None
     epsilon: Event | None = None
@@ -112,6 +113,11 @@ class TempInfo:
 #: The library of every agent built without plans; its index only ever
 #: holds empty answers.
 _NO_PLANS = PlanLibrary()
+
+#: The module table and mapping of every agent before registration: one
+#: shared empty dict, read-only like every registered table (a mapping proxy
+#: would be truly read-only, but configurations must stay deep-copyable).
+_NO_ENTRIES: Mapping[str, Any] = {}
 
 
 class AgentConfiguration:
@@ -143,7 +149,7 @@ class AgentConfiguration:
         self.plans = plans
         self.circumstance = Circumstance({}, [], frozenset(actions), {})
         self.mail = MailState([], [])
-        self.temp = TempInfo([], [], None, None, None)
+        self.temp = TempInfo((), (), None, None, None)
         self.step: Step = PROC_MSG
         self.environment: EnvironmentAdapter = (
             InertEnvironment() if environment is None else environment
@@ -151,12 +157,13 @@ class AgentConfiguration:
         #: Whether ``observe`` keeps a record; ``observations`` stays empty when not.
         self.record_observations = record_observations
         self.observations: list[dict[str, Any]] = []
-        # Co-efficient machinery, populated by module registration.
-        self.modules: dict[str, Any] = {}
+        # Co-efficient machinery, populated by module registration, which
+        # replaces these shared empty values.
+        self.modules: Mapping[str, Any] = _NO_ENTRIES
         #: Module id -> its mapping entries, for modules that declare any.
-        self.mapping: dict[str, tuple[Any, ...]] = {}
+        self.mapping: Mapping[str, tuple[Any, ...]] = _NO_ENTRIES
         self.select_event_override: Callable[["AgentConfiguration"], "AgentConfiguration"] | None = None
-        self.observation_hooks: list[Callable[["AgentConfiguration", TriggeringEvent, int | _Top], None]] = []
+        self.observation_hooks: Sequence[Callable[["AgentConfiguration", TriggeringEvent, int | _Top], None]] = ()
         self._next_seq = 0
         self._next_intention = 1
         self.last_intention_run: int | None = None

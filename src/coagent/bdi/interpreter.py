@@ -72,9 +72,15 @@ call costs one:
   share one library and fill its index once.  Each body step runs itself,
   so ExecInt has no type dispatch.
 * The records built once per event are built positionally and cheaply.
-  A delivered goal costs two ``Event``s (its queueing and its outcome's),
-  a ``TriggeringEvent`` (the outcome), an ``Intention`` and a
-  ``PlanRecord``.  ``Event`` and ``TriggeringEvent`` stay frozen, slotted
+  A delivered goal costs each host two ``Event``s (its queueing and its
+  outcome's), an ``Intention`` and a ``PlanRecord``, and nothing more: the
+  goal itself is one ``TriggeringEvent`` per publication, shared by every
+  host it reaches (see ``EventTemplate.instantiate``), and its outcome is
+  one per goal, shared by the hosts that finish it in a row (see
+  ``_outcome``).  Payloads are shared, never copied, and so are the
+  triggering events that carry them.  Clearing the temps after an event
+  builds nothing: ``relevant`` and ``applicable`` go back to ``()``.
+  ``Event`` and ``TriggeringEvent`` stay frozen, slotted
   dataclasses, but their ``__init__``s are written in
   ``coagent.bdi.events`` and set each slot through its own descriptor;
   ``PlanRecord`` and ``Intention`` are slotted.  On CPython 3.11.7 (best
@@ -394,13 +400,29 @@ def _expect(cfg: AgentConfiguration, step: Step) -> None:
 def _clear_temp(cfg: AgentConfiguration) -> None:
     cfg.temp.epsilon = None
     cfg.temp.rho = None
-    cfg.temp.relevant = []
-    cfg.temp.applicable = []
+    cfg.temp.relevant = ()
+    cfg.temp.applicable = ()
+
+
+#: The last outcome built: its category, its goal and the outcome.
+_last_outcome: tuple[EventCategory, TriggeringEvent, TriggeringEvent] | None = None
 
 
 def _outcome(category: EventCategory, goal: TriggeringEvent) -> TriggeringEvent:
-    """A goal's outcome event: its subject and its payload, shared, not copied."""
-    return TriggeringEvent(category, goal.subject, goal.payload)
+    """A goal's outcome event: its subject and its payload, shared, not copied.
+
+    The outcome depends only on the category and the goal, so consecutive
+    calls on the same category and goal object return the same outcome: the
+    hosts that finish one delivered goal, mostly in a row, queue one shared
+    outcome.  The memo is one tuple, replaced whole.
+    """
+    global _last_outcome
+    last = _last_outcome
+    if last is not None and last[1] is goal and last[0] is category:
+        return last[2]
+    outcome = TriggeringEvent(category, goal.subject, goal.payload)
+    _last_outcome = (category, goal, outcome)
+    return outcome
 
 
 def _discard_selected_event(cfg: AgentConfiguration, reason: str) -> None:

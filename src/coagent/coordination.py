@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import ast
 import keyword
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from coagent.bdi.config import AgentConfiguration
 from coagent.bdi.events import GOAL_ADDED, MESSAGE_RECEIVED, TOP, EventPattern, TriggeringEvent
@@ -88,7 +89,9 @@ class CoordinationMedium:
     never receive their own publication.  The publications released together
     by one ``tick_medium`` call go out in due-tick, then publication order,
     unless ``order`` is set: then they go out sorted by ``order(info)``, with
-    that order kept on ties.
+    that order kept on ties.  A release is a ``Release`` view, which makes
+    each delivery pair only when it is read, so a broadcast to many
+    subscribers builds no list of them.
     """
 
     topic: str
@@ -99,6 +102,50 @@ class CoordinationMedium:
 
     def subscribe(self, endpoint_id: str, host: str) -> None:
         self.subscribers[endpoint_id] = host
+
+
+class Release:
+    """The deliveries of one ``tick_medium`` call, as a sized view.
+
+    It holds the released publications, in delivery order, and the
+    subscribers as ``(endpoint id, host)`` pairs sorted by endpoint id, and
+    reads as the ``(endpoint id, publication)`` pairs: each publication, in
+    order, to every subscriber whose host is not its source.  A pair is made
+    only when it is read, and reading again gives the same pairs.  ``len``
+    counts the pairs without making them; nothing on the delivery path
+    calls it.
+    """
+
+    __slots__ = ("released", "subscribers")
+
+    def __init__(
+        self,
+        released: Sequence[CoordinationInformation],
+        subscribers: Sequence[tuple[str, str]],
+    ) -> None:
+        self.released = released
+        self.subscribers = subscribers
+
+    def __iter__(self) -> Iterator[tuple[str, CoordinationInformation]]:
+        # An empty release, what most calls give, starts no generator.
+        return self._pairs() if self.released else iter(())
+
+    def _pairs(self) -> Iterator[tuple[str, CoordinationInformation]]:
+        subscribers = self.subscribers
+        for info in self.released:
+            source = info.source
+            for endpoint_id, host in subscribers:
+                if host != source:
+                    yield endpoint_id, info
+
+    def __len__(self) -> int:
+        hosts = Counter(host for _, host in self.subscribers)
+        count = len(self.subscribers)
+        return sum(count - hosts[info.source] for info in self.released)
+
+
+#: The release of a call with nothing due.
+_NO_RELEASE = Release((), ())
 
 
 def publish(
@@ -113,14 +160,14 @@ def publish(
     return medium
 
 
-def tick_medium(
-    medium: CoordinationMedium, now: int
-) -> tuple[CoordinationMedium, list[tuple[str, CoordinationInformation]]]:
+def tick_medium(medium: CoordinationMedium, now: int) -> tuple[CoordinationMedium, Release]:
     """Release all due publications, fanned out to every non-source subscriber.
 
     The due publications are ordered by due tick, then publication order, and
     then, if the medium has an ``order`` key, stably by that key; each is
-    delivered to the subscribers in endpoint-id order.
+    delivered to the subscribers in endpoint-id order.  The deliveries come
+    back as a ``Release`` view, on every path: the subscribers are sorted
+    once per call, and no delivery pair is made until it is read.
     """
     due: list[_InFlight] = []
     waiting: list[_InFlight] = []
@@ -128,19 +175,12 @@ def tick_medium(
         (due if item.due_tick <= now else waiting).append(item)
     medium.in_flight = waiting
     if not due:
-        return medium, []
+        return medium, _NO_RELEASE
     due.sort(key=lambda item: item.due_tick)
     released = [item.info for item in due]
     if medium.order is not None:
         released.sort(key=medium.order)
-    subscribers = sorted(medium.subscribers.items())
-    deliveries = [
-        (endpoint_id, info)
-        for info in released
-        for endpoint_id, host in subscribers
-        if host != info.source
-    ]
-    return medium, deliveries
+    return medium, Release(released, sorted(medium.subscribers.items()))
 
 
 @dataclass(frozen=True)

@@ -315,11 +315,11 @@ class TestCriterion7InvariantSuite:
             now=0,
         )
         _, early = tick_medium(medium, now=1)
-        assert early == []  # nothing before publish+latency
+        assert list(early) == []  # nothing before publish+latency
         _, due = tick_medium(medium, now=2)
         assert sorted(e for e, _ in due) == ["h2/e", "h3/e"]
         _, late = tick_medium(medium, now=3)
-        assert late == []  # item not retained past its due tick
+        assert list(late) == []  # item not retained past its due tick
         checks.append("coordination: completeness, latency bound, no self-delivery")
 
         # coordination: separation (empty endpoints, trace equality) is

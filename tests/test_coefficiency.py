@@ -155,6 +155,19 @@ class TestRegisterModule:
                 run_cycle(cfg)
         assert second.snapshot_json() == alone.snapshot_json()
 
+    def test_unregistered_hosts_share_empty_module_values_registration_replaces(self):
+        # Before registration every host holds one empty module table,
+        # mapping and hook value; registering gives one host new values.
+        first, second = AgentConfiguration("a"), AgentConfiguration("b")
+        assert first.modules is second.modules == {}
+        assert first.mapping is second.mapping == {}
+        assert first.observation_hooks is second.observation_hooks == ()
+        register_module(first, CoefficientModule("m", mapping=[entry()]))
+        assert list(first.modules) == list(first.mapping) == ["m"]
+        assert len(first.observation_hooks) == 1
+        assert second.modules == second.mapping == {} and second.observation_hooks == ()
+        assert AgentConfiguration("c").modules == {}
+
     def test_hosts_of_one_library_share_one_new_library_per_module(self):
         library = PlanLibrary([Plan("work", pattern("goal-added", "g"), (Act("ping", {}),))])
         other = PlanLibrary(library.by_id.values())
@@ -513,7 +526,7 @@ class TestObservationStreamMatching:
         cfg = agent(plans=[Plan("work", pattern("goal-added", "g"), (Act("ping", {}),))])
         cfg.record_observations = False
         register_module(cfg, CoefficientModule("quiet"))
-        assert cfg.observation_hooks == []
+        assert cfg.observation_hooks == ()
         module = CoefficientModule(
             "audit",
             mapping=[

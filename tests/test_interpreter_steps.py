@@ -101,7 +101,7 @@ class TestComputeRelevantPlans:
         post_external_event(cfg, goal("g1"))
         step_to(cfg, Step.REL_PL)
         compute_relevant_plans(cfg)
-        assert cfg.temp.relevant == []
+        assert cfg.temp.relevant == ()
         assert cfg.temp.epsilon is None
         assert cfg.step is Step.SEL_INT
         # Oracle check: the event is gone for good, not re-queued.
@@ -135,7 +135,7 @@ class TestComputeApplicablePlans:
         post_external_event(cfg, goal("g1"))
         step_to(cfg, Step.APPL_PL)
         compute_applicable_plans(cfg)
-        assert cfg.temp.applicable == []
+        assert cfg.temp.applicable == ()
         assert cfg.step is Step.SEL_INT  # event discarded
 
     def test_contexts_evaluated_independently_oracle(self):
@@ -714,3 +714,45 @@ class TestSharedPayloads:
             assert not hasattr(value, "__dict__")
             with pytest.raises(AttributeError):
                 value.extra = 1
+
+
+class TestSharedOutcomes:
+    """A goal's outcome depends only on its category and its goal, so the
+    hosts that finish one goal object in a row queue one outcome object."""
+
+    @staticmethod
+    def outcomes(*runs):
+        # One host per (goal, action) run; its plan for g1 performs the
+        # action, which fails unless it is "ping".
+        hosts = []
+        for index, (te, action) in enumerate(runs):
+            plans = PlanLibrary([Plan("p", pattern("goal-added", "g1"), (Act(action, {}),))])
+            hosts.append(AgentConfiguration(f"h{index}", plans=plans, actions={"ping"}))
+            post_external_event(hosts[-1], te)
+        for cfg in hosts:
+            run_cycle(cfg)  # the plan runs its one step and closes
+        return [cfg.circumstance.events[-1].te for cfg in hosts]
+
+    @pytest.mark.parametrize(
+        "action, category",
+        [("ping", EventCategory.GOAL_SUCCEEDED), ("boom", EventCategory.GOAL_FAILED)],
+    )
+    def test_hosts_that_finish_one_goal_queue_one_outcome(self, action, category):
+        te = goal("g1", {"k": 1})
+        first, second = self.outcomes((te, action), (te, action))
+        assert first is second
+        assert first == TriggeringEvent(category, "g1", {"k": 1})
+        assert first.payload is te.payload
+
+    def test_an_equal_goal_object_gets_its_own_outcome(self):
+        te, equal = goal("g1", {"k": 1}), goal("g1", {"k": 1})
+        first, second = self.outcomes((te, "ping"), (equal, "ping"))
+        assert first == second and first is not second
+        assert first.payload is te.payload and second.payload is equal.payload
+
+    def test_one_goal_that_succeeds_then_fails_gets_each_outcome(self):
+        te = goal("g1", {"k": 1})
+        succeeded, failed = self.outcomes((te, "ping"), (te, "boom"))
+        assert succeeded.category is EventCategory.GOAL_SUCCEEDED
+        assert failed.category is EventCategory.GOAL_FAILED
+        assert failed.payload is succeeded.payload is te.payload
