@@ -268,12 +268,11 @@ def test_a_release_reads_as_the_pair_list(subscriptions, publications, latency, 
 
 
 def test_a_release_makes_no_delivery_pair_until_it_is_read():
-    # The pair list a release once was held a tuple per (publication,
-    # subscriber) pair: 50 publications to 1,000 subscribers made 49,950
-    # tuples, about 2.8 MB, and the list's pointers alone take 400 kB.  The
-    # view holds the released publications and the subscribers, sorted
-    # once, so it keeps under 100 bytes per subscriber, whatever the number
-    # of publications.
+    # A list of the pairs holds a tuple per (publication, subscriber) pair:
+    # 50 publications to 1,000 subscribers make 49,950 tuples, about 3.3 MB
+    # with the list.  The view holds the released publications and the
+    # subscribers, sorted once, so it keeps under 100 bytes per subscriber,
+    # whatever the number of publications.
     medium = CoordinationMedium("capacity", latency=0)
     for index in range(1000):
         medium.subscribe(f"h{index:04}/e", f"h{index:04}")
