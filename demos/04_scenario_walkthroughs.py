@@ -49,7 +49,7 @@ state = build_scenario(config)
 trace = run_simulation(state, 25, seed=config.seed)
 print(f"{'tick':>4}  type-1 deployments        switches demand(type-1)")
 for record in trace:
-    count = record.type_counts(state.types)["type-1"]
+    count = sum(deployed.count("type-1") for deployed in record.deployments.values())
     print(
         f"{record.tick:>4}  {bar(count):<25} {record.switches:^8} "
         f"{record.demand['type-1']:>6}"

@@ -29,7 +29,7 @@ from __future__ import annotations
 import ast
 import copy
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
@@ -134,10 +134,11 @@ class EventMappingEntry:
 class CoefficientModule:
     """A namespaced element container carrying an event mapping.
 
+    The module's plans and mapping guards spell its beliefs bare, and
+    registration renames them to their host keys (see ``register_module``).
     Registration treats a module as a value and remembers on it its belief
-    renames and the last library it gave (see ``register_module``), so a
-    module's id, beliefs, exports and plans are not changed once it is
-    registered.
+    renames, so a module's id, beliefs and exports are not changed once it
+    is registered.
     """
 
     module_id: str
@@ -145,11 +146,6 @@ class CoefficientModule:
     plans: list[Plan] = field(default_factory=list)
     mapping: list[EventMappingEntry] = field(default_factory=list)
     exports: frozenset[str] = frozenset()
-    #: The last host library this module's plans were merged into and the
-    #: library that gave, matched by identity.
-    _last: tuple[PlanLibrary, PlanLibrary] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
     #: Each belief key -> the host key it merges under, once computed.
     _renames: dict[str, str] | None = field(default=None, init=False, repr=False, compare=False)
 
@@ -232,9 +228,13 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
     """Merge a module into the host and activate its event mapping.
 
     Beliefs and plans are merged under the module namespace (export-listed
-    names stay unprefixed); belief references inside the module's own plans
-    are rewritten to the namespaced keys.  A module that declares plans gives
-    the host a new library, the host's plans then its own.  Every refusal -- a
+    names stay unprefixed).  One naming rule holds inside a module: its
+    plans and its mapping guards spell its beliefs bare, and registration
+    rewrites those names to the host keys in both; a name that is not one of
+    the module's beliefs, such as an already prefixed one, is left as it
+    is.  An expression that names none of them is kept, so ``TRUE`` stays
+    ``TRUE``.  A module that declares plans gives the host a new library,
+    the host's plans then its own.  Every refusal -- a
     belief key that is empty or reserved, a belief or plan id taken by the
     host, or a plan id the module declares twice -- comes before the host
     changes, and the refusals that depend on the module alone come before
@@ -252,11 +252,10 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
     the module's beliefs are written into the host's own belief base.
 
     What depends only on the module is computed once, on its first
-    registration, and remembered on it: its belief renames.  The new library
-    depends only on the old one and the module, and the module remembers the
-    last pair: hosts that hold one library and register one module in a row
-    all get one new library.  A caller that builds its hosts' libraries
-    afresh keeps those hosts apart from earlier ones.
+    registration, and remembered on it: its belief renames.  Each
+    registration that merges plans builds a new library, so hosts that are
+    to share one register the module once and take its values, as
+    ``build_scenario`` does.
     """
     if mod.module_id in cfg.modules:
         raise ModuleRegistrationError(f"module {mod.module_id!r} already registered")
@@ -270,20 +269,14 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
                 f"module {mod.module_id!r} belief {target!r} collides with the host"
             )
 
-    last = mod._last
-    if last is not None and last[0] is cfg.plans:
-        plans = last[1]
-    elif mod.plans:
-        plans = _merge_plans(cfg.plans, mod, renames)
-        mod._last = (cfg.plans, plans)
-    else:
-        plans = cfg.plans
+    plans = _merge_plans(cfg.plans, mod, renames) if mod.plans else cfg.plans
 
     for key, value in mod.beliefs.items():
         cfg.beliefs.set(renames[key], value)  # registration-time merge, no events
     cfg.plans = plans
     if mod.mapping:
-        cfg.mapping = {**cfg.mapping, mod.module_id: tuple(mod.mapping)}
+        entries = tuple(replace(e, guard=_rename_expr(e.guard, renames)) for e in mod.mapping)
+        cfg.mapping = {**cfg.mapping, mod.module_id: entries}
         if _inject not in cfg.observation_hooks:
             cfg.observation_hooks = [*cfg.observation_hooks, _inject]
     cfg.modules = {**cfg.modules, mod.module_id: mod}

@@ -301,8 +301,9 @@ def _declaration_module(decl: EndpointDeclaration) -> CoefficientModule:
     Each publication rule becomes one event-mapping entry that injects an
     internal publish goal, plus one plan that performs the publish action;
     the rule guard is re-checked in the plan context so stale goals never
-    publish.  The declared plans are exported, so they keep their ids on
-    the host.
+    publish.  Registration reads names alike in mapping guards and plan
+    contexts, so the guard means the same in both.  The declared plans are
+    exported, so they keep their ids on the host.
     """
     module_id = f"ep.{decl.process_id}"
     mapping: list[EventMappingEntry] = []
@@ -362,12 +363,12 @@ def attach_endpoint(
     """Register the declaration on the host (see ``register_declaration``)
     and return the host's endpoint.
 
-    Reactions stay on the endpoint and are applied at delivery time.  The
-    hosts of one library that attach one declaration in a row share the new
-    library ``register_module`` gives them, but each gets its own module
-    table, mapping, hook list and, when the declaration publishes, action
-    set.  A build registers each declaration once per role instead, and
-    its members share all of these.
+    Reactions stay on the endpoint and are applied at delivery time.  Each
+    host that attaches a declaration gets its own new values: a library
+    when the declaration's module carries plans, a module table, mapping,
+    hook list and, when the declaration publishes, action set.  A build
+    registers each declaration once per role instead, and its members share
+    all of these.
     """
     register_declaration(decl, host_cfg)
     return CoordinationEndpoint(host_cfg.agent_id, decl)

@@ -508,9 +508,10 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
     for service_type, rate in _optional(doc, "demand", path, dict, {}).items():
         demand[service_type] = _require(rate, f"{path}.demand.{service_type}", int, "rate")
 
-    endpoints = None
+    # Without an endpoints section the config takes its default declarations.
+    declared = {}
     if doc.get("endpoints") is not None:
-        endpoints = [
+        declared["endpoints"] = [
             parse_endpoint_declaration(obj, f"{path}.endpoints[{index}]")
             for index, obj in enumerate(_require(doc["endpoints"], f"{path}.endpoints", list, "endpoints"))
         ]
@@ -534,7 +535,7 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
             move_acceptance_probability=float(
                 _optional(doc, "move-acceptance-probability", path, (int, float), 1.0)
             ),
-            endpoints=endpoints,
+            **declared,
         )
     except ScenarioError as exc:
         raise _fail(path, str(exc)) from None

@@ -99,6 +99,11 @@ ROLES = {
 }
 
 
+#: The names a demand type may not take: a broker holds each demanded type
+#: as a belief beside its ``significance_threshold``.
+_BROKER_RESERVED = RESERVED_NAMES | {"significance_threshold"}
+
+
 class ScenarioError(ValueError):
     """Scenario configuration violates a build invariant."""
 
@@ -236,18 +241,20 @@ class ScenarioConfig:
     of the servers that ``admits`` it from ``random.Random(seed)``.  When a
     draw finds no such server, an exact search places the unnamed services
     instead (see ``_search_placement``), so "no legal placement" is raised
-    only when none exists, whatever the seed.  Building
-    it also computes ``declarations``, the endpoint declarations a build
-    attaches: ``endpoints``, or ``canonical_endpoints(config)`` when
-    ``endpoints`` is None.  Only the canonical declarations read
-    ``significance_threshold`` and ``publish_when_empty``.  A declaration's
+    only when none exists, whatever the seed.
+
+    ``endpoints`` are the endpoint declarations a build attaches, by default
+    ``canonical_endpoints()``, made afresh for each config built without
+    them.  No declaration depends on a parameter: a build gives each server
+    ``publish_when_empty`` and each broker ``significance_threshold`` as
+    beliefs, which any declaration of the role may read.  A declaration's
     plans may act only in its role's action set (see ``ROLES``), and the
     declarations of a role must register together, each once, on one agent
     of that role: a config refuses what a build would.  A config cannot
     be changed: building it stores each sequence field as a tuple and
     ``demand``, ``media`` and ``placement`` as read-only mappings, so
-    ``dataclasses.replace`` is the way to a changed one, checked, placed and
-    declared again.
+    ``dataclasses.replace`` is the way to a changed one, checked and placed
+    again; it keeps the declarations.
     """
 
     name: str = "scenario"
@@ -265,24 +272,21 @@ class ScenarioConfig:
     #: The chance that a server manager accepts a move or a switch.
     move_acceptance_probability: float = 1.0
     #: Endpoint declarations, each attached to every agent of its role.
-    #: None selects ``canonical_endpoints(config)``.
-    endpoints: Sequence[EndpointDeclaration] | None = None
+    endpoints: Sequence[EndpointDeclaration] = field(
+        default_factory=lambda: canonical_endpoints()
+    )
     placement: Mapping[str, str] = field(init=False, repr=False, compare=False)
-    declarations: tuple[EndpointDeclaration, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        for name in ("servers", "services", "demand_schedule"):
+        for name in ("servers", "services", "demand_schedule", "endpoints"):
             object.__setattr__(self, name, tuple(getattr(self, name)))
         for name in ("demand", "media"):
             object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
-        if self.endpoints is not None:
-            object.__setattr__(self, "endpoints", tuple(self.endpoints))
         if self.ticks < 0:
             raise ScenarioError("ticks must be >= 0")
         if self.brokers < 0:
             raise ScenarioError("brokers must be >= 0")
-        # The canonical broker guard spells the threshold out, and an
-        # infinite one would read as a belief named ``inf``.
+        # No demand change reaches an infinite or a NaN threshold.
         if not (0 <= self.significance_threshold < math.inf):
             raise ScenarioError("significance-threshold must be finite and >= 0")
         if not (0 <= self.move_acceptance_probability <= 1):
@@ -308,20 +312,18 @@ class ScenarioConfig:
         for entry in self.demand_schedule:
             if entry.tick < 0:
                 raise ScenarioError("demand-schedule ticks must be >= 0")
-        # Brokers hold one belief per demanded type.
+        # Brokers hold one belief per demanded type, beside their threshold.
         for service_type in [*self.demand, *(entry.service_type for entry in self.demand_schedule)]:
-            if not service_type or service_type in RESERVED_NAMES:
+            if not service_type or service_type in _BROKER_RESERVED:
                 raise ScenarioError(f"demand type {service_type!r} is empty or a reserved name")
         for topic, latency in self.media.items():
             if latency < 0:
                 raise ScenarioError(f"medium {topic!r}: latency must be >= 0")
-        declarations = canonical_endpoints(self) if self.endpoints is None else self.endpoints
-        object.__setattr__(self, "declarations", declarations)
         # A build registers a role's declarations on each of its agents, so
         # one probe agent per role refuses what any build would: registration
         # alone rules on module and plan ids.
         probes = {role: AgentConfiguration(role, plans=PlanLibrary()) for role in ROLES}
-        for index, decl in enumerate(declarations):
+        for index, decl in enumerate(self.endpoints):
             if decl.role not in ROLES:
                 raise ScenarioError(
                     f"endpoints[{index}]: role must be {'/'.join(ROLES)}, got {decl.role!r}"
@@ -404,12 +406,6 @@ class TraceRecord:
     rejected_moves: int
     rejected_switches: int
     demand: dict[str, int]
-
-    def type_counts(self, types: Iterable[str]) -> dict[str, int]:
-        counts = Counter(
-            service_type for deployed in self.deployments.values() for service_type in deployed
-        )
-        return {service_type: counts[service_type] for service_type in types}
 
 
 class WakeSet:
@@ -695,23 +691,21 @@ _SWITCH_PLAN = Plan(
 )
 
 
-def canonical_endpoints(config: ScenarioConfig) -> tuple[EndpointDeclaration, ...]:
-    """The two canonical coordination processes: the ``declarations`` of a
-    config without ``endpoints``.
+def canonical_endpoints() -> tuple[EndpointDeclaration, ...]:
+    """The two canonical coordination processes: the default ``endpoints``
+    of a config.
 
     Server utilization: servers below their preferred level publish capacity,
-    and services elsewhere react with a ``move-to`` goal, which their
+    empty ones too when their ``publish_when_empty`` belief holds, and
+    services elsewhere react with a ``move-to`` goal, which their
     declaration's ``move-to`` plan pursues by relocating.  Demand balancing:
-    brokers publish significant demand changes, and services of another type
-    react to a rise with a ``switch-to`` goal, which their declaration's
-    ``switch-to`` plan pursues by reallocating.  The two plans are built
-    once, not per config.
+    brokers publish demand changes that reach their
+    ``significance_threshold`` belief, and services of another type react to
+    a rise with a ``switch-to`` goal, which their declaration's
+    ``switch-to`` plan pursues by reallocating.  The declarations are fixed
+    text: the parameters reach them only as beliefs (see ``build_scenario``).
+    The two plans are built once; the rest is built per call.
     """
-    if config.publish_when_empty:
-        capacity_guard = Expr("deployed < preferred_min")
-    else:
-        capacity_guard = Expr("deployed > 0 and deployed < preferred_min")
-    threshold = config.significance_threshold
     return (
         EndpointDeclaration(
             process_id=UTILIZATION_PROCESS,
@@ -720,7 +714,9 @@ def canonical_endpoints(config: ScenarioConfig) -> tuple[EndpointDeclaration, ..
                 PublicationRule(
                     observe=pattern(EventCategory.BELIEF_UPDATED, "deployed"),
                     topic=TOPIC_CAPACITY,
-                    guard=capacity_guard,
+                    guard=Expr(
+                        "deployed < preferred_min and (publish_when_empty or deployed > 0)"
+                    ),
                     extract=("server", "deployed", "capacity"),
                 ),
             ),
@@ -762,7 +758,9 @@ def canonical_endpoints(config: ScenarioConfig) -> tuple[EndpointDeclaration, ..
                 PublicationRule(
                     observe=pattern(EventCategory.BELIEF_UPDATED),
                     topic=TOPIC_DEMAND,
-                    guard=Expr(f"abs(payload.new - payload.old) / payload.old >= {threshold!r}"),
+                    guard=Expr(
+                        "abs(payload.new - payload.old) / payload.old >= significance_threshold"
+                    ),
                     extract_event={
                         "subject": Expr("subject"),
                         "old": Expr("payload.old"),
@@ -789,9 +787,9 @@ RELEASE_ORDER = {
 def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> SimulationState:
     """Construct agents, endpoints, and media for a configuration.
 
-    The config was checked, and its initial placement and its
-    ``declarations`` computed, when it was built; each declaration compiled
-    its module when it was built.  A medium is made for each topic that a
+    The config was checked, and its initial placement computed, when it was
+    built; each declaration of its ``endpoints`` compiled its module when it
+    was built.  A medium is made for each topic that a
     ``media`` entry or a declaration names, and a topic that no ``media``
     entry names has latency 1.
 
@@ -812,9 +810,12 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
     each declaration of its role, whose host subscribes to its ``topics``,
     and then reports the role's bootstrap readings: each server manager's
     current utilization, once, so that publication guards are evaluated
-    against the initial state.  What depends only on a role, its program
-    and the media of its declarations' sorted topics, is resolved before the
-    members; each member pays only for its own state.
+    against the initial state.  The config's parameters are beliefs, set
+    with the others and so posting no event: ``publish_when_empty`` on each
+    server and ``significance_threshold`` on each broker.  What depends only
+    on a role, its program and the media of its declarations' sorted
+    topics, is resolved before the members; each member pays only for its
+    own state.
 
     Agents keep observation records only with ``agent_log`` set, for a run
     that writes ``agent-log.jsonl``; plan-lifecycle hooks fire either way.
@@ -835,7 +836,7 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
         state.refresh_server(server_id, sorted(deployed))
 
     topics = set(config.media)
-    for decl in config.declarations:
+    for decl in config.endpoints:
         topics.update(rule.topic for rule in decl.publications)
         topics.update(decl.topics)
     for topic in sorted(topics):
@@ -850,11 +851,13 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
         role: (AgentConfiguration(role, plans=library, actions=actions), [], readings)
         for role, (actions, readings) in ROLES.items()
     }
-    for decl in config.declarations:
+    for decl in config.endpoints:
         program, declared, _ = programs[decl.role]
         register_declaration(decl, program)
         declared.append((decl, [state.media[topic] for topic in sorted(decl.topics)]))
-    # Lazily, so that each belief dict lives only until its agent copies it.
+    # Lazily, so that each belief dict lives only until its agent copies it;
+    # the brokers' one is the same for all of them.
+    broker_beliefs = {**state.demand, "significance_threshold": config.significance_threshold}
     members = chain(
         (
             (
@@ -865,6 +868,7 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
                     "capacity": spec.capacity,
                     "preferred_min": spec.preferred_min,
                     "deployed": len(state.deployments[spec.server_id]),
+                    "publish_when_empty": config.publish_when_empty,
                 },
             )
             for spec in config.servers
@@ -880,7 +884,7 @@ def build_scenario(config: ScenarioConfig, agent_log: bool = False) -> Simulatio
             )
             for service in config.services
         ),
-        (("broker", broker_id, dict(state.demand)) for broker_id in config.broker_ids),
+        (("broker", broker_id, broker_beliefs) for broker_id in config.broker_ids),
     )
     for role, agent_id, beliefs in members:
         program, declared, readings = programs[role]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from typing import Iterable
 
 from coagent.bdi.config import AgentConfiguration, Step
 from coagent.bdi.events import TOP
@@ -138,6 +139,15 @@ def equivalence_run(seed: int, cycles: int = 20) -> None:
                 f"seed {seed}: divergence after step {step_index}\n"
                 f"main: {main.snapshot_json()}\nref : {ref.snapshot_json()}"
             )
+
+
+def type_counts(record: TraceRecord, types: Iterable[str]) -> dict[str, int]:
+    """Per service type in ``types``, how many services of it the record's
+    deployment map holds."""
+    counts = Counter(
+        service_type for deployed in record.deployments.values() for service_type in deployed
+    )
+    return {service_type: counts[service_type] for service_type in types}
 
 
 def check_trace_safety(trace: list[TraceRecord], config: ScenarioConfig) -> None:

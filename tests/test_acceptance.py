@@ -44,6 +44,7 @@ from tests.helpers import (
     check_trace_safety,
     equivalence_run,
     first_capacity_delivery_tick,
+    type_counts,
 )
 
 
@@ -220,7 +221,7 @@ class TestCriterion5ScenarioB:
         assert waves == 1, f"expected exactly one demand publication, saw {waves}"
         q = quiescence_tick(trace)
         assert q is not None
-        counts = [record.type_counts(state.types)["type-1"] for record in trace]
+        counts = [type_counts(record, state.types)["type-1"] for record in trace]
         assert counts[q] > counts[10]
         window = counts[10 : q + 1]
         assert all(a <= b for a, b in zip(window, window[1:]))

@@ -60,9 +60,10 @@ class TestRegisterModule:
         assert "m1.react" in cfg.plans
         assert len(cfg.plans) == 1
 
-    def test_plans_spell_module_beliefs_bare_and_mapping_guards_prefixed(self):
-        # Today's rule: registration renames a module's beliefs in its plans,
-        # not in its mapping guards, which read the host's keys as they are.
+    def test_plans_and_mapping_guards_spell_module_beliefs_bare(self):
+        # One naming rule: registration renames a module's beliefs in its
+        # plans and in its mapping guards alike.  A guard that spells the
+        # host key reads the same belief, since that name is not renamed.
         cfg = agent()
         register_module(
             cfg,
@@ -78,10 +79,11 @@ class TestRegisterModule:
         )
         assert cfg.beliefs.get("m__on") is True and cfg.beliefs.get("on") is None
         assert cfg.plans.by_id["m.p"].context.source == "m__on"
+        assert [entry.guard.source for entry in cfg.mapping["m"]] == ["m__on", "m__on"]
         post_external_event(cfg, TriggeringEvent(EventCategory.BELIEF_UPDATED, "load", {}))
         cfg.step = Step.SEL_EV
         select_event_coefficient(cfg)
-        assert [event.te.subject for event in cfg.circumstance.events] == ["prefixed"]
+        assert [event.te.subject for event in cfg.circumstance.events] == ["bare"]
 
     def test_duplicate_module_id_rejected(self):
         cfg = agent()
@@ -168,7 +170,7 @@ class TestRegisterModule:
         assert second.modules == second.mapping == {} and second.observation_hooks == ()
         assert AgentConfiguration("c").modules == {}
 
-    def test_hosts_of_one_library_share_one_new_library_per_module(self):
+    def test_hosts_of_one_library_each_get_the_module_plans(self):
         library = PlanLibrary([Plan("work", pattern("goal-added", "g"), (Act("ping", {}),))])
         other = PlanLibrary(library.by_id.values())
         hosts = [AgentConfiguration(name, plans=library) for name in "abcd"]
@@ -177,14 +179,12 @@ class TestRegisterModule:
         module, twin = (CoefficientModule("m", beliefs={"y": 1}, plans=[plan]) for _ in "12")
         for host in hosts[:2]:
             register_module(host, module)
-        shared = hosts[0].plans
-        assert hosts[1].plans is shared
-        # A host on another library gets its own.
+        merged = hosts[0].plans
+        assert list(hosts[1].plans.by_id) == list(merged.by_id)
         register_module(elsewhere, module)
-        assert elsewhere.plans is not shared
-        assert list(elsewhere.plans.by_id) == list(shared.by_id) == ["work", "m.extra"]
+        assert list(elsewhere.plans.by_id) == list(merged.by_id) == ["work", "m.extra"]
         register_module(hosts[2], twin)  # an equal module, not this one
-        assert hosts[2].plans is not shared and list(hosts[2].plans.by_id) == ["work", "m.extra"]
+        assert list(hosts[2].plans.by_id) == ["work", "m.extra"]
         assert list(library.by_id) == ["work"] and list(other.by_id) == ["work"]
         # A belief clash is the host's own: refused before the host changes,
         # also right after the module gave a library for the host's.

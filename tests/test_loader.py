@@ -33,7 +33,7 @@ from coagent.scenarios import (
 )
 
 from tests.conftest import SCENARIO_A, SCENARIO_B
-from tests.test_scenarios import CANONICAL_ENDPOINTS_B
+from tests.test_scenarios import CANONICAL_ENDPOINTS_DOCUMENT
 
 
 def minimal_program(**overrides):
@@ -277,8 +277,8 @@ class TestScenarioDocuments:
             assert config.move_acceptance_probability == 1.0
 
     def test_a_threshold_that_is_not_finite_is_refused(self, tmp_path):
-        # JSON 1e999 loads as inf, which the canonical broker guard would
-        # spell as a belief name.
+        # JSON 1e999 loads as inf.  No demand change reaches an infinite or
+        # a NaN threshold, so either would silence the brokers.
         path = tmp_path / "threshold.json"
         path.write_text(json.dumps(minimal_scenario(brokers=1))[:-1] + ', "significance-threshold": 1e999}')
         with pytest.raises(ConfigError, match="significance-threshold must be finite"):
@@ -288,6 +288,15 @@ class TestScenarioDocuments:
         from coagent.cli import main
 
         assert main(["validate", str(path)]) == 2
+
+    @pytest.mark.parametrize("name", ["demand-threshold-name", "schedule-threshold-name"])
+    def test_a_demand_type_named_as_the_broker_threshold_is_refused(self, name):
+        # Brokers hold each demanded type as a belief, so this one would
+        # overwrite their significance_threshold belief.
+        text = "scenario: demand type 'significance_threshold' is empty or a reserved name"
+        with pytest.raises(ConfigError) as refused:
+            parse_scenario(MALFORMED_SCENARIOS[name])
+        assert str(refused.value) == text
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ConfigError, match="latency"):
@@ -364,7 +373,7 @@ class TestEndpointSection:
 
 
 #: The canonical service plan for the ``move-to`` goal, as a document declares it.
-MOVE_PLAN = CANONICAL_ENDPOINTS_B[1]["plans"][0]
+MOVE_PLAN = CANONICAL_ENDPOINTS_DOCUMENT[1]["plans"][0]
 
 
 def utilization_document(service_plans):
@@ -435,6 +444,12 @@ MALFORMED_SCENARIOS = {
     "media-not-an-object": minimal_scenario(media=[1]),
     "demand-not-an-object": minimal_scenario(demand=[1]),
     "demand-reserved-name": minimal_scenario(brokers=1, demand={"subject": 1}),
+    # A broker holds its threshold as a belief beside one per demanded type.
+    "demand-threshold-name": minimal_scenario(brokers=1, demand={"significance_threshold": 1}),
+    "schedule-threshold-name": minimal_scenario(
+        brokers=1,
+        **{"demand-schedule": [{"tick": 1, "type": "significance_threshold", "delta": 2}]},
+    ),
     "uniqueness-not-a-bool": minimal_scenario(**{"uniqueness-constraint": "false"}),
     "probability-is-a-bool": minimal_scenario(**{"move-acceptance-probability": True}),
     "ticks-is-a-bool": minimal_scenario(ticks=True),
@@ -515,7 +530,7 @@ class TestMalformedDocuments:
 
 def _refused_b(edit):
     """Scenario B with its canonical endpoints spelled out, after ``edit``."""
-    endpoints = copy.deepcopy(CANONICAL_ENDPOINTS_B)
+    endpoints = copy.deepcopy(CANONICAL_ENDPOINTS_DOCUMENT)
     edit(endpoints)
     return {**json.loads(SCENARIO_B.read_text()), "endpoints": endpoints}
 
@@ -634,7 +649,7 @@ _SCENARIO_B = json.loads(SCENARIO_B.read_text())
 SEED_DOCUMENTS = {
     "scenario-a": json.loads(SCENARIO_A.read_text()),
     "scenario-b": _SCENARIO_B,
-    "scenario-b-endpoints": {**_SCENARIO_B, "endpoints": CANONICAL_ENDPOINTS_B},
+    "scenario-b-endpoints": {**_SCENARIO_B, "endpoints": CANONICAL_ENDPOINTS_DOCUMENT},
     "program": minimal_program(
         modules=[
             {

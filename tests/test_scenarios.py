@@ -62,7 +62,7 @@ from coagent.scenarios import (
 )
 
 from tests.conftest import REPO_ROOT, SCENARIO_A, SCENARIO_B
-from tests.helpers import check_trace_safety, first_capacity_delivery_tick
+from tests.helpers import check_trace_safety, first_capacity_delivery_tick, type_counts
 
 
 def two_server_config(deployments=(5, 1), capacity=5, preferred=3, services=6):
@@ -140,7 +140,7 @@ class TestBuildScenario:
     def test_an_endpoint_of_no_role_is_rejected(self, role):
         # Attached to no agent, it would be silently ignored.
         config = two_server_config()
-        endpoints = [*canonical_endpoints(config), EndpointDeclaration("p", role=role)]
+        endpoints = [*canonical_endpoints(), EndpointDeclaration("p", role=role)]
         with pytest.raises(ScenarioError, match=rf"endpoints\[4\]: role must be .*{role!r}"):
             replace(config, endpoints=endpoints)
 
@@ -424,7 +424,7 @@ ROLE_BELIEFS = {
     "broker": ("x", "y", "z"),
 }
 CANONICAL = {
-    (decl.process_id, decl.role): decl for decl in canonical_endpoints(ScenarioConfig())
+    (decl.process_id, decl.role): decl for decl in canonical_endpoints()
 }
 
 
@@ -506,7 +506,7 @@ def per_member_build(config, agent_log):
         cfg.plans, cfg.circumstance.actions = library, ROLES[role][0]
         cfg.modules, cfg.mapping, cfg.observation_hooks = {}, {}, []
         cfg.select_event_override = None
-        for decl in config.declarations:
+        for decl in config.endpoints:
             if decl.role == role:
                 endpoint = attach_endpoint(decl, cfg)
                 state.endpoints[endpoint.endpoint_id] = endpoint
@@ -556,11 +556,10 @@ def test_role_programs_build_what_per_member_registration_builds(fields):
     reference, roles = per_member_build(config, agent_log=True)
     for agent_id, cfg in shared.agents.items():
         assert member_program(cfg) == member_program(reference.agents[agent_id])
-    # One library per role within a build, on either side.
-    for state in (shared, reference):
-        for role in ROLES:
-            members = [cfg for agent_id, cfg in state.agents.items() if roles[agent_id] == role]
-            assert len({id(cfg.plans) for cfg in members}) <= 1
+    # One library per role within a build.
+    for role in ROLES:
+        members = [cfg for agent_id, cfg in shared.agents.items() if roles[agent_id] == role]
+        assert len({id(cfg.plans) for cfg in members}) <= 1
     assert shared.endpoints == reference.endpoints
     assert {topic: medium.subscribers for topic, medium in shared.media.items()} == {
         topic: medium.subscribers for topic, medium in reference.media.items()
@@ -568,6 +567,50 @@ def test_role_programs_build_what_per_member_registration_builds(fields):
     for state in (shared, reference):
         run_simulation(state, 12)
     assert output_texts(shared) == output_texts(reference)
+
+
+def spliced_endpoints(publish_when_empty, threshold):
+    """The canonical declarations as they were once built from a config's
+    parameters: ``publish_when_empty`` picks one of two capacity guards and
+    the threshold is spliced into the broker guard as a literal."""
+    if publish_when_empty:
+        capacity_guard = Expr("deployed < preferred_min")
+    else:
+        capacity_guard = Expr("deployed > 0 and deployed < preferred_min")
+    guards = {
+        "server": capacity_guard,
+        "broker": Expr(f"abs(payload.new - payload.old) / payload.old >= {threshold!r}"),
+    }
+    return tuple(
+        replace(
+            decl,
+            publications=tuple(replace(rule, guard=guards[decl.role]) for rule in decl.publications),
+        )
+        for decl in canonical_endpoints()
+    )
+
+
+@given(
+    running_configs(),
+    st.one_of(
+        st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        st.floats(0, 3, allow_nan=False, allow_infinity=False),
+    ),
+)
+@settings(max_examples=150, deadline=None)
+def test_parameter_beliefs_run_as_the_spliced_declarations(fields, threshold):
+    # The canonical guards read publish_when_empty and significance_threshold
+    # as beliefs; declarations that spell the parameters out instead must
+    # give the same trace.csv, summary.json and agent-log.jsonl texts.
+    try:
+        config = ScenarioConfig(**fields, significance_threshold=threshold)
+    except ScenarioError:
+        return
+    spliced = replace(config, endpoints=spliced_endpoints(config.publish_when_empty, threshold))
+    states = [build_scenario(built, agent_log=True) for built in (config, spliced)]
+    for state in states:
+        run_simulation(state, 12)
+    assert output_texts(states[0]) == output_texts(states[1])
 
 
 @pytest.mark.parametrize("declared", [True, False], ids=["canonical", "no-declarations"])
@@ -617,7 +660,7 @@ def naive_int_rows(state):
             [
                 record.tick,
                 *(len(listed) for listed in deployments.values()),
-                *record.type_counts(state.types).values(),
+                *type_counts(record, state.types).values(),
                 underloaded,
                 record.moves,
                 *(record.publications.get(topic, 0) for topic in state.media),
@@ -674,12 +717,9 @@ def test_trace_rows_are_text_that_writes_as_the_integer_rows(fields):
     assert written(rows) == written(naive_int_rows(state))
 
 
-def canonical_endpoints_document(publish_when_empty=False, threshold=0.5):
-    """``canonical_endpoints`` of a config with these parameters, spelled out
-    as a document's ``endpoints`` section."""
-    capacity_guard = "deployed < preferred_min"
-    if not publish_when_empty:
-        capacity_guard = "deployed > 0 and " + capacity_guard
+def canonical_endpoints_document():
+    """``canonical_endpoints()`` spelled out as a document's ``endpoints``
+    section."""
     return [
         {
             "process-id": "utilization",
@@ -687,7 +727,7 @@ def canonical_endpoints_document(publish_when_empty=False, threshold=0.5):
             "publication-rules": [
                 {
                     "observe": {"category": "belief-updated", "subject": "deployed"},
-                    "guard": capacity_guard,
+                    "guard": "deployed < preferred_min and (publish_when_empty or deployed > 0)",
                     "topic": "capacity",
                     "extract": ["server", "deployed", "capacity"],
                 }
@@ -744,7 +784,7 @@ def canonical_endpoints_document(publish_when_empty=False, threshold=0.5):
             "publication-rules": [
                 {
                     "observe": {"category": "belief-updated"},
-                    "guard": f"abs(payload.new - payload.old) / payload.old >= {float(threshold)!r}",
+                    "guard": "abs(payload.new - payload.old) / payload.old >= significance_threshold",
                     "topic": "demand-change",
                     "extract-event": {
                         "subject": "subject",
@@ -757,8 +797,8 @@ def canonical_endpoints_document(publish_when_empty=False, threshold=0.5):
     ]
 
 
-#: ``canonical_endpoints`` for scenario B (threshold 0.5).
-CANONICAL_ENDPOINTS_B = canonical_endpoints_document()
+#: ``canonical_endpoints()`` as a document spells it out.
+CANONICAL_ENDPOINTS_DOCUMENT = canonical_endpoints_document()
 
 #: A third coordination process, declared in the document alone: servers
 #: below their preferred level announce themselves on ``spare``, and
@@ -887,7 +927,7 @@ class TestEndpointDeclarations:
         # The document's declarations, and so their modules, serve both
         # builds; each build's base libraries keep the builds apart.
         doc = json.loads(SCENARIO_B.read_text())
-        doc["endpoints"] = CANONICAL_ENDPOINTS_B
+        doc["endpoints"] = CANONICAL_ENDPOINTS_DOCUMENT
         config = parse_scenario(doc)
         first, second = build_scenario(config), build_scenario(config)
         assert not {id(cfg.plans) for cfg in first.agents.values()} & {
@@ -909,7 +949,7 @@ class TestEndpointDeclarations:
             "extract": ["type", "current_server"],
         }
         moves = {"process-id": "moves", "role": "service", "publication-rules": [rule]}
-        doc["endpoints"] = [*CANONICAL_ENDPOINTS_B, moves]
+        doc["endpoints"] = [*CANONICAL_ENDPOINTS_DOCUMENT, moves]
         state = build_scenario(parse_scenario(doc))
         services = [state.agents[service_id] for service_id in state.service_server]
         assert len({id(cfg.plans) for cfg in services}) == 1
@@ -922,15 +962,27 @@ class TestEndpointDeclarations:
 
     def test_a_config_holds_the_declarations_its_builds_use(self):
         config = fleet_config(2)
-        assert config.endpoints is None
-        assert config.declarations == canonical_endpoints(config)
-        changed = replace(config, significance_threshold=0.8)
-        assert changed.declarations == canonical_endpoints(changed) != config.declarations
-        declared = replace(config, endpoints=list(config.declarations[:2]))
-        assert declared.declarations == declared.endpoints == config.declarations[:2]
+        assert type(config.endpoints) is tuple and config.endpoints == canonical_endpoints()
+        # Made per config, so each config parses its own expressions.
+        assert config.endpoints[0] is not fleet_config(2).endpoints[0]
+        declared = replace(config, endpoints=list(config.endpoints[:2]))
+        assert declared.endpoints == config.endpoints[:2]
         state = build_scenario(config)
         attached = {id(endpoint.decl) for endpoint in state.endpoints.values()}
-        assert attached == {id(decl) for decl in config.declarations}
+        assert attached == {id(decl) for decl in config.endpoints}
+
+    def test_parameters_are_beliefs_not_declarations(self):
+        config = fleet_config(2)
+        assert not config.publish_when_empty and config.significance_threshold == 0.5
+        changed = replace(config, significance_threshold=0.8, publish_when_empty=True)
+        assert changed.endpoints == config.endpoints == canonical_endpoints()
+        for built, threshold, empty in ((config, 0.5, False), (changed, 0.8, True)):
+            state = build_scenario(built)
+            for server_id in state.server_specs:
+                assert state.agents[server_id].beliefs.get("publish_when_empty") is empty
+            for broker_id in built.broker_ids:
+                beliefs = state.agents[broker_id].beliefs.as_dict()
+                assert beliefs == {"type-0": 10, "type-1": 10, "significance_threshold": threshold}
 
     @pytest.mark.parametrize("threshold", [0.5, 0.25])
     @pytest.mark.parametrize("publish_when_empty", [False, True])
@@ -942,10 +994,9 @@ class TestEndpointDeclarations:
         default = tmp_path / "default.json"
         default.write_text(json.dumps(doc))
         explicit = tmp_path / "explicit.json"
-        spelled_out = canonical_endpoints_document(publish_when_empty, threshold)
-        explicit.write_text(json.dumps({**doc, "endpoints": spelled_out}))
+        explicit.write_text(json.dumps({**doc, "endpoints": CANONICAL_ENDPOINTS_DOCUMENT}))
         config = load_scenario(explicit)
-        assert config.endpoints == canonical_endpoints(config)
+        assert config.endpoints == canonical_endpoints()
         outputs = {}
         for scenario in (default, explicit):
             out = tmp_path / scenario.stem
@@ -976,6 +1027,32 @@ class TestEndpointDeclarations:
             for name in (b"spare", b"go-to", b"spare-room"):
                 assert name not in path.read_bytes(), f"{path} names {name!r}"
 
+    @pytest.mark.parametrize("threshold, published", [(1.5, 1), (2.5, 0)])
+    def test_a_process_declared_in_the_document_alone_reads_a_parameter(
+        self, threshold, published
+    ):
+        # Scenario B's one demand change takes type-1 from 10 to 30: it
+        # reaches a rise of 1.5 times the old rate, not one of 2.5 times.
+        surge = {
+            "process-id": "surge",
+            "role": "broker",
+            "publication-rules": [
+                {
+                    "observe": {"category": "belief-updated"},
+                    "guard": "payload.new >= payload.old * (1 + significance_threshold)",
+                    "topic": "surge",
+                    "extract-event": {"old": "payload.old", "new": "payload.new"},
+                }
+            ],
+        }
+        doc = json.loads(SCENARIO_B.read_text())
+        doc.update({"significance-threshold": threshold, "endpoints": [surge]})
+        state = build_scenario(parse_scenario(doc))
+        trace = run_simulation(state, state.config.ticks)
+        assert list(state.media) == ["capacity", "demand-change", "surge"]
+        assert sum(record.publications["surge"] for record in trace) == published
+        assert sum(record.publications["demand-change"] for record in trace) == 0
+
 
 def three_server_config(topic=None):
     """server-02 (1 deployed) and server-03 (2 deployed) both offer capacity at tick 1.
@@ -1004,7 +1081,7 @@ def three_server_config(topic=None):
                     for entry in decl.reactions
                 ),
             )
-            for decl in canonical_endpoints(config)
+            for decl in canonical_endpoints()
             if decl.process_id == UTILIZATION_PROCESS
         ]
         config = replace(config, endpoints=endpoints)
@@ -1295,7 +1372,7 @@ class TestScenarioB:
         config, state, trace = run_b
         q = quiescence_tick(trace)
         assert q is not None
-        counts = [record.type_counts(state.types)["type-1"] for record in trace]
+        counts = [type_counts(record, state.types)["type-1"] for record in trace]
         assert counts[q] > counts[10]
         window = counts[10 : q + 1]
         assert all(a <= b for a, b in zip(window, window[1:]))
@@ -1749,7 +1826,7 @@ class TestTraceOutputs:
         columns = trace_columns(state)
         for record, row in zip(trace, trace_rows(state), strict=True):
             values = dict(zip(columns, row, strict=True))
-            recount = record.type_counts(state.types)
+            recount = type_counts(record, state.types)
             assert {t: values[f"type:{t}"] for t in state.types} == {
                 t: str(count) for t, count in recount.items()
             }
