@@ -227,6 +227,12 @@ class EndpointDeclaration:
     def __post_init__(self) -> None:
         if not self.process_id:
             raise EndpointDeclarationError("endpoint declaration needs a process-id")
+        # An endpoint id is ``<host>/<process id>``: a host id may hold a
+        # slash, so a process id may not, or two endpoints could share an id.
+        if "/" in self.process_id:
+            raise EndpointDeclarationError(
+                f"process-id {self.process_id!r} must not contain '/'"
+            )
         for index, rule in enumerate(self.publications):
             _check_publication(rule, index)
         for index, entry in enumerate(self.reactions):
@@ -245,7 +251,8 @@ class EndpointDeclaration:
 @dataclass(slots=True, init=False)
 class CoordinationEndpoint:
     """Per-agent middleware actor for one coordination process: the host's
-    endpoint of ``decl``, whose id is ``<host>/<process id>``."""
+    endpoint of ``decl``, whose id is ``<host>/<process id>``, unique since a
+    process id holds no slash."""
 
     endpoint_id: str
     host: str

@@ -6,7 +6,9 @@ Two document kinds are supported, both JSON:
   modules, and external events to post (used by the oracle runner and
   tests);
 * scenario configurations -- servers, services, brokers, demand schedule,
-  media latencies, and an optional endpoint-declaration section.
+  media latencies, and an optional endpoint-declaration section, which
+  ``parse_endpoints`` parses, as it parses the packaged canonical
+  declarations (see ``coagent.scenarios.canonical_endpoints``).
 
 Every guard, context, and value expression is parsed and checked at load
 time; expression errors never surface at run time.  All validation failures
@@ -138,6 +140,9 @@ def parse_pattern(obj: Any, path: str) -> EventPattern:
     if obj.get("category") is not None:
         raw = obj["category"]
         if isinstance(raw, list):
+            # Every event has a category, so an empty list would match none.
+            if not raw:
+                raise _fail(f"{path}.category", "category list must be non-empty")
             categories = tuple(_parse_category(c, f"{path}.category") for c in raw)
         else:
             categories = (_parse_category(raw, f"{path}.category"),)
@@ -307,7 +312,7 @@ def parse_agent_program(doc: Any, path: str = "agent-program") -> AgentProgram:
             )
         )
     program = AgentProgram(
-        name=str(doc.get("name") or "agent"),
+        name=_optional(doc, "name", path, str, "") or "agent",
         beliefs=beliefs,
         actions=actions,
         plans=plans,
@@ -405,6 +410,14 @@ def parse_endpoint_declaration(obj: Any, path: str) -> EndpointDeclaration:
         return EndpointDeclaration(process_id, role, publications, reactions, plans)
     except EndpointDeclarationError as exc:
         raise _fail(path, str(exc)) from None
+
+
+def parse_endpoints(obj: Any, path: str) -> tuple[EndpointDeclaration, ...]:
+    """Parse an ``endpoints`` section: a list of endpoint declarations."""
+    return tuple(
+        parse_endpoint_declaration(decl, f"{path}[{index}]")
+        for index, decl in enumerate(_require(obj, path, list, "endpoints"))
+    )
 
 
 _SCENARIO_KEYS = {
@@ -511,14 +524,11 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
     # Without an endpoints section the config takes its default declarations.
     declared = {}
     if doc.get("endpoints") is not None:
-        declared["endpoints"] = [
-            parse_endpoint_declaration(obj, f"{path}.endpoints[{index}]")
-            for index, obj in enumerate(_require(doc["endpoints"], f"{path}.endpoints", list, "endpoints"))
-        ]
+        declared["endpoints"] = parse_endpoints(doc["endpoints"], f"{path}.endpoints")
 
     try:
         return ScenarioConfig(
-            name=str(doc.get("name") or "scenario"),
+            name=_optional(doc, "name", path, str, "") or "scenario",
             seed=_require(doc.get("seed", 0), f"{path}.seed", int, "seed"),
             ticks=_require(doc.get("ticks", 100), f"{path}.ticks", int, "ticks"),
             servers=servers,

@@ -45,6 +45,7 @@ event to wake it.
 
 from __future__ import annotations
 
+import json
 import math
 import random
 from bisect import insort
@@ -52,42 +53,27 @@ from collections import Counter
 from itertools import chain
 from dataclasses import dataclass, field
 from functools import cache
+from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
 
 from coagent.bdi.beliefs import RESERVED_NAMES, BeliefBase
 from coagent.bdi.config import ActionFault, AgentConfiguration
-from coagent.bdi.events import EventCategory, TriggeringEvent, pattern
-from coagent.bdi.expressions import Expr
+from coagent.bdi.events import EventCategory, TriggeringEvent
 from coagent.bdi.interpreter import post_external_event, run_cycle, select_event
-from coagent.bdi.plans import Act, Plan, PlanLibrary
-from coagent.coefficiency import (
-    EventMappingEntry,
-    EventTemplate,
-    ModuleRegistrationError,
-    register_module,
-)
+from coagent.bdi.plans import Act, PlanLibrary
+from coagent.coefficiency import ModuleRegistrationError, register_module
 from coagent.coordination import (
     PUBLISH_ACTION,
     CoordinationEndpoint,
     CoordinationMedium,
     EndpointDeclaration,
-    PublicationRule,
     build_publication,
     endpoint_deliver,
     publish,
     register_declaration,
     tick_medium,
 )
-
-TOPIC_CAPACITY = "capacity"
-TOPIC_DEMAND = "demand-change"
-
-UTILIZATION_PROCESS = "utilization"
-BALANCING_PROCESS = "balancing"
-
-MOVE_GOAL = "move-to"
-SWITCH_GOAL = "switch-to"
 
 #: The agent roles an endpoint declaration can name, each with the actions
 #: its agents may perform and the beliefs the architecture reports once at
@@ -677,23 +663,19 @@ def apply_demand(state: SimulationState, tick: int) -> SimulationState:
 # -- scenario construction ----------------------------------------------------
 
 
-#: The goal plans of the canonical service declarations, built once.
-_MOVE_PLAN = Plan(
-    plan_id=MOVE_GOAL,
-    trigger=pattern(EventCategory.GOAL_ADDED, MOVE_GOAL),
-    body=(Act("relocate", {"server": Expr("payload.server")}),),
-)
-_SWITCH_PLAN = Plan(
-    plan_id=SWITCH_GOAL,
-    trigger=pattern(EventCategory.GOAL_ADDED, SWITCH_GOAL),
-    context=Expr("type != payload.type"),
-    body=(Act("reallocate", {"type": Expr("payload.type")}),),
-)
+#: The two canonical coordination processes, a document packaged beside
+#: this module.
+CANONICAL_ENDPOINTS = Path(__file__).with_name("canonical-endpoints.json")
+
+
+@cache
+def _canonical_document() -> list[Any]:
+    return json.loads(CANONICAL_ENDPOINTS.read_text(encoding="utf-8"))
 
 
 def canonical_endpoints() -> tuple[EndpointDeclaration, ...]:
-    """The two canonical coordination processes: the default ``endpoints``
-    of a config.
+    """The declarations of ``CANONICAL_ENDPOINTS``, parsed afresh on each
+    call: the default ``endpoints`` of a config.
 
     Server utilization: servers below their preferred level publish capacity,
     empty ones too when their ``publish_when_empty`` belief holds, and
@@ -704,72 +686,12 @@ def canonical_endpoints() -> tuple[EndpointDeclaration, ...]:
     a rise with a ``switch-to`` goal, which their declaration's
     ``switch-to`` plan pursues by reallocating.  The declarations are fixed
     text: the parameters reach them only as beliefs (see ``build_scenario``).
-    The two plans are built once; the rest is built per call.
+    The file is read and decoded once per process.
     """
-    return (
-        EndpointDeclaration(
-            process_id=UTILIZATION_PROCESS,
-            role="server",
-            publications=(
-                PublicationRule(
-                    observe=pattern(EventCategory.BELIEF_UPDATED, "deployed"),
-                    topic=TOPIC_CAPACITY,
-                    guard=Expr(
-                        "deployed < preferred_min and (publish_when_empty or deployed > 0)"
-                    ),
-                    extract=("server", "deployed", "capacity"),
-                ),
-            ),
-        ),
-        EndpointDeclaration(
-            process_id=UTILIZATION_PROCESS,
-            role="service",
-            reactions=(
-                EventMappingEntry(
-                    observe=pattern(EventCategory.MESSAGE_RECEIVED, TOPIC_CAPACITY),
-                    guard=Expr("payload.server != current_server"),
-                    inject=EventTemplate(
-                        EventCategory.GOAL_ADDED,
-                        MOVE_GOAL,
-                        {"server": Expr("payload.server"), "deployed": Expr("payload.deployed")},
-                    ),
-                ),
-            ),
-            plans=(_MOVE_PLAN,),
-        ),
-        EndpointDeclaration(
-            process_id=BALANCING_PROCESS,
-            role="service",
-            reactions=(
-                EventMappingEntry(
-                    observe=pattern(EventCategory.MESSAGE_RECEIVED, TOPIC_DEMAND),
-                    guard=Expr("payload.new > payload.old and payload.subject != type"),
-                    inject=EventTemplate(
-                        EventCategory.GOAL_ADDED, SWITCH_GOAL, {"type": Expr("payload.subject")}
-                    ),
-                ),
-            ),
-            plans=(_SWITCH_PLAN,),
-        ),
-        EndpointDeclaration(
-            process_id=BALANCING_PROCESS,
-            role="broker",
-            publications=(
-                PublicationRule(
-                    observe=pattern(EventCategory.BELIEF_UPDATED),
-                    topic=TOPIC_DEMAND,
-                    guard=Expr(
-                        "abs(payload.new - payload.old) / payload.old >= significance_threshold"
-                    ),
-                    extract_event={
-                        "subject": Expr("subject"),
-                        "old": Expr("payload.old"),
-                        "new": Expr("payload.new"),
-                    },
-                ),
-            ),
-        ),
-    )
+    # coagent.loader imports this module, so it cannot be imported at the top.
+    from coagent.loader import parse_endpoints
+
+    return parse_endpoints(_canonical_document(), str(CANONICAL_ENDPOINTS))
 
 
 #: Per topic, the order in which its medium releases the publications due
@@ -777,7 +699,7 @@ def canonical_endpoints() -> tuple[EndpointDeclaration, ...]:
 #: most attractive first: the highest ``deployed``, ties broken by the lowest
 #: server id.
 RELEASE_ORDER = {
-    TOPIC_CAPACITY: lambda info: (
+    "capacity": lambda info: (
         -info.payload.get("deployed", 0),
         str(info.payload.get("server", "")),
     ),

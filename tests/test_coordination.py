@@ -375,6 +375,13 @@ class TestCompileEndpoint:
         ((entry,), (plan,)) = decl.module.mapping, decl.module.plans
         assert entry.guard is TRUE and plan.context is TRUE
 
+    def test_a_process_id_holding_a_slash_is_refused(self):
+        # Else server "a" with process "x/y" and server "a/x" with process
+        # "y" would both hold endpoint "a/x/y".
+        with pytest.raises(EndpointDeclarationError) as refused:
+            EndpointDeclaration("x/y", "server")
+        assert str(refused.value) == "process-id 'x/y' must not contain '/'"
+
     def test_a_declaration_names_its_role_and_a_medium_its_latency(self):
         with pytest.raises(TypeError):
             EndpointDeclaration("p")

@@ -211,12 +211,38 @@ class TestPatternParsing:
         p = parse_pattern({}, "t")
         assert p.categories is None and p.subject is None
 
+    def test_an_empty_category_list_is_refused(self):
+        # It would match no event, so its plan or rule could never fire.
+        with pytest.raises(ConfigError) as refused:
+            parse_pattern({"category": [], "subject": "g"}, "t")
+        assert str(refused.value) == "t.category: category list must be non-empty"
+        with pytest.raises(ConfigError) as refused:
+            parse_agent_program(MALFORMED_PROGRAMS["trigger-no-category"])
+        assert str(refused.value) == (
+            "agent-program.plans[0].trigger.category: category list must be non-empty"
+        )
+
 
 class TestScenarioDocuments:
     def test_minimal_scenario_parses(self):
         config = parse_scenario(minimal_scenario())
         assert config.name == "mini"
         assert config.servers[0].preferred_min == 3
+
+    @pytest.mark.parametrize("written", [{}, {"name": None}, {"name": ""}])
+    def test_a_name_absent_null_or_empty_reads_the_default(self, written):
+        doc = {key: value for key, value in minimal_scenario().items() if key != "name"}
+        assert parse_scenario({**doc, **written}).name == "scenario"
+        program = {key: value for key, value in minimal_program().items() if key != "name"}
+        assert parse_agent_program({**program, **written}).name == "agent"
+
+    def test_a_name_that_is_not_a_string_is_refused(self):
+        with pytest.raises(ConfigError) as refused:
+            parse_scenario(MALFORMED_SCENARIOS["name-not-a-string"])
+        assert str(refused.value) == "scenario.name: name must be str, got int"
+        with pytest.raises(ConfigError) as refused:
+            parse_agent_program(MALFORMED_PROGRAMS["name-not-a-string"])
+        assert str(refused.value) == "agent-program.name: name must be str, got int"
 
     def test_bundled_scenario_a(self, scenario_a_path):
         config = load_scenario(scenario_a_path)
@@ -322,6 +348,27 @@ class TestEndpointSection:
         )
         assert decl.process_id == "utilization"
         assert decl.publications[0].topic == "capacity"
+
+    def test_a_process_id_holding_a_slash_is_refused(self):
+        with pytest.raises(ConfigError) as refused:
+            parse_scenario(MALFORMED_SCENARIOS["process-id-slash"])
+        assert str(refused.value) == (
+            "scenario.endpoints[0]: process-id 'x/y' must not contain '/'"
+        )
+
+    def test_a_server_id_holding_a_slash_builds_and_delivers(self):
+        doc = utilization_document(service_plans=[MOVE_PLAN])
+        for entry in doc["servers"] + doc["services"]:
+            for key in ("id", "initial-server"):
+                if entry.get(key, "").startswith("server-"):
+                    entry[key] = entry[key].replace("server-", "rack/")
+        state = build_scenario(parse_scenario(doc))
+        assert "rack/02/utilization" in state.endpoints
+        assert len(state.endpoints) == len(state.agents) == 8
+        trace = run_simulation(state, 30, seed=0)
+        assert sum(record.publications["capacity"] for record in trace) > 0
+        assert sum(record.moves for record in trace) > 0
+        assert trace[-1].underloaded == 0
 
     def test_bad_role_rejected(self):
         # The config checks roles; the loader names the document's path.
@@ -465,6 +512,9 @@ MALFORMED_SCENARIOS = {
     "guard-on-subject": scenario_with_rules(publication={**PUBLICATION, "guard": "subject == 'x'"}),
     "reaction-placement": scenario_with_rules(reaction={**REACTION, "placement": "current-intention"}),
     "reaction-topic-prefix": scenario_with_rules(reaction={**REACTION, "match": {"topic": "cap*"}}),
+    "name-not-a-string": minimal_scenario(name=5),
+    # An endpoint id is "<host>/<process id>", and a host id may hold a slash.
+    "process-id-slash": minimal_scenario(endpoints=[{"process-id": "x/y", "role": "server"}]),
     "duplicate-endpoint": minimal_scenario(
         endpoints=[{"process-id": "utilization", "role": "service", "reaction-rules": [REACTION]}] * 2
     ),
@@ -487,6 +537,10 @@ MALFORMED_PROGRAMS = {
     "module-duplicate-plan": minimal_program(modules=[{"id": "m", "plans": [MODULE_PLAN] * 2}]),
     "unbelieve-reserved-key": minimal_program(
         plans=[{**minimal_program()["plans"][0], "body": [{"do": "unbelieve", "key": "payload"}]}]
+    ),
+    "name-not-a-string": minimal_program(name=5),
+    "trigger-no-category": minimal_program(
+        plans=[{**minimal_program()["plans"][0], "trigger": {"category": [], "subject": "g"}}]
     ),
     "unbelieve-empty-key": minimal_program(
         plans=[{**minimal_program()["plans"][0], "body": [{"do": "unbelieve", "key": ""}]}]

@@ -36,13 +36,7 @@ from coagent.coordination import (
 )
 from coagent.loader import load_scenario, parse_scenario
 from coagent.scenarios import (
-    BALANCING_PROCESS,
-    MOVE_GOAL,
     ROLES,
-    SWITCH_GOAL,
-    TOPIC_CAPACITY,
-    TOPIC_DEMAND,
-    UTILIZATION_PROCESS,
     DemandDelta,
     ScenarioConfig,
     ScenarioError,
@@ -416,7 +410,7 @@ def test_sleeping_agents_change_no_output(fields):
 #: The process ids a drawn declaration may take besides the canonical two:
 #: processes that only a document declares.
 DOCUMENT_PROCESS_IDS = ("audit", "alerts", "watch")
-TOPICS = (TOPIC_CAPACITY, TOPIC_DEMAND, "alerts")
+TOPICS = ("capacity", "demand-change", "alerts")
 #: Per role, beliefs its agents hold from the start.
 ROLE_BELIEFS = {
     "server": ("server", "capacity", "preferred_min", "deployed"),
@@ -631,7 +625,7 @@ def test_registering_a_module_on_one_member_changes_no_other(declared):
     values = [held(cfg) for cfg in others]
     note = Plan("note", pattern(EventCategory.GOAL_ADDED, "note"), (Believe("seen", Expr("1")),))
     noting = EventMappingEntry(
-        observe=pattern(EventCategory.GOAL_ADDED, MOVE_GOAL),
+        observe=pattern(EventCategory.GOAL_ADDED, "move-to"),
         inject=EventTemplate(EventCategory.GOAL_ADDED, "note"),
     )
     register_module(first, CoefficientModule("extra", {"seen": 0}, [note], [noting]))
@@ -717,88 +711,8 @@ def test_trace_rows_are_text_that_writes_as_the_integer_rows(fields):
     assert written(rows) == written(naive_int_rows(state))
 
 
-def canonical_endpoints_document():
-    """``canonical_endpoints()`` spelled out as a document's ``endpoints``
-    section."""
-    return [
-        {
-            "process-id": "utilization",
-            "role": "server",
-            "publication-rules": [
-                {
-                    "observe": {"category": "belief-updated", "subject": "deployed"},
-                    "guard": "deployed < preferred_min and (publish_when_empty or deployed > 0)",
-                    "topic": "capacity",
-                    "extract": ["server", "deployed", "capacity"],
-                }
-            ],
-        },
-        {
-            "process-id": "utilization",
-            "role": "service",
-            "reaction-rules": [
-                {
-                    "match": {"topic": "capacity"},
-                    "guard": "payload.server != current_server",
-                    "inject": {
-                        "category": "goal-added",
-                        "subject": "move-to",
-                        "payload": {"server": "payload.server", "deployed": "payload.deployed"},
-                    },
-                }
-            ],
-            "plans": [
-                {
-                    "id": "move-to",
-                    "trigger": {"category": "goal-added", "subject": "move-to"},
-                    "body": [{"do": "act", "name": "relocate", "args": {"server": "payload.server"}}],
-                }
-            ],
-        },
-        {
-            "process-id": "balancing",
-            "role": "service",
-            "reaction-rules": [
-                {
-                    "match": {"topic": "demand-change"},
-                    "guard": "payload.new > payload.old and payload.subject != type",
-                    "inject": {
-                        "category": "goal-added",
-                        "subject": "switch-to",
-                        "payload": {"type": "payload.subject"},
-                    },
-                }
-            ],
-            "plans": [
-                {
-                    "id": "switch-to",
-                    "trigger": {"category": "goal-added", "subject": "switch-to"},
-                    "context": "type != payload.type",
-                    "body": [{"do": "act", "name": "reallocate", "args": {"type": "payload.type"}}],
-                }
-            ],
-        },
-        {
-            "process-id": "balancing",
-            "role": "broker",
-            "publication-rules": [
-                {
-                    "observe": {"category": "belief-updated"},
-                    "guard": "abs(payload.new - payload.old) / payload.old >= significance_threshold",
-                    "topic": "demand-change",
-                    "extract-event": {
-                        "subject": "subject",
-                        "old": "payload.old",
-                        "new": "payload.new",
-                    },
-                }
-            ],
-        },
-    ]
-
-
-#: ``canonical_endpoints()`` as a document spells it out.
-CANONICAL_ENDPOINTS_DOCUMENT = canonical_endpoints_document()
+#: The canonical declarations as the packaged document spells them out.
+CANONICAL_ENDPOINTS_DOCUMENT = json.loads(scenarios.CANONICAL_ENDPOINTS.read_text(encoding="utf-8"))
 
 #: A third coordination process, declared in the document alone: servers
 #: below their preferred level announce themselves on ``spare``, and
@@ -954,7 +868,7 @@ class TestEndpointDeclarations:
         services = [state.agents[service_id] for service_id in state.service_server]
         assert len({id(cfg.plans) for cfg in services}) == 1
         for cfg in services:
-            assert list(cfg.plans.by_id) == [MOVE_GOAL, SWITCH_GOAL, "ep.moves.publish.0"]
+            assert list(cfg.plans.by_id) == ["move-to", "switch-to", "ep.moves.publish.0"]
             assert cfg.circumstance.actions == {"relocate", "reallocate", PUBLISH_ACTION}
         trace = run_simulation(state, state.config.ticks)
         published = sum(record.publications["moved"] for record in trace)
@@ -1082,7 +996,7 @@ def three_server_config(topic=None):
                 ),
             )
             for decl in canonical_endpoints()
-            if decl.process_id == UTILIZATION_PROCESS
+            if decl.process_id == "utilization"
         ]
         config = replace(config, endpoints=endpoints)
     return config
@@ -1100,7 +1014,7 @@ def queued_move_targets(topic=None):
             [
                 event.te.payload["server"]
                 for event in state.agents[service_id].circumstance.events
-                if event.te.subject == MOVE_GOAL
+                if event.te.subject == "move-to"
             ],
         )
         for service_id, server_id in state.service_server.items()
