@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
+from coagent.bdi.beliefs import RESERVED_NAMES
 from coagent.bdi.config import AgentConfiguration
 from coagent.bdi.events import GOAL_ADDED, MESSAGE_RECEIVED, TOP, EventPattern, TriggeringEvent
 from coagent.bdi.expressions import TRUE, Expr
@@ -237,7 +238,7 @@ class EndpointDeclaration:
             _check_publication(rule, index)
         for index, entry in enumerate(self.reactions):
             topic = entry.observe.subject
-            one_topic = topic is not None and not topic.endswith("*")
+            one_topic = bool(topic) and not topic.endswith("*")
             if entry.observe.categories != (MESSAGE_RECEIVED,) or not one_topic:
                 raise EndpointDeclarationError(
                     f"reaction-rules[{index}]: a reaction must observe "
@@ -279,6 +280,16 @@ def _bare_subject_ref(expr: Expr) -> bool:
 
 def _check_publication(rule: PublicationRule, index: int) -> None:
     path = f"publication-rules[{index}]"
+    if not rule.topic:
+        raise EndpointDeclarationError(f"{path}: topic must not be empty")
+    # Each extract name is a host belief, copied once into the payload.
+    for position, name in enumerate(rule.extract):
+        if not name or name in RESERVED_NAMES:
+            raise EndpointDeclarationError(
+                f"{path}: extract name {name!r} is empty or a reserved name"
+            )
+        if name in rule.extract[:position]:
+            raise EndpointDeclarationError(f"{path}: extract name {name!r} is listed twice")
     for key in rule.extract_event:
         if not key.isidentifier() or keyword.iskeyword(key):
             raise EndpointDeclarationError(f"{path}: extract-event key {key!r} is not a name")

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 from coagent.bdi.beliefs import RESERVED_NAMES, BeliefBase
 from coagent.bdi.config import AgentConfiguration, EnvironmentAdapter
@@ -68,18 +68,27 @@ def _require(obj: Any, path: str, kind: type | tuple[type, ...], what: str) -> A
 def _optional(
     obj: Mapping[str, Any], key: str, path: str, kind: type | tuple[type, ...], default: Any
 ) -> Any:
-    """The value under ``key``, type-checked; ``default`` when absent or null."""
+    """The value under ``key``, type-checked unless ``kind`` is None (any
+    value); ``default`` when absent or null."""
     value = obj.get(key)
     if value is None:
         return default
-    return _require(value, f"{path}.{key}", kind, key)
+    return value if kind is None else _require(value, f"{path}.{key}", kind, key)
+
+
+def _each(
+    obj: Mapping[str, Any], key: str, path: str, parse: Callable[[Any, str], Any]
+) -> list[Any]:
+    """The list under ``key``, absent or null read as empty, with each item
+    parsed by ``parse`` at ``{path}.{key}[{index}]``."""
+    return [
+        parse(item, f"{path}.{key}[{index}]")
+        for index, item in enumerate(_optional(obj, key, path, list, []))
+    ]
 
 
 def _strings(obj: Mapping[str, Any], key: str, path: str) -> tuple[str, ...]:
-    items = _optional(obj, key, path, list, [])
-    for index, item in enumerate(items):
-        _require(item, f"{path}.{key}[{index}]", str, key)
-    return tuple(items)
+    return tuple(_each(obj, key, path, lambda item, at: _require(item, at, str, key)))
 
 
 def _belief_key(key: Any, path: str) -> str:
@@ -136,19 +145,15 @@ def parse_pattern(obj: Any, path: str) -> EventPattern:
     """Parse an event pattern: category (single or list), subject, payload."""
     _require(obj, path, dict, "event pattern")
     _check_keys(obj, path, {"category", "subject", "payload"}, set())
-    categories = None
-    if obj.get("category") is not None:
-        raw = obj["category"]
-        if isinstance(raw, list):
-            # Every event has a category, so an empty list would match none.
-            if not raw:
-                raise _fail(f"{path}.category", "category list must be non-empty")
-            categories = tuple(_parse_category(c, f"{path}.category") for c in raw)
-        else:
-            categories = (_parse_category(raw, f"{path}.category"),)
-    subject = obj.get("subject")
-    if subject is not None:
-        _require(subject, f"{path}.subject", str, "subject")
+    categories = obj.get("category")
+    if isinstance(categories, list):
+        # Every event has a category, so an empty list would match none.
+        if not categories:
+            raise _fail(f"{path}.category", "category list must be non-empty")
+        categories = tuple(_parse_category(c, f"{path}.category") for c in categories)
+    elif categories is not None:
+        categories = (_parse_category(categories, f"{path}.category"),)
+    subject = _optional(obj, "subject", path, str, None)
     payload = _optional(obj, "payload", path, dict, {})
     return EventPattern(categories=categories, subject=subject, payload=dict(payload))
 
@@ -159,21 +164,21 @@ def parse_template(obj: Any, path: str) -> EventTemplate:
     _check_keys(obj, path, {"category", "subject", "payload"}, {"category", "subject"})
     category = _parse_category(obj["category"], f"{path}.category")
     subject = _require(obj["subject"], f"{path}.subject", str, "subject")
-    payload = {}
-    for key, source in _optional(obj, "payload", path, dict, {}).items():
-        payload[key] = _parse_expr(source, f"{path}.payload.{key}")
+    payload = _parse_args(obj, "payload", path)
     try:
         return EventTemplate(category, subject, payload)
     except MappingError as exc:
         raise _fail(path, str(exc)) from None
 
 
-def _parse_placement(value: Any, path: str) -> Placement:
+def _parse_placement(obj: Mapping[str, Any], path: str) -> Placement:
+    value = _optional(obj, "placement", path, None, "new-intention")
     try:
         return Placement(value)
     except ValueError:
         raise _fail(
-            path, f"placement must be one of {[p.value for p in Placement]}, got {value!r}"
+            f"{path}.placement",
+            f"placement must be one of {[p.value for p in Placement]}, got {value!r}",
         ) from None
 
 
@@ -215,12 +220,9 @@ def parse_plan(obj: Any, path: str) -> Plan:
     plan_id = _require(obj["id"], f"{path}.id", str, "plan id")
     trigger = parse_pattern(obj["trigger"], f"{path}.trigger")
     context = _parse_optional_expr(obj, "context", path)
-    body_obj = _require(obj["body"], f"{path}.body", list, "plan body")
-    if not body_obj:
+    if not _require(obj["body"], f"{path}.body", list, "plan body"):
         raise _fail(f"{path}.body", "plan body must be non-empty")
-    body = tuple(
-        parse_body_step(step, f"{path}.body[{index}]") for index, step in enumerate(body_obj)
-    )
+    body = tuple(_each(obj, "body", path, parse_body_step))
     return Plan(plan_id=plan_id, trigger=trigger, context=context, body=body)
 
 
@@ -230,7 +232,7 @@ def parse_mapping_entry(obj: Any, path: str) -> EventMappingEntry:
     return EventMappingEntry(
         observe=parse_pattern(obj["observe"], f"{path}.observe"),
         inject=parse_template(obj["inject"], f"{path}.inject"),
-        placement=_parse_placement(obj.get("placement", "new-intention"), f"{path}.placement"),
+        placement=_parse_placement(obj, path),
         guard=_parse_optional_expr(obj, "guard", path),
     )
 
@@ -240,17 +242,12 @@ def parse_module(obj: Any, path: str) -> CoefficientModule:
     _check_keys(obj, path, {"id", "beliefs", "plans", "mapping", "exports"}, {"id"})
     module_id = _require(obj["id"], f"{path}.id", str, "module id")
     beliefs = _parse_beliefs(obj, path)
-    plans = [
-        parse_plan(plan, f"{path}.plans[{index}]")
-        for index, plan in enumerate(_optional(obj, "plans", path, list, []))
-    ]
-    mapping = [
-        parse_mapping_entry(entry, f"{path}.mapping[{index}]")
-        for index, entry in enumerate(_optional(obj, "mapping", path, list, []))
-    ]
-    exports = frozenset(_strings(obj, "exports", path))
     return CoefficientModule(
-        module_id=module_id, beliefs=beliefs, plans=plans, mapping=mapping, exports=exports
+        module_id=module_id,
+        beliefs=beliefs,
+        plans=_each(obj, "plans", path, parse_plan),
+        mapping=_each(obj, "mapping", path, parse_mapping_entry),
+        exports=frozenset(_strings(obj, "exports", path)),
     )
 
 
@@ -269,6 +266,16 @@ class AgentProgram:
     events: list[TriggeringEvent] = field(default_factory=list)
 
 
+def _parse_event(obj: Any, path: str) -> TriggeringEvent:
+    _require(obj, path, dict, "event")
+    _check_keys(obj, path, {"category", "subject", "payload"}, {"category", "subject"})
+    return TriggeringEvent(
+        _parse_category(obj["category"], f"{path}.category"),
+        _require(obj["subject"], f"{path}.subject", str, "subject"),
+        dict(_optional(obj, "payload", path, dict, {})),
+    )
+
+
 def parse_agent_program(doc: Any, path: str = "agent-program") -> AgentProgram:
     _require(doc, path, dict, "agent program")
     _check_keys(
@@ -279,10 +286,7 @@ def parse_agent_program(doc: Any, path: str = "agent-program") -> AgentProgram:
     )
     beliefs = _parse_beliefs(doc, path)
     actions = set(_strings(doc, "actions", path))
-    plans = [
-        parse_plan(plan, f"{path}.plans[{index}]")
-        for index, plan in enumerate(_optional(doc, "plans", path, list, []))
-    ]
+    plans = _each(doc, "plans", path, parse_plan)
     seen = set()
     for plan in plans:
         if plan.plan_id in seen:
@@ -295,29 +299,13 @@ def parse_agent_program(doc: Any, path: str = "agent-program") -> AgentProgram:
                     f"{path}.plans[{plan.plan_id}].body[{index}]",
                     f"action {step.name!r} is not in the declared action set",
                 )
-    modules = [
-        parse_module(module, f"{path}.modules[{index}]")
-        for index, module in enumerate(_optional(doc, "modules", path, list, []))
-    ]
-    events = []
-    for index, event in enumerate(_optional(doc, "events", path, list, [])):
-        event_path = f"{path}.events[{index}]"
-        _require(event, event_path, dict, "event")
-        _check_keys(event, event_path, {"category", "subject", "payload"}, {"category", "subject"})
-        events.append(
-            TriggeringEvent(
-                _parse_category(event["category"], f"{event_path}.category"),
-                _require(event["subject"], f"{event_path}.subject", str, "subject"),
-                dict(_optional(event, "payload", event_path, dict, {})),
-            )
-        )
     program = AgentProgram(
-        name=_optional(doc, "name", path, str, "") or "agent",
         beliefs=beliefs,
         actions=actions,
         plans=plans,
-        modules=modules,
-        events=events,
+        modules=_each(doc, "modules", path, parse_module),
+        events=_each(doc, "events", path, _parse_event),
+        name=_optional(doc, "name", path, str, "") or "agent",
     )
     # Clashes between modules, or with the host, are only seen by registration.
     try:
@@ -392,18 +380,9 @@ def parse_endpoint_declaration(obj: Any, path: str) -> EndpointDeclaration:
         {"process-id", "role", "publication-rules", "reaction-rules", "plans"},
         {"process-id", "role"},
     )
-    publications = tuple(
-        parse_publication_rule(rule, f"{path}.publication-rules[{index}]")
-        for index, rule in enumerate(_optional(obj, "publication-rules", path, list, []))
-    )
-    reactions = tuple(
-        parse_reaction_rule(rule, f"{path}.reaction-rules[{index}]")
-        for index, rule in enumerate(_optional(obj, "reaction-rules", path, list, []))
-    )
-    plans = tuple(
-        parse_plan(plan, f"{path}.plans[{index}]")
-        for index, plan in enumerate(_optional(obj, "plans", path, list, []))
-    )
+    publications = tuple(_each(obj, "publication-rules", path, parse_publication_rule))
+    reactions = tuple(_each(obj, "reaction-rules", path, parse_reaction_rule))
+    plans = tuple(_each(obj, "plans", path, parse_plan))
     role = _require(obj["role"], f"{path}.role", str, "role")
     process_id = _require(obj["process-id"], f"{path}.process-id", str, "process id")
     try:
@@ -455,8 +434,7 @@ def _check_server(obj: Any, path: str) -> None:
 def _check_service(obj: Any, path: str) -> None:
     _require(obj, path, dict, "service")
     _check_keys(obj, path, _SERVICE_KEYS, {"id", "type"})
-    if obj.get("initial-server") is not None:
-        _require(obj["initial-server"], f"{path}.initial-server", str, "initial-server")
+    _optional(obj, "initial-server", path, str, None)
     _require(obj["id"], f"{path}.id", str, "service id")
     _require(obj["type"], f"{path}.type", str, "type")
 
@@ -529,11 +507,11 @@ def parse_scenario(doc: Any, path: str = "scenario") -> ScenarioConfig:
     try:
         return ScenarioConfig(
             name=_optional(doc, "name", path, str, "") or "scenario",
-            seed=_require(doc.get("seed", 0), f"{path}.seed", int, "seed"),
-            ticks=_require(doc.get("ticks", 100), f"{path}.ticks", int, "ticks"),
+            seed=_optional(doc, "seed", path, int, 0),
+            ticks=_optional(doc, "ticks", path, int, 100),
             servers=servers,
             services=services,
-            brokers=_require(doc.get("brokers", 0), f"{path}.brokers", int, "brokers"),
+            brokers=_optional(doc, "brokers", path, int, 0),
             demand=demand,
             demand_schedule=schedule,
             media=media,

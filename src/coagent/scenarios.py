@@ -277,8 +277,12 @@ class ScenarioConfig:
             raise ScenarioError("significance-threshold must be finite and >= 0")
         if not (0 <= self.move_acceptance_probability <= 1):
             raise ScenarioError("move-acceptance-probability must be in [0, 1]")
+        # An empty name would make a trace column or endpoint id of its kind
+        # alone ("server:", "/utilization"); demand types are refused below.
         seen: set[str] = set()
         for server in self.servers:
+            if not server.server_id:
+                raise ScenarioError("server id must not be empty")
             if server.server_id in seen:
                 raise ScenarioError(f"duplicate server id {server.server_id!r}")
             seen.add(server.server_id)
@@ -289,8 +293,12 @@ class ScenarioConfig:
                     f"server {server.server_id!r}: preferred-min must be in (0, capacity]"
                 )
         for service in self.services:
+            if not service.service_id:
+                raise ScenarioError("service id must not be empty")
             if service.service_id in seen:
                 raise ScenarioError(f"duplicate service id {service.service_id!r}")
+            if not service.service_type:
+                raise ScenarioError(f"service {service.service_id!r}: type must not be empty")
             seen.add(service.service_id)
         for broker_id in self.broker_ids:
             if broker_id in seen:
@@ -303,6 +311,8 @@ class ScenarioConfig:
             if not service_type or service_type in _BROKER_RESERVED:
                 raise ScenarioError(f"demand type {service_type!r} is empty or a reserved name")
         for topic, latency in self.media.items():
+            if not topic:
+                raise ScenarioError("media topic must not be empty")
             if latency < 0:
                 raise ScenarioError(f"medium {topic!r}: latency must be >= 0")
         # A build registers a role's declarations on each of its agents, so

@@ -1,6 +1,7 @@
 """Document loading: schema checks, expression validation, error paths."""
 
 import copy
+import functools
 import json
 import tempfile
 from pathlib import Path
@@ -235,6 +236,18 @@ class TestScenarioDocuments:
         assert parse_scenario({**doc, **written}).name == "scenario"
         program = {key: value for key, value in minimal_program().items() if key != "name"}
         assert parse_agent_program({**program, **written}).name == "agent"
+
+    def test_seed_ticks_and_brokers_absent_or_null_read_the_default(self, tmp_path):
+        from coagent.cli import main
+
+        doc = minimal_scenario()
+        absent = parse_scenario({key: doc[key] for key in doc if key not in ("seed", "ticks")})
+        nulled = minimal_scenario(seed=None, ticks=None, brokers=None)
+        assert parse_scenario(nulled) == absent
+        assert (absent.seed, absent.ticks, absent.brokers) == (0, 100, 0)
+        path = tmp_path / "nulled.json"
+        path.write_text(json.dumps(nulled))
+        assert main(["validate", str(path)]) == 0
 
     def test_a_name_that_is_not_a_string_is_refused(self):
         with pytest.raises(ConfigError) as refused:
@@ -518,7 +531,48 @@ MALFORMED_SCENARIOS = {
     "duplicate-endpoint": minimal_scenario(
         endpoints=[{"process-id": "utilization", "role": "service", "reaction-rules": [REACTION]}] * 2
     ),
+    # An empty name would be a trace column, endpoint id or topic of its
+    # kind alone.
+    "server-id-empty": minimal_scenario(
+        servers=[{"id": "", "capacity": 5, "preferred-min": 3}],
+        services=[{"id": "svc-01", "type": "web", "initial-server": ""}],
+    ),
+    "service-id-empty": minimal_scenario(services=[{**minimal_scenario()["services"][0], "id": ""}]),
+    "service-type-empty": minimal_scenario(services=[{**minimal_scenario()["services"][0], "type": ""}]),
+    "media-topic-empty": minimal_scenario(media={"": 1}),
+    "publication-topic-empty": scenario_with_rules(publication={**PUBLICATION, "topic": ""}),
+    "reaction-topic-empty": scenario_with_rules(reaction={**REACTION, "match": {"topic": ""}}),
+    # An extract name is a host belief copied into the payload.
+    "extract-empty": scenario_with_rules(publication={**PUBLICATION, "extract": [""]}),
+    "extract-reserved": scenario_with_rules(publication={**PUBLICATION, "extract": ["payload"]}),
+    "extract-twice": scenario_with_rules(publication={**PUBLICATION, "extract": ["server", "server"]}),
 }
+
+#: The refusals of names no host, column or medium can use, each with its
+#: exact ConfigError text.
+REFUSED_NAMES = {
+    "server-id-empty": "scenario: server id must not be empty",
+    "service-id-empty": "scenario: service id must not be empty",
+    "service-type-empty": "scenario: service 'svc-01': type must not be empty",
+    "media-topic-empty": "scenario: media topic must not be empty",
+    "publication-topic-empty": "scenario.endpoints[1]: publication-rules[0]: topic must not be empty",
+    "reaction-topic-empty": "scenario.endpoints[0]: reaction-rules[0]: a reaction must observe "
+    "'message-received' on one named topic",
+    "extract-empty": "scenario.endpoints[1]: publication-rules[0]: "
+    "extract name '' is empty or a reserved name",
+    "extract-reserved": "scenario.endpoints[1]: publication-rules[0]: "
+    "extract name 'payload' is empty or a reserved name",
+    "extract-twice": "scenario.endpoints[1]: publication-rules[0]: "
+    "extract name 'server' is listed twice",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED_NAMES))
+def test_a_name_no_host_can_use_is_refused(name):
+    with pytest.raises(ConfigError) as refused:
+        parse_scenario(MALFORMED_SCENARIOS[name])
+    assert str(refused.value) == REFUSED_NAMES[name]
+
 
 MODULE_PLAN = {
     "id": "p",
@@ -842,6 +896,102 @@ def test_a_refused_mutated_scenario_exits_2_through_the_cli(case):
         path = Path(directory) / f"{name}.json"
         path.write_text(json.dumps(doc))
         assert main(["validate", str(path)]) == 2
+
+
+#: Keys that hold maps of names the document chooses: their entries are no
+#: keys of the schema.
+NAME_MAPS = {"beliefs", "demand", "media", "payload", "args", "extract-event"}
+
+#: Documents that between them hold every optional key of a scenario or an
+#: agent program.
+NULLABLE_DOCUMENTS = {
+    **SEED_DOCUMENTS,
+    "scenario-b-full": {
+        **SEED_DOCUMENTS["scenario-b-endpoints"],
+        "publish-when-empty": True,
+        "move-acceptance-probability": 0.5,
+        "endpoints": [
+            *CANONICAL_ENDPOINTS_DOCUMENT,
+            {
+                "process-id": "audit",
+                "role": "service",
+                "reaction-rules": [
+                    {**REACTION, "match": {"topic": "capacity", "payload": {"deployed": 1}}}
+                ],
+            },
+        ],
+    },
+    "program-full": minimal_program(
+        plans=[
+            {
+                "id": "p1",
+                "trigger": {"category": "goal-added", "subject": "g", "payload": {"k": 1}},
+                "context": "x < 5",
+                "body": [
+                    {"do": "act", "name": "ping", "args": {"n": "x"}},
+                    {"do": "subgoal", "goal": "h", "args": {"n": "1"}},
+                    {"do": "send", "to": "other", "payload": {"n": "x"}},
+                ],
+            }
+        ],
+        events=[{"category": "goal-added", "subject": "g", "payload": {"k": 1}}],
+    ),
+}
+
+
+def _parser(name):
+    return parse_agent_program if name.startswith("program") else parse_scenario
+
+
+@functools.cache
+def optional_keys(name):
+    """The paths of the optional keys of ``NULLABLE_DOCUMENTS[name]``: the
+    keys of the schema that the document loads without."""
+    doc, parse = NULLABLE_DOCUMENTS[name], _parser(name)
+    paths = []
+    for path in _paths(doc):
+        if not path or not isinstance(path[-1], str) or (len(path) > 1 and path[-2] in NAME_MAPS):
+            continue
+        try:
+            parse(mutate(doc, path, "delete"))
+        except ConfigError:
+            continue
+        paths.append(path)
+    return paths
+
+
+@st.composite
+def nulled_keys(draw):
+    """The name of one of ``NULLABLE_DOCUMENTS`` and one to four paths of
+    its optional keys."""
+    name = draw(st.sampled_from(sorted(NULLABLE_DOCUMENTS)))
+    paths = st.lists(st.sampled_from(optional_keys(name)), min_size=1, max_size=4, unique=True)
+    return name, draw(paths)
+
+
+@given(nulled_keys())
+@example(("scenario-a", [("seed",), ("ticks",), ("brokers",)]))
+@example(("scenario-a", [("services", 0, "initial-server")]))
+@example(("program", [("modules", 0, "mapping", 0, "placement")]))
+@settings(max_examples=200, deadline=None)
+def test_a_null_optional_key_reads_as_absent(case):
+    """Setting optional keys to null loads the same config or program as
+    deleting them, or is refused in the same words."""
+    name, paths = case
+    nulled = deleted = NULLABLE_DOCUMENTS[name]
+    for path in paths:
+        # A key inside another drawn key goes with it.
+        if not any(path[: len(other)] == other for other in paths if other != path):
+            nulled = mutate(nulled, path, "replace", None)
+            deleted = mutate(deleted, path, "delete")
+
+    def loaded(doc):
+        try:
+            return _parser(name)(doc)
+        except ConfigError as exc:
+            return str(exc)
+
+    assert loaded(nulled) == loaded(deleted)
 
 
 SERVER = {"id": "server-01", "capacity": 5, "preferred-min": 3}

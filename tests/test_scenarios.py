@@ -19,7 +19,7 @@ import coagent.scenarios as scenarios
 from coagent.bdi.config import AgentConfiguration
 from coagent.bdi.events import TOP, EventCategory, TriggeringEvent, pattern
 from coagent.bdi.expressions import Expr
-from coagent.bdi.interpreter import post_external_event, select_event
+from coagent.bdi.interpreter import post_external_event, run_cycle, select_event
 from coagent.bdi.plans import Act, Believe, Plan, PlanLibrary
 from coagent.cli import main
 from coagent.coefficiency import (
@@ -33,6 +33,8 @@ from coagent.coordination import (
     EndpointDeclaration,
     PublicationRule,
     attach_endpoint,
+    endpoint_deliver,
+    tick_medium,
 )
 from coagent.loader import load_scenario, parse_scenario
 from coagent.scenarios import (
@@ -405,6 +407,44 @@ def test_sleeping_agents_change_no_output(fields):
     with every_agent_every_tick():
         every_agent = build_scenario(config, agent_log=True)
     assert outputs(scheduled) == outputs(every_agent)
+
+
+def run_every_agent(state, ticks):
+    """The tick loop of ``run_simulation`` spelled out in public functions,
+    with every agent run every tick in id order: no wake set and no wrapped
+    selector."""
+    for _ in range(ticks):
+        state.reset_tick_counters()
+        apply_demand(state, state.tick)
+        for cfg in state.agents.values():
+            run_cycle(cfg)
+        for medium in state.media.values():
+            _, deliveries = tick_medium(medium, state.tick)
+            for endpoint_id, info in deliveries:
+                endpoint = state.endpoints[endpoint_id]
+                endpoint_deliver(endpoint, info, state.agents[endpoint.host])
+        state.trace.append(state.snapshot_record())
+        state.tick += 1
+
+
+@given(running_configs())
+@settings(max_examples=200, deadline=None)
+def test_run_simulation_runs_as_the_every_agent_loop(fields):
+    # The wake set only skips cycles that would select nothing: a loop that
+    # runs every agent every tick gives the same trace, summary and
+    # observations.
+    try:
+        config = ScenarioConfig(**fields)
+    except ScenarioError:
+        return
+    scheduled, every_agent = (build_scenario(config, agent_log=True) for _ in range(2))
+    run_simulation(scheduled, 12)
+    run_every_agent(every_agent, 12)
+    assert not any(cfg.wake for cfg in every_agent.agents.values())  # no agent slept
+    assert trace_rows(scheduled) == trace_rows(every_agent)
+    assert summary(scheduled) == summary(every_agent)
+    for agent_id, cfg in scheduled.agents.items():
+        assert cfg.observations == every_agent.agents[agent_id].observations
 
 
 #: The process ids a drawn declaration may take besides the canonical two:
