@@ -10,11 +10,9 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator
 
 from coagent.bdi.events import BELIEF_ADDED, BELIEF_REMOVED, BELIEF_UPDATED, TriggeringEvent
+from coagent.bdi.expressions import RESERVED_NAMES
 
 BeliefValue = int | float | bool | str
-
-#: Names the expression language reserves; belief keys must avoid them.
-RESERVED_NAMES = frozenset({"payload", "subject", "true", "false", "abs", "min", "max", "not"})
 
 
 class BeliefError(ValueError):

@@ -44,13 +44,22 @@ list or arithmetic chain stays flat.  A source tree deeper than
 again, has room for it even a few hundred frames down a call stack.  A
 syntax error quotes at most the first ``QUOTED_CHARS`` characters of the
 source.
+
+The checking walk also records what the expression reads, as ``Expr.names``
+(the bare names: its beliefs, and ``subject``) and ``Expr.payload_keys``
+(the ``payload.<key>`` keys), so a caller asks what an expression reads with
+set operations, and ``Expr.renamed`` rewrites its belief names for module
+namespacing.  This module is the only one that reads or rewrites an
+expression's syntax tree, apart from the reference oracle's own naive
+walk; the names the grammar gives a meaning of its own are
+``RESERVED_NAMES``.
 """
 
 from __future__ import annotations
 
 import ast
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 if TYPE_CHECKING:
     from coagent.bdi.events import TriggeringEvent
@@ -79,6 +88,10 @@ class _Undefined:
 UNDEFINED = _Undefined()
 
 _FUNCTIONS = ("abs", "min", "max")
+#: Names the grammar gives a meaning of its own, so no belief may take one:
+#: the functions, the literals ``true`` and ``false``, ``payload``,
+#: ``subject`` and ``not``.
+RESERVED_NAMES = frozenset({"payload", "subject", "true", "false", "not", *_FUNCTIONS})
 _COMPARISONS = (ast.Eq, ast.NotEq, ast.Lt, ast.LtE, ast.Gt, ast.GtE)
 _ARITHMETIC = (ast.Add, ast.Sub, ast.Mult, ast.Div)
 #: The operand types arithmetic and function calls take; any other operand
@@ -222,12 +235,16 @@ class _Writer:
     statements a node needs to the block it is given and returns the node's
     value as an expression over names and constants, with the value's
     kind; it enters one Python frame per level of the source tree, and
-    ``depth`` counts them.
+    ``depth`` counts them.  It records what the expression reads: ``names``,
+    the bare names (its beliefs, and ``subject``), and ``payload_keys``, the
+    keys of its ``payload.<key>`` references.
     """
 
     def __init__(self, source: str):
         self.quoted = _quote(source)  # the source as error messages show it
         self.temps = 0
+        self.names: set[str] = set()
+        self.payload_keys: set[str] = set()
 
     def temp(self) -> ast.Name:
         """A new local of the written function, as the node that reads it."""
@@ -257,11 +274,13 @@ class _Writer:
                 raise ExpressionSyntaxError(
                     f"only payload.<key> attribute references allowed in {quoted}"
                 )
+            self.payload_keys.add(node.attr)
             return _lookup("payload", node.attr), None
         if form is ast.Name:
             name = node.id
             if name in ("true", "false"):
                 return (_TRUE if name == "true" else _FALSE), bool
+            self.names.add(name)
             if name == "subject":
                 return _SUBJECT, _DEFINED
             return _lookup("names", name), None
@@ -369,16 +388,22 @@ class _Writer:
 
 
 class Expr:
-    """A parsed expression, evaluable in condition or value position."""
+    """A parsed expression, evaluable in condition or value position.
 
-    __slots__ = ("source", "_tree", "_value")
+    ``names`` and ``payload_keys`` are what it reads, as the checking walk
+    recorded them: the bare names (its beliefs, and ``subject``) and the
+    keys of its ``payload.<key>`` references.
+    """
+
+    __slots__ = ("source", "names", "payload_keys", "_tree", "_value")
 
     def __init__(self, source: str):
         if not isinstance(source, str) or not source.strip():
             raise ExpressionSyntaxError(f"expression must be a non-empty string, got {source!r}")
+        writer = _Writer(source)
         try:
             tree = ast.parse(source, mode="eval")
-            _Writer(source).walk(tree.body, [])  # for its checks; the code is dropped
+            writer.walk(tree.body, [])  # for its checks and reads; the code is dropped
         except SyntaxError as exc:
             raise ExpressionSyntaxError(
                 f"cannot parse expression {_quote(source)}: {exc}"
@@ -386,6 +411,8 @@ class Expr:
         except RecursionError:
             raise ExpressionSyntaxError(f"expression nests too deeply: {_quote(source)}") from None
         self.source = source
+        self.names = frozenset(writer.names)
+        self.payload_keys = frozenset(writer.payload_keys)
         self._tree = tree
         self._value = None
 
@@ -396,6 +423,20 @@ class Expr:
     def tree(self) -> ast.Expression:
         """The parsed tree, shared by every reader: walk or copy it, never mutate it."""
         return self._tree
+
+    def renamed(self, renames: Mapping[str, str]) -> Expr:
+        """This expression with each belief it reads that ``renames`` names
+        read under its new name.  Itself when it reads none of them, so
+        ``TRUE`` stays ``TRUE`` and no tree is walked.  A reserved name is
+        never a belief, so ``renames`` never rewrites one."""
+        beliefs = self.names.intersection(renames).difference(RESERVED_NAMES)
+        if not beliefs:
+            return self
+        tree = ast.parse(self.source, mode="eval")  # a fresh tree, rewritten in place
+        for node in ast.walk(tree):
+            if type(node) is ast.Name and node.id in beliefs:
+                node.id = renames[node.id]
+        return Expr(ast.unparse(tree))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Expr) and other.source == self.source

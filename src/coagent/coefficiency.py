@@ -10,7 +10,8 @@ One rule, ``apply_mapping``, injects: within one module's entries, the first
 entry whose pattern matches the observed event and whose guard holds has its
 template instantiated and appended to the event queue with a fresh sequence
 number.  A template reads only the observed event (its expressions see one
-shared empty belief mapping, not the host's beliefs), and event payloads are
+shared empty belief mapping, not the host's beliefs, and one that reads a
+belief is refused when the template is built), and event payloads are
 read-only, so the hosts that observe one event (the subscribers of one
 publication) all queue the one event instantiated from it, not a copy each.
 Registration merges the module elements into the host under the
@@ -26,15 +27,13 @@ the same rule to perceived coordination information.
 
 from __future__ import annotations
 
-import ast
-import copy
 import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
-from coagent.bdi.beliefs import RESERVED_NAMES, BeliefValue
+from coagent.bdi.beliefs import BeliefValue
 from coagent.bdi.config import REL_PL, AgentConfiguration
 from coagent.bdi.events import (
     INJECTABLE_CATEGORIES,
@@ -44,7 +43,7 @@ from coagent.bdi.events import (
     TriggeringEvent,
     _Top,
 )
-from coagent.bdi.expressions import TRUE, UNDEFINED, Expr
+from coagent.bdi.expressions import RESERVED_NAMES, TRUE, UNDEFINED, Expr
 from coagent.bdi.interpreter import select_event
 from coagent.bdi.plans import Act, Believe, Plan, PlanLibrary, Send, Subgoal, Unbelieve
 
@@ -76,7 +75,12 @@ _NO_BELIEFS: Mapping[str, Any] = MappingProxyType({})
 @dataclass(frozen=True)
 class EventTemplate:
     """An injectable event: category, subject, payload expressions over the
-    observed event."""
+    observed event.
+
+    A payload expression reads only the observed event (``subject`` and
+    ``payload.<key>``): one that reads a belief, which would always be
+    undefined, is refused.
+    """
 
     category: EventCategory
     subject: str
@@ -93,6 +97,13 @@ class EventTemplate:
                 f"category {self.category.value!r} cannot be injected; "
                 f"legal categories: {sorted(c.value for c in INJECTABLE_CATEGORIES)}"
             )
+        for key, expr in self.payload.items():
+            beliefs = expr.names - {"subject"}
+            if beliefs:
+                raise MappingError(
+                    f"payload {key!r} reads beliefs {sorted(beliefs)}; "
+                    "a template reads only the observed event"
+                )
 
     def instantiate(self, te: TriggeringEvent) -> TriggeringEvent:
         """Evaluate payload expressions over the observed event ``te``.
@@ -163,39 +174,22 @@ def _belief_renames(mod: CoefficientModule) -> dict[str, str]:
         raise ModuleRegistrationError(f"module id {mod.module_id!r} starts with a digit")
     renames: dict[str, str] = {}
     for key in mod.beliefs:
-        target = key if key in mod.exports else prefix + key
-        if not target or target in RESERVED_NAMES:
+        if not key or key in RESERVED_NAMES:
             raise ModuleRegistrationError(
-                f"module {mod.module_id!r} belief {target!r} is empty or a reserved name"
+                f"module {mod.module_id!r} belief {key!r} is empty or a reserved name"
             )
-        renames[key] = target
+        renames[key] = key if key in mod.exports else prefix + key
+    plan_ids = {plan.plan_id for plan in mod.plans}
+    for name in sorted(mod.exports):
+        if name not in mod.beliefs and name not in plan_ids:
+            raise ModuleRegistrationError(
+                f"module {mod.module_id!r} export {name!r} names none of its beliefs or plans"
+            )
     return renames
 
 
-class _Renamer(ast.NodeTransformer):
-    def __init__(self, renames: dict[str, str]):
-        self.renames = renames
-
-    def visit_Name(self, node: ast.Name) -> ast.Name:
-        if node.id in self.renames:
-            return ast.copy_location(ast.Name(id=self.renames[node.id], ctx=node.ctx), node)
-        return node
-
-
-def _rename_expr(expr: Expr, renames: dict[str, str]) -> Expr:
-    """``expr`` with renamed belief names; ``expr`` itself if it names none,
-    so ``TRUE`` stays ``TRUE``.  Without renames the tree is not walked."""
-    if not renames or not any(
-        isinstance(node, ast.Name) and node.id in renames for node in ast.walk(expr.tree)
-    ):
-        return expr
-    tree = _Renamer(renames).visit(copy.deepcopy(expr.tree))
-    ast.fix_missing_locations(tree)
-    return Expr(ast.unparse(tree))
-
-
 def _rename_args(args: Mapping[str, Expr], renames: dict[str, str]) -> dict[str, Expr]:
-    return {key: _rename_expr(expr, renames) for key, expr in args.items()}
+    return {key: expr.renamed(renames) for key, expr in args.items()}
 
 
 def _namespace_plan(plan: Plan, plan_id: str, renames: dict[str, str]) -> Plan:
@@ -207,7 +201,7 @@ def _namespace_plan(plan: Plan, plan_id: str, renames: dict[str, str]) -> Plan:
             body.append(Subgoal(step.goal, _rename_args(step.args, renames)))
         elif isinstance(step, Believe):
             key = renames.get(step.key, step.key)
-            body.append(Believe(key, _rename_expr(step.value, renames)))
+            body.append(Believe(key, step.value.renamed(renames)))
         elif isinstance(step, Unbelieve):
             body.append(Unbelieve(renames.get(step.key, step.key)))
         else:
@@ -216,7 +210,7 @@ def _namespace_plan(plan: Plan, plan_id: str, renames: dict[str, str]) -> Plan:
     return Plan(
         plan_id=plan_id,
         trigger=plan.trigger,
-        context=_rename_expr(plan.context, renames),
+        context=plan.context.renamed(renames),
         body=tuple(body),
     )
 
@@ -230,12 +224,13 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
     Beliefs and plans are merged under the module namespace (export-listed
     names stay unprefixed).  One naming rule holds inside a module: its
     plans and its mapping guards spell its beliefs bare, and registration
-    rewrites those names to the host keys in both; a name that is not one of
-    the module's beliefs, such as an already prefixed one, is left as it
-    is.  An expression that names none of them is kept, so ``TRUE`` stays
-    ``TRUE``.  A module that declares plans gives the host a new library,
-    the host's plans then its own.  Every refusal -- a
-    belief key that is empty or reserved, a belief or plan id taken by the
+    rewrites those names to the host keys in both (``Expr.renamed``); a
+    name that is not one of the module's beliefs, such as an already
+    prefixed one, is left as it is.  An expression that names none of them
+    is kept, so ``TRUE`` stays ``TRUE``.  A module that declares plans
+    gives the host a new library, the host's plans then its own.  Every
+    refusal -- a belief key that is empty or reserved, an export that names
+    none of the module's beliefs or plans, a belief or plan id taken by the
     host, or a plan id the module declares twice -- comes before the host
     changes, and the refusals that depend on the module alone come before
     those that depend on the host.  The namespace prefix is the module id,
@@ -275,7 +270,7 @@ def register_module(cfg: AgentConfiguration, mod: CoefficientModule) -> AgentCon
         cfg.beliefs.set(renames[key], value)  # registration-time merge, no events
     cfg.plans = plans
     if mod.mapping:
-        entries = tuple(replace(e, guard=_rename_expr(e.guard, renames)) for e in mod.mapping)
+        entries = tuple(replace(e, guard=e.guard.renamed(renames)) for e in mod.mapping)
         cfg.mapping = {**cfg.mapping, mod.module_id: entries}
         if _inject not in cfg.observation_hooks:
             cfg.observation_hooks = [*cfg.observation_hooks, _inject]

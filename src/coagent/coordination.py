@@ -20,17 +20,15 @@ routes the action without knowing its argument format.
 
 from __future__ import annotations
 
-import ast
 import keyword
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from coagent.bdi.beliefs import RESERVED_NAMES
 from coagent.bdi.config import AgentConfiguration
 from coagent.bdi.events import GOAL_ADDED, MESSAGE_RECEIVED, TOP, EventPattern, TriggeringEvent
-from coagent.bdi.expressions import TRUE, Expr
+from coagent.bdi.expressions import RESERVED_NAMES, TRUE, Expr
 from coagent.bdi.plans import Act, Plan
 from coagent.coefficiency import (
     CoefficientModule,
@@ -191,7 +189,8 @@ class PublicationRule:
     A guard left out is ``TRUE``, which always holds and is never
     evaluated.  ``extract`` names host beliefs copied into the publication
     payload; ``extract_event`` maps payload keys to expressions over the
-    observed event (``subject``, ``payload.<key>``).
+    observed event alone (``subject``, ``payload.<key>``): one that reads a
+    belief is refused.
     """
 
     observe: EventPattern
@@ -270,14 +269,6 @@ class CoordinationEndpoint:
 _endpoint_id = "{}/{}".format
 
 
-def _payload_refs(expr: Expr) -> set[str]:
-    return {node.attr for node in ast.walk(expr.tree) if isinstance(node, ast.Attribute)}
-
-
-def _bare_subject_ref(expr: Expr) -> bool:
-    return any(isinstance(node, ast.Name) and node.id == "subject" for node in ast.walk(expr.tree))
-
-
 def _check_publication(rule: PublicationRule, index: int) -> None:
     path = f"publication-rules[{index}]"
     if not rule.topic:
@@ -290,7 +281,7 @@ def _check_publication(rule: PublicationRule, index: int) -> None:
             )
         if name in rule.extract[:position]:
             raise EndpointDeclarationError(f"{path}: extract name {name!r} is listed twice")
-    for key in rule.extract_event:
+    for key, expr in rule.extract_event.items():
         if not key.isidentifier() or keyword.iskeyword(key):
             raise EndpointDeclarationError(f"{path}: extract-event key {key!r} is not a name")
         if key.startswith("__"):
@@ -299,12 +290,18 @@ def _check_publication(rule: PublicationRule, index: int) -> None:
             raise EndpointDeclarationError(
                 f"{path}: payload key {key!r} declared in both extract and extract-event"
             )
-    if _bare_subject_ref(rule.guard):
+        beliefs = expr.names - {"subject"}
+        if beliefs:
+            raise EndpointDeclarationError(
+                f"{path}: extract-event {key!r} reads beliefs {sorted(beliefs)}; "
+                "it reads only the observed event (extract copies beliefs)"
+            )
+    if "subject" in rule.guard.names:
         raise EndpointDeclarationError(
             f"{path}: publication guards may not reference 'subject'; "
             "carry it through extract-event instead"
         )
-    missing = _payload_refs(rule.guard) - set(rule.extract_event)
+    missing = rule.guard.payload_keys - set(rule.extract_event)
     if missing:
         raise EndpointDeclarationError(
             f"{path}: guard references event fields {sorted(missing)} "

@@ -22,14 +22,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
-from coagent.bdi.beliefs import RESERVED_NAMES, BeliefBase
+from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.config import AgentConfiguration, EnvironmentAdapter
 from coagent.bdi.events import (
     EventCategory,
     EventPattern,
     TriggeringEvent,
 )
-from coagent.bdi.expressions import Expr, ExpressionSyntaxError, TRUE
+from coagent.bdi.expressions import RESERVED_NAMES, TRUE, Expr, ExpressionSyntaxError
 from coagent.bdi.plans import Act, Believe, BodyStep, Plan, PlanLibrary, Send, Subgoal, Unbelieve
 from coagent.coefficiency import (
     CoefficientModule,

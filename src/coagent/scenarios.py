@@ -57,9 +57,10 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping, Sequence
 
-from coagent.bdi.beliefs import RESERVED_NAMES, BeliefBase
+from coagent.bdi.beliefs import BeliefBase
 from coagent.bdi.config import ActionFault, AgentConfiguration
 from coagent.bdi.events import EventCategory, TriggeringEvent
+from coagent.bdi.expressions import RESERVED_NAMES
 from coagent.bdi.interpreter import post_external_event, run_cycle, select_event
 from coagent.bdi.plans import Act, PlanLibrary
 from coagent.coefficiency import ModuleRegistrationError, register_module

@@ -130,6 +130,35 @@ class TestRegisterModule:
         assert cfg.plans is library and list(library.by_id) == ["host"]
         assert not cfg.modules and not cfg.mapping and cfg.select_event_override is None
 
+    def test_an_unexported_reserved_belief_key_is_refused(self):
+        # Spelled bare, "subject" is the observed event's subject, so no
+        # module belief may take it, prefixed or not.
+        cfg = agent()
+        with pytest.raises(ModuleRegistrationError) as refused:
+            register_module(cfg, CoefficientModule("m", beliefs={"subject": 1}))
+        assert str(refused.value) == "module 'm' belief 'subject' is empty or a reserved name"
+        assert cfg.beliefs.as_dict() == {} and not cfg.modules
+
+    @pytest.mark.parametrize("exports", [{"sen"}, {"seen", ""}, {"p", "q"}])
+    def test_an_export_that_names_no_belief_or_plan_is_refused_before_the_host_changes(
+        self, exports
+    ):
+        cfg = agent()
+        library = cfg.plans
+        mod = CoefficientModule(
+            "m",
+            beliefs={"seen": 0},
+            plans=[Plan("p", pattern("goal-added", "g"), (Act("ping", {}),))],
+            exports=frozenset(exports),
+        )
+        with pytest.raises(ModuleRegistrationError) as refused:
+            register_module(cfg, mod)
+        (name,) = exports - {"seen", "p"}
+        assert str(refused.value) == (
+            f"module 'm' export {name!r} names none of its beliefs or plans"
+        )
+        assert cfg.beliefs.as_dict() == {} and cfg.plans is library and not cfg.modules
+
     def test_registration_leaves_a_shared_library_as_it_was(self):
         library = PlanLibrary([Plan("work", pattern("goal-added", "g"), (Act("ping", {}),))])
         actions = frozenset({"ping"})
@@ -239,6 +268,18 @@ class TestRegisterModule:
         cfg = agent()
         register_module(cfg, mod)
         assert "shared" in cfg.plans
+
+    def test_a_template_expression_that_reads_a_belief_is_refused(self):
+        # A template sees no beliefs, so a bare name in it is always
+        # undefined; the observed event's subject and payload it may read.
+        EventTemplate(EventCategory.GOAL_ADDED, "go", {"s": Expr("subject + payload.x")})
+        with pytest.raises(MappingError) as refused:
+            EventTemplate(
+                EventCategory.GOAL_ADDED, "go", {"s": Expr("subject"), "v": Expr("b + a > subject")}
+            )
+        assert str(refused.value) == (
+            "payload 'v' reads beliefs ['a', 'b']; a template reads only the observed event"
+        )
 
     def test_observation_only_categories_rejected_as_injection(self):
         with pytest.raises(MappingError):

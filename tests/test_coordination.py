@@ -403,6 +403,29 @@ class TestCompileEndpoint:
                 ),
             )
 
+    def test_an_extract_event_expression_that_reads_a_belief_is_refused(self):
+        # extract-event reads the observed event alone; the template it
+        # compiles to would refuse the belief too, but with no rule path.
+        with pytest.raises(EndpointDeclarationError) as refused:
+            EndpointDeclaration(
+                process_id="p",
+                role="broker",
+                publications=(
+                    PublicationRule(
+                        observe=pattern("belief-updated"),
+                        topic="demand-change",
+                        extract_event={
+                            "subject": Expr("subject"),
+                            "cap": Expr("payload.new / significance_threshold"),
+                        },
+                    ),
+                ),
+            )
+        assert str(refused.value) == (
+            "publication-rules[0]: extract-event 'cap' reads beliefs ['significance_threshold']; "
+            "it reads only the observed event (extract copies beliefs)"
+        )
+
     def test_process_isolation(self):
         # Distinct process ids compile to disjoint modules and plans.
         cfg = host(beliefs={"server": "s1", "deployed": 1, "capacity": 5, "preferred_min": 3})

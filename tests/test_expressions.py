@@ -1,6 +1,7 @@
 """Expression language: parsing, evaluation, and totality rules."""
 
 import ast
+import copy
 import math
 import warnings
 
@@ -13,6 +14,8 @@ from coagent.bdi.events import EventCategory, TriggeringEvent
 from coagent.bdi.expressions import (
     MAX_DEPTH,
     QUOTED_CHARS,
+    RESERVED_NAMES,
+    TRUE,
     Expr,
     ExpressionEvalError,
     ExpressionSyntaxError,
@@ -24,6 +27,7 @@ from coagent.bdi.reference import (
     expression_strict,
     expression_value,
 )
+from tests.conftest import REPO_ROOT
 
 
 def event(payload=None, subject="e"):
@@ -196,6 +200,60 @@ class TestInputs:
         assert ev("subject", names={"subject": "from-names"}, subject="given") == "given"
         assert ev("subject == 'given'", names={"subject": "x"}, subject="given") is True
         assert ev("payload.subject", payload={"subject": "p"}, subject="given") == "p"
+
+
+class TestReads:
+    """What an expression reads, recorded by the checking walk, and the
+    belief renames of module namespacing."""
+
+    def test_the_reads_are_the_bare_names_and_the_payload_keys(self):
+        expr = Expr("not (payload.a + -x) / 2 < abs(y, 1) <= subject and true or min(payload.b)")
+        assert expr.names == {"x", "y", "subject"}
+        assert expr.payload_keys == {"a", "b"}
+        assert TRUE.names == TRUE.payload_keys == frozenset()
+
+    def test_renamed_rewrites_each_belief_it_reads(self):
+        expr = Expr("on and payload.on > m__on + off")
+        renamed = expr.renamed({"on": "m__on", "off": "m__off", "unread": "m__unread"})
+        assert renamed.source == "m__on and payload.on > m__on + m__off"
+        assert renamed.names == {"m__on", "m__off"} and renamed.payload_keys == {"on"}
+        assert expr.source == "on and payload.on > m__on + off"
+
+    def test_renamed_keeps_an_expression_that_reads_none_of_the_beliefs(self):
+        assert TRUE.renamed({"x": "m__x"}) is TRUE
+        expr = Expr("payload.x > subject")
+        assert expr.renamed({"x": "m__x"}) is expr
+        assert expr.renamed({}) is expr
+
+    @pytest.mark.parametrize("name", sorted(RESERVED_NAMES - {"not"}))
+    def test_renamed_never_rewrites_a_reserved_name(self, name):
+        expr = Expr(f"{name} == 1 or abs(payload.k) > x")
+        assert expr.renamed({name: "renamed", "x": "y"}).source == (
+            f"{name} == 1 or abs(payload.k) > y"
+        )
+
+
+def test_only_expressions_and_the_oracle_read_expression_trees():
+    # The grammar has one owner: no other module imports ast or reads an
+    # expression's .tree.  The reference oracle keeps its own naive walk.
+    package = REPO_ROOT / "src" / "coagent"
+    owners = {package / "bdi" / "expressions.py", package / "bdi" / "reference.py"}
+    assert all(owner.is_file() for owner in owners)
+    readers = []
+    for path in sorted(package.rglob("*.py")):
+        if path in owners:
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Import)
+                and any(alias.name.split(".")[0] == "ast" for alias in node.names)
+                or isinstance(node, ast.ImportFrom)
+                and (node.module or "").split(".")[0] == "ast"
+                or isinstance(node, ast.Attribute)
+                and node.attr == "tree"
+            ):
+                readers.append((path.relative_to(package).as_posix(), node.lineno))
+    assert readers == []
 
 
 def test_every_written_node_that_has_a_position_is_on_line_1():
@@ -386,3 +444,62 @@ def test_compiled_expressions_agree_with_the_reference_evaluator(source, names, 
             ours = _outcome(lambda: getattr(expr, position)(names, te))
         theirs = _outcome(lambda: reference(expr, names, te))
         assert _agree(ours, theirs), (source, position, ours, theirs)
+
+
+# -- differential check of the recorded reads and of renamed -------------------
+
+
+class _Renamer(ast.NodeTransformer):
+    """The rename that registration once made on a deep copy of the tree,
+    kept here as the oracle of ``Expr.renamed``."""
+
+    def __init__(self, renames):
+        self.renames = renames
+
+    def visit_Name(self, node):
+        if node.id in self.renames:
+            return ast.copy_location(ast.Name(id=self.renames[node.id], ctx=node.ctx), node)
+        return node
+
+
+def _walked_reads(tree):
+    """The bare names and payload keys, by a naive walk of the tree: every
+    name but a called function, ``payload`` before a key, and the literals."""
+    nodes = list(ast.walk(tree))
+    not_read = {id(node.func) for node in nodes if isinstance(node, ast.Call)}
+    not_read |= {id(node.value) for node in nodes if isinstance(node, ast.Attribute)}
+    names = {
+        node.id
+        for node in nodes
+        if isinstance(node, ast.Name) and id(node) not in not_read
+        and node.id not in ("true", "false")
+    }
+    return names, {node.attr for node in nodes if isinstance(node, ast.Attribute)}
+
+
+def _walked_renamed(expr, renames):
+    if not any(isinstance(node, ast.Name) and node.id in renames for node in ast.walk(expr.tree)):
+        return expr
+    tree = _Renamer(renames).visit(copy.deepcopy(expr.tree))
+    ast.fix_missing_locations(tree)
+    return Expr(ast.unparse(tree))
+
+
+@given(
+    source=_SOURCES,
+    # Module belief keys: never a reserved name.  A target may be another
+    # key, so two beliefs may swap names.
+    renames=st.dictionaries(
+        st.sampled_from(["a", "b", "c", "missing"]),
+        st.sampled_from(["a", "b", "m__a", "m_1__missing"]),
+    ),
+)
+@settings(max_examples=500, deadline=None)
+def test_recorded_reads_and_renamed_agree_with_a_naive_walk(source, renames):
+    expr = Expr(source)
+    before = ast.dump(expr.tree)
+    assert (expr.names, expr.payload_keys) == _walked_reads(expr.tree), source
+    ours, theirs = expr.renamed(renames), _walked_renamed(expr, renames)
+    assert ours == theirs and (ours is expr) == (theirs is expr), (source, renames)
+    assert (ours.names, ours.payload_keys) == _walked_reads(ours.tree)
+    assert ast.dump(expr.tree) == before

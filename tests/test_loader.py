@@ -546,6 +546,14 @@ MALFORMED_SCENARIOS = {
     "extract-empty": scenario_with_rules(publication={**PUBLICATION, "extract": [""]}),
     "extract-reserved": scenario_with_rules(publication={**PUBLICATION, "extract": ["payload"]}),
     "extract-twice": scenario_with_rules(publication={**PUBLICATION, "extract": ["server", "server"]}),
+    # extract-event and a template read only the observed event, never a
+    # belief: a bare name in one would always be undefined.
+    "extract-event-reads-belief": scenario_with_rules(
+        publication={**PUBLICATION, "extract-event": {"cap": "capacity"}}
+    ),
+    "reaction-template-reads-belief": scenario_with_rules(
+        reaction={**REACTION, "inject": {**REACTION["inject"], "payload": {"to": "current_server"}}}
+    ),
 }
 
 #: The refusals of names no host, column or medium can use, each with its
@@ -599,7 +607,60 @@ MALFORMED_PROGRAMS = {
     "unbelieve-empty-key": minimal_program(
         plans=[{**minimal_program()["plans"][0], "body": [{"do": "unbelieve", "key": ""}]}]
     ),
+    "module-template-reads-belief": minimal_program(
+        modules=[
+            {
+                "id": "m",
+                "beliefs": {"level": 1},
+                "mapping": [
+                    {
+                        "observe": {"category": "belief-updated", "subject": "x"},
+                        "inject": {
+                            "category": "goal-added",
+                            "subject": "go",
+                            "payload": {"level": "level", "s": "subject"},
+                        },
+                    }
+                ],
+            }
+        ]
+    ),
+    # An export names a belief key or a plan id of its module.
+    "export-names-nothing": minimal_program(
+        modules=[{"id": "m", "beliefs": {"seen": 0}, "exports": ["sen"]}]
+    ),
+    "export-empty": minimal_program(
+        modules=[{"id": "m", "beliefs": {"seen": 0}, "exports": ["seen", ""]}]
+    ),
 }
+
+#: Expressions that read what their position cannot see, and exports that
+#: name nothing, each with its exact ConfigError text.
+REFUSED_READS = {
+    ("scenario", "extract-event-reads-belief"): "scenario.endpoints[1]: publication-rules[0]: "
+    "extract-event 'cap' reads beliefs ['capacity']; "
+    "it reads only the observed event (extract copies beliefs)",
+    ("scenario", "reaction-template-reads-belief"): "scenario.endpoints[0].reaction-rules[0]"
+    ".inject: payload 'to' reads beliefs ['current_server']; "
+    "a template reads only the observed event",
+    ("program", "module-template-reads-belief"): "agent-program.modules[0].mapping[0].inject: "
+    "payload 'level' reads beliefs ['level']; a template reads only the observed event",
+    ("program", "export-names-nothing"): "agent-program.modules: "
+    "module 'm' export 'sen' names none of its beliefs or plans",
+    ("program", "export-empty"): "agent-program.modules: "
+    "module 'm' export '' names none of its beliefs or plans",
+}
+
+
+@pytest.mark.parametrize("kind, name", sorted(REFUSED_READS))
+def test_a_read_no_position_sees_or_an_export_of_nothing_is_refused(kind, name):
+    if kind == "scenario":
+        doc, parse = MALFORMED_SCENARIOS[name], parse_scenario
+    else:
+        doc, parse = MALFORMED_PROGRAMS[name], parse_agent_program
+    with pytest.raises(ConfigError) as refused:
+        parse(doc)
+    assert str(refused.value) == REFUSED_READS[kind, name]
 
 
 class TestMalformedDocuments:
@@ -665,21 +726,41 @@ class TestDeclaredPlanRefusals:
 
     @pytest.mark.parametrize("name", sorted(REFUSED_PLANS))
     def test_the_refusal_text_through_validate_and_run(self, name, tmp_path, capsys):
-        from coagent.cli import main
+        refused_through_validate_and_run(*REFUSED_PLANS[name], tmp_path / f"{name}.json", capsys)
 
-        doc, text = REFUSED_PLANS[name]
-        with pytest.raises(ConfigError) as refused:
-            parse_scenario(doc)
-        assert str(refused.value) == text
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(doc))
-        printed = f"error: {path}" + text.removeprefix("scenario") + "\n"
-        assert main(["validate", str(path)]) == 2
-        assert capsys.readouterr().err == printed
-        out = tmp_path / "out"
-        assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
-        assert capsys.readouterr().err == printed
-        assert not out.exists()
+
+def refused_through_validate_and_run(doc, text, path, capsys):
+    """``doc`` is refused with exactly ``text``, and, written to ``path``,
+    makes ``validate`` and ``run`` exit 2, print it and write nothing."""
+    from coagent.cli import main
+
+    with pytest.raises(ConfigError) as refused:
+        parse_scenario(doc)
+    assert str(refused.value) == text
+    path.write_text(json.dumps(doc))
+    printed = f"error: {path}" + text.removeprefix("scenario") + "\n"
+    assert main(["validate", str(path)]) == 2
+    assert capsys.readouterr().err == printed
+    out = path.parent / "out"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == printed
+    assert not out.exists()
+
+
+def test_scenario_b_with_an_extract_event_that_reads_a_belief_is_refused(tmp_path, capsys):
+    # This document once loaded: the template the rule compiles to read the
+    # broker's threshold as an undefined name, so every publish plan failed
+    # and the run made no demand-change publication and no switch.
+    doc = _refused_b(
+        lambda endpoints: endpoints[3]["publication-rules"][0]["extract-event"].update(
+            cap="significance_threshold"
+        )
+    )
+    text = (
+        "scenario.endpoints[3]: publication-rules[0]: extract-event 'cap' reads beliefs "
+        "['significance_threshold']; it reads only the observed event (extract copies beliefs)"
+    )
+    refused_through_validate_and_run(doc, text, tmp_path / "b.json", capsys)
 
 
 def declared_plan_document(role, action, other_role, plan_id):
